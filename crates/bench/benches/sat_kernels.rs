@@ -1,8 +1,26 @@
 //! Criterion kernels for the CDCL SAT solver substrate.
+//!
+//! Besides the shim's wall-clock line, every kernel prints its
+//! propagation rate (`<group>/<kernel>: N propagations/s`), the
+//! machine-level speed of the inner solver independent of how much
+//! search a kernel needs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::Instant;
+
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use step_cnf::{Lit, Var};
 use step_sat::{ClauseDbPolicy, RestartPolicy, SolveResult, Solver};
+
+/// Runs one kernel under the shim's timer and prints its propagation
+/// rate over all iterations; `run` returns the propagations one
+/// iteration performed.
+fn kernel(group: &str, g: &mut BenchmarkGroup<'_>, id: &str, mut run: impl FnMut() -> u64) {
+    let mut propagations = 0u64;
+    let start = Instant::now();
+    g.bench_function(id, |b| b.iter(|| propagations += run()));
+    let rate = propagations as f64 / start.elapsed().as_secs_f64();
+    println!("{group}/{id}: {rate:.0} propagations/s");
+}
 
 fn pigeonhole(n: usize) -> (usize, Vec<Vec<Lit>>) {
     let pigeons = n + 1;
@@ -22,19 +40,13 @@ fn pigeonhole(n: usize) -> (usize, Vec<Vec<Lit>>) {
 }
 
 fn random_3sat(nvars: usize, nclauses: usize, seed: u64) -> Vec<Vec<Lit>> {
-    let mut s = seed | 1;
-    let mut rnd = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
+    let mut rnd = xorshift(seed);
     (0..nclauses)
         .map(|_| {
             (0..3)
                 .map(|_| {
                     let v = (rnd() % nvars as u64) as usize;
-                    Lit::new(Var::new(v), rnd() % 2 == 0)
+                    Lit::new(Var::new(v), rnd() & 1 == 0)
                 })
                 .collect()
         })
@@ -42,49 +54,155 @@ fn random_3sat(nvars: usize, nclauses: usize, seed: u64) -> Vec<Vec<Lit>> {
 }
 
 fn bench_sat(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sat_kernels");
+    const GROUP: &str = "sat_kernels";
+    let mut g = c.benchmark_group(GROUP);
     g.sample_size(10);
 
-    g.bench_function("php6_unsat", |b| {
-        let (nv, clauses) = pigeonhole(6);
-        b.iter(|| {
-            let mut s = Solver::new();
-            s.ensure_vars(nv);
-            for cl in &clauses {
-                s.add_clause(cl.iter().copied());
-            }
-            assert_eq!(s.solve(), SolveResult::Unsat);
-        })
+    let (nv, clauses) = pigeonhole(6);
+    kernel(GROUP, &mut g, "php6_unsat", || {
+        let mut s = Solver::new();
+        s.ensure_vars(nv);
+        for cl in &clauses {
+            s.add_clause(cl.iter().copied());
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        s.effort().propagations
     });
 
-    g.bench_function("random3sat_sat_phase", |b| {
-        // Clause ratio 3.5: almost surely satisfiable.
-        let clauses = random_3sat(120, 420, 42);
-        b.iter(|| {
-            let mut s = Solver::new();
-            s.ensure_vars(120);
-            for cl in &clauses {
-                s.add_clause(cl.iter().copied());
-            }
-            let _ = s.solve();
-        })
+    // Clause ratio 3.5: almost surely satisfiable.
+    let clauses = random_3sat(120, 420, 42);
+    kernel(GROUP, &mut g, "random3sat_sat_phase", || {
+        let mut s = Solver::new();
+        s.ensure_vars(120);
+        for cl in &clauses {
+            s.add_clause(cl.iter().copied());
+        }
+        let _ = s.solve();
+        s.effort().propagations
     });
 
-    g.bench_function("php4_with_proof", |b| {
-        let (nv, clauses) = pigeonhole(4);
-        b.iter(|| {
-            let mut s = Solver::new();
-            s.enable_proof();
-            s.ensure_vars(nv);
-            for cl in &clauses {
-                s.add_clause(cl.iter().copied());
-            }
-            assert_eq!(s.solve(), SolveResult::Unsat);
-            assert!(s.proof().unwrap().empty_clause().is_some());
-        })
+    let (nv, clauses) = pigeonhole(4);
+    kernel(GROUP, &mut g, "php4_with_proof", || {
+        let mut s = Solver::new();
+        s.enable_proof();
+        s.ensure_vars(nv);
+        for cl in &clauses {
+            s.add_clause(cl.iter().copied());
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert!(s.proof().unwrap().empty_clause().is_some());
+        s.effort().propagations
+    });
+
+    let cone = WideCone::new(64, 600, 11);
+    kernel(GROUP, &mut g, "cegar_check_loop", || {
+        cone.cegar_check_loop(300)
     });
 
     g.finish();
+}
+
+/// A seeded wide cone, Tseitin-encoded: `inputs` primary inputs
+/// feeding random AND/XOR gates, with the negated root asserted — the
+/// shape of the `ExistsForall` check solver, which looks for an input
+/// assignment falsifying the cone under a candidate partition.
+struct WideCone {
+    inputs: usize,
+    num_vars: usize,
+    clauses: Vec<Vec<Lit>>,
+    seed: u64,
+}
+
+impl WideCone {
+    fn new(inputs: usize, gates: usize, seed: u64) -> Self {
+        let mut rnd = xorshift(seed);
+        let mut clauses = Vec::new();
+        for g in inputs..inputs + gates {
+            // Draw fanins mostly from recent signals so the cone is deep
+            // as well as wide.
+            let pick = |r: u64| Var::new(g - 1 - (r as usize % g.min(48)));
+            let a = Lit::new(pick(rnd()), rnd() & 1 == 0);
+            let b = Lit::new(pick(rnd()), rnd() & 1 == 0);
+            let y = Lit::pos(Var::new(g));
+            if rnd().is_multiple_of(3) {
+                // y = a XOR b
+                clauses.push(vec![!y, a, b]);
+                clauses.push(vec![!y, !a, !b]);
+                clauses.push(vec![y, !a, b]);
+                clauses.push(vec![y, a, !b]);
+            } else {
+                // y = a AND b
+                clauses.push(vec![!y, a]);
+                clauses.push(vec![!y, b]);
+                clauses.push(vec![y, !a, !b]);
+            }
+        }
+        let root = Lit::pos(Var::new(inputs + gates - 1));
+        clauses.push(vec![!root]);
+        WideCone {
+            inputs,
+            num_vars: inputs + gates,
+            clauses,
+            seed,
+        }
+    }
+
+    /// The CEGAR loop's call shape on one long-lived solver: solve
+    /// under a fresh candidate (assumptions on a third of the inputs),
+    /// then grow the formula with a refinement clause — the negated
+    /// core on UNSAT, a blocking clause over the model on SAT. Returns
+    /// the propagations performed.
+    fn cegar_check_loop(&self, rounds: usize) -> u64 {
+        let mut rnd = xorshift(self.seed ^ 0xCE6A);
+        let mut s = Solver::new();
+        s.ensure_vars(self.num_vars);
+        for cl in &self.clauses {
+            s.add_clause(cl.iter().copied());
+        }
+        for _ in 0..rounds {
+            let mut assumptions: Vec<Lit> = Vec::new();
+            while assumptions.len() < self.inputs / 3 {
+                let v = Var::new(rnd() as usize % self.inputs);
+                if !assumptions.iter().any(|l| l.var() == v) {
+                    assumptions.push(Lit::new(v, rnd() & 1 == 0));
+                }
+            }
+            match s.solve_with_assumptions(&assumptions) {
+                SolveResult::Sat => {
+                    let block: Vec<Lit> = (0..8)
+                        .map(|_| {
+                            let l = Lit::pos(Var::new(rnd() as usize % self.inputs));
+                            if s.model_value(l) == Some(true) {
+                                !l
+                            } else {
+                                l
+                            }
+                        })
+                        .collect();
+                    s.add_clause(block);
+                }
+                SolveResult::Unsat => {
+                    let core: Vec<Lit> = s.failed_assumptions().iter().map(|&l| !l).collect();
+                    if core.is_empty() {
+                        break;
+                    }
+                    s.add_clause(core);
+                }
+                SolveResult::Unknown => unreachable!("unbudgeted solve"),
+            }
+        }
+        s.effort().propagations
+    }
+}
+
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed | 1;
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    }
 }
 
 /// Builds a solver with the given kernel knobs over a clause list.
@@ -114,53 +232,60 @@ fn bench_kernel_ablations(c: &mut Criterion) {
     // Ratio ~4.2: near the phase transition, where restarts matter.
     let hard = random_3sat(110, 462, 7);
 
-    let mut g = c.benchmark_group("sat_restart_policy");
+    const RESTARTS: &str = "sat_restart_policy";
+    let mut g = c.benchmark_group(RESTARTS);
     g.sample_size(10);
     for policy in [RestartPolicy::Luby, RestartPolicy::Ema] {
-        g.bench_function(format!("php6/{policy}"), |b| {
-            b.iter(|| {
-                let mut s = configured(php_nv, &php, policy, ClauseDbPolicy::Tiered, false);
-                assert_eq!(s.solve(), SolveResult::Unsat);
-            })
+        kernel(RESTARTS, &mut g, &format!("php6/{policy}"), || {
+            let mut s = configured(php_nv, &php, policy, ClauseDbPolicy::Tiered, false);
+            assert_eq!(s.solve(), SolveResult::Unsat);
+            s.effort().propagations
         });
-        g.bench_function(format!("random3sat_hard/{policy}"), |b| {
-            b.iter(|| {
+        kernel(
+            RESTARTS,
+            &mut g,
+            &format!("random3sat_hard/{policy}"),
+            || {
                 let mut s = configured(110, &hard, policy, ClauseDbPolicy::Tiered, false);
                 let _ = s.solve();
-            })
-        });
+                s.effort().propagations
+            },
+        );
     }
     g.finish();
 
-    let mut g = c.benchmark_group("sat_clause_db");
+    const DB: &str = "sat_clause_db";
+    let mut g = c.benchmark_group(DB);
     g.sample_size(10);
     for db in [ClauseDbPolicy::Tiered, ClauseDbPolicy::SortHalf] {
-        g.bench_function(format!("php6/{db:?}"), |b| {
-            b.iter(|| {
-                let mut s = configured(php_nv, &php, RestartPolicy::Luby, db, false);
-                assert_eq!(s.solve(), SolveResult::Unsat);
-            })
+        kernel(DB, &mut g, &format!("php6/{db:?}"), || {
+            let mut s = configured(php_nv, &php, RestartPolicy::Luby, db, false);
+            assert_eq!(s.solve(), SolveResult::Unsat);
+            s.effort().propagations
         });
     }
     g.finish();
 
-    let mut g = c.benchmark_group("sat_preprocess");
+    const PREPROCESS: &str = "sat_preprocess";
+    let mut g = c.benchmark_group(PREPROCESS);
     g.sample_size(10);
     for preprocess in [false, true] {
-        g.bench_function(format!("php6/pp={preprocess}"), |b| {
-            b.iter(|| {
-                let mut s = configured(
-                    php_nv,
-                    &php,
-                    RestartPolicy::Luby,
-                    ClauseDbPolicy::Tiered,
-                    preprocess,
-                );
-                assert_eq!(s.solve(), SolveResult::Unsat);
-            })
+        kernel(PREPROCESS, &mut g, &format!("php6/pp={preprocess}"), || {
+            let mut s = configured(
+                php_nv,
+                &php,
+                RestartPolicy::Luby,
+                ClauseDbPolicy::Tiered,
+                preprocess,
+            );
+            assert_eq!(s.solve(), SolveResult::Unsat);
+            s.effort().propagations
         });
-        g.bench_function(format!("random3sat_hard/pp={preprocess}"), |b| {
-            b.iter(|| {
+        kernel(
+            PREPROCESS,
+            &mut g,
+            &format!("random3sat_hard/pp={preprocess}"),
+            || {
                 let mut s = configured(
                     110,
                     &hard,
@@ -169,8 +294,9 @@ fn bench_kernel_ablations(c: &mut Criterion) {
                     preprocess,
                 );
                 let _ = s.solve();
-            })
-        });
+                s.effort().propagations
+            },
+        );
     }
     g.finish();
 }

@@ -45,6 +45,7 @@
 //! assert_eq!(s.model_value(Lit::pos(y)), Some(true));
 //! ```
 
+mod arena;
 mod heap;
 mod solver;
 

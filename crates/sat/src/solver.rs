@@ -2,6 +2,7 @@ use std::time::Instant;
 
 use step_cnf::{Cnf, Lit, Var};
 
+use crate::arena::{ClauseArena, ClauseRef};
 use crate::heap::VarHeap;
 use crate::proof::{ClauseId, Proof, ProofStep};
 
@@ -230,24 +231,12 @@ const LBOOL_TRUE: u8 = 1;
 const LBOOL_FALSE: u8 = 0;
 const LBOOL_UNDEF: u8 = 2;
 
-type ClauseRef = u32;
 const NO_REASON: ClauseRef = u32::MAX;
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
-    lbd: u32,
-    proof_id: ClauseId,
-    /// [`TIER_CORE`] / [`TIER_MID`] / [`TIER_LOCAL`] (learnt only).
-    tier: u8,
-    /// Recent-use credit of tier-2 clauses: set when the clause takes
-    /// part in conflict analysis, decremented at each reduction;
-    /// hitting zero demotes the clause to the local tier.
-    used: u8,
-}
+/// Dead arena words, as a fraction of all arena words, above which the
+/// arena is compacted after a clause-database reduction (or a
+/// preprocessing pass): `wasted * GC_DEAD_DIVISOR > words`.
+const GC_DEAD_DIVISOR: usize = 5;
 
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
@@ -265,7 +254,8 @@ struct VarData {
 /// resolution proof logging. See the [crate docs](crate) for an
 /// overview and an example.
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every clause, original and learnt, headers and literals inline.
+    ca: ClauseArena,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<u8>,
     vardata: Vec<VarData>,
@@ -306,6 +296,24 @@ pub struct Solver {
     trail_ema: f64,
     /// Conflicts that have fed the EMAs (0 = cold averages).
     ema_samples: u64,
+    // Scratch buffers owned by the solver so the search loop never
+    // allocates once they have grown to their working size.
+    /// The clause being learnt (conflict analysis) or added.
+    clause_buf: Vec<Lit>,
+    /// Every literal marked `seen` by the current analysis, kept for
+    /// clearing after minimization dropped some of them.
+    analyze_clear: Vec<Lit>,
+    /// Per-decision-level stamps for counting distinct levels (LBD).
+    level_stamp: Vec<u32>,
+    /// The stamp value marking "counted in the current LBD".
+    lbd_epoch: u32,
+    /// Proof mode: level-0 variables marked for resolution away.
+    zero_seen: Vec<bool>,
+    /// Proof mode: the variables marked in `zero_seen`.
+    zero_marked: Vec<Var>,
+    /// Arena compactions performed (test instrumentation).
+    #[cfg(test)]
+    gc_runs: u64,
 }
 
 impl Default for Solver {
@@ -318,7 +326,7 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            ca: ClauseArena::default(),
             watches: Vec::new(),
             assigns: Vec::new(),
             vardata: Vec::new(),
@@ -349,6 +357,14 @@ impl Solver {
             lbd_ema_slow: 0.0,
             trail_ema: 0.0,
             ema_samples: 0,
+            clause_buf: Vec::new(),
+            analyze_clear: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_epoch: 0,
+            zero_seen: Vec::new(),
+            zero_marked: Vec::new(),
+            #[cfg(test)]
+            gc_runs: 0,
         }
     }
 
@@ -400,7 +416,7 @@ impl Solver {
     /// Panics if clauses have already been added.
     pub fn enable_proof(&mut self) {
         assert!(
-            self.clauses.is_empty(),
+            self.ca.is_empty(),
             "enable_proof must be called before adding clauses"
         );
         self.proof = Some(Proof::new());
@@ -422,6 +438,7 @@ impl Solver {
         self.polarity.push(false);
         self.activity.push(0.0);
         self.seen.push(false);
+        self.zero_seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap.grow(self.assigns.len());
@@ -459,9 +476,36 @@ impl Solver {
     pub(crate) fn learnt_lbds(&self) -> Vec<(u32, u32)> {
         self.learnt_refs
             .iter()
-            .filter(|&&r| !self.clauses[r as usize].deleted)
-            .map(|&r| (r, self.clauses[r as usize].lbd))
+            .filter(|&&r| !self.ca.is_deleted(r))
+            .map(|&r| (r, self.ca.lbd(r)))
             .collect()
+    }
+
+    /// Test-only arena occupancy: `(all words, words of live clauses)`.
+    #[cfg(test)]
+    pub(crate) fn arena_words(&self) -> (usize, usize) {
+        (self.ca.words(), self.ca.words() - self.ca.wasted())
+    }
+
+    /// Test-only: arena compactions so far.
+    #[cfg(test)]
+    pub(crate) fn gc_runs(&self) -> u64 {
+        self.gc_runs
+    }
+
+    /// Test-only: compacts the arena now.
+    #[cfg(test)]
+    pub(crate) fn force_gc(&mut self) {
+        self.gc();
+    }
+
+    /// Test-only: whether any watcher refers to a deleted clause.
+    #[cfg(test)]
+    pub(crate) fn has_dead_watchers(&self) -> bool {
+        self.watches
+            .iter()
+            .flatten()
+            .any(|w| self.ca.is_deleted(w.cref))
     }
 
     /// A monotone snapshot of the effort expended so far (conflicts,
@@ -538,8 +582,18 @@ impl Solver {
     /// references an unallocated variable.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> Option<ClauseId> {
         assert_eq!(self.decision_level(), 0, "clauses must be added at level 0");
-        let mut c: Vec<Lit> = lits.into_iter().collect();
-        for l in &c {
+        let mut c = std::mem::take(&mut self.clause_buf);
+        c.clear();
+        c.extend(lits);
+        let pid = self.add_clause_from(&mut c);
+        self.clause_buf = c;
+        pid
+    }
+
+    /// [`Solver::add_clause`] over a caller-owned literal buffer, which
+    /// it normalizes in place.
+    fn add_clause_from(&mut self, c: &mut Vec<Lit>) -> Option<ClauseId> {
+        for l in c.iter() {
             assert!(
                 l.var().index() < self.num_vars(),
                 "unallocated variable in clause"
@@ -584,8 +638,8 @@ impl Solver {
                 self.ok = false;
             }
             1 => {
-                let unit = self.clauses[cref as usize].lits[0];
-                if self.clauses[cref as usize].lits.len() >= 2 {
+                let unit = c[0];
+                if c.len() >= 2 {
                     self.attach(cref);
                 }
                 if self.value_lit(unit) == LBOOL_UNDEF {
@@ -611,18 +665,9 @@ impl Solver {
         }
     }
 
-    fn alloc_clause(&mut self, lits: Vec<Lit>, learnt: bool, proof_id: ClauseId) -> ClauseRef {
-        let cref = self.clauses.len() as ClauseRef;
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd: 0,
-            proof_id,
-            tier: TIER_LOCAL,
-            used: 0,
-        });
+    fn alloc_clause(&mut self, lits: &[Lit], learnt: bool, proof_id: ClauseId) -> ClauseRef {
+        let cref = self.ca.alloc(lits, learnt, proof_id);
+        self.ca.set_tier(cref, TIER_LOCAL);
         if learnt {
             self.learnt_refs.push(cref);
             self.stats.learnts += 1;
@@ -630,6 +675,14 @@ impl Solver {
             self.num_originals += 1;
         }
         cref
+    }
+
+    /// Deletes a clause, keeping the live-learnt count in step.
+    fn delete_clause(&mut self, cref: ClauseRef) {
+        if self.ca.is_learnt(cref) {
+            self.stats.learnts -= 1;
+        }
+        self.ca.delete(cref);
     }
 
     /// The tier a learnt clause of the given LBD starts in.
@@ -644,11 +697,8 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let (w0, w1) = {
-            let c = &self.clauses[cref as usize];
-            debug_assert!(c.lits.len() >= 2);
-            (c.lits[0], c.lits[1])
-        };
+        debug_assert!(self.ca.len(cref) >= 2);
+        let (w0, w1) = (self.ca.lit(cref, 0), self.ca.lit(cref, 1));
         self.watches[(!w0).code() as usize].push(Watcher { cref, blocker: w1 });
         self.watches[(!w1).code() as usize].push(Watcher { cref, blocker: w0 });
     }
@@ -688,65 +738,69 @@ impl Solver {
     // propagation
     // ------------------------------------------------------------------
 
+    /// Unit propagation over the two-watched-literal scheme. Each
+    /// watch list is compacted in place: surviving watchers are written
+    /// back over the list with a trailing write index, in visit order.
     fn propagate(&mut self) -> Option<ClauseRef> {
         let mut conflict = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let ws = std::mem::take(&mut self.watches[p.code() as usize]);
-            let mut kept = Vec::with_capacity(ws.len());
-            let mut i = 0;
-            'watchers: while i < ws.len() {
+            let false_lit = !p;
+            let mut ws = std::mem::take(&mut self.watches[p.code() as usize]);
+            let n = ws.len();
+            let (mut i, mut j) = (0, 0);
+            'watchers: while i < n {
                 let w = ws[i];
                 i += 1;
-                if self.clauses[w.cref as usize].deleted {
+                if self.ca.is_deleted(w.cref) {
                     continue;
                 }
                 if self.value_lit(w.blocker) == LBOOL_TRUE {
-                    kept.push(w);
+                    ws[j] = w;
+                    j += 1;
                     continue;
                 }
-                let false_lit = !p;
                 // Normalize: watched false literal at position 1.
-                {
-                    let c = &mut self.clauses[w.cref as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                if self.ca.lit(w.cref, 0) == false_lit {
+                    self.ca.swap(w.cref, 0, 1);
                 }
-                let first = self.clauses[w.cref as usize].lits[0];
+                debug_assert_eq!(self.ca.lit(w.cref, 1), false_lit);
+                let first = self.ca.lit(w.cref, 0);
                 let w = Watcher {
                     cref: w.cref,
                     blocker: first,
                 };
                 if self.value_lit(first) == LBOOL_TRUE {
-                    kept.push(w);
+                    ws[j] = w;
+                    j += 1;
                     continue;
                 }
                 // Find a replacement watch.
-                let len = self.clauses[w.cref as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[w.cref as usize].lits[k];
+                for k in 2..self.ca.len(w.cref) {
+                    let lk = self.ca.lit(w.cref, k);
                     if self.value_lit(lk) != LBOOL_FALSE {
-                        self.clauses[w.cref as usize].lits.swap(1, k);
+                        self.ca.swap(w.cref, 1, k);
                         self.watches[(!lk).code() as usize].push(w);
                         continue 'watchers;
                     }
                 }
                 // Unit or conflict.
-                kept.push(w);
+                ws[j] = w;
+                j += 1;
                 if self.value_lit(first) == LBOOL_FALSE {
                     conflict = Some(w.cref);
                     self.qhead = self.trail.len();
-                    kept.extend_from_slice(&ws[i..]);
+                    ws.copy_within(i..n, j);
+                    j += n - i;
                     break;
                 } else {
                     self.enqueue(first, w.cref);
                 }
             }
-            self.watches[p.code() as usize] = kept;
+            ws.truncate(j);
+            self.watches[p.code() as usize] = ws;
             if conflict.is_some() {
                 break;
             }
@@ -770,38 +824,36 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
+        let a = self.ca.activity(cref) + self.cla_inc;
+        self.ca.set_activity(cref, a);
+        if a > 1e20 {
             for &lr in &self.learnt_refs {
-                self.clauses[lr as usize].activity *= 1e-20;
+                let scaled = self.ca.activity(lr) * 1e-20;
+                self.ca.set_activity(lr, scaled);
             }
             self.cla_inc *= 1e-20;
         }
     }
 
-    /// First-UIP analysis. Returns (learnt clause with asserting literal
-    /// first, backtrack level, proof chain pieces).
+    /// First-UIP analysis. Leaves the learnt clause in `clause_buf`
+    /// (asserting literal first) and returns the backtrack level plus,
+    /// in proof mode, the resolution chain.
     #[allow(clippy::type_complexity)]
-    fn analyze(
-        &mut self,
-        confl: ClauseRef,
-    ) -> (Vec<Lit>, u32, Option<(ClauseId, Vec<(Var, ClauseId)>)>) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var::new(0))]; // placeholder slot 0
+    fn analyze(&mut self, confl: ClauseRef) -> (u32, Option<(ClauseId, Vec<(Var, ClauseId)>)>) {
+        let mut learnt = std::mem::take(&mut self.clause_buf);
+        learnt.clear();
+        learnt.push(Lit::pos(Var::new(0))); // placeholder slot 0
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut cref = confl;
         let proof_on = self.proof.is_some();
-        let chain_start = self.clauses[confl as usize].proof_id;
+        let chain_start = self.ca.proof_id(confl);
         let mut resolutions: Vec<(Var, ClauseId)> = Vec::new();
-        let mut zero_vars: Vec<Var> = Vec::new();
-        let mut zero_seen = vec![false; if proof_on { self.num_vars() } else { 0 }];
         let cur_level = self.decision_level();
 
         loop {
-            let lits = self.clauses[cref as usize].lits.clone();
-            if self.clauses[cref as usize].learnt {
+            if self.ca.is_learnt(cref) {
                 self.bump_clause(cref);
                 // Glucose-style LBD update on use: every literal of a
                 // conflict-side clause is assigned here, so its block
@@ -809,20 +861,25 @@ impl Solver {
                 // stored value monotone non-increasing (the original
                 // learn-time LBD goes stale once later conflicts and
                 // minimization reshape the level structure).
-                let fresh = self.compute_lbd(&lits);
-                let c = &mut self.clauses[cref as usize];
-                if fresh < c.lbd {
-                    c.lbd = fresh;
+                let fresh = distinct_levels(
+                    &mut self.level_stamp,
+                    &mut self.lbd_epoch,
+                    &self.vardata,
+                    self.ca.lits(cref),
+                );
+                if fresh < self.ca.lbd(cref) {
+                    self.ca.set_lbd(cref, fresh);
                     let promoted = Self::tier_for_lbd(fresh);
-                    if promoted < c.tier {
-                        c.tier = promoted;
+                    if promoted < self.ca.tier(cref) {
+                        self.ca.set_tier(cref, promoted);
                     }
                 }
-                if c.tier == TIER_MID {
-                    c.used = 2;
+                if self.ca.tier(cref) == TIER_MID {
+                    self.ca.set_used(cref, 2);
                 }
             }
-            for &q in &lits {
+            for k in 0..self.ca.len(cref) {
+                let q = self.ca.lit(cref, k);
                 // Skip the pivot literal of this resolution step.
                 if let Some(pl) = p {
                     if q.var() == pl.var() {
@@ -841,9 +898,9 @@ impl Solver {
                     } else {
                         learnt.push(q);
                     }
-                } else if proof_on && !zero_seen[v.index()] {
-                    zero_seen[v.index()] = true;
-                    zero_vars.push(v);
+                } else if proof_on && !self.zero_seen[v.index()] {
+                    self.zero_seen[v.index()] = true;
+                    self.zero_marked.push(v);
                 }
             }
             // Find next literal to resolve on.
@@ -865,30 +922,30 @@ impl Solver {
             cref = self.reason(pv);
             debug_assert_ne!(cref, NO_REASON, "non-decision must have a reason");
             if proof_on {
-                resolutions.push((pv, self.clauses[cref as usize].proof_id));
+                resolutions.push((pv, self.ca.proof_id(cref)));
             }
         }
 
         // Learnt-clause minimization (proof off only: removing a literal
         // is an implicit resolution we would otherwise have to log).
-        let all_vars: Vec<Var> = learnt.iter().map(|l| l.var()).collect();
+        // Redundancy is judged with every analysed literal still marked,
+        // so the marks are cleared only afterwards — including those of
+        // minimized-away literals, which must not pollute the next
+        // analysis.
+        self.analyze_clear.clear();
+        self.analyze_clear.extend_from_slice(&learnt);
         if !proof_on {
-            let keep: Vec<bool> = learnt
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| i == 0 || !self.literal_redundant(l))
-                .collect();
-            let mut k = 0;
-            learnt.retain(|_| {
-                k += 1;
-                keep[k - 1]
-            });
+            let mut j = 1;
+            for i in 1..learnt.len() {
+                if !self.literal_redundant(learnt[i]) {
+                    learnt[j] = learnt[i];
+                    j += 1;
+                }
+            }
+            learnt.truncate(j);
         }
-
-        // Clear `seen` for every marked literal (including minimized-away
-        // ones, which must not pollute the next analysis).
-        for v in all_vars {
-            self.seen[v.index()] = false;
+        for &l in &self.analyze_clear {
+            self.seen[l.var().index()] = false;
         }
 
         // Backtrack level = highest level among learnt[1..].
@@ -903,17 +960,16 @@ impl Solver {
             learnt.swap(1, max_i);
             bt = self.level(learnt[1].var());
         }
+        self.clause_buf = learnt;
 
         let chain = if proof_on {
             // Resolve away the level-0 literals dropped above.
-            let extra = self.level0_resolutions(&mut zero_seen, zero_vars);
-            let mut res = resolutions;
-            res.extend(extra);
-            Some((chain_start, res))
+            self.level0_resolutions(&mut resolutions);
+            Some((chain_start, resolutions))
         } else {
             None
         };
-        (learnt, bt, chain)
+        (bt, chain)
     }
 
     /// Cheap self-subsumption: `l` is redundant if its reason's other
@@ -924,42 +980,41 @@ impl Solver {
         if r == NO_REASON {
             return false;
         }
-        self.clauses[r as usize]
-            .lits
-            .iter()
-            .all(|&q| q.var() == l.var() || self.seen[q.var().index()] || self.level(q.var()) == 0)
+        self.ca
+            .lits(r)
+            .all(|q| q.var() == l.var() || self.seen[q.var().index()] || self.level(q.var()) == 0)
     }
 
-    /// Appends resolutions eliminating all marked level-0 variables, in
-    /// reverse trail order. `zero_seen` marks the variables; reasons may
-    /// introduce further level-0 variables, which are marked too.
-    fn level0_resolutions(
-        &self,
-        zero_seen: &mut [bool],
-        mut worklist: Vec<Var>,
-    ) -> Vec<(Var, ClauseId)> {
-        let mut res = Vec::new();
-        if worklist.is_empty() {
-            return res;
+    /// Appends to `res` the resolutions eliminating every level-0
+    /// variable marked in `zero_seen`, in reverse trail order (reasons
+    /// may introduce further level-0 variables, which are marked too),
+    /// then clears the marks.
+    fn level0_resolutions(&mut self, res: &mut Vec<(Var, ClauseId)>) {
+        if self.zero_marked.is_empty() {
+            return;
         }
         let zero_end = self.trail_lim.first().copied().unwrap_or(self.trail.len());
         for i in (0..zero_end).rev() {
             let v = self.trail[i].var();
-            if !zero_seen[v.index()] {
+            if !self.zero_seen[v.index()] {
                 continue;
             }
             let r = self.reason(v);
             debug_assert_ne!(r, NO_REASON, "level-0 assignments always have reasons");
-            res.push((v, self.clauses[r as usize].proof_id));
-            for &q in &self.clauses[r as usize].lits {
-                if q.var() != v && !zero_seen[q.var().index()] {
+            res.push((v, self.ca.proof_id(r)));
+            for k in 0..self.ca.len(r) {
+                let q = self.ca.lit(r, k);
+                if q.var() != v && !self.zero_seen[q.var().index()] {
                     debug_assert_eq!(self.level(q.var()), 0);
-                    zero_seen[q.var().index()] = true;
-                    worklist.push(q.var());
+                    self.zero_seen[q.var().index()] = true;
+                    self.zero_marked.push(q.var());
                 }
             }
         }
-        res
+        for &v in &self.zero_marked {
+            self.zero_seen[v.index()] = false;
+        }
+        self.zero_marked.clear();
     }
 
     /// Records the derivation of the empty clause from a conflict at
@@ -968,16 +1023,16 @@ impl Solver {
         if self.proof.is_none() {
             return;
         }
-        let start = self.clauses[confl as usize].proof_id;
-        let mut zero_seen = vec![false; self.num_vars()];
-        let mut worklist = Vec::new();
-        for &q in &self.clauses[confl as usize].lits {
-            if !zero_seen[q.var().index()] {
-                zero_seen[q.var().index()] = true;
-                worklist.push(q.var());
+        let start = self.ca.proof_id(confl);
+        for k in 0..self.ca.len(confl) {
+            let v = self.ca.lit(confl, k).var();
+            if !self.zero_seen[v.index()] {
+                self.zero_seen[v.index()] = true;
+                self.zero_marked.push(v);
             }
         }
-        let res = self.level0_resolutions(&mut zero_seen, worklist);
+        let mut res = Vec::new();
+        self.level0_resolutions(&mut res);
         if let Some(p) = self.proof.as_mut() {
             p.push(ProofStep::Chain {
                 lits: Vec::new(),
@@ -1008,7 +1063,8 @@ impl Solver {
                 // assumption itself.
                 self.conflict_core.push(self.trail[i]);
             } else {
-                for &q in &self.clauses[r as usize].lits {
+                for k in 0..self.ca.len(r) {
+                    let q = self.ca.lit(r, k);
                     if q.var() != v && self.level(q.var()) > 0 {
                         self.seen[q.var().index()] = true;
                     }
@@ -1035,7 +1091,7 @@ impl Solver {
     /// Whether `r` is the reason of a currently true first literal
     /// (and must therefore survive any reduction).
     fn locked(&self, r: ClauseRef) -> bool {
-        let l0 = self.clauses[r as usize].lits[0];
+        let l0 = self.ca.lit(r, 0);
         self.value_lit(l0) == LBOOL_TRUE && self.reason(l0.var()) == r
     }
 
@@ -1044,25 +1100,25 @@ impl Solver {
             ClauseDbPolicy::Tiered => self.reduce_db_tiered(),
             ClauseDbPolicy::SortHalf => self.reduce_db_sort_half(),
         }
+        self.maybe_gc();
     }
 
     /// Three-tier reduction: core clauses are untouchable, tier-2
     /// clauses lose one use credit (demoting to local once it runs
     /// out), and the worse half of the local tier is deleted, ordered
-    /// by `(LBD, activity)` with the clause index as a deterministic
-    /// tie-break.
+    /// by `(LBD, activity)` with the clause reference as a
+    /// deterministic tie-break.
     fn reduce_db_tiered(&mut self) {
-        self.learnt_refs
-            .retain(|&r| !self.clauses[r as usize].deleted);
+        self.learnt_refs.retain(|&r| !self.ca.is_deleted(r));
         let mut local: Vec<ClauseRef> = Vec::new();
         for &r in &self.learnt_refs {
-            let c = &mut self.clauses[r as usize];
-            match c.tier {
+            match self.ca.tier(r) {
                 TIER_MID => {
-                    if c.used > 0 {
-                        c.used -= 1;
+                    let used = self.ca.used(r);
+                    if used > 0 {
+                        self.ca.set_used(r, used - 1);
                     } else {
-                        c.tier = TIER_LOCAL;
+                        self.ca.set_tier(r, TIER_LOCAL);
                         local.push(r);
                     }
                 }
@@ -1071,57 +1127,87 @@ impl Solver {
             }
         }
         local.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a as usize], &self.clauses[b as usize]);
-            ca.lbd
-                .cmp(&cb.lbd)
+            self.ca
+                .lbd(a)
+                .cmp(&self.ca.lbd(b))
                 .then(
-                    cb.activity
-                        .partial_cmp(&ca.activity)
+                    self.ca
+                        .activity(b)
+                        .partial_cmp(&self.ca.activity(a))
                         .unwrap_or(std::cmp::Ordering::Equal),
                 )
                 .then(a.cmp(&b))
         });
         let keep_from = local.len() / 2;
         for &r in &local[keep_from..] {
-            if self.locked(r) {
-                continue;
-            }
-            let c = &mut self.clauses[r as usize];
-            if c.lits.len() > 2 {
-                c.deleted = true;
-                self.stats.learnts -= 1;
+            if !self.locked(r) && self.ca.len(r) > 2 {
+                self.delete_clause(r);
             }
         }
-        self.learnt_refs
-            .retain(|&r| !self.clauses[r as usize].deleted);
+        self.learnt_refs.retain(|&r| !self.ca.is_deleted(r));
     }
 
     /// The historical sort-half reduction (ablation baseline).
     fn reduce_db_sort_half(&mut self) {
-        let act = |c: &Clause| c.activity;
-        self.learnt_refs
-            .retain(|&r| !self.clauses[r as usize].deleted);
+        self.learnt_refs.retain(|&r| !self.ca.is_deleted(r));
         let mut refs = self.learnt_refs.clone();
         refs.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a as usize], &self.clauses[b as usize]);
-            ca.lbd.cmp(&cb.lbd).then(
-                act(cb)
-                    .partial_cmp(&act(ca))
+            self.ca.lbd(a).cmp(&self.ca.lbd(b)).then(
+                self.ca
+                    .activity(b)
+                    .partial_cmp(&self.ca.activity(a))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         // Delete the worse half, keeping locked clauses and LBD <= 2.
         let keep_from = refs.len() / 2;
         for &r in &refs[keep_from..] {
-            let locked = self.locked(r);
-            let c = &mut self.clauses[r as usize];
-            if !locked && c.lbd > 2 && c.lits.len() > 2 {
-                c.deleted = true;
-                self.stats.learnts -= 1;
+            if !self.locked(r) && self.ca.lbd(r) > 2 && self.ca.len(r) > 2 {
+                self.delete_clause(r);
             }
         }
-        self.learnt_refs
-            .retain(|&r| !self.clauses[r as usize].deleted);
+        self.learnt_refs.retain(|&r| !self.ca.is_deleted(r));
+    }
+
+    /// Compacts the arena once dead words exceed `1 / GC_DEAD_DIVISOR`
+    /// of it.
+    fn maybe_gc(&mut self) {
+        if self.ca.wasted() * GC_DEAD_DIVISOR > self.ca.words() {
+            self.gc();
+        }
+    }
+
+    /// Moves every live clause into a fresh arena, in its current
+    /// order, and rewrites every reference: watchers (dropping those of
+    /// dead clauses, which propagation would skip anyway), the reasons
+    /// of assigned variables (the only reasons ever read) and
+    /// `learnt_refs`. Keeping the order keeps the reduction tie-break,
+    /// so compaction never changes the search.
+    fn gc(&mut self) {
+        let to = self.ca.relocate();
+        let from = &self.ca;
+        let live = |r: &mut ClauseRef| {
+            if from.is_deleted(*r) {
+                return false;
+            }
+            *r = from.forward(*r);
+            true
+        };
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| live(&mut w.cref));
+        }
+        self.learnt_refs.retain_mut(live);
+        for l in &self.trail {
+            let vd = &mut self.vardata[l.var().index()];
+            if vd.reason != NO_REASON {
+                vd.reason = from.forward(vd.reason);
+            }
+        }
+        self.ca = to;
+        #[cfg(test)]
+        {
+            self.gc_runs += 1;
+        }
     }
 
     fn luby(mut x: u64) -> u64 {
@@ -1179,7 +1265,9 @@ impl Solver {
         if self.preprocess
             && self.num_originals > self.pp_seen_originals + self.pp_seen_originals / 4
         {
-            if let Some(early) = self.run_preprocess(conflicts_at_start) {
+            let early = self.run_preprocess(conflicts_at_start);
+            self.maybe_gc();
+            if let Some(early) = early {
                 return early;
             }
             self.pp_seen_originals = self.num_originals;
@@ -1197,8 +1285,9 @@ impl Solver {
                     self.ok = false;
                     return SolveResult::Unsat;
                 }
-                let (learnt, bt, chain) = self.analyze(confl);
+                let (bt, chain) = self.analyze(confl);
                 self.backtrack(bt);
+                let learnt = std::mem::take(&mut self.clause_buf);
                 let pid = match (self.proof.as_mut(), chain) {
                     (Some(p), Some((start, resolutions))) => p.push(ProofStep::Chain {
                         lits: learnt.clone(),
@@ -1207,16 +1296,19 @@ impl Solver {
                     }),
                     _ => 0,
                 };
-                let lbd = self.compute_lbd(&learnt);
+                let lbd = distinct_levels(
+                    &mut self.level_stamp,
+                    &mut self.lbd_epoch,
+                    &self.vardata,
+                    learnt.iter().copied(),
+                );
                 let asserting = learnt[0];
                 let len = learnt.len();
-                let cref = self.alloc_clause(learnt, true, pid);
-                {
-                    let c = &mut self.clauses[cref as usize];
-                    c.lbd = lbd;
-                    c.tier = Self::tier_for_lbd(lbd);
-                    c.used = 2;
-                }
+                let cref = self.alloc_clause(&learnt, true, pid);
+                self.clause_buf = learnt;
+                self.ca.set_lbd(cref, lbd);
+                self.ca.set_tier(cref, Self::tier_for_lbd(lbd));
+                self.ca.set_used(cref, 2);
                 if len >= 2 {
                     self.attach(cref);
                 }
@@ -1310,7 +1402,7 @@ impl Solver {
                 match self.pick_branch_var() {
                     None => {
                         // Full model.
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.assigns);
                         self.backtrack(0);
                         return SolveResult::Sat;
                     }
@@ -1327,13 +1419,6 @@ impl Solver {
                 }
             }
         }
-    }
-
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level(l.var())).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
     }
 
     // ------------------------------------------------------------------
@@ -1391,41 +1476,47 @@ impl Solver {
     /// skipped; locked clauses are never touched because a level-0
     /// reason clause is always root-satisfied).
     fn pp_subsume(&mut self, ticks: &mut u64, conflicts_at_start: u64) -> Option<SolveResult> {
-        let n_clauses = self.clauses.len();
-        // Occurrence lists over the snapshot; clauses created by
-        // strengthening below are appended after `n_clauses` and are
+        // Occurrence lists over the snapshot `..end`; clauses created by
+        // strengthening below are appended after `end` and are
         // deliberately not re-queued (one bounded pass, not a fixpoint).
+        let end = self.ca.words() as ClauseRef;
         let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars()];
         let mut total_lits = 0u64;
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.deleted || c.lits.len() < 2 {
-                continue;
+        let mut c = 0;
+        while c < end {
+            if !self.ca.is_deleted(c) && self.ca.len(c) >= 2 {
+                total_lits += self.ca.len(c) as u64;
+                for l in self.ca.lits(c) {
+                    occ[l.code() as usize].push(c);
+                }
             }
-            total_lits += c.lits.len() as u64;
-            for &l in &c.lits {
-                occ[l.code() as usize].push(i as ClauseRef);
-            }
+            c = self.ca.next(c);
         }
         if self.pp_charge(ticks, total_lits, conflicts_at_start) {
             return self.pp_stop(conflicts_at_start);
         }
-        for ci in 0..n_clauses {
-            let c_lits = {
-                let c = &self.clauses[ci];
-                if c.deleted || c.lits.len() < 2 || c.lits.len() > PP_SUBSUME_MAX_LEN {
-                    continue;
-                }
-                if c.lits.iter().any(|&l| self.value_lit(l) == LBOOL_TRUE) {
-                    continue; // root-satisfied
-                }
-                c.lits.clone()
-            };
+        let mut c_lits: Vec<Lit> = Vec::new();
+        let mut targets: Vec<ClauseRef> = Vec::new();
+        let mut next = 0;
+        while next < end {
+            let ci = next;
+            next = self.ca.next(ci);
+            let len = self.ca.len(ci);
+            if self.ca.is_deleted(ci) || !(2..=PP_SUBSUME_MAX_LEN).contains(&len) {
+                continue;
+            }
+            if self.ca.lits(ci).any(|l| self.value_lit(l) == LBOOL_TRUE) {
+                continue; // root-satisfied
+            }
+            c_lits.clear();
+            c_lits.extend(self.ca.lits(ci));
             // Subsumption targets: clauses sharing C's rarest literal.
             let lmin = *c_lits
                 .iter()
                 .min_by_key(|l| occ[l.code() as usize].len())
                 .expect("non-empty clause");
-            let mut targets: Vec<ClauseRef> = occ[lmin.code() as usize].clone();
+            targets.clear();
+            targets.extend_from_slice(&occ[lmin.code() as usize]);
             // Strengthening targets: clauses containing a negation of
             // one of C's literals (bounded scan).
             for &l in &c_lits {
@@ -1434,20 +1525,18 @@ impl Solver {
                     targets.extend_from_slice(neg);
                 }
             }
-            for dj in targets {
-                if dj as usize == ci {
+            for &dj in &targets {
+                if dj == ci {
                     continue;
                 }
-                let cost = {
-                    let d = &self.clauses[dj as usize];
-                    if d.deleted
-                        || d.lits.len() < c_lits.len()
-                        || d.lits.iter().any(|&l| self.value_lit(l) == LBOOL_TRUE)
-                    {
-                        continue;
-                    }
-                    (c_lits.len() + d.lits.len()) as u64
-                };
+                let d_len = self.ca.len(dj);
+                if self.ca.is_deleted(dj)
+                    || d_len < c_lits.len()
+                    || self.ca.lits(dj).any(|l| self.value_lit(l) == LBOOL_TRUE)
+                {
+                    continue;
+                }
+                let cost = (c_lits.len() + d_len) as u64;
                 if self.pp_charge(ticks, cost, conflicts_at_start) {
                     return self.pp_stop(conflicts_at_start);
                 }
@@ -1456,10 +1545,10 @@ impl Solver {
                 let mut flip: Option<Lit> = None;
                 let mut matched = true;
                 for &l in &c_lits {
-                    if self.clauses[dj as usize].lits.contains(&l) {
+                    if self.ca.contains(dj, l) {
                         continue;
                     }
-                    if self.clauses[dj as usize].lits.contains(&!l) && flip.is_none() {
+                    if self.ca.contains(dj, !l) && flip.is_none() {
                         flip = Some(l);
                     } else {
                         matched = false;
@@ -1470,16 +1559,10 @@ impl Solver {
                     continue;
                 }
                 match flip {
-                    None => {
-                        // D is subsumed by C: delete it.
-                        let d = &mut self.clauses[dj as usize];
-                        d.deleted = true;
-                        if d.learnt {
-                            self.stats.learnts -= 1;
-                        }
-                    }
+                    // D is subsumed by C: delete it.
+                    None => self.delete_clause(dj),
                     Some(l) => {
-                        if let Some(r) = self.pp_strengthen(ci as ClauseRef, dj, l) {
+                        if let Some(r) = self.pp_strengthen(ci, dj, l) {
                             return Some(r);
                         }
                     }
@@ -1506,16 +1589,13 @@ impl Solver {
     /// a fresh clause with a logged chain. May propagate and thus
     /// refute the formula outright.
     fn pp_strengthen(&mut self, ci: ClauseRef, dj: ClauseRef, l: Lit) -> Option<SolveResult> {
-        let mut lits: Vec<Lit> = self.clauses[dj as usize]
-            .lits
-            .iter()
-            .copied()
-            .filter(|&q| q != !l)
-            .collect();
+        let mut lits = std::mem::take(&mut self.clause_buf);
+        lits.clear();
+        lits.extend(self.ca.lits(dj).filter(|&q| q != !l));
         debug_assert!(!lits.is_empty());
         let pid = {
-            let start = self.clauses[dj as usize].proof_id;
-            let other = self.clauses[ci as usize].proof_id;
+            let start = self.ca.proof_id(dj);
+            let other = self.ca.proof_id(ci);
             self.proof
                 .as_mut()
                 .map(|p| {
@@ -1528,15 +1608,9 @@ impl Solver {
                 .unwrap_or(0)
         };
         // Retire D; the strengthened clause takes over its duties.
-        {
-            let d = &mut self.clauses[dj as usize];
-            d.deleted = true;
-            if d.learnt {
-                self.stats.learnts -= 1;
-            }
-        }
-        let learnt = self.clauses[dj as usize].learnt;
-        let old_lbd = self.clauses[dj as usize].lbd;
+        let learnt = self.ca.is_learnt(dj);
+        let old_lbd = self.ca.lbd(dj);
+        self.delete_clause(dj);
         // Order non-false literals first so the watches are sound (no
         // literal is true here: a root-satisfied D was skipped).
         lits.sort_by_key(|&q| self.value_lit(q) == LBOOL_FALSE);
@@ -1545,13 +1619,14 @@ impl Solver {
             .filter(|&&q| self.value_lit(q) != LBOOL_FALSE)
             .count();
         let len = lits.len();
-        let cref = self.alloc_clause(lits, learnt, pid);
+        let unit = lits[0];
+        let cref = self.alloc_clause(&lits, learnt, pid);
+        self.clause_buf = lits;
         if learnt {
             let lbd = old_lbd.min(len as u32).max(1);
-            let c = &mut self.clauses[cref as usize];
-            c.lbd = lbd;
-            c.tier = Self::tier_for_lbd(lbd);
-            c.used = 2;
+            self.ca.set_lbd(cref, lbd);
+            self.ca.set_tier(cref, Self::tier_for_lbd(lbd));
+            self.ca.set_used(cref, 2);
         }
         match n_watchable {
             0 => {
@@ -1561,7 +1636,6 @@ impl Solver {
                 Some(SolveResult::Unsat)
             }
             1 => {
-                let unit = self.clauses[cref as usize].lits[0];
                 if len >= 2 {
                     self.attach(cref);
                 }
@@ -1608,7 +1682,8 @@ impl Solver {
                     }
                     Some(confl) => {
                         self.stats.conflicts += 1;
-                        let (learnt, bt, chain) = self.analyze(confl);
+                        let (bt, chain) = self.analyze(confl);
+                        let learnt = std::mem::take(&mut self.clause_buf);
                         debug_assert_eq!(learnt.len(), 1, "level-1 analysis yields a unit");
                         debug_assert_eq!(bt, 0);
                         self.backtrack(0);
@@ -1621,12 +1696,10 @@ impl Solver {
                             _ => 0,
                         };
                         let asserting = learnt[0];
-                        let cref = self.alloc_clause(learnt, true, pid);
-                        {
-                            let c = &mut self.clauses[cref as usize];
-                            c.lbd = 1;
-                            c.tier = TIER_CORE;
-                        }
+                        let cref = self.alloc_clause(&learnt, true, pid);
+                        self.clause_buf = learnt;
+                        self.ca.set_lbd(cref, 1);
+                        self.ca.set_tier(cref, TIER_CORE);
                         self.enqueue(asserting, cref);
                         if let Some(confl2) = self.propagate() {
                             self.record_level0_refutation_from(confl2);
@@ -1663,12 +1736,11 @@ impl Solver {
         let mut clauses: Vec<(u32, Vec<Lit>)> = self
             .learnt_refs
             .iter()
-            .map(|&r| &self.clauses[r as usize])
-            .filter(|c| !c.deleted && c.tier == TIER_CORE)
-            .map(|c| {
-                let mut lits = c.lits.clone();
+            .filter(|&&r| !self.ca.is_deleted(r) && self.ca.tier(r) == TIER_CORE)
+            .map(|&r| {
+                let mut lits: Vec<Lit> = self.ca.lits(r).collect();
                 lits.sort_unstable();
-                (c.lbd, lits)
+                (self.ca.lbd(r), lits)
             })
             .collect();
         clauses.sort_unstable();
@@ -1770,4 +1842,33 @@ impl Solver {
     pub fn failed_assumptions(&self) -> &[Lit] {
         &self.conflict_core
     }
+}
+
+/// The LBD of `lits`: the number of distinct decision levels among
+/// them. Each level is counted once by stamping it with a fresh
+/// `epoch`, so the count needs neither a sorted copy nor a clearing
+/// pass; the stamps are reset only when the epoch wraps around.
+fn distinct_levels(
+    stamps: &mut Vec<u32>,
+    epoch: &mut u32,
+    vardata: &[VarData],
+    lits: impl Iterator<Item = Lit>,
+) -> u32 {
+    *epoch = epoch.wrapping_add(1);
+    if *epoch == 0 {
+        stamps.fill(0);
+        *epoch = 1;
+    }
+    let mut n = 0;
+    for l in lits {
+        let level = vardata[l.var().index()].level as usize;
+        if level >= stamps.len() {
+            stamps.resize(level + 1, 0);
+        }
+        if stamps[level] != *epoch {
+            stamps[level] = *epoch;
+            n += 1;
+        }
+    }
+    n
 }

@@ -781,6 +781,78 @@ fn seeded_resolve_spends_no_more_conflicts() {
     );
 }
 
+/// Deleted clauses are reclaimed: a long-lived incremental solver —
+/// the shape of an `OraclePool` member, a counterexample refuter or a
+/// `step serve` process — that keeps adding clauses and reducing its
+/// learnt database holds its arena within a constant factor of its live
+/// clauses, and compaction leaves no watcher pointing at a dead clause.
+#[test]
+fn arena_stays_bounded_across_incremental_reductions() {
+    const NVARS: usize = 150;
+    let mut rng = 0x0DDB_1A5E_5BAD_5EEDu64;
+    let mut next = move |n: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % n as u64) as usize
+    };
+    let mut random_clause = |len: usize| -> Vec<Lit> {
+        let mut c: Vec<Lit> = Vec::new();
+        while c.len() < len {
+            let v = next(NVARS);
+            if !c.iter().any(|l| l.var().index() == v) {
+                c.push(Lit::new(Var::new(v), next(2) == 0));
+            }
+        }
+        c
+    };
+    let mut s = Solver::new();
+    s.ensure_vars(NVARS);
+    for _ in 0..540 {
+        s.add_clause(random_clause(3));
+    }
+    let mut reductions_seen = false;
+    for round in 0..300 {
+        for _ in 0..2 {
+            s.add_clause(random_clause(5));
+        }
+        let assumptions: Vec<Lit> = random_clause(4);
+        s.set_effort_budget(Some(100));
+        s.solve_with_assumptions(&assumptions);
+        let (total, live) = s.arena_words();
+        assert!(
+            total <= 2 * live,
+            "round {round}: arena holds {total} words for {live} live"
+        );
+        reductions_seen |= s.gc_runs() > 0;
+        if round % 50 == 49 {
+            s.force_gc();
+            assert!(!s.has_dead_watchers(), "round {round}: dead watcher");
+            assert_eq!(s.arena_words().0, s.arena_words().1);
+        }
+    }
+    assert!(reductions_seen, "the sequence must reduce and compact");
+    assert!(s.effort().conflicts > 10_000, "enough search to reduce");
+}
+
+/// Compaction under proof logging keeps every clause's proof id: a
+/// refutation that reduced and compacted its database still replays.
+#[test]
+fn proofs_replay_across_arena_compaction() {
+    let (nv, clauses) = pigeonhole(7);
+    let mut s = Solver::new();
+    s.enable_proof();
+    s.ensure_vars(nv);
+    for c in &clauses {
+        s.add_clause(c.iter().copied());
+    }
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    assert!(s.gc_runs() > 0, "php7 must reduce and compact");
+    let proof = s.proof().expect("proof logging is on");
+    assert!(proof.empty_clause().is_some());
+    assert!(proof.check(), "proof must replay across compaction");
+}
+
 // ---------------------------------------------------------------------
 // randomized cross-checking
 // ---------------------------------------------------------------------
