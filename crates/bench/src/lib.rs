@@ -770,6 +770,10 @@ pub fn secs(d: Duration) -> String {
 ///   `synth_nodes_expanded` marks.
 pub const BENCH_SCHEMA_VERSION: u32 = 8;
 
+/// Oldest record layout [`parse_bench_records_json`] reads: v3, the
+/// first with effort provenance (`effort_conflicts`, `budget`).
+pub const BENCH_MIN_READ_VERSION: u32 = 3;
+
 /// One machine-readable row of a harness run: model × circuit with
 /// wall-clock and solver-call statistics plus the run provenance
 /// (seed, worker count, operator, cache on/off) needed to merge
@@ -1132,12 +1136,21 @@ fn parse_json_object(obj: &str) -> Result<Vec<(String, JsonField)>, String> {
 /// diffs sharded sweep outputs. Minimal by design: it understands the
 /// flat object layout this crate writes, not arbitrary JSON.
 ///
+/// Reads every layout from [`BENCH_MIN_READ_VERSION`] (v3, the first
+/// with effort provenance) up to [`BENCH_SCHEMA_VERSION`], so committed
+/// files of older PRs stay readable. A field introduced after v3 is
+/// required on records of its version or later and takes its neutral
+/// default on older ones: `luby` restarts, preprocessing and clause
+/// reuse off, zero counters, the `local` tenant with `direct`
+/// admission. The record keeps the `schema_version` it was read with.
+///
 /// # Errors
 ///
 /// A description of the first malformed record, missing field, or
-/// record whose `schema_version` differs from
-/// [`BENCH_SCHEMA_VERSION`] (merging across layouts is exactly what
-/// the version field exists to prevent).
+/// record whose `schema_version` lies outside
+/// `BENCH_MIN_READ_VERSION..=BENCH_SCHEMA_VERSION` (merging across
+/// layouts the reader cannot map is exactly what the version field
+/// exists to prevent).
 pub fn parse_bench_records_json(text: &str) -> Result<Vec<BenchRecord>, String> {
     let body = text.trim();
     let body = body
@@ -1191,12 +1204,15 @@ pub fn parse_bench_records_json(text: &str) -> Result<Vec<BenchRecord>, String> 
             get(key)?.0.parse().map_err(|_| format!("bad `{key}`"))
         };
         let schema_version = number("schema_version")? as u32;
-        if schema_version != BENCH_SCHEMA_VERSION {
+        if !(BENCH_MIN_READ_VERSION..=BENCH_SCHEMA_VERSION).contains(&schema_version) {
             return Err(format!(
                 "record has schema_version {schema_version}, reader understands \
-                 {BENCH_SCHEMA_VERSION} only"
+                 {BENCH_MIN_READ_VERSION}..={BENCH_SCHEMA_VERSION}"
             ));
         }
+        // Whether the record's layout has the fields version `v` added.
+        let has = |v: u32| schema_version >= v;
+        let number_since = |key: &str, v: u32| if has(v) { number(key) } else { Ok(0) };
         records.push(BenchRecord {
             schema_version,
             model: string("model")?,
@@ -1206,9 +1222,13 @@ pub fn parse_bench_records_json(text: &str) -> Result<Vec<BenchRecord>, String> 
             jobs: number("jobs")? as usize,
             cache: boolean("cache")?,
             budget: string("budget")?,
-            sat_restarts: string("sat_restarts")?,
-            sat_preprocess: boolean("sat_preprocess")?,
-            clause_reuse: boolean("clause_reuse")?,
+            sat_restarts: if has(4) {
+                string("sat_restarts")?
+            } else {
+                "luby".to_owned()
+            },
+            sat_preprocess: has(4) && boolean("sat_preprocess")?,
+            clause_reuse: has(5) && boolean("clause_reuse")?,
             wall_s: get("wall_s")?
                 .0
                 .parse()
@@ -1220,20 +1240,32 @@ pub fn parse_bench_records_json(text: &str) -> Result<Vec<BenchRecord>, String> 
             effort_conflicts: number("effort_conflicts")?,
             cache_hits: number("cache_hits")?,
             cache_misses: number("cache_misses")?,
-            bank_hits: number("bank_hits")?,
-            donated_clauses: number("donated_clauses")?,
-            disk_hits: number("disk_hits")?,
-            store_loaded: number("store_loaded")?,
-            tenant: string("tenant")?,
-            queue_wait_s: get("queue_wait_s")?
-                .0
-                .parse()
-                .map_err(|_| "bad `queue_wait_s`".to_owned())?,
-            admission: string("admission")?,
-            synth_gates: number("synth_gates")?,
-            synth_depth: number("synth_depth")?,
-            synth_leaf_max_support: number("synth_leaf_max_support")?,
-            synth_nodes_expanded: number("synth_nodes_expanded")?,
+            bank_hits: number_since("bank_hits", 5)?,
+            donated_clauses: number_since("donated_clauses", 5)?,
+            disk_hits: number_since("disk_hits", 6)?,
+            store_loaded: number_since("store_loaded", 6)?,
+            tenant: if has(7) {
+                string("tenant")?
+            } else {
+                "local".to_owned()
+            },
+            queue_wait_s: if has(7) {
+                get("queue_wait_s")?
+                    .0
+                    .parse()
+                    .map_err(|_| "bad `queue_wait_s`".to_owned())?
+            } else {
+                0.0
+            },
+            admission: if has(7) {
+                string("admission")?
+            } else {
+                "direct".to_owned()
+            },
+            synth_gates: number_since("synth_gates", 8)?,
+            synth_depth: number_since("synth_depth", 8)?,
+            synth_leaf_max_support: number_since("synth_leaf_max_support", 8)?,
+            synth_nodes_expanded: number_since("synth_nodes_expanded", 8)?,
             timed_out: boolean("timed_out")?,
         });
         rest = open[end + 1..]
@@ -1438,10 +1470,9 @@ mod tests {
         assert!(parse_bench_records_json("[\n]\n")
             .expect("empty")
             .is_empty());
-        // Foreign schema versions are rejected, not misread — both the
-        // ancient v2 layout and the immediately preceding v7 (which
-        // lacked the synthesis fields).
-        for foreign in [2u32, BENCH_SCHEMA_VERSION - 1] {
+        // Versions the reader cannot map are rejected, not misread: the
+        // pre-effort v2 layout and any version newer than the writer's.
+        for foreign in [2u32, BENCH_SCHEMA_VERSION + 1] {
             let old = bench_records_json(&records).replace(
                 &format!("\"schema_version\": {BENCH_SCHEMA_VERSION}"),
                 &format!("\"schema_version\": {foreign}"),
@@ -1449,6 +1480,45 @@ mod tests {
             assert!(
                 parse_bench_records_json(&old).is_err(),
                 "v{foreign} records must be rejected"
+            );
+        }
+    }
+
+    /// Older layouts read back with the later fields defaulted, and a
+    /// record missing a field its own version introduced is rejected.
+    #[test]
+    fn older_schemas_read_with_defaults() {
+        let v3 = r#"[{"schema_version": 3, "model": "STEP-QD", "circuit": "C880", "op": "OR",
+            "seed": 1, "jobs": 2, "cache": true, "budget": "call=unlimited;output=work:10;circuit=unlimited",
+            "wall_s": 0.5, "decomposed": 3, "outputs": 4, "sat_calls": 9, "qbf_calls": 2,
+            "effort_conflicts": 77, "cache_hits": 1, "cache_misses": 3, "timed_out": true}]"#;
+        let recs = parse_bench_records_json(v3).expect("v3 reads");
+        let r = &recs[0];
+        assert_eq!(r.schema_version, 3);
+        assert_eq!((r.effort_conflicts, r.jobs, r.timed_out), (77, 2, true));
+        assert_eq!(r.sat_restarts, "luby");
+        assert!(!r.sat_preprocess && !r.clause_reuse);
+        assert_eq!((r.bank_hits, r.disk_hits, r.synth_gates), (0, 0, 0));
+        assert_eq!(
+            (r.tenant.as_str(), r.admission.as_str()),
+            ("local", "direct")
+        );
+        // The same record claiming v4 lacks v4's `sat_restarts`.
+        let v4 = v3.replace("\"schema_version\": 3", "\"schema_version\": 4");
+        assert!(parse_bench_records_json(&v4).is_err());
+    }
+
+    /// Both committed `BENCH_*.json` files read back.
+    #[test]
+    fn committed_bench_files_read_back() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for (file, version) in [("BENCH_table3.json", 5), ("BENCH_table_synth.json", 8)] {
+            let text = std::fs::read_to_string(format!("{root}/{file}")).expect(file);
+            let recs = parse_bench_records_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(!recs.is_empty(), "{file} has records");
+            assert!(
+                recs.iter().all(|r| r.schema_version == version),
+                "{file} is schema {version}"
             );
         }
     }
