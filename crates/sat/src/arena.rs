@@ -106,10 +106,12 @@ impl ClauseArena {
             .map(|&w| Lit::from_code(w))
     }
 
+    /// The literal codes of `c`, for in-place reordering.
     #[inline]
-    pub(crate) fn swap(&mut self, c: ClauseRef, i: usize, j: usize) {
-        let base = c as usize + HEADER;
-        self.words.swap(base + i, base + j);
+    pub(crate) fn lit_codes_mut(&mut self, c: ClauseRef) -> &mut [u32] {
+        let start = c as usize + HEADER;
+        let len = self.len(c);
+        &mut self.words[start..start + len]
     }
 
     #[inline]

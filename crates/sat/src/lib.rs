@@ -30,6 +30,33 @@
 //!   [`EffortStats`]) that truncate at an exact conflict count — the
 //!   machine-independent currency `step-core`'s `Work` budgets meter.
 //!
+//! # Data layout
+//!
+//! All clauses live in one flat arena, a `Vec<u32>`. Each clause is a
+//! six-word header followed by its literals inline. The header holds
+//! the LBD, the proof id, the activity as exact `f64` bits, the flags
+//! (learnt, deleted, tier, use credit) and the length. Watchers,
+//! reasons and the learnt list hold arena offsets. Propagation compacts
+//! each watch list in place. Conflict analysis walks reason clauses in
+//! the arena and reuses solver-owned buffers. LBDs are counted with
+//! per-level stamps, and proof mode reuses one cleared mark buffer. So
+//! once its buffers have grown, the search loop does not allocate.
+//!
+//! Deleting a clause only flags it. After a database reduction or a
+//! preprocessing pass, once dead words exceed a fifth of the arena, the
+//! live clauses are copied, in their current order, into a fresh arena.
+//! Watchers, reasons and the learnt list are then rewritten to the new
+//! offsets, and watchers of dead clauses are dropped. The order is kept
+//! because offsets are the last tie-break of clause-database reduction.
+//! A long-lived incremental solver thus stays within a constant factor
+//! of its live clauses.
+//!
+//! **Contract: layout changes never change the search.** The effort
+//! trajectory (conflicts, decisions, propagations, restarts, learnts)
+//! is pinned by `tests/trajectory.rs`. Above this crate, the workspace
+//! effort golden pins per-model conflicts and propagations. A layout
+//! change must leave both unchanged.
+//!
 //! # Example
 //!
 //! ```

@@ -544,12 +544,7 @@ impl Solver {
     }
 
     fn value_lit(&self, l: Lit) -> u8 {
-        let a = self.assigns[l.var().index()];
-        if a == LBOOL_UNDEF {
-            LBOOL_UNDEF
-        } else {
-            a ^ l.is_neg() as u8
-        }
+        lit_value(&self.assigns, l)
     }
 
     fn level(&self, v: Var) -> u32 {
@@ -742,65 +737,88 @@ impl Solver {
     /// watch list is compacted in place: surviving watchers are written
     /// back over the list with a trailing write index, in visit order.
     fn propagate(&mut self) -> Option<ClauseRef> {
+        let level = self.decision_level();
+        // Disjoint borrows: clause literals, watch lists and the
+        // assignment are read and written side by side below.
+        let Solver {
+            ca,
+            watches,
+            assigns,
+            vardata,
+            trail,
+            qhead,
+            stats,
+            ..
+        } = self;
         let mut conflict = None;
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.stats.propagations += 1;
-            let false_lit = !p;
-            let mut ws = std::mem::take(&mut self.watches[p.code() as usize]);
+        while *qhead < trail.len() {
+            let p = trail[*qhead];
+            *qhead += 1;
+            stats.propagations += 1;
+            let false_code = (!p).code();
+            let mut ws = std::mem::take(&mut watches[p.code() as usize]);
             let n = ws.len();
             let (mut i, mut j) = (0, 0);
             'watchers: while i < n {
                 let w = ws[i];
                 i += 1;
-                if self.ca.is_deleted(w.cref) {
-                    continue;
-                }
-                if self.value_lit(w.blocker) == LBOOL_TRUE {
+                // A true blocker keeps the watcher without touching the
+                // clause. Watchers of deleted clauses are dropped once
+                // visited; they never propagate, so neither keeping nor
+                // dropping them changes the order live watchers run in.
+                if lit_value(assigns, w.blocker) == LBOOL_TRUE {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                // Normalize: watched false literal at position 1.
-                if self.ca.lit(w.cref, 0) == false_lit {
-                    self.ca.swap(w.cref, 0, 1);
+                if ca.is_deleted(w.cref) {
+                    continue;
                 }
-                debug_assert_eq!(self.ca.lit(w.cref, 1), false_lit);
-                let first = self.ca.lit(w.cref, 0);
+                let c = ca.lit_codes_mut(w.cref);
+                // Normalize: watched false literal at position 1.
+                if c[0] == false_code {
+                    c.swap(0, 1);
+                }
+                debug_assert_eq!(c[1], false_code);
+                let first = Lit::from_code(c[0]);
                 let w = Watcher {
                     cref: w.cref,
                     blocker: first,
                 };
-                if self.value_lit(first) == LBOOL_TRUE {
+                if lit_value(assigns, first) == LBOOL_TRUE {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
                 // Find a replacement watch.
-                for k in 2..self.ca.len(w.cref) {
-                    let lk = self.ca.lit(w.cref, k);
-                    if self.value_lit(lk) != LBOOL_FALSE {
-                        self.ca.swap(w.cref, 1, k);
-                        self.watches[(!lk).code() as usize].push(w);
+                for k in 2..c.len() {
+                    let lk = Lit::from_code(c[k]);
+                    if lit_value(assigns, lk) != LBOOL_FALSE {
+                        c.swap(1, k);
+                        watches[(!lk).code() as usize].push(w);
                         continue 'watchers;
                     }
                 }
                 // Unit or conflict.
                 ws[j] = w;
                 j += 1;
-                if self.value_lit(first) == LBOOL_FALSE {
+                if lit_value(assigns, first) == LBOOL_FALSE {
                     conflict = Some(w.cref);
-                    self.qhead = self.trail.len();
+                    *qhead = trail.len();
                     ws.copy_within(i..n, j);
                     j += n - i;
                     break;
-                } else {
-                    self.enqueue(first, w.cref);
                 }
+                // Enqueue `first` with this clause as its reason.
+                assigns[first.var().index()] = (!first.is_neg()) as u8;
+                vardata[first.var().index()] = VarData {
+                    reason: w.cref,
+                    level,
+                };
+                trail.push(first);
             }
             ws.truncate(j);
-            self.watches[p.code() as usize] = ws;
+            watches[p.code() as usize] = ws;
             if conflict.is_some() {
                 break;
             }
@@ -1841,6 +1859,17 @@ impl Solver {
     /// (empty when the clause set alone is UNSAT).
     pub fn failed_assumptions(&self) -> &[Lit] {
         &self.conflict_core
+    }
+}
+
+/// The value of `l` under `assigns` (`LBOOL_*`).
+#[inline]
+fn lit_value(assigns: &[u8], l: Lit) -> u8 {
+    let a = assigns[l.var().index()];
+    if a == LBOOL_UNDEF {
+        LBOOL_UNDEF
+    } else {
+        a ^ l.is_neg() as u8
     }
 }
 
