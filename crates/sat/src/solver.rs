@@ -300,9 +300,6 @@ pub struct Solver {
     // allocates once they have grown to their working size.
     /// The clause being learnt (conflict analysis) or added.
     clause_buf: Vec<Lit>,
-    /// Every literal marked `seen` by the current analysis, kept for
-    /// clearing after minimization dropped some of them.
-    analyze_clear: Vec<Lit>,
     /// Per-decision-level stamps for counting distinct levels (LBD).
     level_stamp: Vec<u32>,
     /// The stamp value marking "counted in the current LBD".
@@ -358,7 +355,6 @@ impl Solver {
             trail_ema: 0.0,
             ema_samples: 0,
             clause_buf: Vec::new(),
-            analyze_clear: Vec::new(),
             level_stamp: Vec::new(),
             lbd_epoch: 0,
             zero_seen: Vec::new(),
@@ -947,24 +943,23 @@ impl Solver {
         // Learnt-clause minimization (proof off only: removing a literal
         // is an implicit resolution we would otherwise have to log).
         // Redundancy is judged with every analysed literal still marked,
-        // so the marks are cleared only afterwards — including those of
-        // minimized-away literals, which must not pollute the next
-        // analysis.
-        self.analyze_clear.clear();
-        self.analyze_clear.extend_from_slice(&learnt);
+        // so redundant literals are swapped behind the kept ones rather
+        // than dropped, and all marks are cleared before truncating —
+        // minimized-away ones must not pollute the next analysis.
+        let mut kept = learnt.len();
         if !proof_on {
-            let mut j = 1;
+            kept = 1;
             for i in 1..learnt.len() {
                 if !self.literal_redundant(learnt[i]) {
-                    learnt[j] = learnt[i];
-                    j += 1;
+                    learnt.swap(kept, i);
+                    kept += 1;
                 }
             }
-            learnt.truncate(j);
         }
-        for &l in &self.analyze_clear {
+        for &l in &learnt {
             self.seen[l.var().index()] = false;
         }
+        learnt.truncate(kept);
 
         // Backtrack level = highest level among learnt[1..].
         let mut bt = 0;
