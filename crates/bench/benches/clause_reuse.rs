@@ -13,7 +13,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use step_aig::Aig;
 use step_circuits::{registry_all, with_permuted_copies, with_shared_substructure, Scale};
-use step_core::{BiDecomposer, ClauseBank, DecompConfig, GateOp, Model};
+use step_core::{BiDecomposer, ClauseBank, DecompConfig, GateOp, Model, TieredStore};
 
 /// The CI smoke circuit at smoke scale, grown with both twin
 /// populations.
@@ -34,9 +34,7 @@ fn run(aig: &Aig, reuse: bool, bank: Option<Arc<ClauseBank>>) {
     config.verify = false;
     config.clause_reuse = reuse;
     let mut engine = BiDecomposer::new(config);
-    if let Some(bank) = bank {
-        engine.set_clause_bank(bank);
-    }
+    engine.set_store(Arc::new(TieredStore::memory(None, bank)));
     let r = engine
         .decompose_circuit(aig, GateOp::Or)
         .expect("stand-in circuits are well-formed");

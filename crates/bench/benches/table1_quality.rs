@@ -15,7 +15,6 @@ fn opts() -> HarnessOpts {
         filter: None,
         partitions_only: true,
         jobs: 1,
-        cache: None,
         ..HarnessOpts::default()
     }
 }

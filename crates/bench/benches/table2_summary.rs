@@ -21,7 +21,6 @@ fn bench(c: &mut Criterion) {
         filter: None,
         partitions_only: true,
         jobs: 1,
-        cache: None,
         ..HarnessOpts::default()
     };
     g.bench_function("mm9a_all_ops_mg_vs_qd", |b| {

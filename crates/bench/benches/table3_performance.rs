@@ -21,7 +21,6 @@ fn bench(c: &mut Criterion) {
         filter: None,
         partitions_only: true,
         jobs: 1,
-        cache: None,
         ..HarnessOpts::default()
     };
     for model in [Model::Ljh, Model::MusGroup, Model::QbfDisjoint] {

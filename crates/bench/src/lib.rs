@@ -20,8 +20,9 @@ use std::time::Duration;
 
 use step_circuits::{CircuitEntry, Scale};
 use step_core::{
-    BiDecomposer, Budget, BudgetPolicy, CircuitResult, ClauseBank, DecompConfig, GateOp, Model,
-    OutputResult, RestartPolicy, ResultCache, StepService, SubmissionHandle, TieredStore,
+    check_cache_dir, BiDecomposer, Budget, BudgetPolicy, CircuitResult, ClauseBank, DecompConfig,
+    GateOp, Model, OutputResult, RestartPolicy, ResultCache, StepService, SubmissionHandle,
+    TieredStore,
 };
 use step_synth::{SynthOptions, SynthOutput};
 
@@ -61,13 +62,6 @@ pub struct HarnessOpts {
     /// Engine base seed (`--seed`), recorded in the BENCH JSON so
     /// sharded sweep records can only be merged when they agree on it.
     pub seed: u64,
-    /// One result cache shared by every engine the harness builds, so
-    /// the whole model × circuit sweep reuses solved cones (repeated
-    /// cones are common in the synthetic families; the cache key keeps
-    /// models and configs apart). `None` disables caching
-    /// (`--no-cache`); [`HarnessOpts::from_args`] enables it by
-    /// default.
-    pub cache: Option<Arc<ResultCache>>,
     /// SAT restart policy (`--sat-restarts luby|ema`), forwarded to
     /// every solver the sweep builds and recorded in the BENCH JSON.
     pub sat_restarts: RestartPolicy,
@@ -81,25 +75,16 @@ pub struct HarnessOpts {
     /// counters are what it improves. Off by default, recorded in the
     /// BENCH JSON.
     pub clause_reuse: bool,
-    /// The clause bank shared by every engine the harness builds when
-    /// [`clause_reuse`](HarnessOpts::clause_reuse) is on, so donations
-    /// cross circuit (and model) boundaries like the result cache does.
-    /// `None` with reuse off; [`HarnessOpts::from_args`] builds one
-    /// (bounded by `--clause-bank-cap`) when `--clause-reuse` is given.
-    pub clause_bank: Option<Arc<ClauseBank>>,
-    /// Persistent store directory (`--cache-dir`): solved results,
-    /// donated clauses and probe certificates load from here before the
-    /// sweep and flush back after it, so repeated sweeps (and sharded
-    /// replicas, via `step cache merge`) start warm. Vetted writable at
-    /// parse time; `None` keeps the sweep memory-only.
-    pub cache_dir: Option<std::path::PathBuf>,
-    /// The tiered store every engine/service of the sweep shares —
-    /// tier 0 is [`cache`](HarnessOpts::cache) +
-    /// [`clause_bank`](HarnessOpts::clause_bank), tier 1 the
-    /// [`cache_dir`](HarnessOpts::cache_dir) disk tier when given.
-    /// Built by [`HarnessOpts::from_args`]; `None` falls back to the
-    /// bare cache/bank attachment.
-    pub store: Option<Arc<TieredStore>>,
+    /// The tiered store every engine and service of the sweep shares,
+    /// so the whole model × circuit sweep reuses solved cones (the
+    /// cache key keeps models and configs apart) and clause donations.
+    /// [`HarnessOpts::from_args`] builds it: a result cache unless
+    /// `--no-cache` (bounded by `--cache-cap`), a clause bank under
+    /// `--clause-reuse` (bounded by `--clause-bank-cap`), and a disk
+    /// tier loaded from `--cache-dir`, so repeated sweeps (and sharded
+    /// replicas, via `step cache merge`) start warm. The default is an
+    /// empty memory store.
+    pub store: Arc<TieredStore>,
     /// Tenant name stamped into the BENCH JSON (`local` for in-process
     /// harness runs; the `step serve` front-end substitutes the
     /// client's tenant when it books records).
@@ -126,13 +111,10 @@ impl Default for HarnessOpts {
             partitions_only: false,
             jobs: 1,
             seed: DecompConfig::new(Model::QbfDisjoint).seed,
-            cache: None,
             sat_restarts: RestartPolicy::default(),
             sat_preprocess: false,
             clause_reuse: false,
-            clause_bank: None,
-            cache_dir: None,
-            store: None,
+            store: Arc::default(),
             tenant: "local".to_owned(),
             admission: "direct".to_owned(),
         }
@@ -153,15 +135,14 @@ impl HarnessOpts {
     /// `--cache`/`--no-cache` (sweep-wide result cache, default on),
     /// `--cache-cap <n>` (bound it), `--cache-dir <path>` (persistent
     /// warm-start store; a non-directory or unwritable path is a usage
-    /// error, exit 2, before any solving), `--help`. `--conflicts <n>` is a
-    /// deprecated alias for `--qbf-budget work:<n>` (it used to limit
-    /// each *inner* SAT call; it now bounds the QBF call's total
-    /// inner-SAT conflicts, composed onto any wall component).
+    /// error, exit 2, before any solving), `--clause-reuse` /
+    /// `--no-clause-reuse`, `--clause-bank-cap <n>`, `--help`.
     pub fn from_args() -> HarnessOpts {
         let mut opts = HarnessOpts::default();
         let mut cache_on = true;
         let mut cache_cap: Option<usize> = None;
         let mut bank_cap: Option<usize> = None;
+        let mut cache_dir: Option<std::path::PathBuf> = None;
         let mut qbf_budget_set = false;
         let mut circuit_budget_set = false;
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -250,21 +231,6 @@ impl HarnessOpts {
                         }
                     };
                 }
-                "--conflicts" => {
-                    // Deprecated alias for `--qbf-budget work:<n>` —
-                    // counts as explicitly setting the per-call scope.
-                    i += 1;
-                    match args.get(i).and_then(|s| s.parse().ok()) {
-                        Some(n) => {
-                            opts.budget.per_qbf_call = opts.budget.per_qbf_call.with_work(n);
-                            qbf_budget_set = true;
-                        }
-                        None => {
-                            eprintln!("--conflicts needs a number");
-                            std::process::exit(2);
-                        }
-                    }
-                }
                 "--seed" => {
                     i += 1;
                     opts.seed = match args.get(i).and_then(|s| s.parse().ok()) {
@@ -314,15 +280,15 @@ impl HarnessOpts {
                 }
                 "--cache-dir" => {
                     i += 1;
-                    match args.get(i) {
-                        Some(p) => {
-                            opts.cache_dir = Some(validated_cache_dir(std::path::Path::new(p)))
-                        }
-                        None => {
-                            eprintln!("--cache-dir needs a path");
-                            std::process::exit(2);
-                        }
+                    let Some(dir) = args.get(i).map(std::path::PathBuf::from) else {
+                        eprintln!("--cache-dir needs a path");
+                        std::process::exit(2);
+                    };
+                    if let Err(e) = check_cache_dir(&dir) {
+                        eprintln!("--cache-dir: {e}");
+                        std::process::exit(2);
                     }
+                    cache_dir = Some(dir);
                 }
                 "--help" | "-h" => {
                     eprintln!(
@@ -344,29 +310,27 @@ impl HarnessOpts {
             }
             i += 1;
         }
-        if cache_on {
-            opts.cache = Some(Arc::new(match cache_cap {
+        let cache = cache_on.then(|| {
+            Arc::new(match cache_cap {
                 Some(cap) => ResultCache::with_capacity(cap),
                 None => ResultCache::new(),
-            }));
-        }
-        if opts.clause_reuse {
-            opts.clause_bank = Some(Arc::new(match bank_cap {
+            })
+        });
+        let bank = opts.clause_reuse.then(|| {
+            Arc::new(match bank_cap {
                 Some(cap) => ClauseBank::with_capacity(cap),
                 None => ClauseBank::new(),
-            }));
-        }
-        // The sweep-wide store wraps the cache/bank built above; the
-        // disk tier loads here, once, before any circuit is built.
-        if let Some(dir) = &opts.cache_dir {
-            match TieredStore::with_disk(opts.cache.clone(), opts.clause_bank.clone(), dir) {
-                Ok(s) => opts.store = Some(Arc::new(s)),
-                Err(e) => {
-                    eprintln!("--cache-dir {}: {e}", dir.display());
-                    std::process::exit(2);
-                }
-            }
-        }
+            })
+        });
+        // The sweep-wide store; the disk tier loads here, once, before
+        // any circuit is built.
+        opts.store = Arc::new(match &cache_dir {
+            Some(dir) => TieredStore::with_disk(cache, bank, dir).unwrap_or_else(|e| {
+                eprintln!("--cache-dir {}: {e}", dir.display());
+                std::process::exit(2);
+            }),
+            None => TieredStore::memory(cache, bank),
+        });
         opts.budget
             .lift_unset_walls_for_pure_work(qbf_budget_set, circuit_budget_set);
         opts
@@ -411,7 +375,8 @@ impl HarnessOpts {
     /// caching is disabled); table/figure binaries call this once after
     /// their sweep, keeping stdout reserved for the tables.
     pub fn report_cache_stats(&self) {
-        if let Some(cache) = &self.cache {
+        let store = &self.store;
+        if let Some(cache) = store.cache() {
             eprintln!(
                 "result cache: {} hits, {} misses, {} entries",
                 cache.hits(),
@@ -419,7 +384,7 @@ impl HarnessOpts {
                 cache.len()
             );
         }
-        if let Some(bank) = &self.clause_bank {
+        if let Some(bank) = store.bank() {
             eprintln!(
                 "clause bank: {} hits ({} exact, {} cluster), {} misses, \
                  {} donations, {} entries, {} probe hits, {} probe records",
@@ -433,24 +398,22 @@ impl HarnessOpts {
                 bank.probe_records()
             );
         }
-        if let Some(store) = &self.store {
-            // Persist before reporting so the flushed count is the
-            // final one; a failure costs the warm start, not the sweep.
-            if let Err(e) = store.flush() {
-                eprintln!("warning: cache flush failed: {e}");
-            }
-            if let Some(disk) = store.disk() {
-                eprintln!(
-                    "store: {} record(s) loaded, disk hits {} results / {} clauses / \
-                     {} probes, {} flushed, {} corrupt",
-                    disk.loaded_records(),
-                    store.disk_result_hits(),
-                    store.disk_clause_hits(),
-                    store.disk_probe_hits(),
-                    disk.flushed_records(),
-                    disk.corrupt_records()
-                );
-            }
+        // Persist before reporting so the flushed count is the final
+        // one; a failure costs the warm start, not the sweep.
+        if let Err(e) = store.flush() {
+            eprintln!("warning: cache flush failed: {e}");
+        }
+        if let Some(disk) = store.disk() {
+            eprintln!(
+                "store: {} record(s) loaded, disk hits {} results / {} clauses / \
+                 {} probes, {} flushed, {} corrupt",
+                disk.loaded_records(),
+                store.disk_result_hits(),
+                store.disk_clause_hits(),
+                store.disk_probe_hits(),
+                disk.flushed_records(),
+                disk.corrupt_records()
+            );
         }
     }
 
@@ -479,18 +442,10 @@ impl HarnessOpts {
     }
 
     /// Spawns the shared [`StepService`] a sweep harness submits to:
-    /// `jobs` persistent workers, sharing this option set's result
-    /// cache (and, under `--cache-dir`, the persistent store) across
-    /// every model × circuit submission.
+    /// `jobs` persistent workers, sharing this option set's store
+    /// across every model × circuit submission.
     pub fn service(&self) -> StepService {
-        match &self.store {
-            Some(store) => StepService::spawn_with_store(self.jobs, Arc::clone(store)),
-            None => StepService::spawn_with_bank(
-                self.jobs,
-                self.cache.clone(),
-                self.clause_bank.clone(),
-            ),
-        }
+        StepService::spawn_with_store(self.jobs, Arc::clone(&self.store))
     }
 
     /// The synthesis stopping rules this option set implies
@@ -506,32 +461,6 @@ impl HarnessOpts {
             ..SynthOptions::default()
         }
     }
-}
-
-/// Vets a `--cache-dir` argument up front: the path must be (or
-/// become) a writable directory, and a bad one exits 2 before the
-/// sweep starts. The write probe matters because permission bits lie
-/// to privileged users and read-only mounts fail only on actual writes.
-fn validated_cache_dir(path: &std::path::Path) -> std::path::PathBuf {
-    if path.exists() && !path.is_dir() {
-        eprintln!("--cache-dir: {} is not a directory", path.display());
-        std::process::exit(2);
-    }
-    if let Err(e) = std::fs::create_dir_all(path) {
-        eprintln!("--cache-dir: cannot create {}: {e}", path.display());
-        std::process::exit(2);
-    }
-    let probe = path.join(".stepstore-probe");
-    match std::fs::write(&probe, b"probe") {
-        Ok(()) => {
-            let _ = std::fs::remove_file(&probe);
-        }
-        Err(e) => {
-            eprintln!("--cache-dir: {} is not writable: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-    path.to_owned()
 }
 
 /// Submits one model × circuit run to a shared sweep service; pair
@@ -580,18 +509,7 @@ pub fn run_model_op(
 ) -> CircuitResult {
     let aig = opts.build(entry);
     let mut engine = BiDecomposer::new(opts.config(model));
-    // The store, when built, already wraps the cache and bank as its
-    // tier 0 — attach one or the other, never both.
-    if let Some(store) = &opts.store {
-        engine.set_store(Arc::clone(store));
-    } else {
-        if let Some(cache) = &opts.cache {
-            engine.set_cache(cache.clone());
-        }
-        if let Some(bank) = &opts.clause_bank {
-            engine.set_clause_bank(bank.clone());
-        }
-    }
+    engine.set_store(Arc::clone(&opts.store));
     engine
         .decompose_circuit(&aig, op)
         .expect("stand-in circuits are well-formed")
@@ -909,7 +827,7 @@ impl BenchRecord {
             op: opts.op.to_string(),
             seed: opts.seed,
             jobs: opts.jobs,
-            cache: opts.cache.is_some(),
+            cache: opts.store.cache().is_some(),
             budget: opts.budget.to_string(),
             sat_restarts: opts.sat_restarts.to_string(),
             sat_preprocess: opts.sat_preprocess,
@@ -925,11 +843,7 @@ impl BenchRecord {
             bank_hits: r.clause_bank_hits(),
             donated_clauses: r.donated_clauses(),
             disk_hits: r.disk_hits(),
-            store_loaded: opts
-                .store
-                .as_ref()
-                .and_then(|s| s.disk())
-                .map_or(0, |d| d.loaded_records()),
+            store_loaded: opts.store.disk().map_or(0, |d| d.loaded_records()),
             tenant: opts.tenant.clone(),
             queue_wait_s: r.queue_wait.as_secs_f64(),
             admission: opts.admission.clone(),
@@ -962,7 +876,7 @@ impl BenchRecord {
             op: opts.op.to_string(),
             seed: opts.seed,
             jobs: opts.jobs,
-            cache: opts.cache.is_some(),
+            cache: opts.store.cache().is_some(),
             budget: opts.budget.to_string(),
             sat_restarts: opts.sat_restarts.to_string(),
             sat_preprocess: opts.sat_preprocess,
@@ -978,11 +892,7 @@ impl BenchRecord {
             bank_hits: fold(|o| o.stats.bank_hits),
             donated_clauses: fold(|o| o.stats.donated_clauses),
             disk_hits: fold(|o| o.stats.disk_hits),
-            store_loaded: opts
-                .store
-                .as_ref()
-                .and_then(|s| s.disk())
-                .map_or(0, |d| d.loaded_records()),
+            store_loaded: opts.store.disk().map_or(0, |d| d.loaded_records()),
             tenant: opts.tenant.clone(),
             queue_wait_s: 0.0,
             admission: opts.admission.clone(),
@@ -1298,7 +1208,6 @@ mod tests {
             scale: Scale::Smoke,
             budget: BudgetPolicy::quick(),
             partitions_only: true,
-            cache: None,
             ..HarnessOpts::default()
         }
     }
@@ -1595,7 +1504,10 @@ mod tests {
         // the cold run exactly.
         let entry = &registry_table1()[16]; // mm9a: small
         let opts = HarnessOpts {
-            cache: Some(Arc::new(ResultCache::new())),
+            store: Arc::new(TieredStore::memory(
+                Some(Arc::new(ResultCache::new())),
+                None,
+            )),
             ..smoke_opts()
         };
         let cold = run_model(entry, Model::MusGroup, &opts);
@@ -1636,7 +1548,10 @@ mod tests {
                 let opts = HarnessOpts {
                     jobs,
                     clause_reuse,
-                    clause_bank: clause_reuse.then(|| Arc::new(ClauseBank::new())),
+                    store: Arc::new(TieredStore::memory(
+                        None,
+                        clause_reuse.then(|| Arc::new(ClauseBank::new())),
+                    )),
                     budget: unlimited,
                     ..smoke_opts()
                 };
@@ -1662,7 +1577,7 @@ mod tests {
                 "jobs={jobs}: the twin population must hit the bank"
             );
             assert!(on.donated_clauses() > 0, "completed outputs donate");
-            let bank = on_opts.clause_bank.expect("reuse on builds a bank");
+            let bank = on_opts.store.bank().expect("reuse on builds a bank");
             assert!(bank.donations() > 0 && !bank.is_empty());
         }
     }
@@ -1681,20 +1596,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let entry = &registry_table1()[16]; // mm9a: small
         let run = || {
-            let mut opts = HarnessOpts {
-                cache: Some(Arc::new(ResultCache::new())),
+            let cache = Some(Arc::new(ResultCache::new()));
+            let opts = HarnessOpts {
+                store: Arc::new(TieredStore::with_disk(cache, None, &dir).expect("temp store")),
                 ..smoke_opts()
             };
-            opts.cache_dir = Some(dir.clone());
-            opts.store = Some(Arc::new(
-                TieredStore::with_disk(opts.cache.clone(), None, &dir).expect("temp store"),
-            ));
             let r = run_model(entry, Model::MusGroup, &opts);
-            opts.store
-                .as_ref()
-                .expect("store built")
-                .flush()
-                .expect("flush");
+            opts.store.flush().expect("flush");
             let rec = BenchRecord::of(Model::MusGroup, entry.name, &r, &opts);
             (r, rec)
         };

@@ -128,9 +128,11 @@ struct Shard {
 
 /// The sharded result cache. See the module docs.
 ///
-/// Create one, wrap it in an [`std::sync::Arc`] and attach it to any
-/// number of engines ([`crate::BiDecomposer::set_cache`]) to share
-/// solved cones across outputs, circuits and whole benchmark sweeps.
+/// Create one, wrap it in an [`std::sync::Arc`] and make it the tier-0
+/// cache of a [`TieredStore`](crate::TieredStore) shared by any number
+/// of engines and services (or attach it directly with
+/// [`crate::BiDecomposer::set_cache`]) to share solved cones across
+/// outputs, circuits and whole benchmark sweeps.
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard entry bound (`None` = unbounded).

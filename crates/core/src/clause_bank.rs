@@ -264,10 +264,13 @@ struct BankShard {
 
 /// The sharded clause bank. See the module docs.
 ///
-/// Create one, wrap it in an [`Arc`] and attach it to engines
-/// ([`crate::BiDecomposer::set_clause_bank`]) or services
-/// ([`crate::StepService::spawn_with_bank`]) to share donations across
-/// outputs, circuits, models and whole sweeps.
+/// Create one, wrap it in an [`Arc`] and make it the tier-0 bank of a
+/// [`TieredStore`](crate::TieredStore) (via
+/// [`TieredStore::memory`](crate::TieredStore::memory) or
+/// [`with_disk`](crate::TieredStore::with_disk)); engines
+/// ([`crate::BiDecomposer::set_store`]) and services
+/// ([`crate::StepService::spawn_with_store`]) sharing that store share
+/// donations across outputs, circuits, models and whole sweeps.
 pub struct ClauseBank {
     shards: Vec<Mutex<BankShard>>,
     /// Per-shard bound on exact entries (`None` = unbounded). Cluster

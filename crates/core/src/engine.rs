@@ -13,11 +13,12 @@
 //!   [`strategy_for`](crate::strategy::strategy_for).
 //!
 //! Circuit-wide runs are driven by the persistent
-//! [`StepService`] worker pool:
-//! [`BiDecomposer::decompose_circuit`] is a compatibility wrapper that
-//! submits to an ephemeral service with [`DecompConfig::jobs`] workers
-//! and joins (long-running callers submit to a shared service
-//! instead — see [`crate::service`]). Workers claim output indices
+//! [`StepService`] worker pool, the only circuit driver:
+//! [`BiDecomposer::decompose_circuit`] is a wrapper that submits to an
+//! ephemeral service over the engine's [`TieredStore`] with
+//! [`DecompConfig::jobs`] workers and joins (long-running callers
+//! submit to a shared service instead — see [`crate::service`]).
+//! Workers claim output indices
 //! from a per-submission atomic counter, all honor one circuit
 //! deadline, results land in output order, and statistics aggregate at
 //! join. Per-output results are a pure function of
@@ -29,20 +30,19 @@
 //! and under pure [`Budget::Work`](crate::spec::Budget::Work) budgets
 //! even the timeouts are identical, see [`crate::effort`]),
 //! and structurally identical cones produce identical results wherever
-//! they appear. The optional [`ResultCache`] exploits exactly that
-//! purity (see [`crate::cache`]).
+//! they appear. The store's optional [`ResultCache`] exploits exactly
+//! that purity (see [`crate::cache`]).
 
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use step_aig::Aig;
 use step_sat::EffortStats;
 
 use crate::cache::{CacheLookup, ResultCache};
-use crate::clause_bank::{BankLookup, ClauseBank, ReuseCtx};
-use crate::effort::{CircuitBudget, WorkLedger, WorkPool};
+use crate::clause_bank::BankLookup;
 use crate::extract::Decomposition;
 use crate::job::OutputJob;
 use crate::partition::VarPartition;
@@ -138,7 +138,7 @@ pub struct OutputResult {
     pub donated_clauses: u64,
     /// Artifacts this output was served from the persistent store tier
     /// (results, clause snapshots and probe certificates alike; always
-    /// zero without a [`DecompConfig::cache_dir`]).
+    /// zero without a disk tier, see [`TieredStore::with_disk`]).
     pub disk_hits: u64,
     /// The cone's canonical fingerprint hash (the cache/store key),
     /// when the solve got far enough to canonicalize — the exact-match
@@ -177,7 +177,7 @@ impl OutputResult {
     /// The placeholder for an output the circuit budget never reached.
     /// `support` is the real cone support size, so skipped outputs are
     /// not mistaken for constant functions in per-support statistics.
-    fn budget_exhausted(name: String, output_index: usize, support: usize) -> Self {
+    pub(crate) fn budget_exhausted(name: String, output_index: usize, support: usize) -> Self {
         let mut r = OutputResult::pending(name, output_index, support);
         r.timed_out = true;
         r
@@ -195,11 +195,12 @@ pub struct CircuitResult {
     /// Per-output results, in output order (regardless of which worker
     /// solved which output).
     pub outputs: Vec<OutputResult>,
-    /// Total wall-clock time.
+    /// Wall-clock time from the submission's first claimed output to
+    /// its last reported one.
     pub cpu: Duration,
     /// Time the submission sat queued before its first output was
-    /// claimed (always zero on the inline `jobs <= 1` path) — the
-    /// provenance signal behind the bench harness's `queue_wait_s`.
+    /// claimed — the provenance signal behind the bench harness's
+    /// `queue_wait_s`.
     pub queue_wait: Duration,
     /// A budget expired somewhere (the circuit deadline, or any
     /// per-output budget).
@@ -311,94 +312,41 @@ impl CircuitResult {
 #[derive(Debug)]
 pub struct BiDecomposer {
     config: DecompConfig,
-    cache: Option<Arc<ResultCache>>,
-    bank: Option<Arc<ClauseBank>>,
-    store: Option<Arc<TieredStore>>,
+    store: Arc<TieredStore>,
 }
 
 impl BiDecomposer {
-    /// Creates an engine with the given configuration (no result
-    /// cache; attach one with [`BiDecomposer::set_cache`]).
+    /// Creates an engine with the given configuration over an empty
+    /// memory store (no result cache, no clause bank); attach reuse
+    /// tiers with [`BiDecomposer::set_store`].
     pub fn new(config: DecompConfig) -> Self {
         BiDecomposer {
             config,
-            cache: None,
-            bank: None,
-            store: None,
+            store: Arc::default(),
         }
     }
 
-    /// Attaches a result cache. Sessions consult it before solving and
-    /// deposit definitive outcomes; the same `Arc` can be shared by
-    /// many engines (e.g. a whole benchmark sweep) — the cache key
-    /// includes every result-relevant config field.
+    /// Replaces the store with a memory-only one over `cache` — the
+    /// shorthand for `set_store(TieredStore::memory(Some(cache), None))`.
+    /// The same `Arc` can be shared by many engines (e.g. a whole
+    /// benchmark sweep): the cache key includes every result-relevant
+    /// config field.
     pub fn set_cache(&mut self, cache: Arc<ResultCache>) {
-        self.cache = Some(cache);
+        self.store = Arc::new(TieredStore::memory(Some(cache), None));
     }
 
-    /// The attached result cache, if any.
-    pub fn cache(&self) -> Option<&Arc<ResultCache>> {
-        self.cache.as_ref()
-    }
-
-    /// Attaches a clause bank for cross-output reuse
-    /// ([`DecompConfig::clause_reuse`] must also be on for sessions to
-    /// consult it). Sharing one `Arc` across engines extends donation
-    /// reach across circuits and models, exactly like the result
-    /// cache; when clause reuse is enabled without an attached bank, a
-    /// run-scoped bank is created per circuit run.
-    pub fn set_clause_bank(&mut self, bank: Arc<ClauseBank>) {
-        self.bank = Some(bank);
-    }
-
-    /// The attached clause bank, if any.
-    pub fn clause_bank(&self) -> Option<&Arc<ClauseBank>> {
-        self.bank.as_ref()
-    }
-
-    /// Attaches a fully built [`TieredStore`], overriding the default
-    /// per-run assembly from the attached cache/bank and
-    /// [`DecompConfig::cache_dir`]. Use when several engines should
-    /// share one already-loaded disk tier (the CLI and bench harness
-    /// do this, so the store loads once per process).
+    /// Attaches a fully built [`TieredStore`]: its result cache, clause
+    /// bank ([`DecompConfig::clause_reuse`] must also be on for sessions
+    /// to consult it; without a bank each run gets its own) and disk
+    /// tier serve every run of this engine. Share one `Arc` across
+    /// engines so the store loads once per process.
     pub fn set_store(&mut self, store: Arc<TieredStore>) {
-        self.store = Some(store);
+        self.store = store;
     }
 
-    /// The attached store, if any.
-    pub fn store(&self) -> Option<&Arc<TieredStore>> {
-        self.store.as_ref()
-    }
-
-    /// The store every run of this engine routes through: the attached
-    /// one, or a fresh assembly of the attached cache/bank plus a disk
-    /// tier loaded from [`DecompConfig::cache_dir`] when set.
-    ///
-    /// # Errors
-    ///
-    /// [`StepError::Internal`] if the cache directory cannot be
-    /// created or listed (corrupt store *files* never error).
-    fn effective_store(&self) -> Result<Arc<TieredStore>, StepError> {
-        if let Some(store) = &self.store {
-            return Ok(Arc::clone(store));
-        }
-        match &self.config.cache_dir {
-            Some(dir) => TieredStore::with_disk(self.cache.clone(), self.bank.clone(), dir)
-                .map(Arc::new)
-                .map_err(|e| StepError::Internal(format!("cache dir {}: {e}", dir.display()))),
-            None => Ok(Arc::new(TieredStore::memory(
-                self.cache.clone(),
-                self.bank.clone(),
-            ))),
-        }
-    }
-
-    /// The reuse handles for one circuit run (or single-output call):
-    /// the store's tiers — with a fresh run-scoped bank overlaid when
-    /// none is attached — plus a fresh oracle pool. `None` when clause
-    /// reuse is off.
-    fn reuse_ctx(&self, store: &TieredStore) -> Option<ReuseCtx> {
-        self.config.clause_reuse.then(|| store.reuse_ctx())
+    /// The store every run of this engine routes through.
+    pub fn store(&self) -> &Arc<TieredStore> {
+        &self.store
     }
 
     /// The active configuration.
@@ -425,13 +373,13 @@ impl BiDecomposer {
         op: GateOp,
     ) -> Result<OutputResult, StepError> {
         let job = OutputJob::new(&self.config, out_idx, op);
-        let store = self.effective_store()?;
-        let reuse = self.reuse_ctx(&store);
+        let store = &*self.store;
+        let reuse = self.config.clause_reuse.then(|| store.reuse_ctx());
         let result = SolveSession::new(
             aig,
             job,
             &self.config,
-            store.serves_results().then_some(&*store),
+            store.serves_results().then_some(store),
             reuse.as_ref(),
         )?
         .run();
@@ -445,15 +393,13 @@ impl BiDecomposer {
     /// converting sequential circuits combinationally (the paper's ABC
     /// `comb` step) and enforcing the per-circuit budget.
     ///
-    /// This is a thin compatibility wrapper over the service API: with
-    /// `jobs > 1` it spins up an ephemeral [`StepService`] (workers
-    /// clamped to the output count, sharing this engine's result
-    /// cache), submits the circuit and joins; `jobs <= 1` runs the
-    /// same per-output claims inline with no threads at all.
-    /// Per-output computation is deterministic regardless of
-    /// scheduling (see the module docs), so the result is identical
-    /// for any `jobs` value; long-running callers should keep one
-    /// [`StepService`] and use
+    /// This is a thin wrapper over the service API: it spins up an
+    /// ephemeral [`StepService`] over this engine's store with
+    /// [`DecompConfig::jobs`] workers (clamped to the output count),
+    /// submits the circuit and joins. Per-output computation is
+    /// deterministic regardless of scheduling (see the module docs), so
+    /// the result is identical for any `jobs` value; long-running
+    /// callers should keep one [`StepService`] and use
     /// [`decompose_circuit_on`](BiDecomposer::decompose_circuit_on) (or
     /// [`StepService::submit`] directly) to amortize the pool.
     ///
@@ -463,93 +409,19 @@ impl BiDecomposer {
     /// latches surface here too). Errors fail fast: workers stop
     /// claiming new outputs once any output has failed, and the error
     /// reported is the one from the lowest-indexed failing output.
-    /// `CircuitResult::cpu` on the inline `jobs <= 1` path is the
-    /// legacy full-call duration (comb conversion included); on the
-    /// service path it is the submission's first-claim-to-last-event
-    /// wall clock (comb/clone/pool-spawn excluded) — compare wall
-    /// clocks only between runs with the same `jobs` regime.
     pub fn decompose_circuit(&self, circuit: &Aig, op: GateOp) -> Result<CircuitResult, StepError> {
-        let start = Instant::now();
-        let mut owned: Option<Aig> = None;
-        if !circuit.is_comb() {
-            owned = Some(
-                circuit
-                    .comb()
-                    .map_err(|e| StepError::Internal(format!("comb conversion failed: {e}")))?,
-            );
-        }
-        let n_out = owned.as_ref().unwrap_or(circuit).num_outputs();
-        let workers = self.config.jobs.max(1).min(n_out.max(1));
-        if workers <= 1 {
-            // Inline fast path: the hot default (`jobs = 1`, used in
-            // tight benchmark loops) pays no thread spawn. Same claim
-            // logic, same fail-fast semantics, same results.
-            let aig = owned.as_ref().unwrap_or(circuit);
-            let deadline = self.config.budget.per_circuit.wall().map(|d| start + d);
-            // The per-circuit work budget goes through the same
-            // two-phase ledger the service uses (reservations never
-            // block here — commits land in index order), so inline and
-            // service runs share one debit order by construction.
-            let ledger = self
-                .config
-                .budget
-                .per_circuit
-                .work()
-                .map(|w| WorkLedger::new(w, self.config.budget.per_output.work(), n_out));
-            // One oracle pool for the whole circuit run, so the inline
-            // path reuses exactly like a one-worker service would.
-            let store = self.effective_store()?;
-            let reuse = self.reuse_ctx(&store);
-            let mut outputs = Vec::with_capacity(n_out);
-            let mut timed_out = false;
-            for idx in 0..n_out {
-                let circuit = CircuitBudget {
-                    deadline,
-                    work: ledger
-                        .as_ref()
-                        .map(|l| Arc::new(WorkPool::new(l.reserve(idx)))),
-                };
-                let r = run_queued(
-                    aig,
-                    &self.config,
-                    store.serves_results().then_some(&*store),
-                    reuse.as_ref(),
-                    idx,
-                    op,
-                    &circuit,
-                )?;
-                if let Some(l) = &ledger {
-                    l.commit(idx, r.effort.conflicts);
-                }
-                timed_out |= r.timed_out;
-                outputs.push(r);
-            }
-            let _ = store.flush();
-            return Ok(CircuitResult {
-                outputs,
-                cpu: start.elapsed(),
-                queue_wait: Duration::ZERO,
-                timed_out,
-            });
-        }
-        let service = StepService::spawn_with_store(workers, self.effective_store()?);
-        // Move the comb-converted copy into the submission when we own
-        // one; a single clone only when the caller's circuit was
-        // already combinational.
-        let shared = Arc::new(match owned {
-            Some(comb) => comb,
-            None => circuit.clone(),
-        });
-        service
-            .submit_shared(shared, op, self.config.clone())?
+        let aig = StepService::comb_arc(circuit)?;
+        let workers = self.config.jobs.min(aig.num_outputs()).max(1);
+        StepService::spawn_with_store(workers, Arc::clone(&self.store))
+            .submit_shared(aig, op, self.config.clone())?
             .join()
     }
 
     /// [`decompose_circuit`](BiDecomposer::decompose_circuit) on a
     /// caller-supplied (typically long-running) service: submit with
     /// this engine's configuration and block for the output-ordered
-    /// result. Sessions use the *service's* result cache — the shared
-    /// pool owns the shared cache; an engine-attached cache only serves
+    /// result. Sessions use the *service's* store — the shared pool
+    /// owns the shared reuse tiers; this engine's store only serves
     /// [`decompose_output`](BiDecomposer::decompose_output) and the
     /// ephemeral pools of
     /// [`decompose_circuit`](BiDecomposer::decompose_circuit).
@@ -564,38 +436,4 @@ impl BiDecomposer {
         let aig = StepService::comb_arc(circuit)?;
         service.submit_shared(aig, op, self.config.clone())?.join()
     }
-}
-
-/// Claims and runs one output of a circuit-wide run (the unit of work
-/// a service worker executes). Internal errors are tagged with the
-/// output they came from, so a failure deep in a many-output circuit
-/// stays locatable.
-pub(crate) fn run_queued(
-    aig: &Aig,
-    config: &DecompConfig,
-    store: Option<&TieredStore>,
-    reuse: Option<&ReuseCtx>,
-    out_idx: usize,
-    op: GateOp,
-    circuit: &CircuitBudget,
-) -> Result<OutputResult, StepError> {
-    let output = &aig.outputs()[out_idx];
-    let name = output.name().to_owned();
-    if circuit.expired() {
-        // Skipped, not solved: report the real cone support so the
-        // output doesn't masquerade as a constant function in
-        // per-support statistics (the support walk is linear in the
-        // cone, cheap next to what was just saved).
-        let support = aig.support(output.lit()).len();
-        return Ok(OutputResult::budget_exhausted(name, out_idx, support));
-    }
-    let job = OutputJob::new(config, out_idx, op).with_circuit(circuit.clone());
-    SolveSession::new(aig, job, config, store, reuse)?
-        .run()
-        .map_err(|e| match e {
-            StepError::Internal(m) => {
-                StepError::Internal(format!("output {out_idx} ({name}): {m}"))
-            }
-            other => other,
-        })
 }

@@ -33,11 +33,10 @@
 //!   structure, built as a solve-session pipeline: a pure [`job`]
 //!   description per output, a stateful [`session`] that executes it,
 //!   and a pluggable [`strategy`] per roster model;
-//! * [`service`] — the primary circuit-scale API: a persistent
-//!   [`StepService`] worker pool with job submission, streaming
-//!   per-output results and cancellation
-//!   ([`BiDecomposer::decompose_circuit`] is a submit-and-join
-//!   compatibility wrapper over it);
+//! * [`service`] — the circuit driver: a persistent [`StepService`]
+//!   worker pool with job submission, streaming per-output results and
+//!   cancellation ([`BiDecomposer::decompose_circuit`] is a
+//!   submit-and-join wrapper over an ephemeral one);
 //! * [`cache`] — the per-op result cache: sessions solve every cone in
 //!   canonical input order (`step_aig::canonicalize`), so definitive
 //!   outcomes are memoizable by `(fingerprint, op, config)` and
@@ -52,7 +51,8 @@
 //!   surfaces (results, clause donations, probe certificates) behind
 //!   one get/put/scan interface, with the in-memory structures as
 //!   tier 0 and an optional persistent, mergeable disk tier
-//!   ([`DecompConfig::cache_dir`]) that warm-starts later runs;
+//!   ([`TieredStore::with_disk`]) that warm-starts later runs — the
+//!   one reuse handle engines and services hold;
 //! * [`predict`] / [`tenant`] — the multi-tenant layer under the
 //!   `step-serve` network front-end: a conflict-cost estimator
 //!   (fingerprint history + support-bucket EWMAs) feeding the
@@ -90,7 +90,7 @@ pub use effort::{CallLimits, CircuitBudget, EffortMeter, WorkLedger, WorkPool};
 pub use engine::{BiDecomposer, CircuitResult, OutputResult, StepError};
 pub use extract::{extract, extract_by_quantification, Decomposition, ExtractError};
 pub use job::{cone_seed, OutputJob};
-pub use network::{decompose_tree, DecompTree, TreeNode, TreeOptions};
+pub use network::{DecompTree, TreeNode};
 pub use partition::{VarClass, VarPartition};
 pub use predict::CostModel;
 pub use service::{
@@ -99,8 +99,8 @@ pub use service::{
 pub use session::SolveSession;
 pub use spec::{Budget, BudgetPolicy, DecompConfig, GateOp, Model, SearchStrategy};
 pub use store::{
-    Artifact, ArtifactKey, ArtifactKind, ArtifactStore, ClausePayload, ConfigKey, DiskTier,
-    Namespace, StoreHit, TieredStore,
+    check_cache_dir, Artifact, ArtifactKey, ArtifactKind, ArtifactStore, ClausePayload, ConfigKey,
+    DiskTier, Namespace, StoreHit, TieredStore,
 };
 pub use tenant::{OverQuota, TenantLedger, WorkReservation};
 // The effort-counter vocabulary is shared with the solver layers, as

@@ -1,25 +1,22 @@
-//! Recursive multi-level bi-decomposition.
+//! Multi-level bi-decomposition networks.
 //!
 //! The paper's introduction motivates bi-decomposition as the engine of
 //! multi-level logic synthesis: a complex `f(X)` is split into two
 //! simpler sub-functions, which are split again, until the leaves are
 //! simple — producing a network of two-input OR/AND/XOR gates over
-//! small leaf functions. This module iterates the single-step engine
-//! ([`crate::BiDecomposer`]) into that flow:
+//! small leaf functions. The recursion itself lives in the
+//! `step-synth` crate (`SynthDriver`); this module holds the network it
+//! produces:
 //!
-//! * [`decompose_tree`] recursively decomposes a primary output,
-//!   trying the given operators in order at every level;
-//! * the result is a [`DecompTree`] whose internal nodes are the
-//!   chosen gates and whose leaves are (small) undecomposable
-//!   functions with their own input supports;
+//! * a [`DecompTree`] whose internal nodes are the chosen gates and
+//!   whose leaves are (small) undecomposable functions with their own
+//!   input supports;
 //! * [`DecompTree::to_aig`] rebuilds the network as an AIG for
-//!   verification ([`crate::verify()`]-style miter checks are exercised
-//!   in the tests) and [`DecompTree::render`] pretty-prints the
+//!   verification and [`DecompTree::render`] pretty-prints the
 //!   structure.
 
 use step_aig::{Aig, AigLit};
 
-use crate::engine::{BiDecomposer, StepError};
 use crate::spec::GateOp;
 
 /// A node of a multi-level decomposition tree.
@@ -180,240 +177,5 @@ impl DecompTree {
         }
         rec(&self.root, 0, &mut out);
         out
-    }
-}
-
-/// Options for the recursive flow.
-#[derive(Clone, Copy, Debug)]
-pub struct TreeOptions {
-    /// Operators to try, in preference order, at every level.
-    pub ops: [GateOp; 3],
-    /// Stop recursing below this support size.
-    pub min_support: usize,
-    /// Maximum recursion depth (`None` = until undecomposable).
-    pub max_depth: Option<usize>,
-}
-
-impl Default for TreeOptions {
-    fn default() -> Self {
-        TreeOptions {
-            ops: [GateOp::Or, GateOp::And, GateOp::Xor],
-            min_support: 2,
-            max_depth: None,
-        }
-    }
-}
-
-/// Recursively bi-decomposes output `out_idx` of `aig`.
-///
-/// At every level the engine tries `opts.ops` in order and recurses on
-/// the extracted `fA`/`fB`. Functions that no operator decomposes
-/// become leaves.
-///
-/// # Errors
-///
-/// Propagates [`StepError`] from the underlying engine.
-pub fn decompose_tree(
-    engine: &mut BiDecomposer,
-    aig: &Aig,
-    out_idx: usize,
-    opts: &TreeOptions,
-) -> Result<DecompTree, StepError> {
-    if !aig.is_comb() {
-        return Err(StepError::NotCombinational);
-    }
-    let output = aig
-        .outputs()
-        .get(out_idx)
-        .ok_or(StepError::OutputOutOfRange(out_idx))?;
-    let cone = aig.cone(output.lit());
-    let identity: Vec<usize> = cone.leaves.clone();
-    let root = rec(engine, &cone.aig, cone.root, &identity, opts, 0)?;
-    Ok(DecompTree {
-        root,
-        num_inputs: aig.num_inputs(),
-    })
-}
-
-fn rec(
-    engine: &mut BiDecomposer,
-    func: &Aig,
-    root: AigLit,
-    orig_inputs: &[usize],
-    opts: &TreeOptions,
-    depth: usize,
-) -> Result<TreeNode, StepError> {
-    let make_leaf = |func: &Aig, root: AigLit, orig: &[usize]| -> TreeNode {
-        let cone = func.cone(root);
-        let inputs: Vec<usize> = cone.leaves.iter().map(|&l| orig[l]).collect();
-        let mut leaf = cone.aig;
-        leaf.add_output("leaf", cone.root);
-        TreeNode::Leaf {
-            func: leaf.compact(),
-            inputs,
-        }
-    };
-
-    let support = func.support(root);
-    if support.len() < opts.min_support.max(2) || opts.max_depth.is_some_and(|d| depth >= d) {
-        return Ok(make_leaf(func, root, orig_inputs));
-    }
-
-    // One standalone circuit for the engine: the cone with one output.
-    let cone = func.cone(root);
-    let mapped: Vec<usize> = cone.leaves.iter().map(|&l| orig_inputs[l]).collect();
-    let mut sub = cone.aig.clone();
-    sub.add_output("f", cone.root);
-
-    for &op in &opts.ops {
-        // Extraction must stay on for recursion.
-        let saved_extract = engine.config().extract;
-        engine.config_mut().extract = true;
-        let r = engine.decompose_output(&sub, 0, op)?;
-        engine.config_mut().extract = saved_extract;
-        let Some(d) = r.decomposition else {
-            continue;
-        };
-        let left = rec(engine, &d.aig, d.fa, &mapped, opts, depth + 1)?;
-        let right = rec(engine, &d.aig, d.fb, &mapped, opts, depth + 1)?;
-        return Ok(TreeNode::Gate {
-            op,
-            left: Box::new(left),
-            right: Box::new(right),
-        });
-    }
-    Ok(make_leaf(func, root, orig_inputs))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spec::{DecompConfig, Model};
-
-    fn engine() -> BiDecomposer {
-        BiDecomposer::new(DecompConfig::new(Model::QbfDisjoint))
-    }
-
-    fn all_inputs(n: usize) -> impl Iterator<Item = Vec<bool>> {
-        (0..1usize << n).map(move |m| (0..n).map(|i| m >> i & 1 == 1).collect())
-    }
-
-    #[test]
-    fn tree_of_disjoint_cubes_is_fully_decomposed() {
-        // f = (x0 x1) | (x2 x3) | (x4 x5): two OR levels, AND leaves
-        // that decompose again into single literals.
-        let mut aig = Aig::new();
-        let xs: Vec<AigLit> = (0..6).map(|i| aig.add_input(format!("x{i}"))).collect();
-        let c0 = aig.and(xs[0], xs[1]);
-        let c1 = aig.and(xs[2], xs[3]);
-        let c2 = aig.and(xs[4], xs[5]);
-        let t = aig.or(c0, c1);
-        let f = aig.or(t, c2);
-        aig.add_output("f", f);
-
-        let tree = decompose_tree(&mut engine(), &aig, 0, &TreeOptions::default()).unwrap();
-        assert!(
-            tree.num_gates() >= 3,
-            "at least the three cube joins: \n{}",
-            tree.render()
-        );
-        assert_eq!(
-            tree.max_leaf_support(),
-            1,
-            "leaves must be literals:\n{}",
-            tree.render()
-        );
-        // Exhaustive functional equivalence.
-        for v in all_inputs(6) {
-            assert_eq!(tree.eval(&v), aig.eval(&v)[0], "at {v:?}");
-        }
-        // Rebuilt AIG is equivalent too.
-        let net = tree.to_aig();
-        for v in all_inputs(6) {
-            assert_eq!(net.eval(&v)[0], aig.eval(&v)[0]);
-        }
-    }
-
-    #[test]
-    fn parity_decomposes_into_xor_tree() {
-        let mut aig = Aig::new();
-        let xs: Vec<AigLit> = (0..5).map(|i| aig.add_input(format!("x{i}"))).collect();
-        let f = aig.xor_many(&xs);
-        aig.add_output("f", f);
-        let opts = TreeOptions {
-            ops: [GateOp::Xor, GateOp::Or, GateOp::And],
-            ..TreeOptions::default()
-        };
-        let tree = decompose_tree(&mut engine(), &aig, 0, &opts).unwrap();
-        assert_eq!(
-            tree.num_gates(),
-            4,
-            "n-input parity needs n-1 XORs:\n{}",
-            tree.render()
-        );
-        assert_eq!(tree.max_leaf_support(), 1);
-        for v in all_inputs(5) {
-            assert_eq!(tree.eval(&v), aig.eval(&v)[0]);
-        }
-    }
-
-    #[test]
-    fn undecomposable_function_is_a_single_leaf() {
-        let mut aig = Aig::new();
-        let a = aig.add_input("a");
-        let b = aig.add_input("b");
-        let c = aig.add_input("c");
-        let ab = aig.and(a, b);
-        let ac = aig.and(a, c);
-        let bc = aig.and(b, c);
-        let t = aig.or(ab, ac);
-        let f = aig.or(t, bc);
-        aig.add_output("maj", f);
-        let tree = decompose_tree(&mut engine(), &aig, 0, &TreeOptions::default()).unwrap();
-        assert_eq!(tree.num_gates(), 0);
-        assert_eq!(tree.num_leaves(), 1);
-        assert_eq!(tree.max_leaf_support(), 3);
-        for v in all_inputs(3) {
-            assert_eq!(tree.eval(&v), aig.eval(&v)[0]);
-        }
-    }
-
-    #[test]
-    fn depth_limit_is_respected() {
-        let mut aig = Aig::new();
-        let xs: Vec<AigLit> = (0..8).map(|i| aig.add_input(format!("x{i}"))).collect();
-        let f = aig.xor_many(&xs);
-        aig.add_output("f", f);
-        let opts = TreeOptions {
-            ops: [GateOp::Xor, GateOp::Or, GateOp::And],
-            min_support: 2,
-            max_depth: Some(2),
-        };
-        let tree = decompose_tree(&mut engine(), &aig, 0, &opts).unwrap();
-        assert!(tree.depth() <= 2, "\n{}", tree.render());
-        for v in all_inputs(8) {
-            assert_eq!(tree.eval(&v), aig.eval(&v)[0]);
-        }
-    }
-
-    #[test]
-    fn mixed_structure_round_trips() {
-        // f = ((x0 ^ x1) & x2) | (x3 & x4): OR at top, then AND/XOR.
-        let mut aig = Aig::new();
-        let xs: Vec<AigLit> = (0..5).map(|i| aig.add_input(format!("x{i}"))).collect();
-        let x01 = aig.xor(xs[0], xs[1]);
-        let l = aig.and(x01, xs[2]);
-        let r = aig.and(xs[3], xs[4]);
-        let f = aig.or(l, r);
-        aig.add_output("f", f);
-        let tree = decompose_tree(&mut engine(), &aig, 0, &TreeOptions::default()).unwrap();
-        assert!(tree.num_gates() >= 2, "\n{}", tree.render());
-        for v in all_inputs(5) {
-            assert_eq!(tree.eval(&v), aig.eval(&v)[0]);
-        }
-        let net = tree.to_aig();
-        for v in all_inputs(5) {
-            assert_eq!(net.eval(&v)[0], aig.eval(&v)[0]);
-        }
     }
 }

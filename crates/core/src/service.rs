@@ -1,11 +1,11 @@
 //! [`StepService`] — the persistent decomposition service: job
 //! submission, streaming results and cancellation.
 //!
-//! The one-shot [`BiDecomposer::decompose_circuit`] used to spin a
-//! scoped worker pool up and down per call. The paper's workload
-//! (sweeps of many circuits × five models) is embarrassingly parallel
-//! *across* calls too, so the service inverts the ownership: a
-//! `StepService`
+//! The service is the only code that runs a whole circuit: the one-shot
+//! [`BiDecomposer::decompose_circuit`] submits to an ephemeral service
+//! and joins. The paper's workload (sweeps of many circuits × five
+//! models) is embarrassingly parallel *across* calls too, so a
+//! long-lived `StepService`
 //! owns a pool of worker threads **spawned once** and a queue of
 //! submissions, each submission being one `(circuit, op, config)`
 //! decomposition request. Workers claim [`OutputJob`]-shaped units
@@ -15,8 +15,8 @@
 //! anchored and ticking, so nothing may jump ahead of it), then
 //! earliest explicit deadline ([`StepService::submit_with_deadline`]),
 //! then FIFO among submissions without deadlines. A single large
-//! circuit thus fans out over the pool exactly like the old scoped
-//! driver, and independent submissions drain through the same pool
+//! circuit thus fans out over the whole pool, and independent
+//! submissions drain through the same pool
 //! back-to-back, which is what lets the `table3`/`fig1` harnesses
 //! shard their whole model × circuit product instead of parallelizing
 //! only within a circuit.
@@ -57,8 +57,9 @@
 //! `(cone, op, config)` (canonical solving order + fingerprint-derived
 //! sim seeds, see [`crate::session`]), so a service with any worker
 //! count returns byte-identical per-output results — `jobs = 1` ≡
-//! `jobs = N`, with or without the shared [`ResultCache`], queued
-//! behind any other submissions. The per-circuit budget anchors when
+//! `jobs = N`, with or without the store's shared
+//! [`ResultCache`](crate::ResultCache), queued behind any other
+//! submissions. The per-circuit budget anchors when
 //! a submission's *first* output is claimed, not at submit time, so
 //! queue wait never eats a submission's budget; its work component is
 //! sliced per output through a two-phase
@@ -87,11 +88,13 @@ use std::time::Instant;
 
 use step_aig::Aig;
 
-use crate::cache::{CacheLookup, ResultCache};
-use crate::clause_bank::{ClauseBank, ReuseCtx};
+use crate::cache::CacheLookup;
+use crate::clause_bank::ReuseCtx;
 use crate::effort::{CircuitBudget, WorkLedger, WorkPool};
-use crate::engine::{run_queued, CircuitResult, OutputResult, StepError};
+use crate::engine::{CircuitResult, OutputResult, StepError};
+use crate::job::OutputJob;
 use crate::predict::CostModel;
+use crate::session::SolveSession;
 use crate::spec::{DecompConfig, GateOp};
 use crate::store::TieredStore;
 
@@ -451,6 +454,7 @@ struct ServiceShared {
 /// deadlined ones by deadline, then FIFO). See the module docs.
 ///
 /// ```
+/// use std::sync::Arc;
 /// use step_aig::Aig;
 /// use step_core::{DecompConfig, GateOp, Model, StepService};
 ///
@@ -461,7 +465,7 @@ struct ServiceShared {
 /// let f = aig.or(ab, cd);
 /// aig.add_output("f", f);
 ///
-/// let service = StepService::new(2);
+/// let service = StepService::spawn_with_store(2, Arc::default());
 /// let config = DecompConfig::new(Model::QbfDisjoint);
 /// let mut handle = service.submit(&aig, GateOp::Or, config).unwrap();
 /// // Stream results in completion order...
@@ -490,48 +494,13 @@ impl fmt::Debug for StepService {
 }
 
 impl StepService {
-    /// Spawns a service with `workers` persistent worker threads (at
-    /// least one) and no result cache.
-    pub fn new(workers: usize) -> Self {
-        Self::spawn(workers, None)
-    }
-
-    /// Spawns a service whose sessions share `cache` across every
-    /// submission — the long-running analogue of
-    /// [`BiDecomposer::set_cache`](crate::BiDecomposer::set_cache).
-    pub fn with_cache(workers: usize, cache: Arc<ResultCache>) -> Self {
-        Self::spawn(workers, Some(cache))
-    }
-
-    /// The general constructor behind [`new`](StepService::new) and
-    /// [`with_cache`](StepService::with_cache): `workers` persistent
-    /// threads (at least one) and an optional shared result cache —
-    /// for callers that already hold an `Option<Arc<ResultCache>>`.
-    pub fn spawn(workers: usize, cache: Option<Arc<ResultCache>>) -> Self {
-        Self::spawn_with_bank(workers, cache, None)
-    }
-
-    /// [`spawn`](StepService::spawn) with an optional service-wide
-    /// clause bank: submissions with
-    /// [`DecompConfig::clause_reuse`](crate::spec::DecompConfig::clause_reuse)
-    /// set donate and draw learnt clauses through it, sharing them
-    /// across circuits and models the way the result cache shares
-    /// solved outcomes. Without a bank, each reuse submission still
-    /// gets a submission-scoped one.
-    pub fn spawn_with_bank(
-        workers: usize,
-        cache: Option<Arc<ResultCache>>,
-        bank: Option<Arc<ClauseBank>>,
-    ) -> Self {
-        Self::spawn_with_store(workers, Arc::new(TieredStore::memory(cache, bank)))
-    }
-
-    /// The most general constructor: `workers` persistent threads over
-    /// an already-assembled [`TieredStore`] — the way to give a service
-    /// a persistent tier (build the store with
-    /// [`TieredStore::with_disk`], which loads the directory once; the
-    /// service flushes dirty entries at shutdown and on
-    /// [`flush`](StepService::flush)).
+    /// The one constructor: `workers` persistent threads (at least one)
+    /// over an already-assembled [`TieredStore`] that every session of
+    /// every submission routes through. Pass `Arc::default()` for no
+    /// reuse at all, [`TieredStore::memory`] for a shared result cache
+    /// and/or clause bank, or [`TieredStore::with_disk`] (which loads
+    /// the directory once) for a persistent tier; the service flushes
+    /// dirty entries at shutdown and on [`flush`](StepService::flush).
     pub fn spawn_with_store(workers: usize, store: Arc<TieredStore>) -> Self {
         let shared = Arc::new(ServiceShared {
             queue: Mutex::new(QueueState {
@@ -559,17 +528,6 @@ impl StepService {
     /// Number of worker threads in the pool.
     pub fn num_workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The cache shared by every submission, if one was attached.
-    pub fn cache(&self) -> Option<&Arc<ResultCache>> {
-        self.shared.store.cache()
-    }
-
-    /// The clause bank shared by every clause-reuse submission, if one
-    /// was attached.
-    pub fn clause_bank(&self) -> Option<&Arc<ClauseBank>> {
-        self.shared.store.bank()
     }
 
     /// The tiered store every session of this service routes through.
@@ -945,6 +903,39 @@ fn run_claimed(shared: &ServiceShared, sub: &Submission, idx: usize) {
     sub.send_event(idx, result);
 }
 
+/// Runs one claimed output of a submission. Internal errors are tagged
+/// with the output they came from, so a failure deep in a many-output
+/// circuit stays locatable.
+fn run_queued(
+    aig: &Aig,
+    config: &DecompConfig,
+    store: Option<&TieredStore>,
+    reuse: Option<&ReuseCtx>,
+    out_idx: usize,
+    op: GateOp,
+    circuit: &CircuitBudget,
+) -> Result<OutputResult, StepError> {
+    let output = &aig.outputs()[out_idx];
+    let name = output.name().to_owned();
+    if circuit.expired() {
+        // Skipped, not solved: report the real cone support so the
+        // output doesn't masquerade as a constant function in
+        // per-support statistics (the support walk is linear in the
+        // cone, cheap next to what was just saved).
+        let support = aig.support(output.lit()).len();
+        return Ok(OutputResult::budget_exhausted(name, out_idx, support));
+    }
+    let job = OutputJob::new(config, out_idx, op).with_circuit(circuit.clone());
+    SolveSession::new(aig, job, config, store, reuse)?
+        .run()
+        .map_err(|e| match e {
+            StepError::Internal(m) => {
+                StepError::Internal(format!("output {out_idx} ({name}): {m}"))
+            }
+            other => other,
+        })
+}
+
 /// The caller's side of one submission: stream events with
 /// [`recv`](SubmissionHandle::recv) (completion order), block with
 /// [`join`](SubmissionHandle::join) (output order), or abort with
@@ -1189,7 +1180,7 @@ mod tests {
     #[test]
     fn submit_join_matches_the_engine() {
         let aig = twin_aig();
-        let service = StepService::new(2);
+        let service = StepService::spawn_with_store(2, Arc::default());
         let handle = service
             .submit(&aig, GateOp::Or, config(Model::QbfDisjoint))
             .unwrap();
@@ -1210,7 +1201,7 @@ mod tests {
     #[test]
     fn streaming_reports_every_output_exactly_once() {
         let aig = twin_aig();
-        let service = StepService::new(2);
+        let service = StepService::spawn_with_store(2, Arc::default());
         let mut handle = service
             .submit(&aig, GateOp::Or, config(Model::MusGroup))
             .unwrap();
@@ -1234,7 +1225,7 @@ mod tests {
         // Sweep harnesses join handles long after the pool finished
         // them; cpu must be first-claim → last-event, not → join().
         let aig = twin_aig();
-        let service = StepService::new(2);
+        let service = StepService::spawn_with_store(2, Arc::default());
         let mut handle = service
             .submit(&aig, GateOp::Or, config(Model::MusGroup))
             .unwrap();
@@ -1257,7 +1248,7 @@ mod tests {
         // the pool to reach it in FIFO order: after cancel() returns,
         // draining the stream terminates and join is immediate.
         let aig = twin_aig();
-        let service = StepService::new(1);
+        let service = StepService::spawn_with_store(1, Arc::default());
         // Queue several submissions ahead so the single worker is busy
         // (or at least behind) when the last one is cancelled.
         let ahead: Vec<_> = (0..4)
@@ -1291,7 +1282,7 @@ mod tests {
     fn zero_output_circuits_complete_immediately() {
         let mut aig = Aig::new();
         aig.add_input("a");
-        let service = StepService::new(1);
+        let service = StepService::spawn_with_store(1, Arc::default());
         let mut handle = service
             .submit(&aig, GateOp::Or, config(Model::MusGroup))
             .unwrap();
@@ -1304,7 +1295,7 @@ mod tests {
     #[test]
     fn cancelled_submission_returns_cancelled_and_pool_survives() {
         let aig = twin_aig();
-        let service = StepService::new(1);
+        let service = StepService::spawn_with_store(1, Arc::default());
         // A guard submission occupies the single worker, so the cancel
         // below provably lands before any of the target's outputs is
         // claimed (join reports Cancelled only for real skips).
@@ -1337,7 +1328,7 @@ mod tests {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let aig = twin_aig();
-        let service = StepService::new(2);
+        let service = StepService::spawn_with_store(2, Arc::default());
         let mut poisoned = config(Model::MusGroup);
         poisoned.panic_on_output = Some(0);
         let bad = service.submit(&aig, GateOp::Or, poisoned).unwrap();
@@ -1363,7 +1354,7 @@ mod tests {
     #[test]
     fn expired_deadline_reports_timeouts_not_errors() {
         let aig = twin_aig();
-        let service = StepService::new(1);
+        let service = StepService::spawn_with_store(1, Arc::default());
         let handle = service
             .submit_with_deadline(
                 &aig,
@@ -1564,7 +1555,7 @@ mod tests {
         // tighter-deadline submission must start before an earlier,
         // looser one.
         let aig = twin_aig();
-        let service = StepService::new(1);
+        let service = StepService::spawn_with_store(1, Arc::default());
         // Several guards keep the worker busy long enough for the
         // enqueues below to land while it is still solving.
         let guards: Vec<_> = (0..3)
@@ -1610,7 +1601,7 @@ mod tests {
     #[test]
     fn dropping_the_service_cancels_queued_submissions() {
         let aig = twin_aig();
-        let service = StepService::new(1);
+        let service = StepService::spawn_with_store(1, Arc::default());
         // Enqueue more work than one worker can finish instantly, then
         // drop the service; every handle must resolve (no wedged
         // receivers), either with a result or with Cancelled.

@@ -418,14 +418,6 @@ pub struct DecompConfig {
     /// are visited nor on where in a circuit a cone appears —
     /// structurally identical cones always simulate the same patterns.
     pub seed: u64,
-    /// Directory of the persistent artifact-store tier
-    /// ([`crate::store`]): solved results, donated clause snapshots and
-    /// probe certificates flushed here survive the process and warm
-    /// later runs. `None` (the default) keeps every reuse surface
-    /// in-memory. Excluded from the result-cache key — like
-    /// [`clause_reuse`](Self::clause_reuse), persistence changes what
-    /// answers cost, never the answers.
-    pub cache_dir: Option<std::path::PathBuf>,
     /// Fault injection for the service's panic-containment regression
     /// tests: a worker panics right before solving this output index,
     /// exercising the pool-boundary `catch_unwind`. Always `None` in
@@ -453,7 +445,6 @@ impl DecompConfig {
             clause_reuse: false,
             jobs: 1,
             seed: 0x5DEECE66D,
-            cache_dir: None,
             panic_on_output: None,
         }
     }

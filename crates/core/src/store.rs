@@ -395,7 +395,10 @@ pub trait ArtifactStore: Send + Sync {
 
 /// The engine's [`ArtifactStore`]: the existing in-memory structures
 /// as tier 0 plus an optional persistent [`DiskTier`]. Cheap to clone
-/// (three `Arc`s); every handle shares the same tiers.
+/// (three `Arc`s); every handle shares the same tiers. The one reuse
+/// handle engines and services hold; its `Default` is an empty memory
+/// store (no cache, no bank, no disk), so no-reuse callers write
+/// `StepService::spawn_with_store(n, Arc::default())`.
 #[derive(Clone, Default, Debug)]
 pub struct TieredStore {
     cache: Option<Arc<ResultCache>>,
@@ -757,6 +760,34 @@ fn op_from_tag(tag: u8) -> Option<GateOp> {
 struct NsState {
     entries: HashMap<DiskKey, Artifact>,
     dirty: Vec<(DiskKey, Artifact)>,
+}
+
+/// Vets a store directory before any work starts: `dir` must be (or
+/// become) a writable directory. Front ends run this on `--cache-dir`
+/// at parse time so a bad path is a usage error up front, not a
+/// failure after solving (or after a server announced its port). The
+/// explicit write probe matters because permission bits lie to
+/// privileged users and read-only mounts fail only on actual writes.
+///
+/// # Errors
+///
+/// A message naming the path and the reason: not a directory, cannot
+/// be created, or not writable.
+pub fn check_cache_dir(dir: &Path) -> io::Result<()> {
+    let shown = dir.display();
+    if dir.exists() && !dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotADirectory,
+            format!("{shown} is not a directory"),
+        ));
+    }
+    fs::create_dir_all(dir)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot create {shown}: {e}")))?;
+    let probe = dir.join(".stepstore-probe");
+    fs::write(&probe, b"probe")
+        .map_err(|e| io::Error::new(e.kind(), format!("{shown} is not writable: {e}")))?;
+    let _ = fs::remove_file(&probe);
+    Ok(())
 }
 
 /// The persistent tier: one append-only record log per namespace,

@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use step_aig::{aiger, bench_io, blif, canonicalize, Aig};
 use step_core::{
-    Budget, Canceller, CostModel, DecompConfig, GateOp, Model, ResultCache, StepError, StepService,
-    SubmitOptions, TenantLedger, TieredStore, WorkReservation,
+    check_cache_dir, Budget, Canceller, CostModel, DecompConfig, GateOp, Model, ResultCache,
+    StepError, StepService, SubmitOptions, TenantLedger, TieredStore, WorkReservation,
 };
 
 use crate::frame::{read_frame, write_frame};
@@ -138,10 +138,16 @@ pub fn main(args: &[String]) -> ! {
             }
             "--cache-dir" => {
                 i += 1;
-                match args.get(i) {
-                    Some(p) => opts.cache_dir = Some(PathBuf::from(p)),
-                    None => usage(),
+                let Some(dir) = args.get(i).map(PathBuf::from) else {
+                    usage()
+                };
+                // Vetted before anything binds: a bad path is a usage
+                // error, never a port announced and then abandoned.
+                if let Err(e) = check_cache_dir(&dir) {
+                    eprintln!("--cache-dir: {e}");
+                    usage();
                 }
+                opts.cache_dir = Some(dir);
             }
             "--help" | "-h" => {
                 println!("{SERVE_USAGE}");
@@ -169,14 +175,24 @@ struct ServerCtx {
     addr: SocketAddr,
 }
 
-/// Binds and runs the server until a `shutdown` frame arrives.
+/// Opens the store, then binds and runs the server until a `shutdown`
+/// frame arrives.
 ///
 /// # Errors
 ///
-/// [`std::io::Error`] when the bind fails or the cache directory
-/// cannot be opened; per-connection I/O errors only drop that
-/// connection.
+/// [`std::io::Error`] when the cache directory cannot be opened
+/// (before anything binds) or the bind fails; per-connection I/O
+/// errors only drop that connection.
 pub fn run(opts: &ServerOptions) -> std::io::Result<()> {
+    // Same reuse defaults as the CLI: result cache on, clause bank
+    // off, disk tier when asked. One store serves every connection —
+    // cross-request reuse changes conflict counts, never answers.
+    let cache = Some(Arc::new(ResultCache::new()));
+    let store = Arc::new(match &opts.cache_dir {
+        Some(dir) => TieredStore::with_disk(cache, None, dir)?,
+        None => TieredStore::memory(cache, None),
+    });
+
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
     // The one contractual stdout line: harnesses scrape the port from
@@ -184,16 +200,6 @@ pub fn run(opts: &ServerOptions) -> std::io::Result<()> {
     println!("listening on {addr}");
     std::io::stdout().flush()?;
 
-    // Same reuse defaults as the CLI: result cache on, clause bank
-    // off, disk tier when asked. One store serves every connection —
-    // cross-request reuse changes conflict counts, never answers.
-    let cache = Some(Arc::new(ResultCache::new()));
-    let store = match &opts.cache_dir {
-        Some(dir) => {
-            Arc::new(TieredStore::with_disk(cache, None, dir).map_err(std::io::Error::other)?)
-        }
-        None => Arc::new(TieredStore::memory(cache, None)),
-    };
     let tenants = Arc::new(TenantLedger::new(opts.default_quota));
     for (tenant, quota) in &opts.tenant_quotas {
         tenants.set_quota(tenant, *quota);

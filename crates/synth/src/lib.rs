@@ -4,9 +4,8 @@
 //! The paper motivates bi-decomposition as the inner step of
 //! multi-level logic synthesis: recursively split each primary output
 //! until the leaves are primitive, yielding a network of two-input
-//! OR/AND/XOR gates. [`step_core::decompose_tree`] prototypes that
-//! flow as a sequential recursion over one private engine; this crate
-//! is the production version:
+//! OR/AND/XOR gates. This crate runs that flow and emits a
+//! [`DecompTree`]:
 //!
 //! * [`SynthDriver`] submits every frontier cone through a shared
 //!   [`StepService`], so the recursion parallelizes across the
@@ -673,8 +672,7 @@ fn probe_budget(per_node: Budget, slice: Option<u64>) -> Budget {
     }
 }
 
-/// A leaf over original inputs, compacted like
-/// [`step_core::decompose_tree`]'s leaves.
+/// A leaf over original inputs, compacted.
 fn leaf_outcome(node: &Node) -> Outcome {
     Outcome::Leaf(node.sub.compact(), node.orig_inputs.clone())
 }
@@ -730,10 +728,27 @@ mod tests {
     use step_core::Model;
 
     fn service() -> StepService {
-        StepService::spawn(
+        let cache = std::sync::Arc::new(step_core::ResultCache::default());
+        StepService::spawn_with_store(
             2,
-            Some(std::sync::Arc::new(step_core::ResultCache::default())),
+            std::sync::Arc::new(step_core::TieredStore::memory(Some(cache), None)),
         )
+    }
+
+    /// The network rebuilt by [`DecompTree::to_aig`] evaluates like
+    /// output 0 of `aig` on every assignment.
+    fn assert_rebuilds(aig: &Aig, tree: &DecompTree) {
+        let net = tree.to_aig();
+        let n = aig.num_inputs();
+        for m in 0..1usize << n {
+            let v: Vec<bool> = (0..n).map(|i| m >> i & 1 == 1).collect();
+            assert_eq!(
+                net.eval(&v)[0],
+                aig.eval(&v)[0],
+                "at {v:?}\n{}",
+                tree.render()
+            );
+        }
     }
 
     fn driver_opts() -> (DecompConfig, SynthOptions) {
@@ -769,6 +784,7 @@ mod tests {
         assert!(out.tree.num_gates() >= 2, "\n{}", out.tree.render());
         assert!(out.tree.max_leaf_support() <= 2);
         assert!(network_equivalent(&aig, 0, &out.tree, None).is_ok());
+        assert_rebuilds(&aig, &out.tree);
     }
 
     #[test]
@@ -791,6 +807,7 @@ mod tests {
         assert!(out.stats.bdd_splits >= 1, "\n{}", out.tree.render());
         assert!(out.tree.max_leaf_support() <= 2);
         assert!(out.stats.verified);
+        assert_rebuilds(&aig, &out.tree);
     }
 
     #[test]

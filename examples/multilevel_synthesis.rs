@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use qbf_bidec::circuits::generators;
-use qbf_bidec::step::{DecompConfig, Model, ResultCache, StepService};
+use qbf_bidec::step::{DecompConfig, Model, ResultCache, StepService, TieredStore};
 use qbf_bidec::synth::{network_equivalent, SynthDriver, SynthOptions};
 
 fn main() {
@@ -33,7 +33,13 @@ fn main() {
     let f = aig.or_many(&cubes);
     aig.add_output("f", f);
 
-    let service = StepService::spawn(2, Some(Arc::new(ResultCache::new())));
+    let service = StepService::spawn_with_store(
+        2,
+        Arc::new(TieredStore::memory(
+            Some(Arc::new(ResultCache::new())),
+            None,
+        )),
+    );
     let driver = SynthDriver::new(
         &service,
         DecompConfig::new(Model::QbfCombined),

@@ -43,8 +43,6 @@
 //!   --budget <spec>             per-output budget (default wall:60s)
 //!   --circuit-budget <spec>     per-circuit budget (default wall:6000s)
 //!   --qbf-budget <spec>         per-QBF-call budget (default wall:4s, paper)
-//!   --per-call-ms <n>           legacy spelling of --qbf-budget wall:<n>ms
-//!   --per-output-s <n>          legacy spelling of --budget wall:<n>s
 //! ```
 //!
 //! A budget `<spec>` is `wall:<dur>`, `work:<conflicts>`,
@@ -103,7 +101,7 @@
 //!
 //! [`StepService`]: qbf_bidec::step::StepService
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,8 +112,8 @@ use qbf_bidec::step::oracle::CoreFormula;
 use qbf_bidec::step::qbf_model::Target;
 use qbf_bidec::step::qdimacs_export::{export_qdimacs, ExportOptions};
 use qbf_bidec::step::{
-    BiDecomposer, Budget, BudgetPolicy, ClauseBank, DecompConfig, DiskTier, EffortMeter, GateOp,
-    Model, OutputResult, RestartPolicy, ResultCache, StepService, TieredStore,
+    check_cache_dir, BiDecomposer, Budget, BudgetPolicy, ClauseBank, DecompConfig, DiskTier,
+    EffortMeter, GateOp, Model, OutputResult, RestartPolicy, ResultCache, StepService, TieredStore,
 };
 use qbf_bidec::synth::{SynthDriver, SynthOptions, SynthOutput};
 
@@ -130,11 +128,7 @@ struct Cli {
     seed: Option<u64>,
     sat_restarts: RestartPolicy,
     sat_preprocess: bool,
-    cache: bool,
-    cache_cap: Option<usize>,
-    clause_reuse: bool,
-    clause_bank_cap: Option<usize>,
-    cache_dir: Option<std::path::PathBuf>,
+    reuse: ReuseOpts,
     no_timing: bool,
     emit_qdimacs: bool,
     emit_blif: bool,
@@ -148,8 +142,7 @@ const USAGE: &str = "usage: step <circuit.{bench,blif,aag}> [--model ljh|mg|qd|q
                      [--clause-reuse] [--no-clause-reuse] [--clause-bank-cap n] \
                      [--cache-dir path] \
                      [--no-timing] [--emit-qdimacs] [--emit-blif] \
-                     [--budget spec] [--circuit-budget spec] [--qbf-budget spec] \
-                     [--per-call-ms n] [--per-output-s n]\n\
+                     [--budget spec] [--circuit-budget spec] [--qbf-budget spec]\n\
                      or:    step cache stats <dir> | merge <out> <in>... | verify <dir>\n\
                      or:    step serve [--addr host:port] ... (see step serve --help)\n\
                      or:    step client <host:port> <circuit> ... (see step client --help)\n\
@@ -182,19 +175,15 @@ fn parse_cli() -> Cli {
         seed: None,
         sat_restarts: RestartPolicy::default(),
         sat_preprocess: false,
-        cache: true,
-        cache_cap: None,
-        clause_reuse: false,
-        clause_bank_cap: None,
-        cache_dir: None,
+        reuse: ReuseOpts::default(),
         no_timing: false,
         emit_qdimacs: false,
         emit_blif: false,
         budget: BudgetPolicy::default(),
     };
-    // Whether the user explicitly chose per-call/per-circuit budgets
-    // (any spelling): a pure-work `--budget` lifts unset wall defaults
-    // below so the determinism promise holds.
+    // Whether the user explicitly chose per-call/per-circuit budgets:
+    // a pure-work `--budget` lifts unset wall defaults below so the
+    // determinism promise holds.
     let mut qbf_budget_set = false;
     let mut circuit_budget_set = false;
     let mut i = 0;
@@ -259,37 +248,7 @@ fn parse_cli() -> Cli {
                 }
             }
             "--sat-preprocess" => cli.sat_preprocess = true,
-            "--cache" => cli.cache = true,
-            "--no-cache" => cli.cache = false,
-            "--cache-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        cli.cache = true;
-                        cli.cache_cap = Some(n);
-                    }
-                    _ => usage(),
-                }
-            }
-            "--clause-reuse" => cli.clause_reuse = true,
-            "--no-clause-reuse" => cli.clause_reuse = false,
-            "--clause-bank-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        cli.clause_reuse = true;
-                        cli.clause_bank_cap = Some(n);
-                    }
-                    _ => usage(),
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cli.cache_dir = Some(validated_cache_dir(Path::new(p))),
-                    None => usage(),
-                }
-            }
+            _ if cli.reuse.parse_flag(&args, &mut i, usage) => {}
             "--no-timing" => cli.no_timing = true,
             "--emit-qdimacs" => cli.emit_qdimacs = true,
             "--emit-blif" => cli.emit_blif = true,
@@ -317,24 +276,6 @@ fn parse_cli() -> Cli {
                     None => usage(),
                 }
             }
-            // Legacy wall-clock spellings of the same knobs.
-            "--per-call-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(ms) => {
-                        cli.budget.per_qbf_call = Budget::Wall(Duration::from_millis(ms));
-                        qbf_budget_set = true;
-                    }
-                    None => usage(),
-                }
-            }
-            "--per-output-s" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => cli.budget.per_output = Budget::Wall(Duration::from_secs(s)),
-                    None => usage(),
-                }
-            }
             "--help" | "-h" => help(),
             other if cli.path.is_empty() && !other.starts_with('-') => {
                 cli.path = other.to_owned();
@@ -349,33 +290,6 @@ fn parse_cli() -> Cli {
     cli.budget
         .lift_unset_walls_for_pure_work(qbf_budget_set, circuit_budget_set);
     cli
-}
-
-/// Vets a `--cache-dir` argument up front: the path must be (or become)
-/// a writable directory, and a bad one is a usage error (exit 2) before
-/// any solving starts — not a surprise after an hour of work.
-fn validated_cache_dir(path: &Path) -> std::path::PathBuf {
-    if path.exists() && !path.is_dir() {
-        eprintln!("--cache-dir: {} is not a directory", path.display());
-        usage();
-    }
-    if let Err(e) = std::fs::create_dir_all(path) {
-        eprintln!("--cache-dir: cannot create {}: {e}", path.display());
-        usage();
-    }
-    // An explicit write probe: permission bits alone lie to privileged
-    // users, and read-only filesystems only fail on the actual write.
-    let probe = path.join(".stepstore-probe");
-    match std::fs::write(&probe, b"probe") {
-        Ok(()) => {
-            let _ = std::fs::remove_file(&probe);
-        }
-        Err(e) => {
-            eprintln!("--cache-dir: {} is not writable: {e}", path.display());
-            usage();
-        }
-    }
-    path.to_owned()
 }
 
 /// `step cache <verb> ...` — persistent-store management. Always exits.
@@ -454,56 +368,100 @@ struct ReuseOpts {
     cache_cap: Option<usize>,
     clause_reuse: bool,
     clause_bank_cap: Option<usize>,
-    cache_dir: Option<std::path::PathBuf>,
+    cache_dir: Option<PathBuf>,
+}
+
+impl Default for ReuseOpts {
+    /// Result cache on, clause reuse off, memory only.
+    fn default() -> Self {
+        ReuseOpts {
+            cache: true,
+            cache_cap: None,
+            clause_reuse: false,
+            clause_bank_cap: None,
+            cache_dir: None,
+        }
+    }
 }
 
 impl ReuseOpts {
-    /// Builds the run's tiered store: the cache/bank Arcs as tier 0,
-    /// plus the persistent tier when `--cache-dir` was given (already
-    /// vetted writable at parse time; a load failure here means the
-    /// directory changed under us and is worth an exit, not a warn).
-    fn build_store(
-        &self,
-    ) -> (
-        Option<Arc<ResultCache>>,
-        Option<Arc<ClauseBank>>,
-        Arc<TieredStore>,
-    ) {
-        let cache: Option<Arc<ResultCache>> = self.cache.then(|| {
+    /// Applies the reuse flag at `args[*i]`, advancing `*i` past its
+    /// value; `false` when `args[*i]` is not a reuse flag. A bad value
+    /// is a usage error, and so is a `--cache-dir` that is not (and
+    /// cannot become) a writable directory — checked here, before any
+    /// solving starts.
+    fn parse_flag(&mut self, args: &[String], i: &mut usize, usage: fn() -> !) -> bool {
+        let positive = |i: &mut usize| {
+            *i += 1;
+            match args.get(*i).and_then(|s| s.parse::<usize>().ok()) {
+                Some(n) if n >= 1 => n,
+                _ => usage(),
+            }
+        };
+        match args[*i].as_str() {
+            "--cache" => self.cache = true,
+            "--no-cache" => self.cache = false,
+            "--cache-cap" => {
+                self.cache_cap = Some(positive(i));
+                self.cache = true;
+            }
+            "--clause-reuse" => self.clause_reuse = true,
+            "--no-clause-reuse" => self.clause_reuse = false,
+            "--clause-bank-cap" => {
+                self.clause_bank_cap = Some(positive(i));
+                self.clause_reuse = true;
+            }
+            "--cache-dir" => {
+                *i += 1;
+                let Some(dir) = args.get(*i).map(PathBuf::from) else {
+                    usage()
+                };
+                if let Err(e) = check_cache_dir(&dir) {
+                    eprintln!("--cache-dir: {e}");
+                    usage();
+                }
+                self.cache_dir = Some(dir);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Builds the run's tiered store: the cache/bank as tier 0, plus
+    /// the persistent tier when `--cache-dir` was given (already vetted
+    /// writable at parse time; a load failure here means the directory
+    /// changed under us and is worth an exit, not a warn).
+    fn build_store(&self) -> Arc<TieredStore> {
+        let cache = self.cache.then(|| {
             Arc::new(match self.cache_cap {
                 Some(cap) => ResultCache::with_capacity(cap),
                 None => ResultCache::new(),
             })
         });
-        let bank: Option<Arc<ClauseBank>> = self.clause_reuse.then(|| {
+        let bank = self.clause_reuse.then(|| {
             Arc::new(match self.clause_bank_cap {
                 Some(cap) => ClauseBank::with_capacity(cap),
                 None => ClauseBank::new(),
             })
         });
-        let store: Arc<TieredStore> = match &self.cache_dir {
-            Some(dir) => match TieredStore::with_disk(cache.clone(), bank.clone(), dir) {
+        match &self.cache_dir {
+            Some(dir) => match TieredStore::with_disk(cache, bank, dir) {
                 Ok(s) => Arc::new(s),
                 Err(e) => {
                     eprintln!("error: cache dir {}: {e}", dir.display());
                     std::process::exit(1);
                 }
             },
-            None => Arc::new(TieredStore::memory(cache.clone(), bank.clone())),
-        };
-        (cache, bank, store)
+            None => Arc::new(TieredStore::memory(cache, bank)),
+        }
     }
 }
 
 /// The cache, clause-bank and store statistics lines. They vary with
 /// scheduling under `--jobs`, so callers gate this behind
 /// `--no-timing` together with the wall clocks.
-fn print_reuse_stats(
-    cache: &Option<Arc<ResultCache>>,
-    bank: &Option<Arc<ClauseBank>>,
-    store: &TieredStore,
-) {
-    if let Some(cache) = cache {
+fn print_reuse_stats(store: &TieredStore) {
+    if let Some(cache) = store.cache() {
         println!(
             "cache: {} hits, {} misses, {} inserts, {} evictions, {} entries",
             cache.hits(),
@@ -513,7 +471,7 @@ fn print_reuse_stats(
             cache.len()
         );
     }
-    if let Some(bank) = bank {
+    if let Some(bank) = store.bank() {
         println!(
             "clause bank: {} hits ({} exact, {} cluster), {} misses, \
              {} donations, {} entries, {} probe hits, {} probe records",
@@ -641,13 +599,7 @@ fn parse_synth_cli(args: &[String]) -> SynthCli {
         seed: None,
         sat_restarts: RestartPolicy::default(),
         sat_preprocess: false,
-        reuse: ReuseOpts {
-            cache: true,
-            cache_cap: None,
-            clause_reuse: false,
-            clause_bank_cap: None,
-            cache_dir: None,
-        },
+        reuse: ReuseOpts::default(),
         no_timing: false,
         render: false,
         opts: SynthOptions {
@@ -725,37 +677,7 @@ fn parse_synth_cli(args: &[String]) -> SynthCli {
             }
             "--no-verify" => cli.opts.verify = false,
             "--render" => cli.render = true,
-            "--cache" => cli.reuse.cache = true,
-            "--no-cache" => cli.reuse.cache = false,
-            "--cache-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        cli.reuse.cache = true;
-                        cli.reuse.cache_cap = Some(n);
-                    }
-                    _ => synth_usage(),
-                }
-            }
-            "--clause-reuse" => cli.reuse.clause_reuse = true,
-            "--no-clause-reuse" => cli.reuse.clause_reuse = false,
-            "--clause-bank-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        cli.reuse.clause_reuse = true;
-                        cli.reuse.clause_bank_cap = Some(n);
-                    }
-                    _ => synth_usage(),
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cli.reuse.cache_dir = Some(validated_cache_dir(Path::new(p))),
-                    None => synth_usage(),
-                }
-            }
+            _ if cli.reuse.parse_flag(args, &mut i, synth_usage) => {}
             "--no-timing" => cli.no_timing = true,
             flag @ ("--budget" | "--synth-budget" | "--qbf-budget") => {
                 i += 1;
@@ -851,7 +773,7 @@ fn synthesize_command(args: &[String]) -> ! {
     if let Some(seed) = cli.seed {
         config.seed = seed;
     }
-    let (cache, bank, store) = cli.reuse.build_store();
+    let store = cli.reuse.build_store();
     // The recursion fans out well past the output count, so the pool
     // is NOT clamped to num_outputs here (unlike plain decomposition).
     let service = StepService::spawn_with_store(cli.jobs.max(1), Arc::clone(&store));
@@ -905,7 +827,7 @@ fn synthesize_command(args: &[String]) -> ! {
         eprintln!("warning: cache flush failed: {e}");
     }
     if !cli.no_timing {
-        print_reuse_stats(&cache, &bank, &store);
+        print_reuse_stats(&store);
     }
     std::process::exit(0)
 }
@@ -986,20 +908,13 @@ fn main() {
     config.jobs = cli.jobs;
     config.sat_restarts = cli.sat_restarts;
     config.sat_preprocess = cli.sat_preprocess;
-    config.clause_reuse = cli.clause_reuse;
+    config.clause_reuse = cli.reuse.clause_reuse;
     if let Some(seed) = cli.seed {
         config.seed = seed;
     }
-    // One tiered store serves the whole run: the cache/bank Arcs as
-    // tier 0, plus the persistent tier when --cache-dir was given.
-    let (cache, bank, store) = ReuseOpts {
-        cache: cli.cache,
-        cache_cap: cli.cache_cap,
-        clause_reuse: cli.clause_reuse,
-        clause_bank_cap: cli.clause_bank_cap,
-        cache_dir: cli.cache_dir.clone(),
-    }
-    .build_store();
+    // One tiered store serves the whole run: the cache/bank as tier 0,
+    // plus the persistent tier when --cache-dir was given.
+    let store = cli.reuse.build_store();
 
     println!("{}", table::header());
     let mut decomposed = 0usize;
@@ -1007,7 +922,7 @@ fn main() {
         // Single output: one session, no queue.
         Some(idx) => {
             let mut engine = BiDecomposer::new(config);
-            engine.set_store(std::sync::Arc::clone(&store));
+            engine.set_store(Arc::clone(&store));
             match engine.decompose_output(&comb, idx, cli.op) {
                 Ok(out) => {
                     if print_result(&cli, &out) {
@@ -1029,7 +944,7 @@ fn main() {
             // Clamp the pool to the output count — extra workers would
             // only idle on the queue.
             let workers = cli.jobs.min(comb.num_outputs()).max(1);
-            let service = StepService::spawn_with_store(workers, std::sync::Arc::clone(&store));
+            let service = StepService::spawn_with_store(workers, Arc::clone(&store));
             let mut handle = match service.submit(&comb, cli.op, config) {
                 Ok(h) => h,
                 Err(e) => {
@@ -1086,7 +1001,7 @@ fn main() {
         eprintln!("warning: cache flush failed: {e}");
     }
     if !cli.no_timing {
-        print_reuse_stats(&cache, &bank, &store);
+        print_reuse_stats(&store);
     }
 }
 

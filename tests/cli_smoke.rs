@@ -56,8 +56,6 @@ fn help_prints_usage_to_stdout_and_exits_0() {
             "--budget",
             "--circuit-budget",
             "--qbf-budget",
-            "--per-call-ms",
-            "--per-output-s",
             "work:",
         ] {
             assert!(usage.contains(opt), "usage must mention {opt}: {usage}");

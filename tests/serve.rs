@@ -234,3 +234,27 @@ fn malformed_uploads_get_typed_errors_not_dead_connections() {
     assert!(out.status.success(), "after errors: {:?}", out.stderr);
     server.shutdown();
 }
+
+#[test]
+fn bad_cache_dir_is_refused_before_listening() {
+    // A regular file where the store directory should be: a usage
+    // error (exit 2) before anything binds, so no harness ever scrapes
+    // a port from a server that is about to exit.
+    let file = write_two_outputs("badcachedir");
+    let out = step()
+        .args(["serve", "--addr", "127.0.0.1:0", "--cache-dir"])
+        .arg(&file)
+        .output()
+        .expect("spawn step serve");
+    assert_eq!(out.status.code(), Some(2), "regular-file --cache-dir");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        !stdout.contains("listening on"),
+        "no port announced: {stdout}"
+    );
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("not a directory") && err.contains("usage: step serve"),
+        "why + usage on stderr: {err}"
+    );
+}

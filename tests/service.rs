@@ -14,6 +14,7 @@ use std::time::Duration;
 use qbf_bidec::circuits::{registry_table1, Scale};
 use qbf_bidec::step::{
     BiDecomposer, CircuitResult, DecompConfig, GateOp, Model, ResultCache, StepError, StepService,
+    TieredStore,
 };
 
 fn config(model: Model, jobs: usize) -> DecompConfig {
@@ -55,7 +56,7 @@ fn service_join_matches_legacy_driver_on_a_registry_circuit() {
         let legacy = BiDecomposer::new(config(model, 1))
             .decompose_circuit(&aig, GateOp::Or)
             .expect("legacy run");
-        let service = StepService::new(3);
+        let service = StepService::spawn_with_store(3, Arc::default());
         for jobs in [1usize, 2, 3] {
             let via_service = service
                 .submit(&aig, GateOp::Or, config(model, jobs))
@@ -72,7 +73,7 @@ fn service_join_matches_legacy_driver_on_a_registry_circuit() {
 fn decompose_circuit_on_reuses_a_shared_service() {
     let entry = &registry_table1()[16]; // mm9a: small
     let aig = entry.build(Scale::Smoke);
-    let service = StepService::new(2);
+    let service = StepService::spawn_with_store(2, Arc::default());
     let engine = BiDecomposer::new(config(Model::QbfDisjoint, 2));
     let on_service = engine
         .decompose_circuit_on(&service, &aig, GateOp::Or)
@@ -91,7 +92,7 @@ fn cancellation_mid_circuit_returns_cancelled_without_wedging_workers() {
     let entry = &registry_table1()[2]; // s38584.1 (8 outputs)
     let aig = entry.build(Scale::Default);
     assert!(aig.num_outputs() >= 4, "need a multi-output circuit");
-    let service = StepService::new(1);
+    let service = StepService::spawn_with_store(1, Arc::default());
     let mut handle = service
         .submit(&aig, GateOp::Or, config(Model::QbfDisjoint, 1))
         .expect("submit");
@@ -121,7 +122,10 @@ fn concurrent_submissions_share_cache_hits() {
     let entry = &registry_table1()[16]; // mm9a: small
     let aig = entry.build(Scale::Smoke);
     let cache = Arc::new(ResultCache::new());
-    let service = StepService::with_cache(1, Arc::clone(&cache));
+    let service = StepService::spawn_with_store(
+        1,
+        Arc::new(TieredStore::memory(Some(Arc::clone(&cache)), None)),
+    );
     let first = service
         .submit(&aig, GateOp::Or, config(Model::MusGroup, 1))
         .expect("submit 1");
@@ -154,7 +158,7 @@ fn concurrent_submissions_share_cache_hits() {
 fn expired_submission_deadline_times_out_instead_of_erroring() {
     let entry = &registry_table1()[16];
     let aig = entry.build(Scale::Smoke);
-    let service = StepService::new(2);
+    let service = StepService::spawn_with_store(2, Arc::default());
     let result = service
         .submit_with_deadline(
             &aig,
@@ -215,7 +219,7 @@ mod props {
                     .decompose_circuit(&aig, GateOp::Or)
                     .expect("legacy run");
                 for jobs in [1usize, 2, 3] {
-                    let via_service = StepService::new(jobs)
+                    let via_service = StepService::spawn_with_store(jobs, Arc::default())
                         .submit(&aig, GateOp::Or, config(model, jobs))
                         .expect("submit")
                         .join()

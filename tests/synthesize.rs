@@ -41,7 +41,13 @@ fn emitted_network_is_byte_identical_across_jobs() {
     assert_eq!(entry.name, "s15850.1");
     let aig = entry.build(Scale::Default);
     let mk = |jobs: usize| {
-        let service = StepService::spawn(jobs, Some(Arc::new(ResultCache::new())));
+        let service = StepService::spawn_with_store(
+            jobs,
+            Arc::new(TieredStore::memory(
+                Some(Arc::new(ResultCache::new())),
+                None,
+            )),
+        );
         let opts = SynthOptions {
             per_node: Budget::Work(20_000),
             ..SynthOptions::default()
@@ -81,7 +87,8 @@ fn recursion_hits_the_result_cache_and_clause_bank() {
     let run = |clause_reuse: bool| {
         let cache = Arc::new(ResultCache::new());
         let bank = clause_reuse.then(|| Arc::new(ClauseBank::new()));
-        let service = StepService::spawn_with_bank(2, Some(cache), bank);
+        let service =
+            StepService::spawn_with_store(2, Arc::new(TieredStore::memory(Some(cache), bank)));
         let mut config = DecompConfig::new(Model::QbfDisjoint);
         config.clause_reuse = clause_reuse;
         let driver = SynthDriver::new(&service, config, SynthOptions::default());
@@ -193,7 +200,7 @@ mod props {
         #[test]
         fn random_cones_synthesize_to_equivalent_networks(ops in arb_ops()) {
             let aig = build_random(&ops, 6);
-            let service = StepService::spawn(2, Some(Arc::new(ResultCache::new())));
+            let service = StepService::spawn_with_store(2, Arc::new(TieredStore::memory(Some(Arc::new(ResultCache::new())), None)));
             let driver = SynthDriver::new(
                 &service,
                 DecompConfig::new(Model::QbfDisjoint),

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use qbf_bidec::circuits::{registry_table1, Scale};
 use qbf_bidec::step::{
     BiDecomposer, Budget, BudgetPolicy, CircuitResult, DecompConfig, GateOp, Model, ResultCache,
+    TieredStore,
 };
 
 fn work_config(model: Model, per_output: u64, jobs: usize) -> DecompConfig {
@@ -311,7 +312,13 @@ fn synthesis_work_pool_truncates_identically_across_jobs() {
             .collect()
     };
     let mk = |jobs: usize| {
-        let service = StepService::spawn(jobs, Some(Arc::new(ResultCache::new())));
+        let service = StepService::spawn_with_store(
+            jobs,
+            Arc::new(TieredStore::memory(
+                Some(Arc::new(ResultCache::new())),
+                None,
+            )),
+        );
         let opts = SynthOptions {
             per_node: Budget::Work(50),
             synthesis: Budget::Work(120),
