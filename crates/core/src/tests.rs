@@ -905,6 +905,51 @@ mod props {
         (aig, *pool.last().copied().as_ref().unwrap())
     }
 
+    /// A random function that reads every one of its `n` inputs: each
+    /// op folds an input (complemented for op 3) into one of three
+    /// accumulators with AND/OR/XOR, inputs left unread are folded in
+    /// afterwards, and the accumulators are joined. Inputs read by more
+    /// than one accumulator give shared variables, so the optima range
+    /// over many `k`, and some functions are not decomposable at all.
+    fn build_covering(ops: &[(u8, usize, usize)], n: usize) -> (Aig, AigLit) {
+        fn gate(aig: &mut Aig, op: u8, a: AigLit, b: AigLit) -> AigLit {
+            match op % 3 {
+                0 => aig.and(a, b),
+                1 => aig.or(a, b),
+                _ => aig.xor(a, b),
+            }
+        }
+        let mut aig = Aig::new();
+        let inputs: Vec<AigLit> = (0..n).map(|i| aig.add_input(format!("x{i}"))).collect();
+        let mut acc: [Option<AigLit>; 3] = [None; 3];
+        let mut fold = |aig: &mut Aig, op: u8, x: AigLit, slot: usize| {
+            acc[slot] = Some(match acc[slot] {
+                Some(a) => gate(aig, op, a, x),
+                None => x,
+            });
+        };
+        let mut read = vec![false; n];
+        for &(op, i, j) in ops {
+            let x = if op == 3 {
+                !inputs[i % n]
+            } else {
+                inputs[i % n]
+            };
+            read[i % n] = true;
+            fold(&mut aig, op, x, j % 3);
+        }
+        for i in (0..n).filter(|&i| !read[i]) {
+            fold(&mut aig, 1, inputs[i], i % 3);
+        }
+        let join = ops.first().map_or(0, |o| o.0);
+        let f = acc
+            .into_iter()
+            .flatten()
+            .reduce(|a, b| gate(&mut aig, join, a, b))
+            .unwrap();
+        (aig, f)
+    }
+
     fn arb_ops() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
         proptest::collection::vec((0u8..4, 0usize..64, 0usize..64), 3..25)
     }
@@ -936,41 +981,73 @@ mod props {
             }
         }
 
-        /// End-to-end: whenever the engine decomposes a random
-        /// function, the extraction verifies; whenever it declines,
-        /// the BDD enumeration finds no partition either.
+        /// Ground truth for every definitive verdict. On random
+        /// functions of support 4..=6, whenever a QBF model (QD, QB,
+        /// QDB) or a weighted optimum search claims an optimum, its `k`
+        /// equals the minimum over the brute-force 3ⁿ enumeration; every
+        /// returned partition is valid (and extracts and verifies for
+        /// the engine); every "not decomposable" has an empty ground set.
         #[test]
-        fn engine_sound_and_complete(ops in arb_ops()) {
-            let (mut aig, f) = build_random(&ops, 4);
-            if aig.support(f).len() != 4 {
+        fn engine_sound_and_complete(ops in arb_ops(), n in 4usize..=6) {
+            let (mut aig, f) = build_covering(&ops, n);
+            if aig.support(f).len() != n {
                 return Ok(());
             }
             aig.add_output("f", f);
             for op in GateOp::ALL {
-                let engine = BiDecomposer::new(DecompConfig::new(Model::QbfDisjoint));
-                let r = engine.decompose_output(&aig, 0, op).unwrap();
                 let ground = bdd_all_partitions(&aig, f, op);
-                match &r.partition {
-                    Some(p) => {
-                        prop_assert!(
-                            bdd_decomposable(&aig, f, op, p),
-                            "op={} invalid partition {}", op, p
-                        );
-                        let d = r.decomposition.as_ref().expect("extraction on");
-                        prop_assert!(verify(d, None).is_ok());
-                        // Optimality: no ground-truth partition has
-                        // strictly fewer shared variables.
-                        let best = ground.iter().map(|g| g.num_shared()).min().unwrap();
-                        prop_assert_eq!(
-                            p.num_shared(), best,
-                            "op={} claimed optimum {} vs true {}", op, p.num_shared(), best
-                        );
+                let optimum = |metric: Metric| ground.iter().map(|g| metric.k_of(g)).min();
+                for (model, metric) in [
+                    (Model::QbfDisjoint, Metric::Disjointness),
+                    (Model::QbfBalanced, Metric::Balancedness),
+                    (Model::QbfCombined, Metric::Combined),
+                ] {
+                    let engine = BiDecomposer::new(DecompConfig::new(model));
+                    let r = engine.decompose_output(&aig, 0, op).unwrap();
+                    match &r.partition {
+                        Some(p) => {
+                            prop_assert!(
+                                bdd_decomposable(&aig, f, op, p),
+                                "{} op={} invalid partition {}", model, op, p
+                            );
+                            let d = r.decomposition.as_ref().expect("extraction on");
+                            prop_assert!(verify(d, None).is_ok());
+                            prop_assert!(r.proved_optimal, "{} op={} optimum not proved", model, op);
+                            prop_assert_eq!(
+                                Some(metric.k_of(p)), optimum(metric),
+                                "{} op={} claimed optimum {}", model, op, p
+                            );
+                        }
+                        None => {
+                            prop_assert!(
+                                ground.is_empty(),
+                                "{} op={} engine missed {:?}",
+                                model, op, ground.first().map(|p| p.to_string())
+                            );
+                        }
                     }
-                    None => {
-                        prop_assert!(
-                            ground.is_empty(),
-                            "op={} engine missed {:?}", op, ground.first().map(|p| p.to_string())
-                        );
+                }
+                let core = CoreFormula::build(&aig, f, op);
+                for metric in [Metric::Weighted { wd: 2, wb: 1 }, Metric::Weighted { wd: 1, wb: 3 }] {
+                    let mut meter = EffortMeter::unlimited();
+                    let r = optimum::search(
+                        &core,
+                        metric,
+                        None,
+                        SearchStrategy::MdBinMi,
+                        &ModelOptions::default(),
+                        &mut meter,
+                    );
+                    prop_assert!(r.proved_optimal, "{:?} op={} unbudgeted search truncated", metric, op);
+                    match &r.partition {
+                        Some(p) => {
+                            prop_assert!(bdd_decomposable(&aig, f, op, p), "{:?} op={} invalid {}", metric, op, p);
+                            prop_assert_eq!(
+                                Some(metric.k_of(p)), optimum(metric),
+                                "{:?} op={} claimed optimum {}", metric, op, p
+                            );
+                        }
+                        None => prop_assert!(ground.is_empty(), "{:?} op={} search missed a partition", metric, op),
                     }
                 }
             }
