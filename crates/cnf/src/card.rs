@@ -8,10 +8,13 @@
 //! * simple clause-level constraints ([`at_least_one`],
 //!   [`at_most_one`], [`at_most_k`], …) with selectable encodings;
 //! * a [`Totalizer`] with *exact* sorted unary outputs
-//!   (`outputs[i] ⇔ count ≥ i+1`), plus difference constraints
-//!   between two totalizers ([`assert_count_dominates`],
-//!   [`assert_diff_le`]) used for the balancedness and combined
-//!   targets, and for the `|XA| ≥ |XB|` symmetry breaking.
+//!   (`outputs[i] ⇔ count ≥ i+1`);
+//! * constraints between two totalizers: [`assert_count_dominates`]
+//!   for the `|XA| ≥ |XB|` symmetry breaking, and [`assert_linear_le`]
+//!   for `ca·count(a) − cb·count(b) ≤ r`. Once `XA`, `XB` and `XC`
+//!   partition the support, the balancedness, combined and weighted
+//!   targets are all linear in `(|XA|, |XB|)`, so each is one
+//!   [`assert_linear_le`] over the `α` and `β` counters.
 //!
 //! ```
 //! use step_cnf::{card::{at_most_k, CardEncoding}, Cnf, Lit};
@@ -260,15 +263,55 @@ pub fn assert_count_dominates(cnf: &mut Cnf, a: &Totalizer, b: &Totalizer) {
     }
 }
 
-/// Asserts `count(a) − count(b) ≤ k` over two *exact* totalizers — one
-/// side of the balancedness window (equation (6)).
-pub fn assert_diff_le(cnf: &mut Cnf, a: &Totalizer, b: &Totalizer, k: usize) {
-    for j in k..a.len() {
-        // count(a) ≥ j+1 → count(b) ≥ j+1−k.
-        let need = j + 1 - k;
-        match b.count_ge(need) {
-            Some(bl) => cnf.add_clause([!a.outputs[j], bl]),
-            None => cnf.add_unit(!a.outputs[j]),
+/// Asserts `ca·count(a) − cb·count(b) ≤ r` over two *exact*
+/// totalizers, for `cb ≥ 0`.
+///
+/// At `count(a) = v` the least admissible `count(b)` is
+/// `need(v) = ⌈(ca·v − r)/cb⌉` (or none at all when `cb = 0` and
+/// `ca·v > r`). `need` is monotone in `v`, so one binary clause per
+/// step of `need` is exact: `count(a) ≥ v → count(b) ≥ need(v)` when
+/// `ca > 0`, and `count(a) ≤ v → count(b) ≥ need(v)` when `ca ≤ 0`.
+/// A `need` above `b.len()` drops the conclusion, and a premise that
+/// always holds drops out too, so a bound can come out as a single
+/// unit. With `ca = cb = 1` this is the balancedness window
+/// `count(a) − count(b) ≤ r` of equation (6).
+///
+/// # Panics
+///
+/// If `cb < 0`.
+pub fn assert_linear_le(cnf: &mut Cnf, a: &Totalizer, b: &Totalizer, ca: i64, cb: i64, r: i64) {
+    assert!(cb >= 0, "assert_linear_le needs cb ≥ 0, got {cb}");
+    let need = |v: usize| -> i64 {
+        let excess = ca * v as i64 - r;
+        if excess <= 0 {
+            0
+        } else if cb == 0 {
+            i64::MAX
+        } else {
+            (excess + cb - 1) / cb
         }
+    };
+    let na = a.len();
+    for v in 0..=na {
+        let m = need(v);
+        // The neighbour on the premise's weaker side implies this
+        // clause unless `need` steps here.
+        let implied_up_to = match (ca > 0, v) {
+            (true, 0) => 0,
+            (true, _) => need(v - 1),
+            (false, _) if v == na => 0,
+            (false, _) => need(v + 1),
+        };
+        if m <= implied_up_to {
+            continue;
+        }
+        // The clause is `¬premise ∨ conclusion`.
+        let not_premise = if ca > 0 {
+            a.count_ge(v).map(|l| !l)
+        } else {
+            a.count_ge(v + 1)
+        };
+        let conclusion = usize::try_from(m).ok().and_then(|m| b.count_ge(m));
+        cnf.add_clause(not_premise.into_iter().chain(conclusion));
     }
 }

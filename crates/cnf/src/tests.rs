@@ -1,5 +1,5 @@
 use crate::card::{
-    assert_count_dominates, assert_diff_le, at_least_k, at_least_one, at_most_k, at_most_one,
+    assert_count_dominates, assert_linear_le, at_least_k, at_least_one, at_most_k, at_most_one,
     exactly_k, CardEncoding, Totalizer,
 };
 use crate::tseitin::{encode_standalone, AigCnf};
@@ -412,7 +412,7 @@ fn diff_le_window() {
     let b = fresh_lits(&mut cnf, 2);
     let ta = Totalizer::new(&mut cnf, &a);
     let tb = Totalizer::new(&mut cnf, &b);
-    assert_diff_le(&mut cnf, &ta, &tb, 1);
+    assert_linear_le(&mut cnf, &ta, &tb, 1, 1, 1);
     let models = projected_models(&cnf, 5);
     let want: Vec<usize> = (0..32)
         .filter(|m| {
@@ -431,7 +431,7 @@ fn diff_le_zero_means_dominated() {
     let b = fresh_lits(&mut cnf, 2);
     let ta = Totalizer::new(&mut cnf, &a);
     let tb = Totalizer::new(&mut cnf, &b);
-    assert_diff_le(&mut cnf, &ta, &tb, 0);
+    assert_linear_le(&mut cnf, &ta, &tb, 1, 1, 0);
     let models = projected_models(&cnf, 4);
     let want: Vec<usize> = (0..16)
         .filter(|m| {
@@ -441,6 +441,60 @@ fn diff_le_zero_means_dominated() {
         })
         .collect();
     assert_eq!(models, want);
+}
+
+/// `assert_linear_le` against the arithmetic, exhaustively: every
+/// count pair of up to four inputs, negative, zero and positive `ca`,
+/// `cb ≥ 0` and bounds on both sides of zero.
+#[test]
+fn linear_le_matches_arithmetic() {
+    for na in 0..=3usize {
+        for nb in 0..=(4 - na).min(3) {
+            for ca in -3..=3i64 {
+                for cb in 0..=3i64 {
+                    for r in -7..=7i64 {
+                        let mut cnf = Cnf::new();
+                        let a = fresh_lits(&mut cnf, na);
+                        let b = fresh_lits(&mut cnf, nb);
+                        let ta = Totalizer::new(&mut cnf, &a);
+                        let tb = Totalizer::new(&mut cnf, &b);
+                        assert_linear_le(&mut cnf, &ta, &tb, ca, cb, r);
+                        let models = projected_models(&cnf, na + nb);
+                        let want: Vec<usize> = (0..1usize << (na + nb))
+                            .filter(|m| {
+                                let va = (m & ((1 << na) - 1)).count_ones() as i64;
+                                let vb = (m >> na).count_ones() as i64;
+                                ca * va - cb * vb <= r
+                            })
+                            .collect();
+                        assert_eq!(models, want, "na={na} nb={nb} {ca}·a − {cb}·b ≤ {r}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// With unit coefficients the bound is the balancedness window: one
+/// clause `count(a) ≥ j+1 → count(b) ≥ j+1−k` per `j ≥ k`, and a
+/// zero coefficient on `a` leaves a single unit on `b`.
+#[test]
+fn linear_le_clause_shapes() {
+    let mut cnf = Cnf::new();
+    let a = fresh_lits(&mut cnf, 4);
+    let b = fresh_lits(&mut cnf, 4);
+    let ta = Totalizer::new(&mut cnf, &a);
+    let tb = Totalizer::new(&mut cnf, &b);
+    let before = cnf.num_clauses();
+    assert_linear_le(&mut cnf, &ta, &tb, 1, 1, 1);
+    let window: Vec<Vec<Lit>> = (1..4)
+        .map(|j| vec![!ta.outputs()[j], tb.outputs()[j - 1]])
+        .collect();
+    assert_eq!(&cnf.clauses()[before..], &window[..]);
+    let before = cnf.num_clauses();
+    // 0·|a| − 2·|b| ≤ 3 − 8: |b| ≥ ⌈5/2⌉.
+    assert_linear_le(&mut cnf, &ta, &tb, 0, 2, -5);
+    assert_eq!(&cnf.clauses()[before..], &[vec![tb.outputs()[2]]][..]);
 }
 
 mod props {
@@ -466,25 +520,6 @@ mod props {
             }
             prop_assert_eq!(&models[0], &models[1]);
             prop_assert_eq!(&models[0], &models[2]);
-        }
-
-        #[test]
-        fn diff_constraints_match_naive(na in 1usize..4, nb in 1usize..4, k in 0usize..4) {
-            let mut cnf = Cnf::new();
-            let a = fresh_lits(&mut cnf, na);
-            let b = fresh_lits(&mut cnf, nb);
-            let ta = Totalizer::new(&mut cnf, &a);
-            let tb = Totalizer::new(&mut cnf, &b);
-            assert_diff_le(&mut cnf, &ta, &tb, k);
-            let models = projected_models(&cnf, na + nb);
-            let want: Vec<usize> = (0..1usize << (na + nb))
-                .filter(|m| {
-                    let ca = (0..na).filter(|i| m >> i & 1 == 1).count() as i64;
-                    let cb = (0..nb).filter(|i| m >> (na + i) & 1 == 1).count() as i64;
-                    ca - cb <= k as i64
-                })
-                .collect();
-            prop_assert_eq!(models, want);
         }
     }
 }

@@ -19,8 +19,40 @@
 //! reads the partition from the counterexample; our CEGAR engine
 //! (`step-qbf`) solves the ∃∀ form directly and returns the witness,
 //! which is the same object.
+//!
+//! # The ∃-side encoding
+//!
+//! [`encode_exists`] builds `fN ∧ fT` once, for both the CEGAR solve and
+//! the QDIMACS export. Unless `allow_both` is set, `(αᵢ, βᵢ) = (1,1)`
+//! is forbidden, so `XA`, `XB` and `XC` partition the `n` support
+//! variables and `|XC| = n − |XA| − |XB|`. Every metric is then linear
+//! in `(|XA|, |XB|)`:
+//!
+//! | metric | value in (\|XA\|, \|XB\|) |
+//! |---|---|
+//! | disjointness (5) | n − \|XA\| − \|XB\| |
+//! | balancedness (6) | \|XA\| − \|XB\| |
+//! | combined (8) | n − 2·\|XB\| |
+//! | weighted (Definition 4) | wd·n + (wb−wd)·\|XA\| − (wd+wb)·\|XB\| |
+//!
+//! Two totalizers, `ta` over `α` and `tb` over `β`, therefore carry the
+//! symmetry breaking and every windowed target: balancedness, combined
+//! and weighted are each one `assert_linear_le` over them, and
+//! combined collapses to the unit `|XB| ≥ ⌈(n−k)/2⌉`.
+//!
+//! Disjointness keeps its own totalizer `tc` over the products
+//! `ᾱᵢ∧β̄ᵢ` and bounds it with one unit. Stating `|XA| + |XB| ≥ n−k`
+//! instead is equivalent but slower: summed over the effort golden's
+//! STEP-QD rows (`tests/golden/effort.txt`), `tc` takes 1 527
+//! conflicts, `assert_linear_le` clauses over `ta`/`tb` take 2 420,
+//! and one totalizer over all of `α` and `β` takes 3 378.
+//!
+//! Under `allow_both` a `(1,1)` pair belongs to neither block during
+//! the solve (the witness assigns it afterwards), so `ta`/`tb` count
+//! the products `αᵢ∧β̄ᵢ` and `ᾱᵢ∧βᵢ`, and the windowed targets count
+//! such a pair as shared.
 
-use step_cnf::card::{assert_count_dominates, assert_diff_le, at_least_one, Totalizer};
+use step_cnf::card::{assert_count_dominates, assert_linear_le, at_least_one, Totalizer};
 use step_cnf::{Cnf, Lit};
 use step_qbf::{CounterexampleRefuter, ExistsForall, Qbf2Config, Qbf2Result};
 
@@ -150,87 +182,16 @@ pub fn solve_partition_with_refuter(
     let refuter_before = refuter.as_ref().map(|r| r.effort()).unwrap_or_default();
     solver.set_refuter(refuter.take());
 
-    let symmetry = opts.symmetry_breaking;
-    let allow_both = opts.allow_both;
     solver.add_exists_cnf(|cnf, e| {
-        let alpha = &e[..n];
-        let beta = &e[n..];
-        // fN: non-trivial partition.
-        at_least_one(cnf, alpha);
-        at_least_one(cnf, beta);
-        if !allow_both {
-            for i in 0..n {
-                cnf.add_clause([!alpha[i], !beta[i]]);
-            }
-        }
-        // Product literals for the three pair kinds.
-        let shared: Vec<Lit> = (0..n)
-            .map(|i| define_and(cnf, !alpha[i], !beta[i]))
-            .collect();
-        let in_a: Vec<Lit> = (0..n)
-            .map(|i| define_and(cnf, alpha[i], !beta[i]))
-            .collect();
-        let in_b: Vec<Lit> = (0..n)
-            .map(|i| define_and(cnf, !alpha[i], beta[i]))
-            .collect();
-        match target {
-            Target::Any => {
-                if symmetry {
-                    let ta = Totalizer::new(cnf, &in_a);
-                    let tb = Totalizer::new(cnf, &in_b);
-                    assert_count_dominates(cnf, &ta, &tb);
-                }
-            }
-            Target::DisjointAtMost(k) => {
-                let tc = Totalizer::new(cnf, &shared);
-                tc.assert_le(cnf, k);
-                if symmetry {
-                    let ta = Totalizer::new(cnf, &in_a);
-                    let tb = Totalizer::new(cnf, &in_b);
-                    assert_count_dominates(cnf, &ta, &tb);
-                }
-            }
-            Target::BalancedWindow(k) => {
-                // 0 ≤ |XA| − |XB| ≤ k (symmetry inherent).
-                let ta = Totalizer::new(cnf, &in_a);
-                let tb = Totalizer::new(cnf, &in_b);
-                assert_count_dominates(cnf, &ta, &tb);
-                assert_diff_le(cnf, &ta, &tb, k);
-            }
-            Target::CombinedAtMost(k) => {
-                // 0 ≤ |XC| + |XA| − |XB| ≤ k; lower bound and symmetry
-                // come from |XA| ≥ |XB|.
-                let ta = Totalizer::new(cnf, &in_a);
-                let tb = Totalizer::new(cnf, &in_b);
-                assert_count_dominates(cnf, &ta, &tb);
-                let mut plus = shared.clone();
-                plus.extend_from_slice(&in_a);
-                let tplus = Totalizer::new(cnf, &plus);
-                assert_diff_le(cnf, &tplus, &tb, k);
-            }
-            Target::Weighted { wd, wb, k } => {
-                // Integer weights by literal repetition inside the
-                // totalizers: wd·|XC| + wb·|XA| − wb·|XB| ≤ k with
-                // |XA| ≥ |XB|.
-                let ta = Totalizer::new(cnf, &in_a);
-                let tb = Totalizer::new(cnf, &in_b);
-                assert_count_dominates(cnf, &ta, &tb);
-                let mut plus = Vec::new();
-                for _ in 0..wd {
-                    plus.extend_from_slice(&shared);
-                }
-                for _ in 0..wb {
-                    plus.extend_from_slice(&in_a);
-                }
-                let mut minus = Vec::new();
-                for _ in 0..wb {
-                    minus.extend_from_slice(&in_b);
-                }
-                let tplus = Totalizer::new(cnf, &plus);
-                let tminus = Totalizer::new(cnf, &minus);
-                assert_diff_le(cnf, &tplus, &tminus, k);
-            }
-        }
+        let (alpha, beta) = e.split_at(n);
+        encode_exists(
+            cnf,
+            alpha,
+            beta,
+            target,
+            opts.symmetry_breaking,
+            opts.allow_both,
+        );
     });
 
     let outcome = match solver.solve() {
@@ -251,6 +212,68 @@ pub fn solve_partition_with_refuter(
         cegar_iterations: solver.stats().iterations,
     };
     (outcome, stats)
+}
+
+/// Adds the ∃-side of formulation (4) over the control literals
+/// `alpha`/`beta`: `fN`, the `fT` bound of `target`, and `|XA| ≥ |XB|`
+/// (always for the windowed targets, under `symmetry` for
+/// [`Target::Any`] and [`Target::DisjointAtMost`]). The CEGAR solve and
+/// the QDIMACS export both build their ∃-side here, so the exported
+/// matrix is the CNF that is solved.
+pub fn encode_exists(
+    cnf: &mut Cnf,
+    alpha: &[Lit],
+    beta: &[Lit],
+    target: Target,
+    symmetry: bool,
+    allow_both: bool,
+) {
+    let n = alpha.len();
+    // fN: non-trivial partition.
+    at_least_one(cnf, alpha);
+    at_least_one(cnf, beta);
+    if !allow_both {
+        for i in 0..n {
+            cnf.add_clause([!alpha[i], !beta[i]]);
+        }
+    }
+    // (wd, wb, k) of the targets linear in (|XA|, |XB|).
+    let linear = match target {
+        Target::Any => None,
+        Target::DisjointAtMost(k) => {
+            let shared: Vec<Lit> = (0..n)
+                .map(|i| define_and(cnf, !alpha[i], !beta[i]))
+                .collect();
+            Totalizer::new(cnf, &shared).assert_le(cnf, k);
+            None
+        }
+        Target::BalancedWindow(k) => Some((0, 1, k)),
+        Target::CombinedAtMost(k) => Some((1, 1, k)),
+        Target::Weighted { wd, wb, k } => Some((wd, wb, k)),
+    };
+    if linear.is_none() && !symmetry {
+        return;
+    }
+    // A (1,1) pair is in neither block, so under `allow_both` the
+    // counters see the products α∧¬β and ¬α∧β.
+    let (in_a, in_b): (Vec<Lit>, Vec<Lit>) = if allow_both {
+        (0..n)
+            .map(|i| {
+                let a = define_and(cnf, alpha[i], !beta[i]);
+                (a, define_and(cnf, !alpha[i], beta[i]))
+            })
+            .unzip()
+    } else {
+        (alpha.to_vec(), beta.to_vec())
+    };
+    let ta = Totalizer::new(cnf, &in_a);
+    let tb = Totalizer::new(cnf, &in_b);
+    assert_count_dominates(cnf, &ta, &tb);
+    if let Some((wd, wb, k)) = linear {
+        // wd·|XC| + wb·(|XA| − |XB|) ≤ k with |XC| = n − |XA| − |XB|.
+        let (wd, wb) = (i64::from(wd), i64::from(wb));
+        assert_linear_le(cnf, &ta, &tb, wb - wd, wd + wb, k as i64 - wd * n as i64);
+    }
 }
 
 /// Defines `t ↔ a ∧ b` with a fresh variable; returns `t`.
@@ -298,4 +321,82 @@ fn witness_to_partition(witness: &[bool], n: usize) -> VarPartition {
         }
     }
     VarPartition::new(classes)
+}
+
+/// Whether block sizes `(a, b, c)` = `(|XA|, |XB|, |XC|)` meet `fT` and
+/// the symmetry breaking that [`encode_exists`] asserts for `target`:
+/// the arithmetic the encoding must match.
+#[cfg(test)]
+pub(crate) fn target_admits(target: Target, symmetry: bool, a: usize, b: usize, c: usize) -> bool {
+    let dominance = symmetry || !matches!(target, Target::Any | Target::DisjointAtMost(_));
+    let (a, b, c) = (a as i64, b as i64, c as i64);
+    let within = |value: i64, k: usize| value <= k as i64;
+    (!dominance || a >= b)
+        && match target {
+            Target::Any => true,
+            Target::DisjointAtMost(k) => within(c, k),
+            Target::BalancedWindow(k) => within(a - b, k),
+            Target::CombinedAtMost(k) => within(c + a - b, k),
+            Target::Weighted { wd, wb, k } => {
+                within(i64::from(wd) * c + i64::from(wb) * (a - b), k)
+            }
+        }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use step_sat::{SolveResult, Solver};
+
+    /// Every target at every `k ≤ 2n+2`, symmetry on and off, for
+    /// `n ≤ 5`: the ∃-side CNF is satisfiable under an (α, β)
+    /// assignment exactly when `fN`, the symmetry breaking and the
+    /// metric bound hold for it.
+    #[test]
+    fn encode_exists_matches_arithmetic() {
+        for n in 1..=5usize {
+            let mut targets = vec![Target::Any];
+            for k in 0..=2 * n + 2 {
+                targets.extend([
+                    Target::DisjointAtMost(k),
+                    Target::BalancedWindow(k),
+                    Target::CombinedAtMost(k),
+                    Target::Weighted { wd: 2, wb: 1, k },
+                    Target::Weighted { wd: 1, wb: 3, k },
+                    Target::Weighted { wd: 3, wb: 1, k },
+                ]);
+            }
+            for target in targets {
+                for symmetry in [false, true] {
+                    let mut cnf = Cnf::new();
+                    let alpha: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
+                    let beta: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
+                    encode_exists(&mut cnf, &alpha, &beta, target, symmetry, false);
+                    let mut solver = Solver::new();
+                    solver.add_cnf(&cnf);
+                    for m in 0..1usize << (2 * n) {
+                        let (am, bm) = (m & ((1 << n) - 1), m >> n);
+                        let assumptions: Vec<Lit> = (0..n)
+                            .flat_map(|i| {
+                                [
+                                    Lit::new(alpha[i].var(), am >> i & 1 == 0),
+                                    Lit::new(beta[i].var(), bm >> i & 1 == 0),
+                                ]
+                            })
+                            .collect();
+                        let (a, b) = (am.count_ones() as usize, bm.count_ones() as usize);
+                        let want = am & bm == 0
+                            && a >= 1
+                            && b >= 1
+                            && target_admits(target, symmetry, a, b, n - a - b);
+                        let got = solver.solve_with_assumptions(&assumptions) == SolveResult::Sat;
+                        assert_eq!(
+                            got, want,
+                            "n={n} {target:?} symmetry={symmetry} α={am:b} β={bm:b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

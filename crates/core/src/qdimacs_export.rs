@@ -8,37 +8,18 @@
 //! standalone QBF solver (the paper instead solves the negation (9)
 //! with the CEGAR engine, as `step-qbf` does natively).
 //!
-//! The matrix `M` contains:
-//!
-//! * the Tseitin definition of the core AIG with the unit `¬core`
-//!   (the `¬[…]` of formulation (4));
-//! * the `fN` (non-triviality) clauses;
-//! * the `fT` cardinality clauses for the requested [`Target`];
-//! * the symmetry-breaking constraint when enabled.
+//! The matrix `M` is the Tseitin definition of the core AIG with the
+//! unit `¬core` (the `¬[…]` of formulation (4)), plus the ∃-side that
+//! [`encode_exists`] builds for the CEGAR solve from the same
+//! [`ModelOptions`]: `fN`, the `fT` bound of the [`Target`] and the
+//! symmetry breaking. The export therefore carries the constraints
+//! that are actually solved; their auxiliaries sit in the inner `∃`
+//! block.
 
-use step_cnf::card::{assert_count_dominates, assert_diff_le, at_least_one, Totalizer};
 use step_cnf::{tseitin::AigCnf, write_qdimacs, Cnf, Lit, Quant};
 
 use crate::oracle::CoreFormula;
-use crate::qbf_model::Target;
-
-/// Options for the export (mirrors the solving options).
-#[derive(Clone, Copy, Debug)]
-pub struct ExportOptions {
-    /// Include the `|XA| ≥ |XB|` symmetry constraint.
-    pub symmetry_breaking: bool,
-    /// Allow `(α,β) = (1,1)` assignments.
-    pub allow_both: bool,
-}
-
-impl Default for ExportOptions {
-    fn default() -> Self {
-        ExportOptions {
-            symmetry_breaking: true,
-            allow_both: false,
-        }
-    }
-}
+use crate::qbf_model::{encode_exists, ModelOptions, Target};
 
 /// The structured export: the QDIMACS text plus the variable layout
 /// needed to interpret certificates from an external solver.
@@ -55,8 +36,9 @@ pub struct QdimacsModel {
 }
 
 /// Emits formulation (4) + `fN` + `fT` for `core` as a 3QCNF QDIMACS
-/// file.
-pub fn export_qdimacs(core: &CoreFormula, target: Target, opts: &ExportOptions) -> QdimacsModel {
+/// file. Only the encoding fields of `opts` (`symmetry_breaking`,
+/// `allow_both`) shape the text; its budget and solver settings do not.
+pub fn export_qdimacs(core: &CoreFormula, target: Target, opts: &ModelOptions) -> QdimacsModel {
     let n = core.n;
     let mut cnf = Cnf::new();
     let mut enc = AigCnf::new();
@@ -101,83 +83,14 @@ pub fn export_qdimacs(core: &CoreFormula, target: Target, opts: &ExportOptions) 
     let root = enc.encode(&mut cnf, &core.aig, core.root);
     cnf.add_unit(!root); // ¬core must hold for all universal values
 
-    // fN: non-trivial partition.
-    at_least_one(&mut cnf, &alpha_lits);
-    at_least_one(&mut cnf, &beta_lits);
-    if !opts.allow_both {
-        for i in 0..n {
-            cnf.add_clause([!alpha_lits[i], !beta_lits[i]]);
-        }
-    }
-    // Product literals (these auxiliaries also sit in the inner block).
-    let define_and = |cnf: &mut Cnf, a: Lit, b: Lit| -> Lit {
-        let t = Lit::pos(cnf.new_var());
-        cnf.add_clause([!t, a]);
-        cnf.add_clause([!t, b]);
-        cnf.add_clause([t, !a, !b]);
-        t
-    };
-    let shared: Vec<Lit> = (0..n)
-        .map(|i| define_and(&mut cnf, !alpha_lits[i], !beta_lits[i]))
-        .collect();
-    let in_a: Vec<Lit> = (0..n)
-        .map(|i| define_and(&mut cnf, alpha_lits[i], !beta_lits[i]))
-        .collect();
-    let in_b: Vec<Lit> = (0..n)
-        .map(|i| define_and(&mut cnf, !alpha_lits[i], beta_lits[i]))
-        .collect();
-    match target {
-        Target::Any => {
-            if opts.symmetry_breaking {
-                let ta = Totalizer::new(&mut cnf, &in_a);
-                let tb = Totalizer::new(&mut cnf, &in_b);
-                assert_count_dominates(&mut cnf, &ta, &tb);
-            }
-        }
-        Target::DisjointAtMost(k) => {
-            let tc = Totalizer::new(&mut cnf, &shared);
-            tc.assert_le(&mut cnf, k);
-            if opts.symmetry_breaking {
-                let ta = Totalizer::new(&mut cnf, &in_a);
-                let tb = Totalizer::new(&mut cnf, &in_b);
-                assert_count_dominates(&mut cnf, &ta, &tb);
-            }
-        }
-        Target::BalancedWindow(k) => {
-            let ta = Totalizer::new(&mut cnf, &in_a);
-            let tb = Totalizer::new(&mut cnf, &in_b);
-            assert_count_dominates(&mut cnf, &ta, &tb);
-            assert_diff_le(&mut cnf, &ta, &tb, k);
-        }
-        Target::CombinedAtMost(k) => {
-            let ta = Totalizer::new(&mut cnf, &in_a);
-            let tb = Totalizer::new(&mut cnf, &in_b);
-            assert_count_dominates(&mut cnf, &ta, &tb);
-            let mut plus = shared.clone();
-            plus.extend_from_slice(&in_a);
-            let tplus = Totalizer::new(&mut cnf, &plus);
-            assert_diff_le(&mut cnf, &tplus, &tb, k);
-        }
-        Target::Weighted { wd, wb, k } => {
-            let ta = Totalizer::new(&mut cnf, &in_a);
-            let tb = Totalizer::new(&mut cnf, &in_b);
-            assert_count_dominates(&mut cnf, &ta, &tb);
-            let mut plus = Vec::new();
-            for _ in 0..wd {
-                plus.extend_from_slice(&shared);
-            }
-            for _ in 0..wb {
-                plus.extend_from_slice(&in_a);
-            }
-            let mut minus = Vec::new();
-            for _ in 0..wb {
-                minus.extend_from_slice(&in_b);
-            }
-            let tplus = Totalizer::new(&mut cnf, &plus);
-            let tminus = Totalizer::new(&mut cnf, &minus);
-            assert_diff_le(&mut cnf, &tplus, &tminus, k);
-        }
-    }
+    encode_exists(
+        &mut cnf,
+        &alpha_lits,
+        &beta_lits,
+        target,
+        opts.symmetry_breaking,
+        opts.allow_both,
+    );
 
     let exist_outer: Vec<usize> = alpha_lits
         .iter()
@@ -202,7 +115,7 @@ pub fn export_qdimacs(core: &CoreFormula, target: Target, opts: &ExportOptions) 
 mod tests {
     use super::*;
     use crate::partition::{VarClass, VarPartition};
-    use crate::qbf_model::{solve_partition, ModelOptions, QbfModelOutcome};
+    use crate::qbf_model::{self, solve_partition, QbfModelOutcome};
     use step_aig::Aig;
     use step_cnf::parse_qdimacs;
     use step_sat::{SolveResult, Solver};
@@ -223,7 +136,7 @@ mod tests {
     fn export_has_three_blocks() {
         let (aig, f) = or_of_ands();
         let core = CoreFormula::build(&aig, f, crate::GateOp::Or);
-        let model = export_qdimacs(&core, Target::DisjointAtMost(0), &ExportOptions::default());
+        let model = export_qdimacs(&core, Target::DisjointAtMost(0), &ModelOptions::default());
         let parsed = parse_qdimacs(&model.text).expect("well-formed qdimacs");
         assert_eq!(parsed.prefix.len(), 3);
         assert_eq!(parsed.prefix[0].0, Quant::Exists);
@@ -236,62 +149,89 @@ mod tests {
 
     /// For fixed (α, β) and fixed universal values, the matrix is
     /// satisfiable (over the auxiliaries) iff `¬core ∧ fN ∧ fT` holds
-    /// semantically — checked against direct AIG evaluation.
+    /// semantically — checked against direct AIG evaluation and the
+    /// block-size arithmetic, for every kind of target, symmetry on
+    /// and off.
     #[test]
     fn matrix_semantics_match_core_evaluation() {
         let (aig, f) = or_of_ands();
         let core = CoreFormula::build(&aig, f, crate::GateOp::Or);
-        let target = Target::DisjointAtMost(0);
-        let opts = ExportOptions {
-            symmetry_breaking: false,
-            allow_both: false,
-        };
-        let model = export_qdimacs(&core, target, &opts);
-        let parsed = parse_qdimacs(&model.text).expect("parse");
-
-        // Valid partition: {a,b} | {c,d}; an invalid one: {a,c} | {b,d}.
-        let good = VarPartition::from_sets(4, &[0, 1], &[2, 3]);
-        let bad = VarPartition::from_sets(4, &[0, 2], &[1, 3]);
-        for (p, label) in [(&good, "good"), (&bad, "bad")] {
-            let alpha: Vec<bool> = p.classes().iter().map(|&c| c == VarClass::A).collect();
-            let beta: Vec<bool> = p.classes().iter().map(|&c| c == VarClass::B).collect();
-            // Probe a handful of universal assignments.
-            let mut failures = 0usize;
-            for pattern in 0..64u32 {
-                let mut assumptions = Vec::new();
-                for i in 0..4 {
-                    assumptions.push(Lit::new(step_cnf::Var::new(model.alpha_vars[i]), !alpha[i]));
-                    assumptions.push(Lit::new(step_cnf::Var::new(model.beta_vars[i]), !beta[i]));
-                }
-                let mut uvals = Vec::new();
-                for (k, &uv) in model.universal_vars.iter().enumerate() {
-                    let val = pattern >> (k % 12) & 1 == 1 || (pattern / 13) & (k as u32) == 3;
-                    uvals.push(val);
-                    assumptions.push(Lit::new(step_cnf::Var::new(uv), !val));
-                }
+        let targets = [
+            Target::Any,
+            Target::DisjointAtMost(0),
+            Target::DisjointAtMost(1),
+            Target::BalancedWindow(0),
+            Target::BalancedWindow(1),
+            Target::CombinedAtMost(1),
+            Target::CombinedAtMost(2),
+            Target::Weighted { wd: 2, wb: 1, k: 2 },
+            Target::Weighted { wd: 1, wb: 3, k: 3 },
+        ];
+        // Valid: {a,b} | {c,d} and {a,b} | {c} sharing d, also with the
+        // blocks swapped (|XA| < |XB|); invalid: {a,c} | {b,d}.
+        let partitions = [
+            VarPartition::from_sets(4, &[0, 1], &[2, 3]),
+            VarPartition::from_sets(4, &[0, 1], &[2]),
+            VarPartition::from_sets(4, &[2], &[0, 1]),
+            VarPartition::from_sets(4, &[0, 2], &[1, 3]),
+        ];
+        for target in targets {
+            for symmetry_breaking in [false, true] {
+                let opts = ModelOptions {
+                    symmetry_breaking,
+                    ..ModelOptions::default()
+                };
+                let model = export_qdimacs(&core, target, &opts);
+                let parsed = parse_qdimacs(&model.text).expect("parse");
                 let mut solver = Solver::new();
                 solver.add_cnf(&parsed.matrix);
-                let got = solver.solve_with_assumptions(&assumptions);
-                // Semantic ground truth: core must be FALSE under this
-                // assignment (and fN/fT hold for the partition).
-                let mut full = vec![false; core.aig.num_inputs()];
-                for (k, &pi) in core.x.iter().chain(&core.xp).chain(&core.xpp).enumerate() {
-                    full[pi] = uvals[k];
-                }
-                for i in 0..4 {
-                    full[core.alpha[i]] = alpha[i];
-                    full[core.beta[i]] = beta[i];
-                }
-                let core_val = core.aig.eval_lit(core.root, &full);
-                let want_sat = !core_val; // fN, fT hold for both probes? fT k=0: only `good` is disjoint.
-                let ft_holds = p.num_shared() == 0;
-                let expect = want_sat && ft_holds;
-                match (got, expect) {
-                    (SolveResult::Sat, true) | (SolveResult::Unsat, false) => {}
-                    _ => failures += 1,
+                for p in &partitions {
+                    let alpha: Vec<bool> = p.classes().iter().map(|&c| c == VarClass::A).collect();
+                    let beta: Vec<bool> = p.classes().iter().map(|&c| c == VarClass::B).collect();
+                    let ft_holds = qbf_model::target_admits(
+                        target,
+                        symmetry_breaking,
+                        p.num_a(),
+                        p.num_b(),
+                        p.num_shared(),
+                    );
+                    // Probe a handful of universal assignments.
+                    for pattern in 0..64u32 {
+                        let mut assumptions = Vec::new();
+                        for i in 0..4 {
+                            assumptions
+                                .push(Lit::new(step_cnf::Var::new(model.alpha_vars[i]), !alpha[i]));
+                            assumptions
+                                .push(Lit::new(step_cnf::Var::new(model.beta_vars[i]), !beta[i]));
+                        }
+                        let mut uvals = Vec::new();
+                        for (k, &uv) in model.universal_vars.iter().enumerate() {
+                            let val =
+                                pattern >> (k % 12) & 1 == 1 || (pattern / 13) & (k as u32) == 3;
+                            uvals.push(val);
+                            assumptions.push(Lit::new(step_cnf::Var::new(uv), !val));
+                        }
+                        let got = solver.solve_with_assumptions(&assumptions);
+                        // Semantic ground truth: core must be FALSE under
+                        // this assignment, and fN/fT hold for the partition.
+                        let mut full = vec![false; core.aig.num_inputs()];
+                        for (k, &pi) in core.x.iter().chain(&core.xp).chain(&core.xpp).enumerate() {
+                            full[pi] = uvals[k];
+                        }
+                        for i in 0..4 {
+                            full[core.alpha[i]] = alpha[i];
+                            full[core.beta[i]] = beta[i];
+                        }
+                        let core_val = core.aig.eval_lit(core.root, &full);
+                        let expect = !core_val && ft_holds;
+                        assert_eq!(
+                            got == SolveResult::Sat,
+                            expect,
+                            "{target:?} symmetry={symmetry_breaking} {p}: matrix/semantics mismatch"
+                        );
+                    }
                 }
             }
-            assert_eq!(failures, 0, "{label}: matrix/semantics mismatch");
         }
     }
 
@@ -307,7 +247,7 @@ mod tests {
             (Target::BalancedWindow(0), true),
             (Target::Weighted { wd: 2, wb: 1, k: 0 }, true),
         ] {
-            let model = export_qdimacs(&core, target, &ExportOptions::default());
+            let model = export_qdimacs(&core, target, &ModelOptions::default());
             assert!(parse_qdimacs(&model.text).is_ok());
             let mut meter = crate::effort::EffortMeter::unlimited();
             let (outcome, _) = solve_partition(&core, target, &ModelOptions::default(), &mut meter);

@@ -112,8 +112,17 @@ impl ArtifactKind {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ConfigKey(String);
 
+/// Names the QBF ∃-side encoding (`qbf_model::encode_exists`) that
+/// result and probe artifacts were solved under. A different encoding
+/// returns different, equally optimal witness partitions, so stores
+/// written under another encoding must not replay into this one: with
+/// the tag in the namespace string their files load into namespaces
+/// nothing looks up.
+const QBF_ENCODING: &str = "exists=linear";
+
 impl ConfigKey {
-    /// The result namespace: exactly the [`CacheKey`] config fields.
+    /// The result namespace: exactly the [`CacheKey`] config fields,
+    /// plus the QBF encoding tag.
     pub fn results(config: &DecompConfig) -> Self {
         let model = match config.model {
             Model::Ljh => "ljh",
@@ -129,8 +138,8 @@ impl ConfigKey {
             SearchStrategy::MdBinMi => "mdbinmi",
         };
         ConfigKey(format!(
-            "model={model};strategy={strategy};sb={};ab={};simf={};simr={};seed={};\
-             restarts={};prep={}",
+            "{QBF_ENCODING};model={model};strategy={strategy};sb={};ab={};simf={};simr={};\
+             seed={};restarts={};prep={}",
             u8::from(config.symmetry_breaking),
             u8::from(config.allow_both),
             u8::from(config.sim_filter),
@@ -148,12 +157,13 @@ impl ConfigKey {
         ConfigKey("universal".to_owned())
     }
 
-    /// The probe namespace: the solver knobs a deterministic CEGAR
-    /// verdict depends on (no model, no seed — a probe's outcome is a
-    /// pure function of `(cone, op, target, these knobs)`).
+    /// The probe namespace: the encoding tag and the solver knobs a
+    /// deterministic CEGAR verdict depends on (no model, no seed — a
+    /// probe's outcome is a pure function of `(cone, op, target, these
+    /// knobs)`).
     pub fn probes(cfg: ProbeCfg) -> Self {
         ConfigKey(format!(
-            "sb={};ab={};restarts={};prep={}",
+            "{QBF_ENCODING};sb={};ab={};restarts={};prep={}",
             u8::from(cfg.symmetry_breaking),
             u8::from(cfg.allow_both),
             cfg.restarts,

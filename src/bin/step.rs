@@ -109,8 +109,8 @@ use qbf_bidec::circuits::load_file;
 use qbf_bidec::serve::table;
 use qbf_bidec::step::optimum::Metric;
 use qbf_bidec::step::oracle::CoreFormula;
-use qbf_bidec::step::qbf_model::Target;
-use qbf_bidec::step::qdimacs_export::{export_qdimacs, ExportOptions};
+use qbf_bidec::step::qbf_model::{ModelOptions, Target};
+use qbf_bidec::step::qdimacs_export::export_qdimacs;
 use qbf_bidec::step::{
     check_cache_dir, BiDecomposer, Budget, BudgetPolicy, ClauseBank, DecompConfig, DiskTier,
     EffortMeter, GateOp, Model, OutputResult, RestartPolicy, ResultCache, StepService, TieredStore,
@@ -890,7 +890,7 @@ fn main() {
             },
             None => Target::Any,
         };
-        let model = export_qdimacs(&core, target, &ExportOptions::default());
+        let model = export_qdimacs(&core, target, &ModelOptions::default());
         print!("{}", model.text);
         return;
     }
@@ -1038,7 +1038,7 @@ fn run_weighted(cli: &Cli, comb: &qbf_bidec::aig::Aig, wd: u32, wb: u32) {
             Metric::Weighted { wd, wb },
             boot.as_ref(),
             qbf_bidec::step::SearchStrategy::MonotoneIncreasing,
-            &qbf_bidec::step::qbf_model::ModelOptions {
+            &ModelOptions {
                 restarts: cli.sat_restarts,
                 preprocess: cli.sat_preprocess,
                 ..Default::default()

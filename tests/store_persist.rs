@@ -164,3 +164,66 @@ fn corrupt_store_files_degrade_to_a_partial_warm_start() {
         "the chopped tails must be counted"
     );
 }
+
+/// Copies every store file of `from` into a fresh `<tag>` directory,
+/// rewriting the namespace string in its header through `rename` and
+/// giving it a new file name: the store a build with other namespace
+/// strings would have left behind.
+fn copy_renamed(from: &Path, tag: &str, rename: impl Fn(&str) -> String) -> PathBuf {
+    let to = store_dir(tag);
+    std::fs::create_dir_all(&to).expect("create store dir");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(from)
+        .expect("read store dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    for (i, path) in files.iter().enumerate() {
+        let bytes = std::fs::read(path).expect("read store file");
+        // Header: magic (8), version (4), kind (1), length (4), string.
+        let len = u32::from_le_bytes(bytes[13..17].try_into().unwrap()) as usize;
+        let config = std::str::from_utf8(&bytes[17..17 + len]).expect("utf-8 namespace");
+        let renamed = rename(config);
+        let mut out = bytes[..13].to_vec();
+        out.extend_from_slice(&(renamed.len() as u32).to_le_bytes());
+        out.extend_from_slice(renamed.as_bytes());
+        out.extend_from_slice(&bytes[17 + len..]);
+        std::fs::write(to.join(format!("copy-{i}.stepstore")), out).expect("write store file");
+    }
+    to
+}
+
+/// A store written before the linear ∃-side encoding holds witnesses
+/// of the old encoding, which may differ from today's (equally
+/// optimal) ones. Its result and probe namespace strings lack the
+/// `exists=linear;` tag, so a warm run over it gets no QBF disk hit
+/// and answers like a cold run. The same files with today's strings
+/// do replay, so the misses come from the strings alone.
+#[test]
+fn stores_of_another_qbf_encoding_are_not_replayed() {
+    let entry = &registry_table1()[2]; // s38584.1: 8 outputs
+    let aig = with_permuted_copies(&entry.build(Scale::Smoke), 2);
+    let dir = store_dir("encoding");
+    let (cold, _) = run(&aig, Model::QbfDisjoint, 1, Some(&dir));
+    let (cold_seed2, _) = run(&aig, Model::QbfDisjoint, 2, None);
+    let untag = |c: &str| c.strip_prefix("exists=linear;").unwrap_or(c).to_owned();
+
+    // Same seed: the result namespace serves, or misses when untagged.
+    let same = copy_renamed(&dir, "encoding_same", str::to_owned);
+    let (_, store) = run(&aig, Model::QbfDisjoint, 1, Some(&same));
+    assert!(store.disk_result_hits() > 0, "control: results replay");
+    let old = copy_renamed(&dir, "encoding_old", untag);
+    let (warm, store) = run(&aig, Model::QbfDisjoint, 1, Some(&old));
+    assert_same_answers(&cold, &warm, "old-encoding store vs cold");
+    assert_eq!(store.disk_result_hits(), 0, "old-encoding results");
+    assert_eq!(store.disk_probe_hits(), 0, "old-encoding probes");
+
+    // Another seed misses the results, so the probe namespace answers.
+    let same = copy_renamed(&dir, "encoding_same_seed2", str::to_owned);
+    let (_, store) = run(&aig, Model::QbfDisjoint, 2, Some(&same));
+    assert!(store.disk_probe_hits() > 0, "control: probes replay");
+    let old = copy_renamed(&dir, "encoding_old_seed2", untag);
+    let (warm, store) = run(&aig, Model::QbfDisjoint, 2, Some(&old));
+    assert_same_answers(&cold_seed2, &warm, "old-encoding store vs cold, seed 2");
+    assert_eq!(store.disk_result_hits(), 0, "old-encoding results, seed 2");
+    assert_eq!(store.disk_probe_hits(), 0, "old-encoding probes, seed 2");
+}
