@@ -281,37 +281,24 @@ pub fn assert_count_dominates(cnf: &mut Cnf, a: &Totalizer, b: &Totalizer) {
 /// If `cb < 0`.
 pub fn assert_linear_le(cnf: &mut Cnf, a: &Totalizer, b: &Totalizer, ca: i64, cb: i64, r: i64) {
     assert!(cb >= 0, "assert_linear_le needs cb ≥ 0, got {cb}");
-    let need = |v: usize| -> i64 {
-        let excess = ca * v as i64 - r;
-        if excess <= 0 {
-            0
-        } else if cb == 0 {
-            i64::MAX
-        } else {
-            (excess + cb - 1) / cb
-        }
+    let need = |v: usize| match ca * v as i64 - r {
+        excess if excess <= 0 => 0,
+        _ if cb == 0 => i64::MAX,
+        excess => (excess + cb - 1) / cb,
     };
     let na = a.len();
     for v in 0..=na {
-        let m = need(v);
-        // The neighbour on the premise's weaker side implies this
-        // clause unless `need` steps here.
-        let implied_up_to = match (ca > 0, v) {
-            (true, 0) => 0,
-            (true, _) => need(v - 1),
-            (false, _) if v == na => 0,
-            (false, _) => need(v + 1),
-        };
-        if m <= implied_up_to {
-            continue;
-        }
-        // The clause is `¬premise ∨ conclusion`.
-        let not_premise = if ca > 0 {
-            a.count_ge(v).map(|l| !l)
+        // The clause is `¬premise ∨ conclusion`. It is implied by its
+        // neighbour on the premise's weaker side unless `need` steps.
+        let (not_premise, neighbour) = if ca > 0 {
+            (a.count_ge(v).map(|l| !l), v.checked_sub(1).map_or(0, need))
         } else {
-            a.count_ge(v + 1)
+            (a.count_ge(v + 1), if v < na { need(v + 1) } else { 0 })
         };
-        let conclusion = usize::try_from(m).ok().and_then(|m| b.count_ge(m));
-        cnf.add_clause(not_premise.into_iter().chain(conclusion));
+        let m = need(v);
+        if m > neighbour {
+            let conclusion = usize::try_from(m).ok().and_then(|m| b.count_ge(m));
+            cnf.add_clause(not_premise.into_iter().chain(conclusion));
+        }
     }
 }

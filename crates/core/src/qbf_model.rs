@@ -323,30 +323,35 @@ fn witness_to_partition(witness: &[bool], n: usize) -> VarPartition {
     VarPartition::new(classes)
 }
 
-/// Whether block sizes `(a, b, c)` = `(|XA|, |XB|, |XC|)` meet `fT` and
-/// the symmetry breaking that [`encode_exists`] asserts for `target`:
-/// the arithmetic the encoding must match.
 #[cfg(test)]
-pub(crate) fn target_admits(target: Target, symmetry: bool, a: usize, b: usize, c: usize) -> bool {
-    let dominance = symmetry || !matches!(target, Target::Any | Target::DisjointAtMost(_));
-    let (a, b, c) = (a as i64, b as i64, c as i64);
-    let within = |value: i64, k: usize| value <= k as i64;
-    (!dominance || a >= b)
-        && match target {
-            Target::Any => true,
-            Target::DisjointAtMost(k) => within(c, k),
-            Target::BalancedWindow(k) => within(a - b, k),
-            Target::CombinedAtMost(k) => within(c + a - b, k),
-            Target::Weighted { wd, wb, k } => {
-                within(i64::from(wd) * c + i64::from(wb) * (a - b), k)
-            }
-        }
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use step_sat::{SolveResult, Solver};
+
+    /// Whether block sizes `(a, b, c)` = `(|XA|, |XB|, |XC|)` meet `fT` and
+    /// the symmetry breaking that [`encode_exists`] asserts for `target`:
+    /// the arithmetic the encoding must match.
+    pub(crate) fn target_admits(
+        target: Target,
+        symmetry: bool,
+        a: usize,
+        b: usize,
+        c: usize,
+    ) -> bool {
+        let dominance = symmetry || !matches!(target, Target::Any | Target::DisjointAtMost(_));
+        let (a, b, c) = (a as i64, b as i64, c as i64);
+        let within = |value: i64, k: usize| value <= k as i64;
+        (!dominance || a >= b)
+            && match target {
+                Target::Any => true,
+                Target::DisjointAtMost(k) => within(c, k),
+                Target::BalancedWindow(k) => within(a - b, k),
+                Target::CombinedAtMost(k) => within(c + a - b, k),
+                Target::Weighted { wd, wb, k } => {
+                    within(i64::from(wd) * c + i64::from(wb) * (a - b), k)
+                }
+            }
+    }
 
     /// Every target at every `k ≤ 2n+2`, symmetry on and off, for
     /// `n ≤ 5`: the ∃-side CNF is satisfiable under an (α, β)

@@ -188,7 +188,7 @@ mod tests {
                 for p in &partitions {
                     let alpha: Vec<bool> = p.classes().iter().map(|&c| c == VarClass::A).collect();
                     let beta: Vec<bool> = p.classes().iter().map(|&c| c == VarClass::B).collect();
-                    let ft_holds = qbf_model::target_admits(
+                    let ft_holds = qbf_model::tests::target_admits(
                         target,
                         symmetry_breaking,
                         p.num_a(),

@@ -112,12 +112,9 @@ impl ArtifactKind {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ConfigKey(String);
 
-/// Names the QBF ∃-side encoding (`qbf_model::encode_exists`) that
-/// result and probe artifacts were solved under. A different encoding
-/// returns different, equally optimal witness partitions, so stores
-/// written under another encoding must not replay into this one: with
-/// the tag in the namespace string their files load into namespaces
-/// nothing looks up.
+/// The QBF ∃-side encoding (`qbf_model::encode_exists`) that result and
+/// probe artifacts were solved under. Stores of another encoding, whose
+/// witnesses differ, load into namespaces that nothing looks up.
 const QBF_ENCODING: &str = "exists=linear";
 
 impl ConfigKey {
