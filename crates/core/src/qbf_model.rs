@@ -353,10 +353,11 @@ pub(crate) mod tests {
             }
     }
 
-    /// Every target at every `k ≤ 2n+2`, symmetry on and off, for
-    /// `n ≤ 5`: the ∃-side CNF is satisfiable under an (α, β)
-    /// assignment exactly when `fN`, the symmetry breaking and the
-    /// metric bound hold for it.
+    /// Every target at every `k ≤ 2n+2`, symmetry and `allow_both` on
+    /// and off, for `n ≤ 5`: the ∃-side CNF is satisfiable under an
+    /// (α, β) assignment exactly when `fN`, the symmetry breaking and
+    /// the metric bound hold for it. Under `allow_both` a `(1,1)` pair
+    /// is in neither block, and the windowed targets count it as shared.
     #[test]
     fn encode_exists_matches_arithmetic() {
         for n in 1..=5usize {
@@ -372,11 +373,11 @@ pub(crate) mod tests {
                 ]);
             }
             for target in targets {
-                for symmetry in [false, true] {
+                for (symmetry, allow_both) in [(false, false), (true, false), (true, true)] {
                     let mut cnf = Cnf::new();
                     let alpha: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
                     let beta: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
-                    encode_exists(&mut cnf, &alpha, &beta, target, symmetry, false);
+                    encode_exists(&mut cnf, &alpha, &beta, target, symmetry, allow_both);
                     let mut solver = Solver::new();
                     solver.add_cnf(&cnf);
                     for m in 0..1usize << (2 * n) {
@@ -389,15 +390,21 @@ pub(crate) mod tests {
                                 ]
                             })
                             .collect();
-                        let (a, b) = (am.count_ones() as usize, bm.count_ones() as usize);
-                        let want = am & bm == 0
-                            && a >= 1
-                            && b >= 1
-                            && target_admits(target, symmetry, a, b, n - a - b);
+                        let a = (am & !bm).count_ones() as usize;
+                        let b = (bm & !am).count_ones() as usize;
+                        let c = match target {
+                            Target::DisjointAtMost(_) => n - (am | bm).count_ones() as usize,
+                            _ => n - a - b,
+                        };
+                        let want = (allow_both || am & bm == 0)
+                            && am != 0
+                            && bm != 0
+                            && target_admits(target, symmetry, a, b, c);
                         let got = solver.solve_with_assumptions(&assumptions) == SolveResult::Sat;
                         assert_eq!(
                             got, want,
-                            "n={n} {target:?} symmetry={symmetry} α={am:b} β={bm:b}"
+                            "n={n} {target:?} symmetry={symmetry} allow_both={allow_both} \
+                             α={am:b} β={bm:b}"
                         );
                     }
                 }
