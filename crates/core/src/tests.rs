@@ -987,46 +987,93 @@ mod props {
         /// equals the minimum over the brute-force 3ⁿ enumeration; every
         /// returned partition is valid (and extracts and verifies for
         /// the engine); every "not decomposable" has an empty ground set.
+        ///
+        /// The engine models run three passes: clause reuse off, reuse
+        /// on over one shared store, and reuse on again against that
+        /// now-warm store. Every pass must return the reuse-off
+        /// partition, and the warm pass must replay every probe from
+        /// the ledger instead of solving it.
         #[test]
         fn engine_sound_and_complete(ops in arb_ops(), n in 4usize..=6) {
+            use std::sync::Arc;
+            use crate::clause_bank::ClauseBank;
+            use crate::store::TieredStore;
+
             let (mut aig, f) = build_covering(&ops, n);
             if aig.support(f).len() != n {
                 return Ok(());
             }
             aig.add_output("f", f);
-            for op in GateOp::ALL {
-                let ground = bdd_all_partitions(&aig, f, op);
-                let optimum = |metric: Metric| ground.iter().map(|g| metric.k_of(g)).min();
-                for (model, metric) in [
-                    (Model::QbfDisjoint, Metric::Disjointness),
-                    (Model::QbfBalanced, Metric::Balancedness),
-                    (Model::QbfCombined, Metric::Combined),
-                ] {
-                    let engine = BiDecomposer::new(DecompConfig::new(model));
-                    let r = engine.decompose_output(&aig, 0, op).unwrap();
-                    match &r.partition {
-                        Some(p) => {
-                            prop_assert!(
-                                bdd_decomposable(&aig, f, op, p),
-                                "{} op={} invalid partition {}", model, op, p
-                            );
-                            let d = r.decomposition.as_ref().expect("extraction on");
-                            prop_assert!(verify(d, None).is_ok());
-                            prop_assert!(r.proved_optimal, "{} op={} optimum not proved", model, op);
+            let grounds: Vec<Vec<VarPartition>> =
+                GateOp::ALL.iter().map(|&op| bdd_all_partitions(&aig, f, op)).collect();
+            let models = [
+                (Model::QbfDisjoint, Metric::Disjointness),
+                (Model::QbfBalanced, Metric::Balancedness),
+                (Model::QbfCombined, Metric::Combined),
+            ];
+            let bank = Arc::new(ClauseBank::new());
+            let store = Arc::new(TieredStore::memory(None, Some(Arc::clone(&bank))));
+            let mut reuse_off = Vec::new();
+            let mut cold_records = 0;
+            for pass in ["reuse off", "reuse on", "warm store"] {
+                if pass == "warm store" {
+                    cold_records = bank.probe_records();
+                }
+                let mut run = 0;
+                for (&op, ground) in GateOp::ALL.iter().zip(&grounds) {
+                    let optimum = |metric: Metric| ground.iter().map(|g| metric.k_of(g)).min();
+                    for (model, metric) in models {
+                        let reuse = pass != "reuse off";
+                        let mut config = DecompConfig::new(model);
+                        config.clause_reuse = reuse;
+                        let mut engine = BiDecomposer::new(config);
+                        if reuse {
+                            engine.set_store(Arc::clone(&store));
+                        }
+                        let r = engine.decompose_output(&aig, 0, op).unwrap();
+                        match &r.partition {
+                            Some(p) => {
+                                prop_assert!(
+                                    bdd_decomposable(&aig, f, op, p),
+                                    "{} {} op={} invalid partition {}", pass, model, op, p
+                                );
+                                let d = r.decomposition.as_ref().expect("extraction on");
+                                prop_assert!(verify(d, None).is_ok());
+                                prop_assert!(
+                                    r.proved_optimal,
+                                    "{} {} op={} optimum not proved", pass, model, op
+                                );
+                                prop_assert_eq!(
+                                    Some(metric.k_of(p)), optimum(metric),
+                                    "{} {} op={} claimed optimum {}", pass, model, op, p
+                                );
+                            }
+                            None => {
+                                prop_assert!(
+                                    ground.is_empty(),
+                                    "{} {} op={} engine missed {:?}",
+                                    pass, model, op, ground.first().map(|p| p.to_string())
+                                );
+                            }
+                        }
+                        if pass == "reuse off" {
+                            reuse_off.push(r.partition);
+                        } else {
                             prop_assert_eq!(
-                                Some(metric.k_of(p)), optimum(metric),
-                                "{} op={} claimed optimum {}", model, op, p
+                                &r.partition, &reuse_off[run],
+                                "{} {} op={} differs from reuse off", pass, model, op
                             );
                         }
-                        None => {
-                            prop_assert!(
-                                ground.is_empty(),
-                                "{} op={} engine missed {:?}",
-                                model, op, ground.first().map(|p| p.to_string())
-                            );
-                        }
+                        run += 1;
                     }
                 }
+            }
+            prop_assert_eq!(
+                bank.probe_records(), cold_records,
+                "the warm pass solved a probe instead of replaying it"
+            );
+            for (&op, ground) in GateOp::ALL.iter().zip(&grounds) {
+                let optimum = |metric: Metric| ground.iter().map(|g| metric.k_of(g)).min();
                 let core = CoreFormula::build(&aig, f, op);
                 for metric in [Metric::Weighted { wd: 2, wb: 1 }, Metric::Weighted { wd: 1, wb: 3 }] {
                     let mut meter = EffortMeter::unlimited();
