@@ -91,7 +91,6 @@ fn populate(store: &TieredStore) {
                 &ArtifactKey::of(fp, GateOp::Or),
                 Artifact::Clauses(ClausePayload {
                     export: Arc::new(export(i)),
-                    check: None,
                     exact: true,
                 }),
             );

@@ -50,17 +50,8 @@
 //! model, and importing clauses there would steer which equally-valid
 //! witness is found first — violating the identical-partitions
 //! contract. The [`PartitionOracle`] is safe to seed because every
-//! strategy consumes only its SAT/UNSAT verdicts. The CEGAR layer
-//! instead participates through its *check side*: exact-channel
-//! entries carry an optional second snapshot of counterexample-check
-//! learnt clauses, harvested from a session's persistent
-//! [`CounterexampleRefuter`](step_qbf::CounterexampleRefuter) and used
-//! to warm the next session's refuter over the identical check CNF.
-//! The refuter contributes only UNSAT answers (semantically
-//! determined), so this too changes cost, never answers. Check-side
-//! clauses ride the exact channel only — they live in the check CNF's
-//! variable space, not the oracle's, so cluster-channel vetting could
-//! never apply to them.
+//! strategy consumes only its SAT/UNSAT verdicts. The QBF models reuse
+//! work through probe certificates instead.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -107,10 +98,6 @@ pub struct BankHit {
     pub export: Arc<LearntExport>,
     /// `true` = exact channel (identical CNF, verbatim import).
     pub exact: bool,
-    /// Counterexample-check learnt clauses (exact channel only): a
-    /// snapshot of the donor session's refuter, expressed over the
-    /// check CNF's own variable space.
-    pub check: Option<Arc<LearntExport>>,
 }
 
 /// How one output's solve interacted with the clause bank and oracle
@@ -175,7 +162,7 @@ pub enum ProbeVerdict {
 /// A session's handle for probe-certificate reuse: the tiered store
 /// plus the cone identity and solver knobs every probe of the session
 /// shares. Built by [`SolveSession`](crate::session::SolveSession) and
-/// threaded through the optimum search alongside the refuter.
+/// threaded through the optimum search.
 pub struct ProbeLedger {
     store: Arc<crate::store::TieredStore>,
     ns: crate::store::Namespace,
@@ -234,8 +221,6 @@ impl ProbeLedger {
 
 struct ExactSlot {
     export: Arc<LearntExport>,
-    /// Check-side (refuter) snapshot, if the donor ran a QBF model.
-    check: Option<Arc<LearntExport>>,
     /// Second-chance bit: set on every hit, cleared once by the clock
     /// hand before the entry becomes evictable.
     referenced: bool,
@@ -331,21 +316,11 @@ impl ClauseBank {
         &self.shards[((support as usize).wrapping_mul(3) + op_ix) % NUM_SHARDS]
     }
 
-    /// Publishes a completed session's snapshot on both channels:
-    /// oracle clauses on exact + cluster, the optional check-side
-    /// (refuter) snapshot on exact only — it lives in the check CNF's
-    /// variable space and could never be vetted against an oracle CNF.
-    /// Snapshots empty on both sides are dropped — they could only
-    /// evict something useful.
-    pub fn donate(
-        &self,
-        fingerprint: ConeFingerprint,
-        op: GateOp,
-        export: LearntExport,
-        check: Option<LearntExport>,
-    ) {
-        let check = check.filter(|c| !c.is_empty()).map(Arc::new);
-        if export.is_empty() && check.is_none() {
+    /// Publishes a completed session's snapshot on both channels.
+    /// Empty snapshots are dropped — they could only evict something
+    /// useful.
+    pub fn donate(&self, fingerprint: ConeFingerprint, op: GateOp, export: LearntExport) {
+        if export.is_empty() {
             return;
         }
         let key = BankKey { fingerprint, op };
@@ -356,24 +331,15 @@ impl ClauseBank {
             .expect("bank shard poisoned");
         // Cluster channel: newest donor at the back, one entry per
         // fingerprint (a re-donation refreshes in place).
-        if !export.is_empty() {
-            let ring = shard.clusters.entry((op, fingerprint.inputs)).or_default();
-            ring.retain(|(h, _)| *h != fingerprint.hash);
-            ring.push_back((fingerprint.hash, Arc::clone(&export)));
-            while ring.len() > CLUSTER_DONORS {
-                ring.pop_front();
-            }
+        let ring = shard.clusters.entry((op, fingerprint.inputs)).or_default();
+        ring.retain(|(h, _)| *h != fingerprint.hash);
+        ring.push_back((fingerprint.hash, Arc::clone(&export)));
+        while ring.len() > CLUSTER_DONORS {
+            ring.pop_front();
         }
         // Exact channel, second-chance bounded like the result cache.
-        // A re-donation refreshes each side it actually carries, so a
-        // later SAT-only model never wipes a QBF donor's check payload.
         if let Some(slot) = shard.exact.get_mut(&key) {
-            if !export.is_empty() {
-                slot.export = export;
-            }
-            if check.is_some() {
-                slot.check = check;
-            }
+            slot.export = export;
             self.donations.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -403,7 +369,6 @@ impl ClauseBank {
             key,
             ExactSlot {
                 export,
-                check,
                 referenced: false,
             },
         );
@@ -425,7 +390,6 @@ impl ClauseBank {
             return Some(BankHit {
                 export: Arc::clone(&slot.export),
                 exact: true,
-                check: slot.check.as_ref().map(Arc::clone),
             });
         }
         if let Some(ring) = shard.clusters.get(&(op, fingerprint.inputs)) {
@@ -434,7 +398,6 @@ impl ClauseBank {
                 return Some(BankHit {
                     export: Arc::clone(export),
                     exact: false,
-                    check: None,
                 });
             }
         }
@@ -727,8 +690,8 @@ mod tests {
     fn exact_hit_beats_cluster_and_counters_track() {
         let bank = ClauseBank::new();
         assert!(bank.lookup(fp(1, 4), GateOp::Or).is_none());
-        bank.donate(fp(1, 4), GateOp::Or, export(1), None);
-        bank.donate(fp(2, 4), GateOp::Or, export(2), None);
+        bank.donate(fp(1, 4), GateOp::Or, export(1));
+        bank.donate(fp(2, 4), GateOp::Or, export(2));
         let hit = bank.lookup(fp(1, 4), GateOp::Or).expect("exact donor");
         assert!(hit.exact);
         assert_eq!(hit.export.clauses, export(1).clauses);
@@ -747,7 +710,7 @@ mod tests {
     #[test]
     fn channels_are_keyed_by_op_and_support() {
         let bank = ClauseBank::new();
-        bank.donate(fp(1, 4), GateOp::Or, export(1), None);
+        bank.donate(fp(1, 4), GateOp::Or, export(1));
         assert!(bank.lookup(fp(1, 4), GateOp::And).is_none(), "other op");
         assert!(bank.lookup(fp(9, 5), GateOp::Or).is_none(), "other support");
     }
@@ -755,7 +718,7 @@ mod tests {
     #[test]
     fn empty_donations_are_dropped() {
         let bank = ClauseBank::new();
-        bank.donate(fp(1, 4), GateOp::Or, LearntExport::default(), None);
+        bank.donate(fp(1, 4), GateOp::Or, LearntExport::default());
         assert_eq!(bank.donations(), 0);
         assert!(bank.lookup(fp(2, 4), GateOp::Or).is_none());
     }
@@ -764,7 +727,7 @@ mod tests {
     fn cluster_ring_is_bounded_and_dedups_by_fingerprint() {
         let bank = ClauseBank::new();
         for i in 0..10u32 {
-            bank.donate(fp(u128::from(i % 5), 4), GateOp::Or, export(i), None);
+            bank.donate(fp(u128::from(i % 5), 4), GateOp::Or, export(i));
         }
         // Ten donations over five fingerprints: the ring holds the
         // most recent CLUSTER_DONORS distinct donors. A lookup from a
@@ -779,11 +742,11 @@ mod tests {
         // Keys with the same (op, support) land in one shard, so a
         // 2-per-shard bound is exercised directly.
         let bank = ClauseBank::with_capacity(2 * NUM_SHARDS);
-        bank.donate(fp(1, 4), GateOp::Or, export(1), None);
-        bank.donate(fp(2, 4), GateOp::Or, export(2), None);
+        bank.donate(fp(1, 4), GateOp::Or, export(1));
+        bank.donate(fp(2, 4), GateOp::Or, export(2));
         // Touch 1 so it owns a second chance.
         assert!(bank.lookup(fp(1, 4), GateOp::Or).unwrap().exact);
-        bank.donate(fp(3, 4), GateOp::Or, export(3), None);
+        bank.donate(fp(3, 4), GateOp::Or, export(3));
         assert!(bank.lookup(fp(1, 4), GateOp::Or).unwrap().exact);
         assert!(
             !bank.lookup(fp(2, 4), GateOp::Or).unwrap().exact,
@@ -794,23 +757,16 @@ mod tests {
     }
 
     #[test]
-    fn check_payload_rides_the_exact_channel_only() {
+    fn re_donation_refreshes_both_channels_in_place() {
         let bank = ClauseBank::new();
-        bank.donate(fp(1, 4), GateOp::Or, export(1), Some(export(7)));
+        bank.donate(fp(1, 4), GateOp::Or, export(1));
+        bank.donate(fp(1, 4), GateOp::Or, export(2));
         let hit = bank.lookup(fp(1, 4), GateOp::Or).expect("exact donor");
-        assert_eq!(
-            hit.check.expect("check payload round-trips").clauses,
-            export(7).clauses
-        );
-        // A near-twin gets clauses but never the check snapshot: it
-        // lives in the donor's check CNF variable space.
-        let near = bank.lookup(fp(9, 4), GateOp::Or).expect("cluster donor");
-        assert!(near.check.is_none());
-        // Re-donation without a check snapshot keeps the earlier one.
-        bank.donate(fp(1, 4), GateOp::Or, export(2), None);
-        let hit = bank.lookup(fp(1, 4), GateOp::Or).unwrap();
-        assert!(hit.check.is_some());
         assert_eq!(hit.export.clauses, export(2).clauses);
+        assert_eq!(bank.len(), 1, "one exact slot per key");
+        let near = bank.lookup(fp(9, 4), GateOp::Or).expect("cluster donor");
+        assert_eq!(near.export.clauses, export(2).clauses);
+        assert_eq!(bank.donations(), 2);
     }
 
     #[test]

@@ -164,7 +164,6 @@ fn partition_from_mus(
 
     let config = MusConfig {
         deadline: meter.deadline(),
-        conflicts_per_call: None,
         effort_budget: meter.remaining_work(),
     };
     let (mus, effort) = group_mus_with_effort(&cnf, &groups, &config);

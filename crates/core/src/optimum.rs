@@ -13,9 +13,8 @@ use crate::clause_bank::{ProbeLedger, ProbeVerdict};
 use crate::effort::EffortMeter;
 use crate::oracle::CoreFormula;
 use crate::partition::VarPartition;
-use crate::qbf_model::{solve_partition_with_refuter, ModelOptions, QbfModelOutcome, Target};
+use crate::qbf_model::{solve_partition, ModelOptions, QbfModelOutcome, Target};
 use crate::spec::SearchStrategy;
-use step_qbf::CounterexampleRefuter;
 
 /// Which metric the bound `k` constrains.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,28 +103,14 @@ pub fn search(
     opts: &ModelOptions,
     meter: &mut EffortMeter,
 ) -> OptimumResult {
-    let mut no_refuter = None;
-    search_with_reuse(
-        core,
-        metric,
-        bootstrap,
-        strategy,
-        opts,
-        meter,
-        &mut no_refuter,
-        None,
-    )
+    search_with_reuse(core, metric, bootstrap, strategy, opts, meter, None)
 }
 
-/// [`search`] with the clause-reuse machinery threaded through every
-/// probe. The [`CounterexampleRefuter`] persists across probes (the
-/// CEGAR engine rebuilds its own solvers each time), so each probe's
-/// final UNSAT counterexample check can be answered from accumulated
-/// check-side learnt clauses. The [`ProbeLedger`] replays definitive
-/// probe verdicts recorded by sibling sessions over the same canonical
-/// cone — the searched `k` sequence, the verdicts and the returned
-/// partition are identical either way, only the solving is skipped.
-#[allow(clippy::too_many_arguments)]
+/// [`search`] with a [`ProbeLedger`] consulted before every probe: it
+/// replays definitive probe verdicts recorded by sibling sessions over
+/// the same canonical cone — the searched `k` sequence, the verdicts
+/// and the returned partition are identical either way, only the
+/// solving is skipped.
 pub fn search_with_reuse(
     core: &CoreFormula,
     metric: Metric,
@@ -133,7 +118,6 @@ pub fn search_with_reuse(
     strategy: SearchStrategy,
     opts: &ModelOptions,
     meter: &mut EffortMeter,
-    refuter: &mut Option<CounterexampleRefuter>,
     ledger: Option<&ProbeLedger>,
 ) -> OptimumResult {
     let n = core.n;
@@ -156,7 +140,7 @@ pub fn search_with_reuse(
         None => {
             // No bootstrap: establish existence at the loosest bound.
             let k = metric.k_max(n);
-            match probe(core, metric, k, opts, meter, refuter, ledger, &mut result) {
+            match probe(core, metric, k, opts, meter, ledger, &mut result) {
                 ProbeResult::Feasible(p) => {
                     let kk = metric.k_of(&p);
                     result.partition = Some(p);
@@ -195,7 +179,7 @@ pub fn search_with_reuse(
                 }
             }
         };
-        match probe(core, metric, k, opts, meter, refuter, ledger, &mut result) {
+        match probe(core, metric, k, opts, meter, ledger, &mut result) {
             ProbeResult::Feasible(p) => {
                 best_k = metric.k_of(&p).min(k);
                 result.partition = Some(p);
@@ -216,14 +200,12 @@ enum ProbeResult {
     Timeout,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn probe(
     core: &CoreFormula,
     metric: Metric,
     k: usize,
     opts: &ModelOptions,
     meter: &mut EffortMeter,
-    refuter: &mut Option<CounterexampleRefuter>,
     ledger: Option<&ProbeLedger>,
     result: &mut OptimumResult,
 ) -> ProbeResult {
@@ -239,7 +221,7 @@ fn probe(
             }
         };
     }
-    let (outcome, stats) = solve_partition_with_refuter(core, target, opts, meter, refuter);
+    let (outcome, stats) = solve_partition(core, target, opts, meter);
     result.cegar_iterations += stats.cegar_iterations;
     match outcome {
         QbfModelOutcome::Partition(p) => {

@@ -36,9 +36,9 @@ use crate::partition::{VarClass, VarPartition};
 use crate::spec::{Budget, GateOp};
 
 /// Cap on clauses one oracle donates to the clause bank.
-pub const BANK_MAX_CLAUSES: usize = 512;
+const BANK_MAX_CLAUSES: usize = 512;
 /// Cap on variable activities carried in one donation.
-pub const BANK_MAX_ACTIVITIES: usize = 256;
+const BANK_MAX_ACTIVITIES: usize = 256;
 /// Per-clause conflict budget when vetting a near-twin donation
 /// ([`PartitionOracle::import_vetted`]). A clause the recipient's unit
 /// propagation (plus a few conflicts) cannot refute the negation of is

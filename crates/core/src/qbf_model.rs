@@ -54,7 +54,7 @@
 
 use step_cnf::card::{assert_count_dominates, assert_linear_le, at_least_one, Totalizer};
 use step_cnf::{Cnf, Lit};
-use step_qbf::{CounterexampleRefuter, ExistsForall, Qbf2Config, Qbf2Result};
+use step_qbf::{ExistsForall, Qbf2Config, Qbf2Result};
 
 use crate::effort::EffortMeter;
 use crate::oracle::CoreFormula;
@@ -148,22 +148,6 @@ pub fn solve_partition(
     opts: &ModelOptions,
     meter: &mut EffortMeter,
 ) -> (QbfModelOutcome, QbfModelStats) {
-    let mut no_refuter = None;
-    solve_partition_with_refuter(core, target, opts, meter, &mut no_refuter)
-}
-
-/// [`solve_partition`] with a persistent [`CounterexampleRefuter`]
-/// threaded through: the refuter (if any) is attached to the CEGAR
-/// engine for this call and handed back afterwards, warm with the
-/// call's check-side learnt clauses. Its conflicts are charged to
-/// `meter` alongside the CEGAR engine's own effort.
-pub fn solve_partition_with_refuter(
-    core: &CoreFormula,
-    target: Target,
-    opts: &ModelOptions,
-    meter: &mut EffortMeter,
-    refuter: &mut Option<CounterexampleRefuter>,
-) -> (QbfModelOutcome, QbfModelStats) {
     if meter.exhausted() {
         return (QbfModelOutcome::Timeout, QbfModelStats::default());
     }
@@ -174,13 +158,10 @@ pub fn solve_partition_with_refuter(
     solver.set_config(Qbf2Config {
         max_iterations: None,
         deadline: limits.deadline,
-        conflicts_per_call: None,
         effort_budget: limits.conflicts,
         restarts: opts.restarts,
         preprocess: opts.preprocess,
     });
-    let refuter_before = refuter.as_ref().map(|r| r.effort()).unwrap_or_default();
-    solver.set_refuter(refuter.take());
 
     solver.add_exists_cnf(|cnf, e| {
         let (alpha, beta) = e.split_at(n);
@@ -199,15 +180,8 @@ pub fn solve_partition_with_refuter(
         Qbf2Result::Invalid => QbfModelOutcome::NoPartition,
         Qbf2Result::Unknown => QbfModelOutcome::Timeout,
     };
-    // Charge the CEGAR iterations' inner-SAT work to the QBF call,
-    // plus what the refuter fast path spent during it (the refuter is
-    // not part of `ExistsForall::effort`, so this never double-counts
-    // across probes sharing one refuter).
-    *refuter = solver.take_refuter();
+    // Charge the CEGAR iterations' inner-SAT work to the QBF call.
     meter.charge(solver.effort());
-    if let Some(r) = refuter.as_ref() {
-        meter.charge(r.effort().since(refuter_before));
-    }
     let stats = QbfModelStats {
         cegar_iterations: solver.stats().iterations,
     };

@@ -34,8 +34,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use step_aig::{canonicalize, Aig, CanonicalCone, Cone, ConeFingerprint};
-use step_qbf::CounterexampleRefuter;
-use step_sat::LearntExport;
 
 use crate::cache::{CacheLookup, CachedResult};
 use crate::clause_bank::{BankLookup, ProbeCfg, ProbeLedger, ReuseCtx};
@@ -43,9 +41,7 @@ use crate::effort::EffortMeter;
 use crate::engine::{OutputResult, StepError};
 use crate::extract::{extract, ExtractError};
 use crate::job::{cone_seed, OutputJob};
-use crate::oracle::{
-    sim_filter_pairs, CoreFormula, PartitionOracle, BANK_MAX_ACTIVITIES, BANK_MAX_CLAUSES,
-};
+use crate::oracle::{sim_filter_pairs, CoreFormula, PartitionOracle};
 use crate::partition::VarPartition;
 use crate::spec::DecompConfig;
 use crate::store::{Artifact, ArtifactKey, ArtifactStore, ClausePayload, Namespace, TieredStore};
@@ -65,14 +61,6 @@ pub struct SolveSession<'a> {
     meter: EffortMeter,
     candidates: Option<Vec<Vec<bool>>>,
     oracle: Option<PartitionOracle>,
-    /// Check-side donor snapshot from an exact bank hit, held until a
-    /// QBF strategy asks for a refuter to warm with it.
-    check_seed: Option<Arc<LearntExport>>,
-    /// The persistent counterexample refuter, handed back by the
-    /// strategy after its optimum search for donation at session end.
-    refuter: Option<CounterexampleRefuter>,
-    /// Clauses imported into the refuter from the bank's check payload.
-    refuter_imported: u64,
     /// Canonical fingerprint of the cone, set by [`run`] once the cone
     /// is canonicalized — the probe ledger keys on it.
     ///
@@ -130,9 +118,6 @@ impl<'a> SolveSession<'a> {
             meter,
             candidates: None,
             oracle: None,
-            check_seed: None,
-            refuter: None,
-            refuter_imported: 0,
             fingerprint: None,
             probe_disk_hits: Arc::new(AtomicU64::new(0)),
         })
@@ -177,29 +162,6 @@ impl<'a> SolveSession<'a> {
             .as_mut()
             .expect("oracle is built before the strategy runs");
         (oracle, self.candidates.as_deref(), &mut self.meter)
-    }
-
-    /// Builds the session's persistent [`CounterexampleRefuter`] (QBF
-    /// strategies only), warm from an exact donor's check-side payload
-    /// when the bank carried one. `None` when clause reuse is off: the
-    /// refuter is part of the reuse machinery, and keeping it off the
-    /// baseline path keeps reuse-off runs work-comparable with earlier
-    /// versions.
-    pub fn make_refuter(&mut self) -> Option<CounterexampleRefuter> {
-        self.reuse?;
-        let core = self.oracle.as_ref()?.core();
-        let mut refuter =
-            CounterexampleRefuter::new(&core.aig, !core.root, &core.e_pis(), &core.y_pis());
-        if let Some(seed) = self.check_seed.take() {
-            self.refuter_imported += refuter.import_learnts(&seed);
-        }
-        Some(refuter)
-    }
-
-    /// Hands the refuter back after the strategy's search, so the
-    /// session can donate its check-side learnt clauses at the end.
-    pub fn set_refuter(&mut self, refuter: Option<CounterexampleRefuter>) {
-        self.refuter = refuter;
     }
 
     /// Builds the session's [`ProbeLedger`] over the shared store (QBF
@@ -369,7 +331,6 @@ impl<'a> SolveSession<'a> {
                         if let Artifact::Clauses(payload) = hit.artifact {
                             if payload.exact {
                                 result.imported_clauses = oracle.import_learnts(&payload.export);
-                                self.check_seed = payload.check;
                                 result.bank = BankLookup::Exact;
                             } else {
                                 result.imported_clauses =
@@ -391,7 +352,6 @@ impl<'a> SolveSession<'a> {
             .oracle
             .as_ref()
             .map_or(0, |o| o.sat_calls - pooled_calls);
-        result.imported_clauses += self.refuter_imported;
         result.effort = self.meter.spent();
         result.qbf_calls = outcome.qbf_calls;
         result.cegar_iterations = outcome.cegar_iterations;
@@ -419,25 +379,17 @@ impl<'a> SolveSession<'a> {
         // Donate the oracle's pinned clauses — timeouts included, a
         // learnt clause is implied by the CNF no matter how the search
         // ended, which is exactly how truncated siblings still pay
-        // forward — plus the refuter's check-side snapshot if a QBF
-        // strategy ran one, and park the live oracle for the next
-        // sibling with this fingerprint.
+        // forward — and park the live oracle for the next sibling with
+        // this fingerprint.
         if let Some(reuse) = self.reuse {
             if let Some(oracle) = self.oracle.take() {
                 let export = oracle.export_learnts();
-                let check = self
-                    .refuter
-                    .take()
-                    .map(|r| r.export_learnts(BANK_MAX_CLAUSES, BANK_MAX_ACTIVITIES))
-                    .filter(|c| !c.is_empty());
-                result.donated_clauses = export.num_clauses() as u64
-                    + check.as_ref().map_or(0, |c| c.num_clauses() as u64);
+                result.donated_clauses = export.num_clauses() as u64;
                 reuse.store.put(
                     &Namespace::clauses(),
                     &ArtifactKey::of(canon.fingerprint, self.job.op),
                     Artifact::Clauses(ClausePayload {
                         export: Arc::new(export),
-                        check: check.map(Arc::new),
                         exact: true,
                     }),
                 );

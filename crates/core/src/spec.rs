@@ -150,9 +150,9 @@ impl Budget {
         matches!(self, Budget::Work(_) | Budget::Unlimited)
     }
 
-    /// This budget with its work component set to `work` (keeping any
-    /// wall component) — the migration shim for callers of the old
-    /// `conflicts_per_call` knob.
+    /// This budget with its work component set to `work`, keeping any
+    /// wall component (synthesis uses it to cap a probe by its node's
+    /// share of the work pool).
     pub fn with_work(self, work: u64) -> Budget {
         match self {
             Budget::Wall(wall) | Budget::Both { wall, .. } => Budget::Both { wall, work },

@@ -3,10 +3,9 @@
 //!
 //! PRs 3 and 7 grew three independent in-memory reuse surfaces —
 //! [`ResultCache`] (solved partitions), [`ClauseBank`] (donated learnt
-//! clauses + refuter snapshots) and the probe-certificate ledger — all
-//! keyed by the same canonical 128-bit cone fingerprint, and all
-//! forgotten at process exit. This module unifies them behind one
-//! trait:
+//! clauses) and the probe-certificate ledger — all keyed by the same
+//! canonical 128-bit cone fingerprint, and all forgotten at process
+//! exit. This module unifies them behind one trait:
 //!
 //! * **tier 0** — the existing sharded in-memory structures, untouched
 //!   (their eviction policies, counters and tests stay exactly as they
@@ -340,16 +339,13 @@ pub fn unpack_target(aux: u64) -> Option<Target> {
     })
 }
 
-/// A donated clause snapshot as the store carries it: the oracle-side
-/// export plus the optional check-side (refuter) snapshot. Disk
-/// entries are always exact — the cluster channel's near-twin matching
-/// is a tier-0 notion.
+/// A donated clause snapshot as the store carries it. Disk entries are
+/// always exact — the cluster channel's near-twin matching is a tier-0
+/// notion.
 #[derive(Clone, Debug)]
 pub struct ClausePayload {
     /// Oracle-CNF learnt clauses and activity hints.
     pub export: Arc<LearntExport>,
-    /// Check-side (refuter) snapshot, if the donor ran a QBF model.
-    pub check: Option<Arc<LearntExport>>,
     /// `true` = same-fingerprint donor (verbatim import); `false` =
     /// tier-0 cluster hit (vet every clause before use).
     pub exact: bool,
@@ -584,7 +580,6 @@ impl ArtifactStore for TieredStore {
                         return Some(StoreHit {
                             artifact: Artifact::Clauses(ClausePayload {
                                 export: Arc::clone(&hit.export),
-                                check: hit.check.as_ref().map(Arc::clone),
                                 exact: true,
                             }),
                             from_disk: false,
@@ -596,12 +591,7 @@ impl ArtifactStore for TieredStore {
                 if let Some(disk) = &self.disk {
                     if let Some(Artifact::Clauses(payload)) = disk.get(ns, key) {
                         if let Some(bank) = &self.bank {
-                            bank.donate(
-                                key.fingerprint,
-                                key.op,
-                                (*payload.export).clone(),
-                                payload.check.as_deref().cloned(),
-                            );
+                            bank.donate(key.fingerprint, key.op, (*payload.export).clone());
                         }
                         self.disk_clause_hits.fetch_add(1, Ordering::Relaxed);
                         return Some(StoreHit {
@@ -614,7 +604,6 @@ impl ArtifactStore for TieredStore {
                 Some(StoreHit {
                     artifact: Artifact::Clauses(ClausePayload {
                         export: hit.export,
-                        check: hit.check,
                         exact: false,
                     }),
                     from_disk: false,
@@ -659,12 +648,7 @@ impl ArtifactStore for TieredStore {
             }
             (Artifact::Clauses(p), ArtifactKind::Clauses) => {
                 if let Some(bank) = &self.bank {
-                    bank.donate(
-                        key.fingerprint,
-                        key.op,
-                        (*p.export).clone(),
-                        p.check.as_deref().cloned(),
-                    );
+                    bank.donate(key.fingerprint, key.op, (*p.export).clone());
                 }
             }
             (Artifact::Probe(v), ArtifactKind::Probe) => {
@@ -678,11 +662,11 @@ impl ArtifactStore for TieredStore {
             // tier over it.
             _ => return,
         }
-        // Mirror the bank's drop-all-empty rule on disk: persisting an
+        // Mirror the bank's drop-empty rule on disk: persisting an
         // empty donation would claim the key (first writer wins) and
         // block a later sibling's real clauses forever.
         if let Artifact::Clauses(p) = &value {
-            if p.export.is_empty() && p.check.as_ref().is_none_or(|c| c.is_empty()) {
+            if p.export.is_empty() {
                 return;
             }
         }
@@ -1234,13 +1218,10 @@ fn encode_record(dk: &DiskKey, value: &Artifact) -> Vec<u8> {
         }
         Artifact::Clauses(p) => {
             encode_export(&mut out, &p.export);
-            match &p.check {
-                Some(check) => {
-                    out.push(1);
-                    encode_export(&mut out, check);
-                }
-                None => out.push(0),
-            }
+            // A zero flag byte: in older stores a 1 here announced a
+            // second (counterexample-check) snapshot, so the byte stays
+            // for those stores to keep loading under `FORMAT_VERSION` 1.
+            out.push(0);
         }
         Artifact::Probe(v) => match v {
             ProbeVerdict::Infeasible => out.push(0),
@@ -1282,14 +1263,17 @@ fn decode_record(kind: ArtifactKind, payload: &[u8]) -> Option<(DiskKey, Artifac
         }
         ArtifactKind::Clauses => {
             let export = decode_export(&mut r)?;
-            let check = match r.u8()? {
-                0 => None,
-                1 => Some(Arc::new(decode_export(&mut r)?)),
+            // Older stores may carry a check snapshot after the flag:
+            // it is decoded (so the record still checks out) and dropped.
+            match r.u8()? {
+                0 => {}
+                1 => {
+                    decode_export(&mut r)?;
+                }
                 _ => return None,
-            };
+            }
             Artifact::Clauses(ClausePayload {
                 export: Arc::new(export),
-                check,
                 exact: true,
             })
         }
@@ -1512,7 +1496,6 @@ mod tests {
                 &ArtifactKey::of(fp(2), GateOp::And),
                 Artifact::Clauses(ClausePayload {
                     export: Arc::new(export(3)),
-                    check: Some(Arc::new(export(4))),
                     exact: true,
                 }),
             );
@@ -1532,7 +1515,6 @@ mod tests {
             Some(Artifact::Clauses(p)) => {
                 assert_eq!(p.export.clauses, export(3).clauses);
                 assert_eq!(p.export.activities, export(3).activities);
-                assert_eq!(p.check.unwrap().clauses, export(4).clauses);
                 assert!(p.exact);
             }
             other => panic!("expected clauses, got {other:?}"),
@@ -1551,6 +1533,72 @@ mod tests {
                 &ArtifactKey::of(fp(1), GateOp::Or)
             )
             .is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Clause records written before the counterexample-check snapshot
+    /// was dropped end in flag byte 1 followed by that snapshot. They
+    /// still load: the oracle export is served, the snapshot is skipped
+    /// and nothing counts as corrupt. Flag values other than 0 and 1
+    /// stay corrupt.
+    #[test]
+    fn clause_records_with_a_check_snapshot_still_load() {
+        let dir = std::env::temp_dir().join(format!("step-store-legacy-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let ns = Namespace::clauses();
+        let key = ArtifactKey::of(fp(2), GateOp::And);
+        {
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.put(
+                &ns,
+                &key,
+                Artifact::Clauses(ClausePayload {
+                    export: Arc::new(export(3)),
+                    exact: true,
+                }),
+            );
+            tier.flush().unwrap();
+        }
+        let config = ns.config_key().as_str();
+        let path = dir.join(store_file_name(ArtifactKind::Clauses, config));
+        let bytes = fs::read(&path).unwrap();
+        // Magic, version, kind tag, config length and string; then the
+        // one record: length, checksum, payload.
+        let header = MAGIC.len() + 4 + 1 + 4 + config.len();
+        let mut payload = bytes[header + 12..].to_vec();
+        assert_eq!(payload.pop(), Some(0), "records are written with flag 0");
+        let rewrite = |flag: u8| {
+            let mut p = payload.clone();
+            p.push(flag);
+            encode_export(&mut p, &export(4));
+            let mut out = bytes[..header].to_vec();
+            out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            out.extend_from_slice(&xxh64(&p, 0).to_le_bytes());
+            out.extend_from_slice(&p);
+            fs::write(&path, out).unwrap();
+        };
+
+        rewrite(1);
+        let store = TieredStore::with_disk(None, None, &dir).unwrap();
+        let disk = store.disk().unwrap();
+        assert_eq!(disk.loaded_records(), 1);
+        assert_eq!(disk.corrupt_records(), 0);
+        match store.get(&ns, &key) {
+            Some(StoreHit {
+                artifact: Artifact::Clauses(p),
+                from_disk: true,
+            }) => {
+                assert_eq!(p.export.clauses, export(3).clauses);
+                assert_eq!(p.export.activities, export(3).activities);
+                assert!(p.exact);
+            }
+            other => panic!("expected the oracle export from disk, got {other:?}"),
+        }
+
+        rewrite(2);
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.loaded_records(), 0);
+        assert_eq!(tier.corrupt_records(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1728,7 +1776,6 @@ mod tests {
                 &ArtifactKey::of(fp(2), GateOp::Or),
                 Artifact::Clauses(ClausePayload {
                     export: Arc::new(export(9)),
-                    check: None,
                     exact: true,
                 }),
             );

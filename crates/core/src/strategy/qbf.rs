@@ -43,13 +43,8 @@ pub(super) fn solve_with_metric(session: &mut SolveSession<'_>, metric: Metric) 
         preprocess: config.sat_preprocess,
     };
     let strategy = config.effective_strategy();
-    // Under clause reuse, a persistent refuter answers each probe's
-    // final UNSAT counterexample check from accumulated learnt clauses
-    // (the CEGAR engine rebuilds its own solvers every probe), and the
-    // probe ledger replays definitive verdicts recorded by sibling
-    // sessions over the same canonical cone. The session donates its
-    // clauses to the bank afterwards.
-    let mut refuter = session.make_refuter();
+    // Under clause reuse, the probe ledger replays definitive verdicts
+    // recorded by sibling sessions over the same canonical cone.
     let ledger = session.make_probe_ledger();
     let (oracle, _, meter) = session.solve_parts();
     let search = optimum::search_with_reuse(
@@ -59,10 +54,8 @@ pub(super) fn solve_with_metric(session: &mut SolveSession<'_>, metric: Metric) 
         strategy,
         &opts,
         meter,
-        &mut refuter,
         ledger.as_ref(),
     );
-    session.set_refuter(refuter);
     out.qbf_calls = search.qbf_calls;
     out.cegar_iterations = search.cegar_iterations;
     out.proved_optimal = search.proved_optimal;

@@ -41,9 +41,6 @@ pub struct MusConfig {
     /// non-minimal) over-approximation is returned with
     /// `minimal = false`.
     pub deadline: Option<Instant>,
-    /// Conflict budget per SAT call (`None` = unlimited). A call that
-    /// exhausts its budget is treated as "keep the group" (sound).
-    pub conflicts_per_call: Option<u64>,
     /// Total conflict budget for the whole extraction (`None` =
     /// unlimited): each SAT call is capped by what remains of it, and
     /// the deletion loop stops (soundly, `minimal = false`) once it is
@@ -72,17 +69,12 @@ pub fn group_mus(hard: &Cnf, groups: &[Vec<Vec<Lit>>], config: &MusConfig) -> Op
     group_mus_with_effort(hard, groups, config).0
 }
 
-/// The conflict budget for the next SAT call: the per-call limit
-/// capped by what remains of the whole-extraction effort budget.
+/// The conflict budget for the next SAT call: what remains of the
+/// whole-extraction effort budget.
 fn call_budget(config: &MusConfig, solver: &Solver) -> Option<u64> {
-    let remaining = config
+    config
         .effort_budget
-        .map(|b| b.saturating_sub(solver.effort().conflicts));
-    match (config.conflicts_per_call, remaining) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
+        .map(|b| b.saturating_sub(solver.effort().conflicts))
 }
 
 /// Whether a budget (wall or effort) is spent.

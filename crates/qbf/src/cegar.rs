@@ -2,7 +2,7 @@ use std::time::Instant;
 
 use step_aig::{Aig, AigLit};
 use step_cnf::{tseitin::AigCnf, Cnf, Lit, Var};
-use step_sat::{EffortStats, LearntExport, RestartPolicy, SolveResult, Solver};
+use step_sat::{EffortStats, RestartPolicy, SolveResult, Solver};
 
 /// Result of a 2QBF solve.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -23,8 +23,6 @@ pub struct Qbf2Config {
     pub max_iterations: Option<u64>,
     /// Wall-clock deadline (`None` = unlimited).
     pub deadline: Option<Instant>,
-    /// Conflict budget per underlying SAT call (`None` = unlimited).
-    pub conflicts_per_call: Option<u64>,
     /// Total conflict budget for the whole QBF call (`None` =
     /// unlimited): every CEGAR iteration's inner-SAT work — candidate
     /// *and* counterexample solves — is charged against it, and the
@@ -47,140 +45,6 @@ pub struct Qbf2Config {
 pub struct Qbf2Stats {
     /// Candidate/counterexample iterations performed.
     pub iterations: u64,
-    /// AND nodes added to the matrix AIG by refinement cofactoring.
-    pub refinement_nodes: usize,
-}
-
-/// Builds the counterexample query `¬φ(E,U)` as an incremental SAT
-/// solver: existential inputs bound to the first block of variables,
-/// universal inputs to the second, Tseitin auxiliaries after — a pure
-/// function of `(aig, matrix, e_pis, u_pis)`, so two calls with the
-/// same arguments produce var-for-var identical solvers. Shared by
-/// [`ExistsForall::new`] and [`CounterexampleRefuter::new`].
-fn build_check(
-    aig: &Aig,
-    matrix: AigLit,
-    e_pis: &[usize],
-    u_pis: &[usize],
-) -> (Solver, Vec<Var>, Vec<Var>) {
-    let mut check = Solver::new();
-    let mut ccnf = Cnf::new();
-    let mut cenc = AigCnf::new();
-    let check_e_vars: Vec<Var> = e_pis
-        .iter()
-        .map(|&p| {
-            let v = ccnf.new_var();
-            cenc.bind(aig.input_node(p), Lit::pos(v));
-            v
-        })
-        .collect();
-    let check_u_vars: Vec<Var> = u_pis
-        .iter()
-        .map(|&p| {
-            let v = ccnf.new_var();
-            cenc.bind(aig.input_node(p), Lit::pos(v));
-            v
-        })
-        .collect();
-    let r = cenc.encode(&mut ccnf, aig, matrix);
-    ccnf.add_unit(!r);
-    check.add_cnf(&ccnf);
-    (check, check_e_vars, check_u_vars)
-}
-
-/// A persistent, seedable duplicate of the counterexample (check)
-/// solver: the same CNF `¬φ(E,U)` with the same variable numbering as
-/// the check solver [`ExistsForall::new`] builds for the same
-/// arguments.
-///
-/// Attached to a CEGAR solve ([`ExistsForall::set_refuter`]), it is
-/// consulted **before** the real counterexample check: if the refuter
-/// proves a candidate has no counterexample (UNSAT), the real check —
-/// typically the most expensive call of the whole solve — is skipped.
-/// An UNSAT verdict is semantically determined by the CNF, so the
-/// skip cannot change the result; on SAT or Unknown the real check
-/// runs exactly as it would have, so the counterexample *trajectory*
-/// (which refinements happen, which witness is found) is byte-
-/// identical with or without a refuter attached.
-///
-/// Two guards keep the fast path from costing more than it saves.
-/// The refuter is only consulted once *warm* — seeded with clauses
-/// from a donor or from a previous probe's harvested check proof — so
-/// a cold session never duplicates its check calls. And each consult
-/// is capped at [`REFUTER_CONFLICTS`] conflicts: a warm refuter
-/// re-proves a known UNSAT mostly by propagation, while a SAT
-/// candidate (where the consult is pure overhead) bails out at the
-/// cap and falls through. Whenever the real check does prove UNSAT,
-/// its learnt clauses are harvested into the refuter verbatim (same
-/// CNF, same numbering), so warming costs no extra solving.
-///
-/// What makes the refuter pay is persistence: unlike the check solver,
-/// which is rebuilt for every probe of an optimum search, one refuter
-/// lives across all probes of a session — and, via
-/// [`import_learnts`](CounterexampleRefuter::import_learnts) /
-/// [`export_learnts`](CounterexampleRefuter::export_learnts), across
-/// sessions solving the same formula (same canonical cone and
-/// operator, any model).
-pub struct CounterexampleRefuter {
-    solver: Solver,
-    e_vars: Vec<Var>,
-    /// Whether the refuter holds any donated or harvested clauses —
-    /// consultation is skipped until it does.
-    warm: bool,
-}
-
-/// Conflict cap per refuter consult. A warm refuter settles a
-/// re-proof almost entirely by propagation; anything that needs more
-/// conflicts than this is cheaper to leave to the real check.
-pub const REFUTER_CONFLICTS: u64 = 64;
-
-/// Caps on the check-proof harvest replayed into the refuter after
-/// each real UNSAT check (same spirit as the clause bank's donation
-/// caps: keep the hot core, drop the tail).
-const HARVEST_CLAUSES: usize = 512;
-const HARVEST_ACTIVITIES: usize = 256;
-
-impl CounterexampleRefuter {
-    /// Builds the refuter for `∃E ∀U. φ` — same arguments, same CNF,
-    /// same variable numbering as [`ExistsForall::new`]'s check solver.
-    pub fn new(aig: &Aig, matrix: AigLit, e_pis: &[usize], u_pis: &[usize]) -> Self {
-        let (solver, e_vars, _) = build_check(aig, matrix, e_pis, u_pis);
-        CounterexampleRefuter {
-            solver,
-            e_vars,
-            warm: false,
-        }
-    }
-
-    /// Replays a donor refuter's snapshot (same formula, so the CNFs
-    /// are var-for-var identical and clauses import verbatim) and
-    /// marks the refuter warm. Returns the number of clauses added.
-    pub fn import_learnts(&mut self, export: &LearntExport) -> u64 {
-        let added = self.solver.import_learnts(export);
-        self.warm = self.warm || !export.clauses.is_empty();
-        added
-    }
-
-    /// Snapshots the pinned (tier-core) learnt clauses and hottest
-    /// variable activities for donation to a later refuter over the
-    /// same formula.
-    pub fn export_learnts(&self, max_clauses: usize, max_activities: usize) -> LearntExport {
-        self.solver.export_learnts(max_clauses, max_activities)
-    }
-
-    /// Monotone snapshot of the conflicts/decisions/propagations this
-    /// refuter has spent — tracked by the owner (it is *not* part of
-    /// [`ExistsForall::effort`], which covers only the trajectory
-    /// solvers).
-    pub fn effort(&self) -> EffortStats {
-        self.solver.effort()
-    }
-
-    /// Whether the refuter holds donated or harvested clauses yet.
-    /// Cold refuters are never consulted during a solve.
-    pub fn is_warm(&self) -> bool {
-        self.warm
-    }
 }
 
 /// CEGAR solver for `∃E ∀U. φ(E,U)` with an AIG matrix.
@@ -199,7 +63,6 @@ pub struct ExistsForall {
     check: Solver,
     check_e_vars: Vec<Var>,
     check_u_vars: Vec<Var>,
-    refuter: Option<CounterexampleRefuter>,
     config: Qbf2Config,
     stats: Qbf2Stats,
 }
@@ -242,7 +105,23 @@ impl ExistsForall {
             .collect();
 
         // Check solver: ¬φ(E,U), solved under assumptions E = candidate.
-        let (check, check_e_vars, check_u_vars) = build_check(&aig, matrix, &e_pis, &u_pis);
+        let mut check_cnf = Cnf::new();
+        let mut check_enc = AigCnf::new();
+        let mut bind = |pis: &[usize]| -> Vec<Var> {
+            pis.iter()
+                .map(|&p| {
+                    let v = check_cnf.new_var();
+                    check_enc.bind(aig.input_node(p), Lit::pos(v));
+                    v
+                })
+                .collect()
+        };
+        let check_e_vars = bind(&e_pis);
+        let check_u_vars = bind(&u_pis);
+        let r = check_enc.encode(&mut check_cnf, &aig, matrix);
+        check_cnf.add_unit(!r);
+        let mut check = Solver::new();
+        check.add_cnf(&check_cnf);
 
         ExistsForall {
             aig,
@@ -257,7 +136,6 @@ impl ExistsForall {
             check,
             check_e_vars,
             check_u_vars,
-            refuter: None,
             config: Qbf2Config::default(),
             stats: Qbf2Stats::default(),
         }
@@ -266,22 +144,6 @@ impl ExistsForall {
     /// Replaces the solve budgets.
     pub fn set_config(&mut self, config: Qbf2Config) {
         self.config = config;
-    }
-
-    /// Attaches a [`CounterexampleRefuter`] (built for the **same**
-    /// formula) to be consulted before each counterexample check; pass
-    /// `None` to detach. The refuter's effort is *not* part of
-    /// [`effort`](ExistsForall::effort) — reclaim it with
-    /// [`take_refuter`](ExistsForall::take_refuter) and account its
-    /// [`CounterexampleRefuter::effort`] separately.
-    pub fn set_refuter(&mut self, refuter: Option<CounterexampleRefuter>) {
-        self.refuter = refuter;
-    }
-
-    /// Detaches and returns the attached refuter, if any, with all the
-    /// learnt state it accumulated during [`solve`](ExistsForall::solve).
-    pub fn take_refuter(&mut self) -> Option<CounterexampleRefuter> {
-        self.refuter.take()
     }
 
     /// Counters from the CEGAR run so far.
@@ -343,18 +205,12 @@ impl ExistsForall {
         self.abs_sent = self.abs_cnf.num_clauses();
     }
 
-    /// The conflict budget for the next inner SAT call: the per-call
-    /// limit capped by what is left of the whole-call effort budget.
+    /// The conflict budget for the next inner SAT call: what is left of
+    /// the whole-call effort budget.
     fn inner_budget(&self, effort_start: u64) -> Option<u64> {
-        let remaining = self
-            .config
+        self.config
             .effort_budget
-            .map(|b| b.saturating_sub(self.effort().conflicts - effort_start));
-        match (self.config.conflicts_per_call, remaining) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        }
+            .map(|b| b.saturating_sub(self.effort().conflicts - effort_start))
     }
 
     /// Runs CEGAR to completion (or budget exhaustion).
@@ -365,11 +221,6 @@ impl ExistsForall {
         self.check.set_restart_policy(self.config.restarts);
         self.abs.set_preprocess(self.config.preprocess);
         self.check.set_preprocess(self.config.preprocess);
-        if let Some(rf) = self.refuter.as_mut() {
-            rf.solver.set_deadline(self.config.deadline);
-            rf.solver.set_restart_policy(self.config.restarts);
-            rf.solver.set_preprocess(self.config.preprocess);
-        }
         // Baseline for the whole-call effort budget: every inner SAT
         // call below is capped by what remains of it, so the solve
         // stops at a deterministic, machine-independent conflict count.
@@ -408,31 +259,7 @@ impl ExistsForall {
                 }
             };
 
-            // 2a. Refuter fast path: a persistent solver over the same
-            // check CNF, warm from previous probes (and possibly previous
-            // sessions). Only its UNSAT answer is used — UNSAT is
-            // semantically determined, and Valid is the loop's last step,
-            // so skipping the real check there cannot perturb the CEGAR
-            // trajectory. SAT/Unknown fall through to the real check.
-            // Cold refuters are never consulted, and warm consults are
-            // conflict-capped — see the [`CounterexampleRefuter`] docs.
-            let refuter_budget = self
-                .inner_budget(effort_start)
-                .map_or(REFUTER_CONFLICTS, |b| b.min(REFUTER_CONFLICTS));
-            if let Some(rf) = self.refuter.as_mut().filter(|rf| rf.warm) {
-                rf.solver.set_effort_budget(Some(refuter_budget));
-                let assumptions: Vec<Lit> = rf
-                    .e_vars
-                    .iter()
-                    .zip(&candidate)
-                    .map(|(&v, &val)| Lit::new(v, !val))
-                    .collect();
-                if rf.solver.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
-                    return Qbf2Result::Valid(candidate);
-                }
-            }
-
-            // 2b. Counterexample check: ∃U. ¬φ(candidate, U)?
+            // 2. Counterexample check: ∃U. ¬φ(candidate, U)?
             let budget = self.inner_budget(effort_start);
             self.check.set_effort_budget(budget);
             let assumptions: Vec<Lit> = self
@@ -442,19 +269,7 @@ impl ExistsForall {
                 .map(|(&v, &val)| Lit::new(v, !val))
                 .collect();
             match self.check.solve_with_assumptions(&assumptions) {
-                SolveResult::Unsat => {
-                    // Harvest the proof into the refuter: the clauses
-                    // are over the identical CNF, so the next probe's
-                    // consult can re-derive this UNSAT by propagation.
-                    if let Some(rf) = self.refuter.as_mut() {
-                        rf.import_learnts(
-                            &self
-                                .check
-                                .export_learnts(HARVEST_CLAUSES, HARVEST_ACTIVITIES),
-                        );
-                    }
-                    return Qbf2Result::Valid(candidate);
-                }
+                SolveResult::Unsat => return Qbf2Result::Valid(candidate),
                 SolveResult::Unknown => return Qbf2Result::Unknown,
                 SolveResult::Sat => {
                     let u_star: Vec<(usize, bool)> = self
@@ -471,9 +286,7 @@ impl ExistsForall {
 
     /// Adds the expansion copy `φ(E, u★)` to the abstraction.
     fn refine(&mut self, u_star: &[(usize, bool)]) {
-        let nodes_before = self.aig.node_count();
         let cof = self.aig.cofactor_many(self.matrix, u_star);
-        self.stats.refinement_nodes += self.aig.node_count() - nodes_before;
         let lit = self.abs_enc.encode(&mut self.abs_cnf, &self.aig, cof);
         self.abs_cnf.add_unit(lit);
         self.abs.ensure_vars(self.abs_cnf.num_vars());

@@ -20,6 +20,11 @@
 //! solver's variables via [`ExistsForall::add_exists_cnf`], avoiding a
 //! circuit encoding of the totalizers.
 //!
+//! Each [`ExistsForall`] owns two incremental SAT solvers, the
+//! abstraction (candidates for `E`) and the counterexample check
+//! (`¬φ` under the candidate), and nothing outlives it:
+//! [`ExistsForall::effort`] is the whole cost of a solve.
+//!
 //! A QDIMACS front-end ([`solve_qdimacs`]) handles standard 2QBF
 //! instances for testing and interoperability.
 //!
@@ -44,9 +49,7 @@
 mod cegar;
 mod qdimacs;
 
-pub use cegar::{
-    CounterexampleRefuter, ExistsForall, Qbf2Config, Qbf2Result, Qbf2Stats, REFUTER_CONFLICTS,
-};
+pub use cegar::{ExistsForall, Qbf2Config, Qbf2Result, Qbf2Stats};
 pub use qdimacs::{solve_qdimacs, QbfOutcome, QdimacsError};
 // The effort-counter vocabulary is shared with the SAT layer: a QBF
 // call's effort is the sum of its inner solvers' (`ExistsForall::effort`).

@@ -68,66 +68,6 @@ fn xor_is_invalid_equiv_needs_matching() {
 }
 
 #[test]
-fn refuter_preserves_results_and_exports() {
-    use crate::CounterexampleRefuter;
-    use step_cnf::{Lit, Var};
-    use step_sat::LearntExport;
-    // ∃x0,x1 ∀y0,y1. (x0 ∨ y0 ∨ y1) ∧ (x1 ∨ ¬y0) — valid (x0=x1=1),
-    // with enough structure for a couple of CEGAR refinements.
-    let mut aig = Aig::new();
-    let x0 = aig.add_input("x0");
-    let x1 = aig.add_input("x1");
-    let y0 = aig.add_input("y0");
-    let y1 = aig.add_input("y1");
-    let ys = aig.or(y0, y1);
-    let c0 = aig.or(x0, ys);
-    let c1 = aig.or(x1, !y0);
-    let m = aig.and(c0, c1);
-    let (e, u) = (vec![0, 1], vec![2, 3]);
-
-    let mut plain = ExistsForall::new(aig.clone(), m, e.clone(), u.clone());
-    let baseline = plain.solve();
-    assert!(matches!(baseline, Qbf2Result::Valid(_)));
-
-    // A cold refuter must not change the result or the trajectory: it
-    // is never even consulted, and the final UNSAT check's proof is
-    // harvested into it.
-    let cold = CounterexampleRefuter::new(&aig, m, &e, &u);
-    assert!(!cold.is_warm());
-    let mut with_cold = ExistsForall::new(aig.clone(), m, e.clone(), u.clone());
-    with_cold.set_refuter(Some(cold));
-    assert_eq!(with_cold.solve(), baseline);
-    assert_eq!(with_cold.stats().iterations, plain.stats().iterations);
-    let harvested = with_cold.take_refuter().expect("refuter survives solve");
-
-    // A warm refuter (here seeded with an implied clause over the
-    // check CNF's first variable, which binds x0) may short-circuit
-    // the final check but must agree with the baseline. Seeding it
-    // from the harvested refuter's snapshot is the cross-session path.
-    let mut seeded = CounterexampleRefuter::new(&aig, m, &e, &u);
-    seeded.import_learnts(&harvested.export_learnts(64, 64));
-    seeded.import_learnts(&LearntExport {
-        // The check CNF asserts ¬m, which implies ¬x0 ∨ ¬x1 (setting
-        // both makes m true); vars 0 and 1 bind the existentials.
-        clauses: vec![vec![Lit::neg(Var::new(0)), Lit::neg(Var::new(1))]],
-        activities: vec![],
-    });
-    assert!(seeded.is_warm());
-    let mut with_warm = ExistsForall::new(aig.clone(), m, e.clone(), u.clone());
-    with_warm.set_refuter(Some(seeded));
-    assert_eq!(with_warm.solve(), baseline);
-
-    // Invalid instances are untouched too (the refuter never answers
-    // their abstraction-side refutation).
-    let inv = aig.and(x0, y0);
-    let mut plain_inv = ExistsForall::new(aig.clone(), inv, e.clone(), u.clone());
-    let mut with_inv = ExistsForall::new(aig.clone(), inv, e.clone(), u.clone());
-    with_inv.set_refuter(Some(CounterexampleRefuter::new(&aig, inv, &e, &u)));
-    assert_eq!(plain_inv.solve(), Qbf2Result::Invalid);
-    assert_eq!(with_inv.solve(), Qbf2Result::Invalid);
-}
-
-#[test]
 fn no_universals_reduces_to_sat() {
     let mut aig = Aig::new();
     let x = aig.add_input("x");

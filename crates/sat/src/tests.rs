@@ -782,10 +782,10 @@ fn seeded_resolve_spends_no_more_conflicts() {
 }
 
 /// Deleted clauses are reclaimed: a long-lived incremental solver —
-/// the shape of an `OraclePool` member, a counterexample refuter or a
-/// `step serve` process — that keeps adding clauses and reducing its
-/// learnt database holds its arena within a constant factor of its live
-/// clauses, and compaction leaves no watcher pointing at a dead clause.
+/// the shape of an `OraclePool` member or a `step serve` process —
+/// that keeps adding clauses and reducing its learnt database holds its
+/// arena within a constant factor of its live clauses, and compaction
+/// leaves no watcher pointing at a dead clause.
 #[test]
 fn arena_stays_bounded_across_incremental_reductions() {
     const NVARS: usize = 150;
