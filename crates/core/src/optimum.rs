@@ -58,7 +58,8 @@ impl Metric {
         }
     }
 
-    fn target(self, k: usize) -> Target {
+    /// The `fT` target bounding this metric by `k`.
+    pub(crate) fn target(self, k: usize) -> Target {
         match self {
             Metric::Disjointness => Target::DisjointAtMost(k),
             Metric::Balancedness => Target::BalancedWindow(k),

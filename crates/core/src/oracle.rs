@@ -182,14 +182,97 @@ impl CoreFormula {
     }
 }
 
+/// The core's Tseitin encoding in one incremental solver, asserted
+/// true and queried under assumptions on `α`/`β`. The CNF is a pure
+/// function of the core: `α` variables first, then `β`, then the
+/// auxiliaries in deterministic AIG order.
+///
+/// [`PartitionOracle`] keeps one warm across a session's queries; the
+/// QBF models' counterexample check builds a fresh one per probe (see
+/// [`crate::qbf_model`]).
+pub(crate) struct CoreSolver {
+    pub(crate) solver: Solver,
+    alpha_lits: Vec<Lit>,
+    beta_lits: Vec<Lit>,
+    /// Literals of the circuit-copy inputs, in [`CoreFormula::y_pis`]
+    /// order (`None` for an input the encoding never reached).
+    copy_lits: Vec<Option<Lit>>,
+}
+
+impl CoreSolver {
+    /// Encodes `core` into a fresh solver with the given kernel knobs.
+    pub(crate) fn new(
+        core: &CoreFormula,
+        restarts: step_sat::RestartPolicy,
+        preprocess: bool,
+    ) -> Self {
+        let mut cnf = Cnf::new();
+        let mut enc = AigCnf::new();
+        let mut bind = |pis: &[usize]| -> Vec<Lit> {
+            pis.iter()
+                .map(|&pi| {
+                    let l = Lit::pos(cnf.new_var());
+                    enc.bind(core.aig.input_node(pi), l);
+                    l
+                })
+                .collect()
+        };
+        let alpha_lits = bind(&core.alpha);
+        let beta_lits = bind(&core.beta);
+        let r = enc.encode(&mut cnf, &core.aig, core.root);
+        cnf.add_unit(r);
+        let copy_lits = core
+            .y_pis()
+            .iter()
+            .map(|&pi| enc.lookup(core.aig.input_node(pi)))
+            .collect();
+        let mut solver = Solver::new();
+        solver.set_restart_policy(restarts);
+        solver.set_preprocess(preprocess);
+        solver.add_cnf(&cnf);
+        CoreSolver {
+            solver,
+            alpha_lits,
+            beta_lits,
+            copy_lits,
+        }
+    }
+
+    /// Solves under `α`/`β` fixed to the given vectors. The caller sets
+    /// the solver's limits.
+    pub(crate) fn solve(&mut self, alpha: &[bool], beta: &[bool]) -> SolveResult {
+        let assumptions: Vec<Lit> = self
+            .alpha_lits
+            .iter()
+            .zip(alpha)
+            .map(|(&l, &v)| l.xor_sign(!v))
+            .chain(
+                self.beta_lits
+                    .iter()
+                    .zip(beta)
+                    .map(|(&l, &v)| l.xor_sign(!v)),
+            )
+            .collect();
+        self.solver.solve_with_assumptions(&assumptions)
+    }
+
+    /// After a SAT answer: the values of `X`, `X'`, `X''` (and `X'''`)
+    /// in the model, in [`CoreFormula::y_pis`] order — the circuit
+    /// copies of a counterexample to the queried partition.
+    pub(crate) fn copies_model(&self) -> Vec<bool> {
+        self.copy_lits
+            .iter()
+            .map(|l| l.and_then(|l| self.solver.model_value(l)).unwrap_or(false))
+            .collect()
+    }
+}
+
 /// Incremental SAT oracle answering "is partition `p` a valid
 /// bi-decomposition partition?" through assumptions on the `α`/`β`
 /// literals of one persistent CNF.
 pub struct PartitionOracle {
     core: CoreFormula,
-    solver: Solver,
-    alpha_lits: Vec<Lit>,
-    beta_lits: Vec<Lit>,
+    enc: CoreSolver,
     /// SAT calls made so far (statistics for the evaluation tables).
     pub sat_calls: u64,
 }
@@ -208,37 +291,9 @@ impl PartitionOracle {
         restarts: step_sat::RestartPolicy,
         preprocess: bool,
     ) -> Self {
-        let mut cnf = Cnf::new();
-        let mut enc = AigCnf::new();
-        let alpha_lits: Vec<Lit> = core
-            .alpha
-            .iter()
-            .map(|&pi| {
-                let l = Lit::pos(cnf.new_var());
-                enc.bind(core.aig.input_node(pi), l);
-                l
-            })
-            .collect();
-        let beta_lits: Vec<Lit> = core
-            .beta
-            .iter()
-            .map(|&pi| {
-                let l = Lit::pos(cnf.new_var());
-                enc.bind(core.aig.input_node(pi), l);
-                l
-            })
-            .collect();
-        let r = enc.encode(&mut cnf, &core.aig, core.root);
-        cnf.add_unit(r);
-        let mut solver = Solver::new();
-        solver.set_restart_policy(restarts);
-        solver.set_preprocess(preprocess);
-        solver.add_cnf(&cnf);
         PartitionOracle {
+            enc: CoreSolver::new(&core, restarts, preprocess),
             core,
-            solver,
-            alpha_lits,
-            beta_lits,
             sat_calls: 0,
         }
     }
@@ -271,25 +326,13 @@ impl PartitionOracle {
         if meter.exhausted() {
             return None;
         }
-        let assumptions: Vec<Lit> = self
-            .alpha_lits
-            .iter()
-            .zip(alpha)
-            .map(|(&l, &v)| l.xor_sign(!v))
-            .chain(
-                self.beta_lits
-                    .iter()
-                    .zip(beta)
-                    .map(|(&l, &v)| l.xor_sign(!v)),
-            )
-            .collect();
         let limits = meter.call_limits(Budget::Unlimited);
-        self.solver.set_deadline(limits.deadline);
-        self.solver.set_effort_budget(limits.conflicts);
+        self.enc.solver.set_deadline(limits.deadline);
+        self.enc.solver.set_effort_budget(limits.conflicts);
         self.sat_calls += 1;
-        let before = self.solver.effort();
-        let result = self.solver.solve_with_assumptions(&assumptions);
-        meter.charge(self.solver.effort().since(before));
+        let before = self.enc.solver.effort();
+        let result = self.enc.solve(alpha, beta);
+        meter.charge(self.enc.solver.effort().since(before));
         match result {
             SolveResult::Unsat => Some(true),
             SolveResult::Sat => Some(false),
@@ -316,7 +359,8 @@ impl PartitionOracle {
     /// built for the same `(fingerprint, op)` has the identical CNF
     /// var-for-var, and the export needs no further mapping.
     pub fn export_learnts(&self) -> LearntExport {
-        self.solver
+        self.enc
+            .solver
             .export_learnts(BANK_MAX_CLAUSES, BANK_MAX_ACTIVITIES)
     }
 
@@ -329,7 +373,7 @@ impl PartitionOracle {
     /// clauses: verdicts and partitions cannot change, only the work
     /// needed to reach them. Returns the number of clauses added.
     pub fn import_learnts(&mut self, export: &LearntExport) -> u64 {
-        self.solver.import_learnts(export)
+        self.enc.solver.import_learnts(export)
     }
 
     /// Seeds this oracle from a *near-twin* donor (same operator and
@@ -347,7 +391,7 @@ impl PartitionOracle {
     ///
     /// [`sat_calls`]: PartitionOracle::sat_calls
     pub fn import_vetted(&mut self, export: &LearntExport, meter: &mut EffortMeter) -> u64 {
-        let nvars = self.solver.num_vars();
+        let nvars = self.enc.solver.num_vars();
         let mut kept = LearntExport::default();
         for clause in &export.clauses {
             if meter.exhausted() {
@@ -357,12 +401,12 @@ impl PartitionOracle {
                 continue;
             }
             let limits = meter.call_limits(Budget::Work(VET_CONFLICTS));
-            self.solver.set_deadline(limits.deadline);
-            self.solver.set_effort_budget(limits.conflicts);
-            let before = self.solver.effort();
+            self.enc.solver.set_deadline(limits.deadline);
+            self.enc.solver.set_effort_budget(limits.conflicts);
+            let before = self.enc.solver.effort();
             let negated: Vec<Lit> = clause.iter().map(|&l| !l).collect();
-            let result = self.solver.solve_with_assumptions(&negated);
-            meter.charge(self.solver.effort().since(before));
+            let result = self.enc.solver.solve_with_assumptions(&negated);
+            meter.charge(self.enc.solver.effort().since(before));
             if result == SolveResult::Unsat {
                 kept.clauses.push(clause.clone());
             }
@@ -370,7 +414,7 @@ impl PartitionOracle {
         // Activity hints only steer branching order; merging them is
         // heuristically useful and needs no vetting.
         kept.activities = export.activities.clone();
-        self.solver.import_learnts(&kept)
+        self.enc.solver.import_learnts(&kept)
     }
 }
 

@@ -16,9 +16,48 @@
 //!
 //! plus the `|XA| ≥ |XB|` symmetry-breaking constraint (Section
 //! IV-A-2). The paper hands the *negated* prenex form (9) to AReQS and
-//! reads the partition from the counterexample; our CEGAR engine
-//! (`step-qbf`) solves the ∃∀ form directly and returns the witness,
-//! which is the same object.
+//! reads the partition from the counterexample; [`solve_partition`]
+//! runs the same CEGAR scheme on the ∃∀ form directly and returns the
+//! witness, which is the same object.
+//!
+//! # The CEGAR loop
+//!
+//! [`solve_partition`] specializes AReQS-style CEGAR to this formula.
+//! It alternates two fresh SAT solvers:
+//!
+//! * **Abstraction:** `α`, `β` and the ∃-side of [`encode_exists`].
+//!   A model is a candidate partition.
+//! * **Check:** the core formula Tseitin-encoded once per probe, solved
+//!   under the candidate's `α`/`β` as assumptions. UNSAT proves the
+//!   candidate (Proposition 1): it is the witness. SAT yields a
+//!   counterexample: circuit copies `X, X', X''` (and `X'''` for XOR)
+//!   that make the core true under the candidate.
+//! * **Refinement:** the cofactor of `¬core` at a counterexample is one
+//!   clause over `α`/`β`, and the loop adds it to the abstraction
+//!   directly: `∨{¬αᵢ : xᵢ≠x′ᵢ} ∨ ∨{¬βᵢ : xᵢ≠x″ᵢ}`. For XOR the
+//!   `α`-part also covers `x″ᵢ≠x‴ᵢ` and the `β`-part `x′ᵢ≠x‴ᵢ`. No
+//!   copy of the matrix and no auxiliary variable enters the
+//!   abstraction.
+//!
+//! For OR and AND the counterexample is generalized first, so the
+//! clause cuts off more candidates. The positions are walked in index
+//! order: `X'` moves back toward `X` one position at a time, and each
+//! flip is kept while the core body stays true; then `X''` does the
+//! same. A test is one simulation of the core under `α = β = 1`, where
+//! every equality holds, and one `sim64` word tests 64 candidate flips.
+//! Taking the first success in index order gives the clause the
+//! one-flip-at-a-time walk gives. XOR counterexamples are refined as
+//! found, since the body's parity couples all four copies.
+//!
+//! The check does not reuse the session's
+//! [`PartitionOracle`](crate::oracle::PartitionOracle), although it
+//! encodes the same CNF.
+//! That oracle's state depends on its query history (STEP-MG), on the
+//! oracle pool and on clause-bank imports, and so its counterexamples,
+//! and with them the witness, would vary across reuse settings. A
+//! fresh check keeps every probe a pure function of (cone, operator,
+//! target, solver knobs), which the probe ledger's replay and the
+//! determinism of `--jobs`, cache, reuse and store settings rely on.
 //!
 //! # The ∃-side encoding
 //!
@@ -52,14 +91,16 @@
 //! the products `αᵢ∧β̄ᵢ` and `ᾱᵢ∧βᵢ`, and the windowed targets count
 //! such a pair as shared.
 
+use std::time::Instant;
 use step_cnf::card::{assert_count_dominates, assert_linear_le, at_least_one, Totalizer};
+
 use step_cnf::{Cnf, Lit};
-use step_qbf::{ExistsForall, Qbf2Config, Qbf2Result};
+use step_sat::{SolveResult, Solver};
 
 use crate::effort::EffortMeter;
-use crate::oracle::CoreFormula;
+use crate::oracle::{CoreFormula, CoreSolver};
 use crate::partition::{VarClass, VarPartition};
-use crate::spec::Budget;
+use crate::spec::{Budget, GateOp};
 
 /// The `fT` target constraint attached to formulation (4).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -148,44 +189,162 @@ pub fn solve_partition(
     opts: &ModelOptions,
     meter: &mut EffortMeter,
 ) -> (QbfModelOutcome, QbfModelStats) {
+    solve_partition_observed(core, target, opts, meter, &mut |_, _| {})
+}
+
+/// [`solve_partition`], calling `on_refine(candidate, copies)` at every
+/// counterexample with the candidate `[α, β]` and the generalized
+/// circuit copies (in [`CoreFormula::y_pis`] order) that refine it.
+pub(crate) fn solve_partition_observed(
+    core: &CoreFormula,
+    target: Target,
+    opts: &ModelOptions,
+    meter: &mut EffortMeter,
+    on_refine: &mut dyn FnMut(&[bool], &[bool]),
+) -> (QbfModelOutcome, QbfModelStats) {
+    let mut stats = QbfModelStats::default();
     if meter.exhausted() {
-        return (QbfModelOutcome::Timeout, QbfModelStats::default());
+        return (QbfModelOutcome::Timeout, stats);
     }
     let n = core.n;
-    let matrix = !core.root; // ∀Y. ¬core
-    let mut solver = ExistsForall::new(core.aig.clone(), matrix, core.e_pis(), core.y_pis());
     let limits = meter.call_limits(opts.per_call);
-    solver.set_config(Qbf2Config {
-        max_iterations: None,
-        deadline: limits.deadline,
-        effort_budget: limits.conflicts,
-        restarts: opts.restarts,
-        preprocess: opts.preprocess,
-    });
 
-    solver.add_exists_cnf(|cnf, e| {
-        let (alpha, beta) = e.split_at(n);
-        encode_exists(
-            cnf,
-            alpha,
-            beta,
-            target,
-            opts.symmetry_breaking,
-            opts.allow_both,
-        );
-    });
+    // Abstraction: α, β and the ∃-side; refinements arrive as clauses.
+    let mut cnf = Cnf::new();
+    let alpha: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
+    let beta: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
+    encode_exists(
+        &mut cnf,
+        &alpha,
+        &beta,
+        target,
+        opts.symmetry_breaking,
+        opts.allow_both,
+    );
+    let mut abs = Solver::new();
+    abs.set_restart_policy(opts.restarts);
+    abs.set_preprocess(opts.preprocess);
+    abs.set_deadline(limits.deadline);
+    abs.add_cnf(&cnf);
 
-    let outcome = match solver.solve() {
-        Qbf2Result::Valid(witness) => QbfModelOutcome::Partition(witness_to_partition(&witness, n)),
-        Qbf2Result::Invalid => QbfModelOutcome::NoPartition,
-        Qbf2Result::Unknown => QbfModelOutcome::Timeout,
+    // Check: a fresh encoding of the core, asserted under the candidate.
+    let mut check = CoreSolver::new(core, opts.restarts, opts.preprocess);
+    check.solver.set_deadline(limits.deadline);
+
+    let spent = |abs: &Solver, check: &CoreSolver| abs.effort() + check.solver.effort();
+    // What is left of the call's conflict budget for the next inner solve.
+    let remaining = |abs: &Solver, check: &CoreSolver| {
+        limits
+            .conflicts
+            .map(|b| b.saturating_sub(spent(abs, check).conflicts))
     };
-    // Charge the CEGAR iterations' inner-SAT work to the QBF call.
-    meter.charge(solver.effort());
-    let stats = QbfModelStats {
-        cegar_iterations: solver.stats().iterations,
+    let outcome = loop {
+        if limits.deadline.is_some_and(|d| Instant::now() >= d)
+            || remaining(&abs, &check) == Some(0)
+        {
+            break QbfModelOutcome::Timeout;
+        }
+        stats.cegar_iterations += 1;
+
+        abs.set_effort_budget(remaining(&abs, &check));
+        let candidate: Vec<bool> = match abs.solve() {
+            SolveResult::Unsat => break QbfModelOutcome::NoPartition,
+            SolveResult::Unknown => break QbfModelOutcome::Timeout,
+            SolveResult::Sat => alpha
+                .iter()
+                .chain(&beta)
+                .map(|&l| abs.model_value(l).unwrap_or(false))
+                .collect(),
+        };
+
+        check.solver.set_effort_budget(remaining(&abs, &check));
+        match check.solve(&candidate[..n], &candidate[n..]) {
+            SolveResult::Unsat => {
+                break QbfModelOutcome::Partition(witness_to_partition(&candidate, n))
+            }
+            SolveResult::Unknown => break QbfModelOutcome::Timeout,
+            SolveResult::Sat => {
+                let mut copies = check.copies_model();
+                if core.op != GateOp::Xor {
+                    generalize(core, &mut copies);
+                }
+                on_refine(&candidate, &copies);
+                abs.add_clause(refinement(core, &copies, &alpha, &beta));
+            }
+        }
     };
+    meter.charge(spent(&abs, &check));
     (outcome, stats)
+}
+
+/// The refinement for a counterexample with circuit copies `copies`
+/// (in [`CoreFormula::y_pis`] order): the cofactor of `¬core` at them,
+/// which is the one clause
+/// `∨{¬αᵢ : xᵢ≠x′ᵢ} ∨ ∨{¬βᵢ : xᵢ≠x″ᵢ}`. Under XOR the `α`-part also
+/// covers `x″ᵢ≠x‴ᵢ` and the `β`-part `x′ᵢ≠x‴ᵢ`: these are exactly the
+/// equalities of the core that the `α`/`β` relax.
+fn refinement(core: &CoreFormula, copies: &[bool], alpha: &[Lit], beta: &[Lit]) -> Vec<Lit> {
+    let n = core.n;
+    let (x, xp, xpp) = (&copies[..n], &copies[n..2 * n], &copies[2 * n..3 * n]);
+    let xppp = (core.op == GateOp::Xor).then(|| &copies[3 * n..4 * n]);
+    let relaxed_a = (0..n).filter(|&i| x[i] != xp[i] || xppp.is_some_and(|w| xpp[i] != w[i]));
+    let relaxed_b = (0..n).filter(|&i| x[i] != xpp[i] || xppp.is_some_and(|w| xp[i] != w[i]));
+    relaxed_a
+        .map(|i| !alpha[i])
+        .chain(relaxed_b.map(|i| !beta[i]))
+        .collect()
+}
+
+/// Shrinks an OR/AND counterexample before it is refined: walking the
+/// positions in index order, moves `X'` back toward `X` one position at
+/// a time and keeps each flip while the core body stays true; then does
+/// the same for `X''`. Each test simulates the core under `α = β = 1`,
+/// where every equality holds and the core is its body. One `sim64`
+/// word tests up to 64 candidate flips against the current copies;
+/// taking the first success in index order and resuming after it gives
+/// the clause the one-flip-at-a-time loop would give.
+fn generalize(core: &CoreFormula, copies: &mut [bool]) {
+    let n = core.n;
+    let y = core.y_pis();
+    let broadcast = |b: bool| if b { !0u64 } else { 0 };
+    let mut words = vec![0u64; core.aig.num_inputs()];
+    for &pi in core.alpha.iter().chain(&core.beta) {
+        words[pi] = !0;
+    }
+    for (&pi, &v) in y.iter().zip(copies.iter()) {
+        words[pi] = broadcast(v);
+    }
+    for block in [1, 2] {
+        let at = |i: usize| block * n + i;
+        let differing: Vec<usize> = (0..n).filter(|&i| copies[at(i)] != copies[i]).collect();
+        let mut next = 0;
+        while next < differing.len() {
+            let batch = &differing[next..differing.len().min(next + 64)];
+            // Pattern k flips position batch[k] back to its X value.
+            for (k, &i) in batch.iter().enumerate() {
+                words[y[at(i)]] ^= 1 << k;
+            }
+            let sim = core.aig.sim64(&words);
+            let mask = if batch.len() == 64 {
+                !0
+            } else {
+                (1u64 << batch.len()) - 1
+            };
+            let holds = core.aig.sim_word(core.root, &sim) & mask;
+            for &i in batch {
+                words[y[at(i)]] = broadcast(copies[at(i)]);
+            }
+            if holds == 0 {
+                next += batch.len();
+            } else {
+                let k = holds.trailing_zeros() as usize;
+                let i = batch[k];
+                copies[at(i)] = copies[i];
+                words[y[at(i)]] = broadcast(copies[i]);
+                next += k + 1;
+            }
+        }
+    }
 }
 
 /// Adds the ∃-side of formulation (4) over the control literals

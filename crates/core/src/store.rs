@@ -111,10 +111,11 @@ impl ArtifactKind {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ConfigKey(String);
 
-/// The QBF ∃-side encoding (`qbf_model::encode_exists`) that result and
-/// probe artifacts were solved under. Stores of another encoding, whose
-/// witnesses differ, load into namespaces that nothing looks up.
-const QBF_ENCODING: &str = "exists=linear";
+/// The QBF solve that result and probe artifacts came from: the ∃-side
+/// encoding (`qbf_model::encode_exists`) and the refinement form of the
+/// CEGAR loop (`qbf_model::solve_partition`). Stores of another solve,
+/// whose witnesses differ, load into namespaces that nothing looks up.
+const QBF_ENCODING: &str = "exists=linear;refine=clause";
 
 impl ConfigKey {
     /// The result namespace: exactly the [`CacheKey`] config fields,

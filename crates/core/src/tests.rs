@@ -981,6 +981,83 @@ mod props {
             }
         }
 
+        /// Ground truth for every probe. On random functions of support
+        /// 4..=6, for OR, AND and XOR and every target kind at every
+        /// `k ≤ k_max`, each [`solve_partition`] verdict agrees with the
+        /// 3ⁿ enumeration: a witness is a decomposable partition the
+        /// target admits, and "no partition" means the enumeration has
+        /// none. Every counterexample the CEGAR loop refines with, after
+        /// generalization, re-simulates to a true core body (`α = β = 1`)
+        /// and still refutes the candidate it was found for, so its
+        /// clause cuts that candidate off.
+        #[test]
+        fn probes_match_enumeration(ops in arb_ops(), n in 4usize..=6) {
+            use crate::qbf_model::solve_partition_observed;
+            use crate::qbf_model::tests::target_admits;
+
+            let (aig, f) = build_covering(&ops, n);
+            if aig.support(f).len() != n {
+                return Ok(());
+            }
+            let opts = ModelOptions::default();
+            let metrics = [
+                Metric::Disjointness,
+                Metric::Balancedness,
+                Metric::Combined,
+                Metric::Weighted { wd: 2, wb: 1 },
+                Metric::Weighted { wd: 1, wb: 3 },
+            ];
+            let mut targets = vec![Target::Any];
+            for metric in metrics {
+                targets.extend((0..=metric.k_max(n)).map(|k| metric.target(k)));
+            }
+            for op in GateOp::ALL {
+                let ground = bdd_all_partitions(&aig, f, op);
+                let core = CoreFormula::build(&aig, f, op);
+                let y = core.y_pis();
+                for &target in &targets {
+                    let admits = |p: &VarPartition| {
+                        target_admits(target, opts.symmetry_breaking, p.num_a(), p.num_b(), p.num_shared())
+                    };
+                    let mut bad_refinements = Vec::new();
+                    let mut on_refine = |candidate: &[bool], copies: &[bool]| {
+                        let mut inputs = vec![false; core.aig.num_inputs()];
+                        for (&pi, &v) in y.iter().zip(copies) {
+                            inputs[pi] = v;
+                        }
+                        for &pi in core.alpha.iter().chain(&core.beta) {
+                            inputs[pi] = true;
+                        }
+                        let body = core.aig.eval_lit(core.root, &inputs);
+                        for (&pi, &v) in core.alpha.iter().chain(&core.beta).zip(candidate) {
+                            inputs[pi] = v;
+                        }
+                        if !body || !core.aig.eval_lit(core.root, &inputs) {
+                            bad_refinements.push((candidate.to_vec(), copies.to_vec()));
+                        }
+                    };
+                    let mut meter = EffortMeter::unlimited();
+                    let (outcome, _) =
+                        solve_partition_observed(&core, target, &opts, &mut meter, &mut on_refine);
+                    prop_assert!(
+                        bad_refinements.is_empty(),
+                        "op={} {:?}: refinement off the core {:?}", op, target, bad_refinements[0]
+                    );
+                    match outcome {
+                        QbfModelOutcome::Partition(p) => {
+                            prop_assert!(bdd_decomposable(&aig, f, op, &p), "op={} {:?}: invalid {}", op, target, p);
+                            prop_assert!(admits(&p), "op={} {:?}: {} misses the target", op, target, p);
+                        }
+                        QbfModelOutcome::NoPartition => prop_assert!(
+                            !ground.iter().any(admits),
+                            "op={} {:?}: missed {}", op, target, ground.iter().find(|p| admits(p)).unwrap()
+                        ),
+                        QbfModelOutcome::Timeout => prop_assert!(false, "op={} {:?}: unbudgeted timeout", op, target),
+                    }
+                }
+            }
+        }
+
         /// Ground truth for every definitive verdict. On random
         /// functions of support 4..=6, whenever a QBF model (QD, QB,
         /// QDB) or a weighted optimum search claims an optimum, its `k`

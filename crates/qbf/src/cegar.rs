@@ -53,7 +53,6 @@ pub struct Qbf2Stats {
 pub struct ExistsForall {
     aig: Aig,
     matrix: AigLit,
-    e_pis: Vec<usize>,
     u_pis: Vec<usize>,
     abs: Solver,
     abs_cnf: Cnf,
@@ -126,7 +125,6 @@ impl ExistsForall {
         ExistsForall {
             aig,
             matrix,
-            e_pis,
             u_pis,
             abs,
             abs_cnf,
@@ -166,43 +164,6 @@ impl ExistsForall {
     /// [`Qbf2Config::effort_budget`]).
     pub fn set_effort_budget(&mut self, conflicts: Option<u64>) {
         self.config.effort_budget = conflicts;
-    }
-
-    /// The abstraction-solver variable carrying existential input
-    /// `e_index` (position in the `e_pis` vector).
-    pub fn exists_var(&self, e_index: usize) -> Var {
-        self.e_vars[e_index]
-    }
-
-    /// The primary-input indices of the existential block.
-    pub fn exists_pis(&self) -> &[usize] {
-        &self.e_pis
-    }
-
-    /// The primary-input indices of the universal block.
-    pub fn forall_pis(&self) -> &[usize] {
-        &self.u_pis
-    }
-
-    /// Adds side constraints over the existential block (and fresh
-    /// auxiliary variables) to the abstraction. The closure receives a
-    /// CNF whose variable pool already contains every abstraction
-    /// variable, plus the literals of the existential inputs in block
-    /// order; clauses and variables it adds are transferred to the
-    /// abstraction solver.
-    ///
-    /// This is how STEP attaches the paper's `fN` (non-triviality) and
-    /// `fT` (cardinality target) constraints.
-    pub fn add_exists_cnf(&mut self, build: impl FnOnce(&mut Cnf, &[Lit])) {
-        let e_lits: Vec<Lit> = self.e_vars.iter().map(|&v| Lit::pos(v)).collect();
-        let before = self.abs_cnf.num_clauses();
-        build(&mut self.abs_cnf, &e_lits);
-        self.abs.ensure_vars(self.abs_cnf.num_vars());
-        for i in before..self.abs_cnf.num_clauses() {
-            self.abs
-                .add_clause(self.abs_cnf.clauses()[i].iter().copied());
-        }
-        self.abs_sent = self.abs_cnf.num_clauses();
     }
 
     /// The conflict budget for the next inner SAT call: what is left of

@@ -15,11 +15,6 @@
 //! variable partition STEP needs (the counterexample AReQS would report
 //! for (9)).
 //!
-//! Pure-existential side constraints (the paper's `fN` and `fT`
-//! cardinality constraints) can be added as CNF over the abstraction
-//! solver's variables via [`ExistsForall::add_exists_cnf`], avoiding a
-//! circuit encoding of the totalizers.
-//!
 //! Each [`ExistsForall`] owns two incremental SAT solvers, the
 //! abstraction (candidates for `E`) and the counterexample check
 //! (`¬φ` under the candidate), and nothing outlives it:

@@ -1,5 +1,4 @@
 use step_aig::{Aig, AigLit};
-use step_cnf::card::{at_least_one, at_most_k, CardEncoding};
 
 use crate::{solve_qdimacs, ExistsForall, Qbf2Config, Qbf2Result, QbfOutcome};
 
@@ -99,45 +98,6 @@ fn constant_matrices() {
     assert!(matches!(s.solve(), Qbf2Result::Valid(_)));
     let mut s2 = ExistsForall::new(aig, AigLit::FALSE, vec![0], vec![]);
     assert_eq!(s2.solve(), Qbf2Result::Invalid);
-}
-
-#[test]
-fn side_constraints_restrict_witness() {
-    // ∃x0 x1 ∀y. (x0 ∨ x1 ∨ y) with side constraint at-most-1(x0,x1)
-    // and at-least-1(x0,x1): witness must set exactly one xi, and the
-    // matrix then needs that xi to cover y = 0 — both single-x choices
-    // work.
-    let mut aig = Aig::new();
-    let x0 = aig.add_input("x0");
-    let x1 = aig.add_input("x1");
-    let y = aig.add_input("y");
-    let t = aig.or(x0, x1);
-    let m = aig.or(t, y);
-    let mut s = ExistsForall::new(aig, m, vec![0, 1], vec![2]);
-    s.add_exists_cnf(|cnf, e| {
-        at_least_one(cnf, e);
-        at_most_k(cnf, e, 1, CardEncoding::Pairwise);
-    });
-    match s.solve() {
-        Qbf2Result::Valid(w) => {
-            assert_eq!(w.iter().filter(|&&b| b).count(), 1, "exactly one: {w:?}");
-        }
-        other => panic!("{other:?}"),
-    }
-}
-
-#[test]
-fn side_constraints_can_make_invalid() {
-    // ∃x ∀y. x ∨ y needs x = 1, but we forbid it.
-    let mut aig = Aig::new();
-    let x = aig.add_input("x");
-    let y = aig.add_input("y");
-    let m = aig.or(x, y);
-    let mut s = ExistsForall::new(aig, m, vec![0], vec![1]);
-    s.add_exists_cnf(|cnf, e| {
-        cnf.add_unit(!e[0]);
-    });
-    assert_eq!(s.solve(), Qbf2Result::Invalid);
 }
 
 #[test]
