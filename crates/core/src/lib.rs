@@ -90,7 +90,7 @@ pub use effort::{CallLimits, CircuitBudget, EffortMeter, WorkLedger, WorkPool};
 pub use engine::{BiDecomposer, CircuitResult, OutputResult, StepError};
 pub use extract::{extract, extract_by_quantification, Decomposition, ExtractError};
 pub use job::{cone_seed, OutputJob};
-pub use network::{DecompTree, TreeNode};
+pub use network::{DecompTree, LeafFn, TreeNode};
 pub use partition::{VarClass, VarPartition};
 pub use predict::CostModel;
 pub use service::{

@@ -6,6 +6,7 @@ use crate::engine::BiDecomposer;
 use crate::extract::{extract, extract_by_quantification};
 use crate::ljh::{self, LjhOutcome};
 use crate::mg::{self, MgOutcome};
+use crate::network::LeafFn;
 use crate::optimum::{self, Metric};
 use crate::oracle::{sim_filter_pairs, CoreFormula, PartitionOracle};
 use crate::partition::{VarClass, VarPartition};
@@ -565,6 +566,36 @@ fn extraction_rejects_invalid_partition() {
         extract(&aig, f, GateOp::Or, &p, None),
         Err(crate::extract::ExtractError::InvalidPartition)
     ));
+}
+
+/// A flattened leaf evaluates like its cone, and importing it builds
+/// the gates importing the cone itself builds, in the same order.
+#[test]
+fn leaf_fn_matches_its_cone() {
+    for (aig, f) in [or_of_ands(), shared_var_fn(), maj3(), parity4()] {
+        let leaf = LeafFn::from_cone(&aig, !f);
+        let n = aig.num_inputs();
+        for m in 0..1usize << n {
+            let v: Vec<bool> = (0..n).map(|i| m >> i & 1 == 1).collect();
+            assert_eq!(leaf.eval(&v), !aig.eval_lit(f, &v), "at {v:?}");
+        }
+        let mut via_leaf = Aig::new();
+        let mut via_import = Aig::new();
+        let ins: Vec<AigLit> = (0..n)
+            .map(|i| via_leaf.add_input(format!("x{i}")))
+            .collect();
+        let mut map = std::collections::HashMap::new();
+        for i in 0..n {
+            map.insert(aig.input_node(i), via_import.add_input(format!("x{i}")));
+        }
+        let a = leaf.import(&mut via_leaf, &ins);
+        let b = via_import.import(&aig, !f, &mut map);
+        assert_eq!(a, b);
+        assert_eq!(leaf.and_count(), via_leaf.and_count());
+        assert_eq!(via_leaf.and_count(), via_import.and_count());
+    }
+    let not_x = LeafFn::literal(true);
+    assert!(not_x.eval(&[false]) && !not_x.eval(&[true]));
 }
 
 // ---------------------------------------------------------------------

@@ -57,8 +57,8 @@ use step_aig::{canonicalize, Aig, AigLit};
 use step_bdd::Manager;
 use step_cnf::tseitin::encode_standalone;
 use step_core::{
-    Budget, DecompConfig, DecompTree, EffortStats, GateOp, OutputResult, StepError, StepService,
-    SubmitOptions, TreeNode, WorkLedger,
+    Budget, DecompConfig, DecompTree, EffortStats, GateOp, LeafFn, OutputResult, StepError,
+    StepService, SubmitOptions, TreeNode, WorkLedger,
 };
 use step_sat::{SolveResult, Solver};
 
@@ -203,7 +203,7 @@ pub fn network_equivalent(
     let inputs: Vec<AigLit> = (0..scratch.num_inputs())
         .map(|i| scratch.input(i))
         .collect();
-    let net = import_tree(&tree.root, &mut scratch, &inputs);
+    let net = tree.root.import(&mut scratch, &inputs);
     let f = scratch.outputs()[out_idx].lit();
     let miter = scratch.xor(f, net);
     let (mut cnf, _inputs, root) = encode_standalone(&scratch, miter);
@@ -215,33 +215,6 @@ pub fn network_equivalent(
         SolveResult::Unsat => Ok(()),
         SolveResult::Sat => Err(NetworkVerifyError::NotEquivalent),
         SolveResult::Unknown => Err(NetworkVerifyError::Budget),
-    }
-}
-
-/// Rebuilds a tree inside `dst`, reading original input `i` from
-/// `inputs[i]` (the strashed twin of [`DecompTree::to_aig`]).
-fn import_tree(node: &TreeNode, dst: &mut Aig, inputs: &[AigLit]) -> AigLit {
-    match node {
-        TreeNode::Leaf {
-            func,
-            inputs: leaf_ins,
-        } => {
-            let mut map = HashMap::new();
-            for (k, &orig) in leaf_ins.iter().enumerate() {
-                map.insert(func.input_node(k), inputs[orig]);
-            }
-            let root = func.outputs()[0].lit();
-            dst.import(func, root, &mut map)
-        }
-        TreeNode::Gate { op, left, right } => {
-            let l = import_tree(left, dst, inputs);
-            let r = import_tree(right, dst, inputs);
-            match op {
-                GateOp::Or => dst.or(l, r),
-                GateOp::And => dst.and(l, r),
-                GateOp::Xor => dst.xor(l, r),
-            }
-        }
     }
 }
 
@@ -263,7 +236,7 @@ struct Node {
 /// What one frontier node became.
 enum Outcome {
     /// A leaf function over original inputs.
-    Leaf(Aig, Vec<usize>),
+    Leaf(LeafFn, Vec<usize>),
     /// An engine bi-decomposition: `left <op> right` by child id.
     Gate(GateOp, u64, u64),
     /// A Shannon split on original input `var`:
@@ -672,19 +645,17 @@ fn probe_budget(per_node: Budget, slice: Option<u64>) -> Budget {
     }
 }
 
-/// A leaf over original inputs, compacted.
+/// A leaf over original inputs.
 fn leaf_outcome(node: &Node) -> Outcome {
-    Outcome::Leaf(node.sub.compact(), node.orig_inputs.clone())
+    let root = node.sub.outputs()[0].lit();
+    Outcome::Leaf(LeafFn::from_cone(&node.sub, root), node.orig_inputs.clone())
 }
 
 /// A leaf computing the (possibly negated) literal of original input
 /// `var`.
 fn literal_leaf(var: usize, negated: bool) -> TreeNode {
-    let mut a = Aig::new();
-    let x = a.add_input("x");
-    a.add_output("f", if negated { !x } else { x });
     TreeNode::Leaf {
-        func: a,
+        func: LeafFn::literal(negated),
         inputs: vec![var],
     }
 }
