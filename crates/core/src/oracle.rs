@@ -172,14 +172,6 @@ impl CoreFormula {
         v.extend_from_slice(&self.xppp);
         v
     }
-
-    /// All existential inputs: `α` then `β`.
-    pub fn e_pis(&self) -> Vec<usize> {
-        let mut v = Vec::with_capacity(2 * self.n);
-        v.extend_from_slice(&self.alpha);
-        v.extend_from_slice(&self.beta);
-        v
-    }
 }
 
 /// The core's Tseitin encoding in one incremental solver, asserted

@@ -189,18 +189,23 @@ pub fn solve_partition(
     opts: &ModelOptions,
     meter: &mut EffortMeter,
 ) -> (QbfModelOutcome, QbfModelStats) {
-    solve_partition_observed(core, target, opts, meter, &mut |_, _| {})
+    solve_partition_observed(core, target, opts, meter, &mut |_, _, _| {})
 }
 
-/// [`solve_partition`], calling `on_refine(candidate, copies)` at every
-/// counterexample with the candidate `[α, β]` and the generalized
-/// circuit copies (in [`CoreFormula::y_pis`] order) that refine it.
+/// An observer of the CEGAR loop's refinements, called with the
+/// refuted candidate `[α, β]`, the generalized counterexample's circuit
+/// copies (in [`CoreFormula::y_pis`] order) and the clause added to the
+/// abstraction. In the clause `αᵢ` is variable `i` and `βᵢ` variable
+/// `n + i`, so [`Lit::eval`] evaluates it on an `[α, β]` vector.
+pub(crate) type OnRefine<'a> = dyn FnMut(&[bool], &[bool], &[Lit]) + 'a;
+
+/// [`solve_partition`], calling `on_refine` at every refinement.
 pub(crate) fn solve_partition_observed(
     core: &CoreFormula,
     target: Target,
     opts: &ModelOptions,
     meter: &mut EffortMeter,
-    on_refine: &mut dyn FnMut(&[bool], &[bool]),
+    on_refine: &mut OnRefine<'_>,
 ) -> (QbfModelOutcome, QbfModelStats) {
     let mut stats = QbfModelStats::default();
     if meter.exhausted() {
@@ -268,8 +273,9 @@ pub(crate) fn solve_partition_observed(
                 if core.op != GateOp::Xor {
                     generalize(core, &mut copies);
                 }
-                on_refine(&candidate, &copies);
-                abs.add_clause(refinement(core, &copies, &alpha, &beta));
+                let clause = refinement(core, &copies, &alpha, &beta);
+                on_refine(&candidate, &copies, &clause);
+                abs.add_clause(clause);
             }
         }
     };
@@ -325,12 +331,7 @@ fn generalize(core: &CoreFormula, copies: &mut [bool]) {
                 words[y[at(i)]] ^= 1 << k;
             }
             let sim = core.aig.sim64(&words);
-            let mask = if batch.len() == 64 {
-                !0
-            } else {
-                (1u64 << batch.len()) - 1
-            };
-            let holds = core.aig.sim_word(core.root, &sim) & mask;
+            let holds = core.aig.sim_word(core.root, &sim) & (u64::MAX >> (64 - batch.len()));
             for &i in batch {
                 words[y[at(i)]] = broadcast(copies[at(i)]);
             }
@@ -459,7 +460,79 @@ fn witness_to_partition(witness: &[bool], n: usize) -> VarPartition {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use step_aig::{Aig, AigLit};
     use step_sat::{SolveResult, Solver};
+
+    /// The word-parallel generalization returns the copies of the scalar
+    /// walk: flip one differing position of `X'` (then `X''`) back to
+    /// `X` at a time, in index order, keeping the flip while the core
+    /// body holds. `f` is an OR of 35 input pairs, so a walk over 70
+    /// positions spans two `sim64` words and keeps every other flip.
+    #[test]
+    fn generalize_matches_the_scalar_walk() {
+        let n = 70;
+        let mut cone = Aig::new();
+        let ins: Vec<AigLit> = (0..n).map(|i| cone.add_input(format!("x{i}"))).collect();
+        let pairs: Vec<AigLit> = ins.chunks(2).map(|p| cone.and(p[0], p[1])).collect();
+        let f = cone.or_many(&pairs);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut bit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state & 1 == 1
+        };
+        for op in [GateOp::Or, GateOp::And] {
+            let core = CoreFormula::build(&cone, f, op);
+            let y = core.y_pis();
+            let body = |copies: &[bool]| {
+                let mut inputs = vec![true; core.aig.num_inputs()];
+                for (&pi, &v) in y.iter().zip(copies) {
+                    inputs[pi] = v;
+                }
+                core.aig.eval_lit(core.root, &inputs)
+            };
+            let mut checked = 0;
+            for round in 0..40 {
+                // f = 0 on the copies without a (1,1) pair, and f = 1 on
+                // the others but for rare draws. Every fourth round
+                // makes them all-zero and all-one: 70 differing positions.
+                let zero_copies = if op == GateOp::Or { [1, 2] } else { [0, 0] };
+                let mut copies: Vec<bool> = (0..3 * n)
+                    .map(|j| match round % 4 {
+                        0 => !zero_copies.contains(&(j / n)),
+                        _ => bit() || bit(),
+                    })
+                    .collect();
+                for c in zero_copies {
+                    for i in (0..n).step_by(2) {
+                        if copies[c * n + i] && copies[c * n + i + 1] {
+                            copies[c * n + i + round % 2] = false;
+                        }
+                    }
+                }
+                if !body(&copies) {
+                    continue;
+                }
+                checked += 1;
+                let mut want = copies.clone();
+                for block in [1, 2] {
+                    for i in 0..n {
+                        let j = block * n + i;
+                        if want[j] != want[i] {
+                            want[j] = want[i];
+                            if !body(&want) {
+                                want[j] = !want[j];
+                            }
+                        }
+                    }
+                }
+                generalize(&core, &mut copies);
+                assert_eq!(copies, want, "{op} round {round}");
+            }
+            assert!(checked >= 30, "{op}: only {checked} counterexamples drawn");
+        }
+    }
 
     /// Whether block sizes `(a, b, c)` = `(|XA|, |XB|, |XC|)` meet `fT` and
     /// the symmetry breaking that [`encode_exists`] asserts for `target`:

@@ -1015,22 +1015,23 @@ mod props {
         /// Ground truth for every probe. On random functions of support
         /// 4..=6, for OR, AND and XOR and every target kind at every
         /// `k ≤ k_max`, each [`solve_partition`] verdict agrees with the
-        /// 3ⁿ enumeration: a witness is a decomposable partition the
-        /// target admits, and "no partition" means the enumeration has
-        /// none. Every counterexample the CEGAR loop refines with, after
+        /// 3ⁿ enumeration, with `allow_both` off and on: a witness is a
+        /// decomposable partition the target admits, and "no partition"
+        /// means the enumeration has none. Every counterexample the CEGAR loop refines with, after
         /// generalization, re-simulates to a true core body (`α = β = 1`)
-        /// and still refutes the candidate it was found for, so its
-        /// clause cuts that candidate off.
+        /// and still refutes the candidate it was found for; its clause
+        /// cuts that candidate off and keeps every decomposable
+        /// partition.
         #[test]
         fn probes_match_enumeration(ops in arb_ops(), n in 4usize..=6) {
             use crate::qbf_model::solve_partition_observed;
             use crate::qbf_model::tests::target_admits;
+            use step_cnf::Lit;
 
             let (aig, f) = build_covering(&ops, n);
             if aig.support(f).len() != n {
                 return Ok(());
             }
-            let opts = ModelOptions::default();
             let metrics = [
                 Metric::Disjointness,
                 Metric::Balancedness,
@@ -1046,12 +1047,13 @@ mod props {
                 let ground = bdd_all_partitions(&aig, f, op);
                 let core = CoreFormula::build(&aig, f, op);
                 let y = core.y_pis();
-                for &target in &targets {
+                for (&target, allow_both) in targets.iter().flat_map(|t| [(t, false), (t, true)]) {
+                    let opts = ModelOptions { allow_both, ..ModelOptions::default() };
                     let admits = |p: &VarPartition| {
                         target_admits(target, opts.symmetry_breaking, p.num_a(), p.num_b(), p.num_shared())
                     };
                     let mut bad_refinements = Vec::new();
-                    let mut on_refine = |candidate: &[bool], copies: &[bool]| {
+                    let mut on_refine = |candidate: &[bool], copies: &[bool], clause: &[Lit]| {
                         let mut inputs = vec![false; core.aig.num_inputs()];
                         for (&pi, &v) in y.iter().zip(copies) {
                             inputs[pi] = v;
@@ -1063,27 +1065,39 @@ mod props {
                         for (&pi, &v) in core.alpha.iter().chain(&core.beta).zip(candidate) {
                             inputs[pi] = v;
                         }
-                        if !body || !core.aig.eval_lit(core.root, &inputs) {
+                        let refutes = core.aig.eval_lit(core.root, &inputs);
+                        let satisfied = |ab: &[bool]| clause.iter().any(|l| l.eval(ab));
+                        let keeps_ground = ground.iter().all(|p| {
+                            let ab: Vec<bool> = [VarClass::A, VarClass::B]
+                                .iter()
+                                .flat_map(|&c| p.classes().iter().map(move |&x| x == c))
+                                .collect();
+                            satisfied(&ab)
+                        });
+                        if !body || !refutes || satisfied(candidate) || !keeps_ground {
                             bad_refinements.push((candidate.to_vec(), copies.to_vec()));
                         }
                     };
                     let mut meter = EffortMeter::unlimited();
                     let (outcome, _) =
                         solve_partition_observed(&core, target, &opts, &mut meter, &mut on_refine);
+                    let tag = format!("op={op} {target:?} allow_both={allow_both}");
                     prop_assert!(
                         bad_refinements.is_empty(),
-                        "op={} {:?}: refinement off the core {:?}", op, target, bad_refinements[0]
+                        "{}: refinement off the core {:?}", tag, bad_refinements[0]
                     );
                     match outcome {
                         QbfModelOutcome::Partition(p) => {
-                            prop_assert!(bdd_decomposable(&aig, f, op, &p), "op={} {:?}: invalid {}", op, target, p);
-                            prop_assert!(admits(&p), "op={} {:?}: {} misses the target", op, target, p);
+                            prop_assert!(bdd_decomposable(&aig, f, op, &p), "{}: invalid {}", tag, p);
+                            // Under allow_both a (1,1) pair counts as shared for
+                            // the target but joins a block in the partition.
+                            prop_assert!(allow_both || admits(&p), "{}: {} misses the target", tag, p);
                         }
                         QbfModelOutcome::NoPartition => prop_assert!(
                             !ground.iter().any(admits),
-                            "op={} {:?}: missed {}", op, target, ground.iter().find(|p| admits(p)).unwrap()
+                            "{}: missed {}", tag, ground.iter().find(|p| admits(p)).unwrap()
                         ),
-                        QbfModelOutcome::Timeout => prop_assert!(false, "op={} {:?}: unbudgeted timeout", op, target),
+                        QbfModelOutcome::Timeout => prop_assert!(false, "{}: unbudgeted timeout", tag),
                     }
                 }
             }
