@@ -25,8 +25,9 @@
 //!   proves the recipient's own clauses imply it, or it is discarded.
 //! * **probe certificates** — keyed by `(fingerprint, op, solver
 //!   knobs, target)`. A QBF probe's outcome is a pure function of
-//!   that key when no budget truncates it (the CEGAR engine is
-//!   deterministic), so a definitive verdict — infeasible, or
+//!   that key when no budget truncates it (the CEGAR loop builds its
+//!   abstraction and check solvers fresh for every probe and shares no
+//!   state with the session's oracle), so a definitive verdict — infeasible, or
 //!   *exactly this partition* — replays into any later session's
 //!   optimum search with no solving at all ([`ProbeLedger`]). This is
 //!   where twin-heavy circuits win big: a twin cone's `k`-search
@@ -130,8 +131,10 @@ impl BankLookup {
 }
 
 /// Everything besides the cone identity that a QBF probe's outcome
-/// depends on: the CEGAR engine is deterministic, so the result of
-/// [`solve_partition`](crate::qbf_model::solve_partition) is a pure
+/// depends on. The CEGAR loop of
+/// [`solve_partition`](crate::qbf_model::solve_partition) builds fresh
+/// abstraction and check solvers per probe and never reads the
+/// session's oracle, pool or bank imports, so its result is a pure
 /// function of `(canonical cone, op, target, these knobs)` whenever no
 /// budget truncates the solve.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -6,7 +6,8 @@
 //! `∃α,β ∀X,X',X''(,X''') ∃aux . M`. This module emits exactly that
 //! prenex form in QDIMACS, so the models can be handed to any
 //! standalone QBF solver (the paper instead solves the negation (9)
-//! with the CEGAR engine, as `step-qbf` does natively).
+//! by CEGAR, as [`solve_partition`](crate::qbf_model::solve_partition)
+//! does natively).
 //!
 //! The matrix `M` is the Tseitin definition of the core AIG with the
 //! unit `¬core` (the `¬[…]` of formulation (4)), plus the ∃-side that
