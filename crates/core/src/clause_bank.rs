@@ -51,8 +51,8 @@
 //! model, and importing clauses there would steer which equally-valid
 //! witness is found first — violating the identical-partitions
 //! contract. The [`PartitionOracle`] is safe to seed because every
-//! strategy consumes only its SAT/UNSAT verdicts. The QBF models reuse
-//! work through probe certificates instead.
+//! model's search consumes only its SAT/UNSAT verdicts. The QBF models
+//! reuse work through probe certificates instead.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -172,8 +172,8 @@ pub struct ProbeLedger {
     fingerprint: ConeFingerprint,
     op: GateOp,
     /// Probe certificates served from the disk tier, shared with the
-    /// owning session (the ledger is strategy-local and dropped before
-    /// the session aggregates statistics).
+    /// owning session (the ledger is local to the search and dropped
+    /// before the session aggregates statistics).
     disk_hits: Arc<std::sync::atomic::AtomicU64>,
 }
 

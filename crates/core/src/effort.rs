@@ -8,7 +8,7 @@
 //! module is where those budgets are enforced:
 //!
 //! * [`EffortMeter`] — owned by a
-//!   [`SolveSession`](crate::session::SolveSession); strategies and
+//!   [`SolveSession`](crate::session::SolveSession); model searches and
 //!   the [`PartitionOracle`](crate::oracle::PartitionOracle) consult
 //!   it instead of doing raw `Instant` math. Every solver call charges
 //!   the effort it spent ([`EffortMeter::charge`]) and derives its own

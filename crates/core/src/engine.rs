@@ -2,15 +2,13 @@
 //! [`SolveSession`]s with the model roster of the paper's evaluation
 //! (LJH, STEP-MG, STEP-QD, STEP-QB, STEP-QDB).
 //!
-//! The engine layer is split in three:
+//! The engine layer is split in two:
 //!
 //! * [`OutputJob`] — the pure description of one
 //!   unit of work (output index, operator, budgets, seed);
 //! * [`SolveSession`] — the per-output state (cone, core formula,
-//!   oracle, stats) that executes a job;
-//! * [`ModelStrategy`](crate::strategy::ModelStrategy) — the pluggable
-//!   per-model search, selected by
-//!   [`strategy_for`](crate::strategy::strategy_for).
+//!   oracle, stats) that executes a job, running the configured
+//!   model's search through one `match` on [`Model`](crate::spec::Model).
 //!
 //! Circuit-wide runs are driven by the persistent
 //! [`StepService`] worker pool, the only circuit driver:

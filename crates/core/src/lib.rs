@@ -31,8 +31,8 @@
 //! * [`verify`](mod@verify) — support + SAT equivalence checking;
 //! * [`engine`] — the circuit driver with the paper's budget
 //!   structure, built as a solve-session pipeline: a pure [`job`]
-//!   description per output, a stateful [`session`] that executes it,
-//!   and a pluggable [`strategy`] per roster model;
+//!   description per output and a stateful [`session`] that executes
+//!   it, dispatching on the roster model with one `match`;
 //! * [`service`] — the circuit driver: a persistent [`StepService`]
 //!   worker pool with job submission, streaming per-output results and
 //!   cancellation ([`BiDecomposer::decompose_circuit`] is a
@@ -80,7 +80,6 @@ pub mod service;
 pub mod session;
 pub mod spec;
 pub mod store;
-pub mod strategy;
 pub mod tenant;
 pub mod verify;
 
@@ -106,7 +105,6 @@ pub use tenant::{OverQuota, TenantLedger, WorkReservation};
 // The effort-counter vocabulary is shared with the solver layers, as
 // is the restart-policy knob `DecompConfig::sat_restarts` takes.
 pub use step_sat::{EffortStats, RestartPolicy};
-pub use strategy::{strategy_for, ModelStrategy, StrategyOutcome};
 pub use verify::{verify, VerifyError};
 
 // Compile-time audit of the parallel solve path: the service is

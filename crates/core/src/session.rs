@@ -4,15 +4,16 @@
 //! [`OutputJob`]: it owns the extracted cone,
 //! the core formula, the incremental [`PartitionOracle`], the
 //! simulation pre-filter and the per-output statistics, and drives one
-//! output from job to [`OutputResult`]. Model-specific search lives
-//! behind the [`ModelStrategy`](crate::strategy::ModelStrategy) trait;
-//! the session supplies it the oracle, candidate filter and deadline,
-//! then finishes with extraction and verification.
+//! output from job to [`OutputResult`]. The model's search is one
+//! `match` on [`Model`]: LJH or STEP-MG over the session's oracle and
+//! candidate filter, or for the QBF models the STEP-MG bootstrap and
+//! the optimum `k`-search of [`crate::optimum`]. The session then
+//! finishes with extraction and verification.
 //!
 //! **Canonical solving.** The session never searches on the cone as
 //! extracted: it first rewrites it into canonical input order
 //! ([`step_aig::canonicalize`]) and runs the sim filter, core formula
-//! and strategy there, translating the winning partition back through
+//! and the model's search there, translating the winning partition back through
 //! the canonical permutation. Because the canonical cone — and the
 //! simulation seed, which derives from the canonical fingerprint
 //! ([`cone_seed`]) — is byte-identical for every structurally identical
@@ -41,12 +42,33 @@ use crate::effort::EffortMeter;
 use crate::engine::{OutputResult, StepError};
 use crate::extract::{extract, ExtractError};
 use crate::job::{cone_seed, OutputJob};
+use crate::ljh::{self, LjhOutcome};
+use crate::mg::{self, MgOutcome};
+use crate::optimum::{self, Metric};
 use crate::oracle::{sim_filter_pairs, CoreFormula, PartitionOracle};
 use crate::partition::VarPartition;
-use crate::spec::DecompConfig;
+use crate::qbf_model::ModelOptions;
+use crate::spec::{DecompConfig, Model};
 use crate::store::{Artifact, ArtifactKey, ArtifactStore, ClausePayload, Namespace, TieredStore};
-use crate::strategy::strategy_for;
 use crate::verify::verify;
+
+/// What a model's search concluded about one output.
+#[derive(Default)]
+struct SearchOutcome {
+    /// The best partition found (`None` = not decomposable, or the
+    /// budget expired before any partition was found).
+    partition: Option<VarPartition>,
+    /// The model reached a definite answer within budget.
+    solved: bool,
+    /// The partition was proved metric-optimal (QBF models only).
+    proved_optimal: bool,
+    /// A budget expired somewhere along the way.
+    timed_out: bool,
+    /// QBF solves performed.
+    qbf_calls: u32,
+    /// Total CEGAR iterations across QBF solves.
+    cegar_iterations: u64,
+}
 
 /// Per-output solving state: cone, core formula, oracle, seed-pair
 /// candidates and budgets. See the module docs.
@@ -67,9 +89,9 @@ pub struct SolveSession<'a> {
     /// [`run`]: SolveSession::run
     fingerprint: Option<ConeFingerprint>,
     /// Probe certificates served from the disk tier. The ledger is
-    /// strategy-local, so it shares this counter with the session and
-    /// the session folds it into the output statistics after the
-    /// strategy returns.
+    /// local to the search, so it shares this counter with the session
+    /// and the session folds it into the output statistics after the
+    /// search returns.
     probe_disk_hits: Arc<AtomicU64>,
 }
 
@@ -123,53 +145,117 @@ impl<'a> SolveSession<'a> {
         })
     }
 
-    /// The job this session executes.
-    pub fn job(&self) -> &OutputJob {
-        &self.job
-    }
-
-    /// The engine configuration (decoupled from the session borrow, so
-    /// strategies can read it while holding the oracle mutably).
-    pub fn config(&self) -> &'a DecompConfig {
-        self.config
-    }
-
-    /// The effective wall deadline (`None` under pure work budgets).
-    pub fn deadline(&self) -> Option<Instant> {
-        self.meter.deadline()
-    }
-
-    /// Support size of the output cone.
-    pub fn support(&self) -> usize {
-        self.cone.support_size()
-    }
-
-    /// Splits the session into the pieces a strategy needs: the
+    /// Splits the session into the pieces a model's search needs: the
     /// incremental oracle (mutable), the surviving seed-pair
     /// candidates (shared) and the budget meter (mutable) — one
-    /// borrow per disjoint field, so a strategy can drive the oracle
+    /// borrow per disjoint field, so the search can drive the oracle
     /// while charging the meter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`run`](SolveSession::run) has built the
-    /// oracle — strategies are only ever invoked from `run`.
-    pub fn solve_parts(
-        &mut self,
-    ) -> (&mut PartitionOracle, Option<&[Vec<bool>]>, &mut EffortMeter) {
+    fn solve_parts(&mut self) -> (&mut PartitionOracle, Option<&[Vec<bool>]>, &mut EffortMeter) {
         let oracle = self
             .oracle
             .as_mut()
-            .expect("oracle is built before the strategy runs");
+            .expect("oracle is built before the search runs");
         (oracle, self.candidates.as_deref(), &mut self.meter)
     }
 
+    /// Runs the configured model's search on the built oracle. LJH and
+    /// STEP-MG run alone; the QBF models bootstrap with STEP-MG (as in
+    /// the paper), then search the optimum bound for their metric. Both
+    /// phases charge the session's meter, so wall and work budgets
+    /// apply uniformly across the bootstrap's SAT/MUS calls and the
+    /// search's QBF probes.
+    fn search(&mut self) -> SearchOutcome {
+        let config = self.config;
+        let mut out = SearchOutcome::default();
+        let (oracle, candidates, meter) = self.solve_parts();
+        let metric = match config.model {
+            Model::Ljh => {
+                match ljh::decompose(oracle, candidates, meter) {
+                    LjhOutcome::Partition(p) => {
+                        out.solved = true;
+                        out.partition = Some(p);
+                    }
+                    LjhOutcome::NotDecomposable => out.solved = true,
+                    LjhOutcome::Timeout => out.timed_out = true,
+                }
+                return out;
+            }
+            Model::MusGroup => {
+                match mg::decompose(oracle, candidates, meter) {
+                    MgOutcome::Partition(p) => {
+                        out.solved = true;
+                        out.partition = Some(p);
+                    }
+                    MgOutcome::TruncatedPartition(p) => {
+                        // Budget-degraded: keep the (valid) partition
+                        // but report the truncation — only `solved &&
+                        // !timed_out` outcomes are stored, and a
+                        // partition whose quality depends on the budget
+                        // must never be served as this cone's
+                        // definitive answer.
+                        out.timed_out = true;
+                        out.partition = Some(p);
+                    }
+                    MgOutcome::NotDecomposable => out.solved = true,
+                    MgOutcome::Timeout => out.timed_out = true,
+                }
+                return out;
+            }
+            Model::QbfDisjoint => Metric::Disjointness,
+            Model::QbfBalanced => Metric::Balancedness,
+            Model::QbfCombined => Metric::Combined,
+        };
+        let bootstrap = match mg::decompose(oracle, candidates, meter) {
+            // A truncated bootstrap is still a sound starting bound;
+            // the meter is (near-)exhausted, so the search below will
+            // immediately report the truncation.
+            MgOutcome::Partition(p) | MgOutcome::TruncatedPartition(p) => Some(p),
+            MgOutcome::NotDecomposable => {
+                // Proved undecomposable — the QBF search is unnecessary.
+                out.solved = true;
+                out.proved_optimal = true;
+                return out;
+            }
+            MgOutcome::Timeout => {
+                out.timed_out = true;
+                return out;
+            }
+        };
+        let opts = ModelOptions {
+            symmetry_breaking: config.symmetry_breaking,
+            allow_both: config.allow_both,
+            per_call: config.budget.per_qbf_call,
+            restarts: config.sat_restarts,
+            preprocess: config.sat_preprocess,
+        };
+        // Under clause reuse, the probe ledger replays definitive
+        // verdicts recorded by sibling sessions over the same cone.
+        let ledger = self.make_probe_ledger();
+        let (oracle, _, meter) = self.solve_parts();
+        let search = optimum::search_with_reuse(
+            oracle.core(),
+            metric,
+            bootstrap.as_ref(),
+            config.effective_strategy(),
+            &opts,
+            meter,
+            ledger.as_ref(),
+        );
+        out.qbf_calls = search.qbf_calls;
+        out.cegar_iterations = search.cegar_iterations;
+        out.proved_optimal = search.proved_optimal;
+        out.solved = search.proved_optimal;
+        out.timed_out = search.truncated;
+        out.partition = search.partition.or(bootstrap);
+        out
+    }
+
     /// Builds the session's [`ProbeLedger`] over the shared store (QBF
-    /// strategies only, `None` when clause reuse is off). Solved
-    /// outcomes are a pure function of `(fingerprint, op, config)`, so
-    /// the ledger keys on the fingerprint plus every configuration knob
-    /// a probe's verdict can depend on.
-    pub fn make_probe_ledger(&self) -> Option<ProbeLedger> {
+    /// models only, `None` when clause reuse is off). Solved outcomes
+    /// are a pure function of `(fingerprint, op, config)`, so the
+    /// ledger keys on the fingerprint plus every configuration knob a
+    /// probe's verdict can depend on.
+    fn make_probe_ledger(&self) -> Option<ProbeLedger> {
         let reuse = self.reuse?;
         let fingerprint = self.fingerprint?;
         Some(ProbeLedger::new(
@@ -241,8 +327,8 @@ impl<'a> SolveSession<'a> {
     }
 
     /// Runs the session to completion: canonicalization, cache lookup,
-    /// then (on a miss) sim-filter, core construction and the model
-    /// strategy, then extraction and verification.
+    /// then (on a miss) sim-filter, core construction and the model's
+    /// search, then extraction and verification.
     ///
     /// # Errors
     ///
@@ -306,7 +392,7 @@ impl<'a> SolveSession<'a> {
         // from an exact donor (identical CNF by canonicalization),
         // clause-by-clause vetted from a near-twin. Every path adds
         // only clauses implied by this oracle's own CNF, so the
-        // strategy sees identical verdicts either way.
+        // search sees identical verdicts either way.
         let mut pooled_calls = 0;
         if let Some(reuse) = self.reuse {
             if let Some(oracle) = reuse.pool.take(canon.fingerprint.hash, self.job.op) {
@@ -345,7 +431,7 @@ impl<'a> SolveSession<'a> {
             self.oracle = Some(oracle);
         }
 
-        let outcome = strategy_for(self.config.model).solve(&mut self);
+        let outcome = self.search();
         // A pooled oracle arrives with its donor's call count; report
         // only this output's own share.
         result.sat_calls = self
@@ -398,7 +484,7 @@ impl<'a> SolveSession<'a> {
         }
 
         if let Some(p) = outcome.partition {
-            // The strategy searched the canonical cone; translate its
+            // The search ran on the canonical cone; translate its
             // partition back to this cone's own input order.
             let p = self.translate(&canon, p.classes());
             self.finish_partition(p, &mut result)?;

@@ -29,6 +29,21 @@ pub enum GateOp {
 impl GateOp {
     /// All three operators, in the paper's order.
     pub const ALL: [GateOp; 3] = [GateOp::Or, GateOp::And, GateOp::Xor];
+
+    /// The operator's name on the command line and on the wire
+    /// (`or`, `and`, `xor`).
+    pub fn name(self) -> &'static str {
+        match self {
+            GateOp::Or => "or",
+            GateOp::And => "and",
+            GateOp::Xor => "xor",
+        }
+    }
+
+    /// The operator called `name` (the inverse of [`GateOp::name`]).
+    pub fn from_name(name: &str) -> Option<GateOp> {
+        GateOp::ALL.into_iter().find(|op| op.name() == name)
+    }
 }
 
 impl std::fmt::Display for GateOp {
@@ -68,6 +83,23 @@ impl Model {
         Model::QbfBalanced,
         Model::QbfCombined,
     ];
+
+    /// The model's name on the command line, on the wire and in store
+    /// keys (`ljh`, `mg`, `qd`, `qb`, `qdb`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Model::Ljh => "ljh",
+            Model::MusGroup => "mg",
+            Model::QbfDisjoint => "qd",
+            Model::QbfBalanced => "qb",
+            Model::QbfCombined => "qdb",
+        }
+    }
+
+    /// The model called `name` (the inverse of [`Model::name`]).
+    pub fn from_name(name: &str) -> Option<Model> {
+        Model::ALL.into_iter().find(|m| m.name() == name)
+    }
 }
 
 impl std::fmt::Display for Model {
@@ -464,6 +496,24 @@ impl DecompConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn name_tables_round_trip() {
+        for model in Model::ALL {
+            assert_eq!(Model::from_name(model.name()), Some(model));
+        }
+        for op in GateOp::ALL {
+            assert_eq!(GateOp::from_name(op.name()), Some(op));
+        }
+        let models: Vec<&str> = Model::ALL.iter().map(|m| m.name()).collect();
+        assert_eq!(models, ["ljh", "mg", "qd", "qb", "qdb"]);
+        let ops: Vec<&str> = GateOp::ALL.iter().map(|op| op.name()).collect();
+        assert_eq!(ops, ["or", "and", "xor"]);
+        for bad in ["", "QD", "STEP-QD", "nand", "OR"] {
+            assert_eq!(Model::from_name(bad), None, "{bad:?}");
+            assert_eq!(GateOp::from_name(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn budget_parse_accepts_the_documented_grammar() {

@@ -55,7 +55,7 @@ use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::clause_bank::{ClauseBank, OraclePool, ProbeCfg, ProbeVerdict, ReuseCtx};
 use crate::partition::VarClass;
 use crate::qbf_model::Target;
-use crate::spec::{DecompConfig, GateOp, Model, SearchStrategy};
+use crate::spec::{DecompConfig, GateOp, SearchStrategy};
 
 /// Which reuse surface an artifact belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -121,13 +121,7 @@ impl ConfigKey {
     /// The result namespace: exactly the [`CacheKey`] config fields,
     /// plus the QBF encoding tag.
     pub fn results(config: &DecompConfig) -> Self {
-        let model = match config.model {
-            Model::Ljh => "ljh",
-            Model::MusGroup => "mg",
-            Model::QbfDisjoint => "qd",
-            Model::QbfBalanced => "qb",
-            Model::QbfCombined => "qdb",
-        };
+        let model = config.model.name();
         let strategy = match config.effective_strategy() {
             SearchStrategy::MonotoneIncreasing => "mi",
             SearchStrategy::MonotoneDecreasing => "md",
@@ -1418,6 +1412,25 @@ mod tests {
             allow_both: false,
             restarts: RestartPolicy::Luby,
             preprocess: false,
+        }
+    }
+
+    /// Result namespaces name persisted store files, so the model names
+    /// inside them must never drift.
+    #[test]
+    fn result_config_keys_are_pinned() {
+        let tail = "sb=1;ab=0;simf=1;simr=4;seed=25214903917;restarts=luby;prep=0";
+        for (model, expected) in [
+            (Model::Ljh, "model=ljh;strategy=mi"),
+            (Model::MusGroup, "model=mg;strategy=mi"),
+            (Model::QbfDisjoint, "model=qd;strategy=mdbinmi"),
+            (Model::QbfBalanced, "model=qb;strategy=mi"),
+            (Model::QbfCombined, "model=qdb;strategy=mi"),
+        ] {
+            assert_eq!(
+                ConfigKey::results(&DecompConfig::new(model)).as_str(),
+                format!("exists=linear;refine=clause;{expected};{tail}"),
+            );
         }
     }
 
