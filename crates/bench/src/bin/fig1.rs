@@ -26,6 +26,7 @@
 use step_bench::{ascii_scatter, submit_sweep_entry, write_bench_json, BenchRecord, HarnessOpts};
 use step_circuits::registry_all;
 use step_core::Model;
+use step_serve::flag::finish_store;
 
 /// Machine-readable mirror of the CSV (perf trajectory).
 const JSON_OUT: &str = "BENCH_fig1.json";
@@ -108,6 +109,6 @@ fn main() {
         geo(4)
     );
     println!("expected shape (paper): MG fastest, LJH slowest, QD/QB/QDB between them");
-    opts.report_cache_stats();
+    eprint!("{}", finish_store(&opts.store));
     write_bench_json(JSON_OUT, &records);
 }

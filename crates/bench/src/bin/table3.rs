@@ -29,6 +29,7 @@
 use step_bench::{secs, submit_sweep_entry, write_bench_json, BenchRecord, HarnessOpts};
 use step_circuits::registry_table1;
 use step_core::Model;
+use step_serve::flag::finish_store;
 
 /// Machine-readable mirror of the printed table (perf trajectory).
 const JSON_OUT: &str = "BENCH_table3.json";
@@ -114,6 +115,6 @@ fn main() {
         "\nexpected shape (paper): MG fastest, LJH slowest, QD/QB/QDB in between \
          with #Dec equal to MG"
     );
-    opts.report_cache_stats();
+    eprint!("{}", finish_store(&opts.store));
     write_bench_json(JSON_OUT, &records);
 }

@@ -27,6 +27,7 @@ use step_bdd::Manager;
 use step_bench::{secs, write_bench_json, BenchRecord, HarnessOpts};
 use step_circuits::registry_table1;
 use step_core::{Model, StepService};
+use step_serve::flag::finish_store;
 use step_synth::SynthDriver;
 
 /// Machine-readable mirror of the printed table (perf trajectory).
@@ -131,5 +132,5 @@ fn main() {
         totals[0], totals[1], totals[2]
     );
     write_bench_json(JSON_OUT, &records);
-    opts.report_cache_stats();
+    eprint!("{}", finish_store(&opts.store));
 }

@@ -20,11 +20,22 @@ use std::time::Duration;
 
 use step_circuits::{CircuitEntry, Scale};
 use step_core::{
-    check_cache_dir, BiDecomposer, Budget, BudgetPolicy, CircuitResult, ClauseBank, DecompConfig,
-    GateOp, Model, OutputResult, RestartPolicy, ResultCache, StepService, SubmissionHandle,
-    TieredStore,
+    BiDecomposer, Budget, BudgetPolicy, CircuitResult, DecompConfig, GateOp, Model, OutputResult,
+    RestartPolicy, StepService, SubmissionHandle, TieredStore,
 };
+use step_serve::flag::{parsed_or_exit, Args, ReuseOpts};
+use step_serve::json::{self, Value};
 use step_synth::{SynthOptions, SynthOutput};
+
+/// The harness binaries' usage text (`--help` prints it on stdout).
+pub const HARNESS_USAGE: &str = "options: --scale smoke|default|full  --paper  \
+     --budget <spec>  --circuit-budget <spec>  --qbf-budget <spec>  \
+     --op or|and|xor  --filter <substr>  --copies <k>  \
+     --shared-substructure <k>  --fast  --jobs <n>  \
+     --seed <n>  --sat-restarts luby|ema  --sat-preprocess  \
+     --cache  --no-cache  --cache-cap <n>  --cache-dir <path>  \
+     --clause-reuse  --no-clause-reuse  --clause-bank-cap <n>  \
+     (budget spec: wall:<dur> | work:<n> | both:<dur>,<n> | unlimited)";
 
 /// Command-line options shared by the harness binaries.
 #[derive(Clone, Debug)]
@@ -78,7 +89,7 @@ pub struct HarnessOpts {
     /// The tiered store every engine and service of the sweep shares,
     /// so the whole model × circuit sweep reuses solved cones (the
     /// cache key keeps models and configs apart) and clause donations.
-    /// [`HarnessOpts::from_args`] builds it: a result cache unless
+    /// [`HarnessOpts::parse`] builds it: a result cache unless
     /// `--no-cache` (bounded by `--cache-cap`), a clause bank under
     /// `--clause-reuse` (bounded by `--clause-bank-cap`), and a disk
     /// tier loaded from `--cache-dir`, so repeated sweeps (and sharded
@@ -122,7 +133,16 @@ impl Default for HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses harness options from `std::env::args`.
+    /// Parses harness options from `std::env::args`: `--help` prints
+    /// [`HARNESS_USAGE`] on stdout and exits 0, a bad invocation prints
+    /// `<flag>: <why>` and the usage on stderr and exits 2 (see
+    /// [`HarnessOpts::parse`]).
+    pub fn from_args() -> HarnessOpts {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        parsed_or_exit(HarnessOpts::parse(&args), HARNESS_USAGE)
+    }
+
+    /// Parses harness options; `Ok(None)` on `--help`.
     ///
     /// Flags: `--scale smoke|default|full`, `--paper` (paper budgets),
     /// `--budget <spec>` (per-output [`Budget`], e.g. `work:200k` for
@@ -132,208 +152,67 @@ impl HarnessOpts {
     /// `--shared-substructure <k>` (twin-heavy circuit growth, see the
     /// fields), `--fast`
     /// (partitions only), `--jobs <n>` (parallel output workers),
-    /// `--cache`/`--no-cache` (sweep-wide result cache, default on),
-    /// `--cache-cap <n>` (bound it), `--cache-dir <path>` (persistent
-    /// warm-start store; a non-directory or unwritable path is a usage
-    /// error, exit 2, before any solving), `--clause-reuse` /
-    /// `--no-clause-reuse`, `--clause-bank-cap <n>`, `--help`.
-    pub fn from_args() -> HarnessOpts {
+    /// `--seed <n>`, `--sat-restarts luby|ema`, `--sat-preprocess`,
+    /// and the reuse flags of [`ReuseOpts`]: `--cache`/`--no-cache`
+    /// (sweep-wide result cache, default on), `--cache-cap <n>` (bound
+    /// it), `--cache-dir <path>` (persistent warm-start store, loaded
+    /// here, before any solving), `--clause-reuse` /
+    /// `--no-clause-reuse`, `--clause-bank-cap <n>`.
+    ///
+    /// # Errors
+    ///
+    /// A `<flag>: <why>` message for an unknown flag, a missing or bad
+    /// value, or a `--cache-dir` that is not (and cannot become) a
+    /// writable directory.
+    pub fn parse(args: &[String]) -> Result<Option<HarnessOpts>, String> {
         let mut opts = HarnessOpts::default();
-        let mut cache_on = true;
-        let mut cache_cap: Option<usize> = None;
-        let mut bank_cap: Option<usize> = None;
-        let mut cache_dir: Option<std::path::PathBuf> = None;
+        let mut reuse = ReuseOpts::default();
         let mut qbf_budget_set = false;
         let mut circuit_budget_set = false;
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = Args::new(args);
+        while let Some(flag) = args.next_arg() {
+            match flag {
                 "--scale" => {
-                    i += 1;
-                    opts.scale = match args.get(i).map(String::as_str) {
-                        Some("smoke") => Scale::Smoke,
-                        Some("default") => Scale::Default,
-                        Some("full") => Scale::Full,
-                        other => {
-                            eprintln!("unknown scale {other:?}");
-                            std::process::exit(2);
-                        }
-                    };
+                    opts.scale = match args.value()? {
+                        "smoke" => Scale::Smoke,
+                        "default" => Scale::Default,
+                        "full" => Scale::Full,
+                        other => return Err(args.error(format!("unknown scale `{other}`"))),
+                    }
                 }
                 "--paper" => opts.budget = BudgetPolicy::paper(),
-                "--budget" | "--circuit-budget" | "--qbf-budget" => {
-                    let flag = args[i].clone();
-                    i += 1;
-                    let spec = args
-                        .get(i)
-                        .map(String::as_str)
-                        .map(Budget::parse)
-                        .unwrap_or_else(|| Err(format!("{flag} needs a value")));
-                    match spec {
-                        Ok(b) => match flag.as_str() {
-                            "--budget" => opts.budget.per_output = b,
-                            "--circuit-budget" => {
-                                opts.budget.per_circuit = b;
-                                circuit_budget_set = true;
-                            }
-                            _ => {
-                                opts.budget.per_qbf_call = b;
-                                qbf_budget_set = true;
-                            }
-                        },
-                        Err(e) => {
-                            eprintln!("{flag}: {e}");
-                            std::process::exit(2);
-                        }
-                    }
+                "--budget" => opts.budget.per_output = args.budget()?,
+                "--circuit-budget" => {
+                    opts.budget.per_circuit = args.budget()?;
+                    circuit_budget_set = true;
                 }
-                "--op" => {
-                    i += 1;
-                    opts.op = match args.get(i).map(String::as_str) {
-                        Some("or") => GateOp::Or,
-                        Some("and") => GateOp::And,
-                        Some("xor") => GateOp::Xor,
-                        other => {
-                            eprintln!("unknown op {other:?}");
-                            std::process::exit(2);
-                        }
-                    };
+                "--qbf-budget" => {
+                    opts.budget.per_qbf_call = args.budget()?;
+                    qbf_budget_set = true;
                 }
-                "--filter" => {
-                    i += 1;
-                    opts.filter = args.get(i).cloned();
-                }
-                "--copies" | "--shared-substructure" => {
-                    let flag = args[i].clone();
-                    i += 1;
-                    let k = match args.get(i).and_then(|s| s.parse().ok()) {
-                        Some(n) if n >= 1 => n,
-                        _ => {
-                            eprintln!("{flag} needs a positive integer");
-                            std::process::exit(2);
-                        }
-                    };
-                    if flag == "--copies" {
-                        opts.copies = k;
-                    } else {
-                        opts.shared_substructure = k;
-                    }
-                }
+                "--op" => opts.op = args.op()?,
+                "--filter" => opts.filter = Some(args.value()?.to_owned()),
+                "--copies" => opts.copies = args.count()?,
+                "--shared-substructure" => opts.shared_substructure = args.count()?,
                 "--fast" => opts.partitions_only = true,
-                "--jobs" => {
-                    i += 1;
-                    opts.jobs = match args.get(i).and_then(|s| s.parse().ok()) {
-                        Some(n) if n >= 1 => n,
-                        _ => {
-                            eprintln!("--jobs needs a positive integer");
-                            std::process::exit(2);
-                        }
-                    };
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                        Some(s) => s,
-                        None => {
-                            eprintln!("--seed needs a number");
-                            std::process::exit(2);
-                        }
-                    };
-                }
-                "--sat-restarts" => {
-                    i += 1;
-                    opts.sat_restarts = match args.get(i).and_then(|s| s.parse().ok()) {
-                        Some(p) => p,
-                        None => {
-                            eprintln!("--sat-restarts needs luby or ema");
-                            std::process::exit(2);
-                        }
-                    };
-                }
+                "--jobs" => opts.jobs = args.count()?,
+                "--seed" => opts.seed = args.parse()?,
+                "--sat-restarts" => opts.sat_restarts = args.parse()?,
                 "--sat-preprocess" => opts.sat_preprocess = true,
-                "--cache" => cache_on = true,
-                "--no-cache" => cache_on = false,
-                "--clause-reuse" => opts.clause_reuse = true,
-                "--no-clause-reuse" => opts.clause_reuse = false,
-                "--clause-bank-cap" => {
-                    i += 1;
-                    bank_cap = match args.get(i).and_then(|s| s.parse().ok()) {
-                        Some(n) if n >= 1 => Some(n),
-                        _ => {
-                            eprintln!("--clause-bank-cap needs a positive integer");
-                            std::process::exit(2);
-                        }
-                    };
-                    opts.clause_reuse = true;
-                }
-                "--cache-cap" => {
-                    i += 1;
-                    cache_cap = match args.get(i).and_then(|s| s.parse().ok()) {
-                        Some(n) if n >= 1 => Some(n),
-                        _ => {
-                            eprintln!("--cache-cap needs a positive integer");
-                            std::process::exit(2);
-                        }
-                    };
-                    cache_on = true;
-                }
-                "--cache-dir" => {
-                    i += 1;
-                    let Some(dir) = args.get(i).map(std::path::PathBuf::from) else {
-                        eprintln!("--cache-dir needs a path");
-                        std::process::exit(2);
-                    };
-                    if let Err(e) = check_cache_dir(&dir) {
-                        eprintln!("--cache-dir: {e}");
-                        std::process::exit(2);
-                    }
-                    cache_dir = Some(dir);
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --scale smoke|default|full  --paper  \
-                         --budget <spec>  --circuit-budget <spec>  --qbf-budget <spec>  \
-                         --op or|and|xor  --filter <substr>  --copies <k>  \
-                         --shared-substructure <k>  --fast  --jobs <n>  \
-                         --seed <n>  --sat-restarts luby|ema  --sat-preprocess  \
-                         --cache  --no-cache  --cache-cap <n>  --cache-dir <path>  \
-                         --clause-reuse  --no-clause-reuse  --clause-bank-cap <n>  \
-                         (budget spec: wall:<dur> | work:<n> | both:<dur>,<n> | unlimited)"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown option `{other}` (try --help)");
-                    std::process::exit(2);
-                }
+                "--help" | "-h" => return Ok(None),
+                _ if reuse.parse_flag(&mut args)? => {}
+                _ => return Err(args.error("unknown option")),
             }
-            i += 1;
         }
-        let cache = cache_on.then(|| {
-            Arc::new(match cache_cap {
-                Some(cap) => ResultCache::with_capacity(cap),
-                None => ResultCache::new(),
-            })
-        });
-        let bank = opts.clause_reuse.then(|| {
-            Arc::new(match bank_cap {
-                Some(cap) => ClauseBank::with_capacity(cap),
-                None => ClauseBank::new(),
-            })
-        });
+        opts.clause_reuse = reuse.clause_reuse;
         // The sweep-wide store; the disk tier loads here, once, before
         // any circuit is built.
-        opts.store = Arc::new(match &cache_dir {
-            Some(dir) => TieredStore::with_disk(cache, bank, dir).unwrap_or_else(|e| {
-                eprintln!("--cache-dir {}: {e}", dir.display());
-                std::process::exit(2);
-            }),
-            None => TieredStore::memory(cache, bank),
-        });
+        opts.store = reuse
+            .build_store()
+            .map_err(|e| format!("--cache-dir: {e}"))?;
         opts.budget
             .lift_unset_walls_for_pure_work(qbf_budget_set, circuit_budget_set);
-        opts
+        Ok(Some(opts))
     }
 
     /// Builds one sweep circuit at this option set's scale, grown with
@@ -368,52 +247,6 @@ impl HarnessOpts {
         match &self.filter {
             None => entries,
             Some(f) => entries.into_iter().filter(|e| e.name.contains(f)).collect(),
-        }
-    }
-
-    /// Reports the sweep-wide cache totals on stderr (no-op when
-    /// caching is disabled); table/figure binaries call this once after
-    /// their sweep, keeping stdout reserved for the tables.
-    pub fn report_cache_stats(&self) {
-        let store = &self.store;
-        if let Some(cache) = store.cache() {
-            eprintln!(
-                "result cache: {} hits, {} misses, {} entries",
-                cache.hits(),
-                cache.misses(),
-                cache.len()
-            );
-        }
-        if let Some(bank) = store.bank() {
-            eprintln!(
-                "clause bank: {} hits ({} exact, {} cluster), {} misses, \
-                 {} donations, {} entries, {} probe hits, {} probe records",
-                bank.hits(),
-                bank.exact_hits(),
-                bank.cluster_hits(),
-                bank.misses(),
-                bank.donations(),
-                bank.len(),
-                bank.probe_hits(),
-                bank.probe_records()
-            );
-        }
-        // Persist before reporting so the flushed count is the final
-        // one; a failure costs the warm start, not the sweep.
-        if let Err(e) = store.flush() {
-            eprintln!("warning: cache flush failed: {e}");
-        }
-        if let Some(disk) = store.disk() {
-            eprintln!(
-                "store: {} record(s) loaded, disk hits {} results / {} clauses / \
-                 {} probes, {} flushed, {} corrupt",
-                disk.loaded_records(),
-                store.disk_result_hits(),
-                store.disk_clause_hits(),
-                store.disk_probe_hits(),
-                disk.flushed_records(),
-                disk.corrupt_records()
-            );
         }
     }
 
@@ -698,7 +531,7 @@ pub const BENCH_MIN_READ_VERSION: u32 = 3;
 /// records from sharded sweeps safely. Serialized to the
 /// `BENCH_table3.json` / `BENCH_fig1.json` files that track the perf
 /// trajectory across commits.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchRecord {
     /// Record layout version ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -905,146 +738,133 @@ impl BenchRecord {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl BenchRecord {
+    /// The record as one JSON object, fields in the file's order.
+    /// `wall_s` and `queue_wait_s` are written with six decimals.
+    fn to_json(&self) -> Value {
+        let count = |n: usize| json::num(n as u64);
+        let secs = |x: f64| Value::Num(format!("{x:.6}"));
+        json::obj(vec![
+            ("schema_version", json::num(u64::from(self.schema_version))),
+            ("model", json::s(&self.model)),
+            ("circuit", json::s(&self.circuit)),
+            ("op", json::s(&self.op)),
+            ("seed", json::num(self.seed)),
+            ("jobs", count(self.jobs)),
+            ("cache", json::boolean(self.cache)),
+            ("budget", json::s(&self.budget)),
+            ("sat_restarts", json::s(&self.sat_restarts)),
+            ("sat_preprocess", json::boolean(self.sat_preprocess)),
+            ("clause_reuse", json::boolean(self.clause_reuse)),
+            ("wall_s", secs(self.wall_s)),
+            ("decomposed", count(self.decomposed)),
+            ("outputs", count(self.outputs)),
+            ("sat_calls", json::num(self.sat_calls)),
+            ("qbf_calls", json::num(self.qbf_calls)),
+            ("effort_conflicts", json::num(self.effort_conflicts)),
+            ("cache_hits", json::num(self.cache_hits)),
+            ("cache_misses", json::num(self.cache_misses)),
+            ("bank_hits", json::num(self.bank_hits)),
+            ("donated_clauses", json::num(self.donated_clauses)),
+            ("disk_hits", json::num(self.disk_hits)),
+            ("store_loaded", json::num(self.store_loaded)),
+            ("tenant", json::s(&self.tenant)),
+            ("queue_wait_s", secs(self.queue_wait_s)),
+            ("admission", json::s(&self.admission)),
+            ("synth_gates", json::num(self.synth_gates)),
+            ("synth_depth", json::num(self.synth_depth)),
+            (
+                "synth_leaf_max_support",
+                json::num(self.synth_leaf_max_support),
+            ),
+            ("synth_nodes_expanded", json::num(self.synth_nodes_expanded)),
+            ("timed_out", json::boolean(self.timed_out)),
+        ])
     }
-    out
+
+    /// Reads one record object written by [`BenchRecord::to_json`] at
+    /// any version from [`BENCH_MIN_READ_VERSION`] on.
+    fn from_json(v: &Value) -> Result<BenchRecord, String> {
+        let get = |key: &str| {
+            v.get(key)
+                .ok_or_else(|| format!("record is missing `{key}`"))
+        };
+        let string = |key: &str| -> Result<String, String> {
+            get(key)?
+                .as_str()
+                .map(str::to_owned)
+                .ok_or_else(|| format!("`{key}` must be a string"))
+        };
+        let number = |key: &str| get(key)?.as_u64().ok_or_else(|| format!("bad `{key}`"));
+        let float = |key: &str| get(key)?.as_f64().ok_or_else(|| format!("bad `{key}`"));
+        let boolean = |key: &str| get(key)?.as_bool().ok_or_else(|| format!("bad `{key}`"));
+        let schema_version = u32::try_from(number("schema_version")?)
+            .map_err(|_| "bad `schema_version`".to_owned())?;
+        if !(BENCH_MIN_READ_VERSION..=BENCH_SCHEMA_VERSION).contains(&schema_version) {
+            return Err(format!(
+                "record has schema_version {schema_version}, reader understands \
+                 {BENCH_MIN_READ_VERSION}..={BENCH_SCHEMA_VERSION}"
+            ));
+        }
+        // Whether the record's layout has the fields version `v` added.
+        let has = |v: u32| schema_version >= v;
+        let number_since = |key: &str, v: u32| if has(v) { number(key) } else { Ok(0) };
+        let string_since = |key: &str, v: u32, default: &str| {
+            if has(v) {
+                string(key)
+            } else {
+                Ok(default.to_owned())
+            }
+        };
+        Ok(BenchRecord {
+            schema_version,
+            model: string("model")?,
+            circuit: string("circuit")?,
+            op: string("op")?,
+            seed: number("seed")?,
+            jobs: number("jobs")? as usize,
+            cache: boolean("cache")?,
+            budget: string("budget")?,
+            sat_restarts: string_since("sat_restarts", 4, "luby")?,
+            sat_preprocess: has(4) && boolean("sat_preprocess")?,
+            clause_reuse: has(5) && boolean("clause_reuse")?,
+            wall_s: float("wall_s")?,
+            decomposed: number("decomposed")? as usize,
+            outputs: number("outputs")? as usize,
+            sat_calls: number("sat_calls")?,
+            qbf_calls: number("qbf_calls")?,
+            effort_conflicts: number("effort_conflicts")?,
+            cache_hits: number("cache_hits")?,
+            cache_misses: number("cache_misses")?,
+            bank_hits: number_since("bank_hits", 5)?,
+            donated_clauses: number_since("donated_clauses", 5)?,
+            disk_hits: number_since("disk_hits", 6)?,
+            store_loaded: number_since("store_loaded", 6)?,
+            tenant: string_since("tenant", 7, "local")?,
+            queue_wait_s: if has(7) { float("queue_wait_s")? } else { 0.0 },
+            admission: string_since("admission", 7, "direct")?,
+            synth_gates: number_since("synth_gates", 8)?,
+            synth_depth: number_since("synth_depth", 8)?,
+            synth_leaf_max_support: number_since("synth_leaf_max_support", 8)?,
+            synth_nodes_expanded: number_since("synth_nodes_expanded", 8)?,
+            timed_out: boolean("timed_out")?,
+        })
+    }
 }
 
-/// Renders records as a JSON array (one object per model × circuit).
+/// Renders records as a JSON array, one record object per line.
 pub fn bench_records_json(records: &[BenchRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"schema_version\": {}, \"model\": \"{}\", \"circuit\": \"{}\", \
-             \"op\": \"{}\", \"seed\": {}, \"jobs\": {}, \"cache\": {}, \
-             \"budget\": \"{}\", \"sat_restarts\": \"{}\", \"sat_preprocess\": {}, \
-             \"clause_reuse\": {}, \"wall_s\": {:.6}, \
-             \"decomposed\": {}, \"outputs\": {}, \"sat_calls\": {}, \
-             \"qbf_calls\": {}, \"effort_conflicts\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"bank_hits\": {}, \"donated_clauses\": {}, \
-             \"disk_hits\": {}, \"store_loaded\": {}, \
-             \"tenant\": \"{}\", \"queue_wait_s\": {:.6}, \
-             \"admission\": \"{}\", \
-             \"synth_gates\": {}, \"synth_depth\": {}, \
-             \"synth_leaf_max_support\": {}, \"synth_nodes_expanded\": {}, \
-             \"timed_out\": {}}}{}\n",
-            r.schema_version,
-            json_escape(&r.model),
-            json_escape(&r.circuit),
-            json_escape(&r.op),
-            r.seed,
-            r.jobs,
-            r.cache,
-            json_escape(&r.budget),
-            json_escape(&r.sat_restarts),
-            r.sat_preprocess,
-            r.clause_reuse,
-            r.wall_s,
-            r.decomposed,
-            r.outputs,
-            r.sat_calls,
-            r.qbf_calls,
-            r.effort_conflicts,
-            r.cache_hits,
-            r.cache_misses,
-            r.bank_hits,
-            r.donated_clauses,
-            r.disk_hits,
-            r.store_loaded,
-            json_escape(&r.tenant),
-            r.queue_wait_s,
-            json_escape(&r.admission),
-            r.synth_gates,
-            r.synth_depth,
-            r.synth_leaf_max_support,
-            r.synth_nodes_expanded,
-            r.timed_out,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
+        let comma = if i + 1 < records.len() { "," } else { "" };
+        out += &format!("  {}{comma}\n", r.to_json().render());
     }
-    out.push_str("]\n");
-    out
-}
-
-/// One parsed `"key": value` pair of a record object: the value text
-/// plus whether it was a (already unescaped) JSON string.
-type JsonField = (String, bool);
-
-/// Scans one flat record object (`{ "k": v, ... }`, no nesting) into
-/// key → value pairs, unescaping string values.
-fn parse_json_object(obj: &str) -> Result<Vec<(String, JsonField)>, String> {
-    fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                None => return Err("unterminated string".to_owned()),
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('u') => {
-                        let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| format!("bad code point {code}"))?,
-                        );
-                    }
-                    other => return Err(format!("unsupported escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-    let mut fields = Vec::new();
-    let mut chars = obj.chars().peekable();
-    loop {
-        while chars.peek().is_some_and(|c| c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        match chars.next() {
-            None => return Ok(fields),
-            Some('"') => {
-                let key = parse_string(&mut chars)?;
-                while chars.peek().is_some_and(|c| c.is_whitespace()) {
-                    chars.next();
-                }
-                if chars.next() != Some(':') {
-                    return Err(format!("expected `:` after key `{key}`"));
-                }
-                while chars.peek().is_some_and(|c| c.is_whitespace()) {
-                    chars.next();
-                }
-                let value = if chars.peek() == Some(&'"') {
-                    chars.next();
-                    (parse_string(&mut chars)?, true)
-                } else {
-                    let mut raw = String::new();
-                    while chars.peek().is_some_and(|c| *c != ',') {
-                        raw.push(chars.next().expect("peeked"));
-                    }
-                    (raw.trim().to_owned(), false)
-                };
-                fields.push((key, value));
-            }
-            Some(c) => return Err(format!("expected a key, found `{c}`")),
-        }
-    }
+    out + "]\n"
 }
 
 /// Parses a `BENCH_*.json` array written by [`bench_records_json`]
 /// back into records — the reader half for tooling that merges or
-/// diffs sharded sweep outputs. Minimal by design: it understands the
-/// flat object layout this crate writes, not arbitrary JSON.
+/// diffs sharded sweep outputs.
 ///
 /// Reads every layout from [`BENCH_MIN_READ_VERSION`] (v3, the first
 /// with effort provenance) up to [`BENCH_SCHEMA_VERSION`], so committed
@@ -1062,128 +882,10 @@ fn parse_json_object(obj: &str) -> Result<Vec<(String, JsonField)>, String> {
 /// layouts the reader cannot map is exactly what the version field
 /// exists to prevent).
 pub fn parse_bench_records_json(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let body = text.trim();
-    let body = body
-        .strip_prefix('[')
-        .and_then(|b| b.strip_suffix(']'))
-        .ok_or_else(|| "expected a JSON array".to_owned())?;
-    let mut records = Vec::new();
-    // Our writer emits flat objects (no nesting), so objects end at
-    // the first `}` outside a string.
-    let mut rest = body.trim_start().trim_start_matches(',').trim_start();
-    while !rest.is_empty() {
-        let open = rest
-            .strip_prefix('{')
-            .ok_or_else(|| format!("expected `{{`, found `{rest:.8}`"))?;
-        let mut end = None;
-        let mut in_string = false;
-        let mut escaped = false;
-        for (i, c) in open.char_indices() {
-            match (in_string, escaped, c) {
-                (true, true, _) => escaped = false,
-                (true, false, '\\') => escaped = true,
-                (true, false, '"') => in_string = false,
-                (false, _, '"') => in_string = true,
-                (false, _, '}') => {
-                    end = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let end = end.ok_or_else(|| "unterminated record object".to_owned())?;
-        let fields = parse_json_object(&open[..end])?;
-        let get = |key: &str| -> Result<&JsonField, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("record is missing `{key}`"))
-        };
-        let string = |key: &str| -> Result<String, String> {
-            let (v, is_str) = get(key)?;
-            if !is_str {
-                return Err(format!("`{key}` must be a string"));
-            }
-            Ok(v.clone())
-        };
-        let number = |key: &str| -> Result<u64, String> {
-            get(key)?.0.parse().map_err(|_| format!("bad `{key}`"))
-        };
-        let boolean = |key: &str| -> Result<bool, String> {
-            get(key)?.0.parse().map_err(|_| format!("bad `{key}`"))
-        };
-        let schema_version = number("schema_version")? as u32;
-        if !(BENCH_MIN_READ_VERSION..=BENCH_SCHEMA_VERSION).contains(&schema_version) {
-            return Err(format!(
-                "record has schema_version {schema_version}, reader understands \
-                 {BENCH_MIN_READ_VERSION}..={BENCH_SCHEMA_VERSION}"
-            ));
-        }
-        // Whether the record's layout has the fields version `v` added.
-        let has = |v: u32| schema_version >= v;
-        let number_since = |key: &str, v: u32| if has(v) { number(key) } else { Ok(0) };
-        records.push(BenchRecord {
-            schema_version,
-            model: string("model")?,
-            circuit: string("circuit")?,
-            op: string("op")?,
-            seed: number("seed")?,
-            jobs: number("jobs")? as usize,
-            cache: boolean("cache")?,
-            budget: string("budget")?,
-            sat_restarts: if has(4) {
-                string("sat_restarts")?
-            } else {
-                "luby".to_owned()
-            },
-            sat_preprocess: has(4) && boolean("sat_preprocess")?,
-            clause_reuse: has(5) && boolean("clause_reuse")?,
-            wall_s: get("wall_s")?
-                .0
-                .parse()
-                .map_err(|_| "bad `wall_s`".to_owned())?,
-            decomposed: number("decomposed")? as usize,
-            outputs: number("outputs")? as usize,
-            sat_calls: number("sat_calls")?,
-            qbf_calls: number("qbf_calls")?,
-            effort_conflicts: number("effort_conflicts")?,
-            cache_hits: number("cache_hits")?,
-            cache_misses: number("cache_misses")?,
-            bank_hits: number_since("bank_hits", 5)?,
-            donated_clauses: number_since("donated_clauses", 5)?,
-            disk_hits: number_since("disk_hits", 6)?,
-            store_loaded: number_since("store_loaded", 6)?,
-            tenant: if has(7) {
-                string("tenant")?
-            } else {
-                "local".to_owned()
-            },
-            queue_wait_s: if has(7) {
-                get("queue_wait_s")?
-                    .0
-                    .parse()
-                    .map_err(|_| "bad `queue_wait_s`".to_owned())?
-            } else {
-                0.0
-            },
-            admission: if has(7) {
-                string("admission")?
-            } else {
-                "direct".to_owned()
-            },
-            synth_gates: number_since("synth_gates", 8)?,
-            synth_depth: number_since("synth_depth", 8)?,
-            synth_leaf_max_support: number_since("synth_leaf_max_support", 8)?,
-            synth_nodes_expanded: number_since("synth_nodes_expanded", 8)?,
-            timed_out: boolean("timed_out")?,
-        });
-        rest = open[end + 1..]
-            .trim_start()
-            .trim_start_matches(',')
-            .trim_start();
+    match Value::parse(text).map_err(|e| e.to_string())? {
+        Value::Arr(records) => records.iter().map(BenchRecord::from_json).collect(),
+        _ => Err("expected a JSON array".to_owned()),
     }
-    Ok(records)
 }
 
 /// Writes records to `path` as JSON, reporting the destination on
@@ -1202,6 +904,7 @@ pub fn write_bench_json(path: &str, records: &[BenchRecord]) {
 mod tests {
     use super::*;
     use step_circuits::registry_table1;
+    use step_core::{ClauseBank, ResultCache};
 
     fn smoke_opts() -> HarnessOpts {
         HarnessOpts {
@@ -1210,6 +913,64 @@ mod tests {
             partitions_only: true,
             ..HarnessOpts::default()
         }
+    }
+
+    fn parse(args: &[&str]) -> Result<Option<HarnessOpts>, String> {
+        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        HarnessOpts::parse(&args)
+    }
+
+    #[test]
+    fn harness_flags_parse() {
+        let opts = parse(&[
+            "--scale",
+            "smoke",
+            "--budget",
+            "work:200",
+            "--op",
+            "xor",
+            "--filter",
+            "C7",
+            "--jobs",
+            "2",
+            "--clause-bank-cap",
+            "4",
+            "--no-cache",
+        ])
+        .expect("valid flags")
+        .expect("not a help request");
+        assert_eq!(opts.scale, Scale::Smoke);
+        assert_eq!(
+            opts.budget,
+            BudgetPolicy::work(200),
+            "pure work lifts the walls"
+        );
+        assert_eq!(
+            (opts.op, opts.filter.as_deref(), opts.jobs),
+            (GateOp::Xor, Some("C7"), 2)
+        );
+        assert!(opts.clause_reuse && opts.store.bank().is_some());
+        assert!(opts.store.cache().is_none());
+    }
+
+    /// A trailing `--filter` once ran the whole unfiltered sweep.
+    #[test]
+    fn bare_filter_is_a_usage_error() {
+        assert_eq!(
+            parse(&["--scale", "smoke", "--filter"]).err().as_deref(),
+            Some("--filter: missing value")
+        );
+    }
+
+    /// `--help` is a request, not an error: the binaries print the
+    /// usage on stdout and exit 0 for it.
+    #[test]
+    fn help_is_not_an_error() {
+        for flag in ["--help", "-h"] {
+            assert!(matches!(parse(&["--fast", flag]), Ok(None)), "{flag}");
+        }
+        let unknown = parse(&["--frobnicate"]).err();
+        assert_eq!(unknown.as_deref(), Some("--frobnicate: unknown option"));
     }
 
     #[test]
@@ -1262,46 +1023,46 @@ mod tests {
         assert!(!rec.cache, "smoke opts run uncached");
         let json = bench_records_json(&[rec.clone(), rec]);
         assert!(json.starts_with("[\n") && json.ends_with("]\n"), "{json}");
-        assert_eq!(json.matches("\"circuit\": \"mm9a\"").count(), 2);
+        assert_eq!(json.matches("\"circuit\":\"mm9a\"").count(), 2);
         assert_eq!(
-            json.matches(&format!("\"schema_version\": {BENCH_SCHEMA_VERSION}"))
+            json.matches(&format!("\"schema_version\":{BENCH_SCHEMA_VERSION}"))
                 .count(),
             2
         );
-        assert_eq!(json.matches("\"op\": \"OR\"").count(), 2);
-        assert_eq!(json.matches("\"jobs\": 1").count(), 2);
-        assert_eq!(json.matches("\"cache\": false").count(), 2);
-        assert_eq!(json.matches(&format!("\"seed\": {}", opts.seed)).count(), 2);
-        assert_eq!(json.matches("\"cache_hits\": 0").count(), 2);
-        assert_eq!(json.matches("\"cache_misses\": 0").count(), 2);
+        assert_eq!(json.matches("\"op\":\"OR\"").count(), 2);
+        assert_eq!(json.matches("\"jobs\":1").count(), 2);
+        assert_eq!(json.matches("\"cache\":false").count(), 2);
+        assert_eq!(json.matches(&format!("\"seed\":{}", opts.seed)).count(), 2);
+        assert_eq!(json.matches("\"cache_hits\":0").count(), 2);
+        assert_eq!(json.matches("\"cache_misses\":0").count(), 2);
         assert!(json.matches(',').count() >= 1);
         // Schema-3 effort provenance.
         assert_eq!(
-            json.matches(&format!("\"budget\": \"{}\"", opts.budget))
+            json.matches(&format!("\"budget\":\"{}\"", opts.budget))
                 .count(),
             2
         );
-        assert!(json.contains("\"effort_conflicts\": "), "{json}");
+        assert!(json.contains("\"effort_conflicts\":"), "{json}");
         // Schema-4 SAT kernel provenance.
-        assert_eq!(json.matches("\"sat_restarts\": \"luby\"").count(), 2);
-        assert_eq!(json.matches("\"sat_preprocess\": false").count(), 2);
+        assert_eq!(json.matches("\"sat_restarts\":\"luby\"").count(), 2);
+        assert_eq!(json.matches("\"sat_preprocess\":false").count(), 2);
         // Schema-5 clause-reuse provenance.
-        assert_eq!(json.matches("\"clause_reuse\": false").count(), 2);
-        assert_eq!(json.matches("\"bank_hits\": 0").count(), 2);
-        assert_eq!(json.matches("\"donated_clauses\": 0").count(), 2);
+        assert_eq!(json.matches("\"clause_reuse\":false").count(), 2);
+        assert_eq!(json.matches("\"bank_hits\":0").count(), 2);
+        assert_eq!(json.matches("\"donated_clauses\":0").count(), 2);
         // Schema-6 persistent-store provenance.
-        assert_eq!(json.matches("\"disk_hits\": 0").count(), 2);
-        assert_eq!(json.matches("\"store_loaded\": 0").count(), 2);
+        assert_eq!(json.matches("\"disk_hits\":0").count(), 2);
+        assert_eq!(json.matches("\"store_loaded\":0").count(), 2);
         // Schema-7 service provenance.
-        assert_eq!(json.matches("\"tenant\": \"local\"").count(), 2);
-        assert_eq!(json.matches("\"admission\": \"direct\"").count(), 2);
-        assert_eq!(json.matches("\"queue_wait_s\": ").count(), 2);
+        assert_eq!(json.matches("\"tenant\":\"local\"").count(), 2);
+        assert_eq!(json.matches("\"admission\":\"direct\"").count(), 2);
+        assert_eq!(json.matches("\"queue_wait_s\":").count(), 2);
         // Schema-8 synthesis provenance — all zero on decomposition
         // records.
-        assert_eq!(json.matches("\"synth_gates\": 0").count(), 2);
-        assert_eq!(json.matches("\"synth_depth\": 0").count(), 2);
-        assert_eq!(json.matches("\"synth_leaf_max_support\": 0").count(), 2);
-        assert_eq!(json.matches("\"synth_nodes_expanded\": 0").count(), 2);
+        assert_eq!(json.matches("\"synth_gates\":0").count(), 2);
+        assert_eq!(json.matches("\"synth_depth\":0").count(), 2);
+        assert_eq!(json.matches("\"synth_leaf_max_support\":0").count(), 2);
+        assert_eq!(json.matches("\"synth_nodes_expanded\":0").count(), 2);
     }
 
     #[test]
@@ -1383,8 +1144,8 @@ mod tests {
         // pre-effort v2 layout and any version newer than the writer's.
         for foreign in [2u32, BENCH_SCHEMA_VERSION + 1] {
             let old = bench_records_json(&records).replace(
-                &format!("\"schema_version\": {BENCH_SCHEMA_VERSION}"),
-                &format!("\"schema_version\": {foreign}"),
+                &format!("\"schema_version\":{BENCH_SCHEMA_VERSION}"),
+                &format!("\"schema_version\":{foreign}"),
             );
             assert!(
                 parse_bench_records_json(&old).is_err(),
@@ -1417,7 +1178,8 @@ mod tests {
         assert!(parse_bench_records_json(&v4).is_err());
     }
 
-    /// Both committed `BENCH_*.json` files read back.
+    /// Both committed `BENCH_*.json` files read back, and rewriting
+    /// their records reads back equal.
     #[test]
     fn committed_bench_files_read_back() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -1429,6 +1191,8 @@ mod tests {
                 recs.iter().all(|r| r.schema_version == version),
                 "{file} is schema {version}"
             );
+            let rewritten = parse_bench_records_json(&bench_records_json(&recs));
+            assert_eq!(rewritten.as_ref(), Ok(&recs), "{file} rewritten");
         }
     }
 

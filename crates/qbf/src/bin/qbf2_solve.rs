@@ -9,6 +9,14 @@ use std::io::Read;
 
 use step_qbf::{solve_qdimacs, Qbf2Config, QbfOutcome};
 
+const USAGE: &str = "usage: qbf2_solve <file.qdimacs|-> [--max-iters n]";
+
+/// Bad invocation: why and the usage on stderr, exit 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("{why}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path = None;
@@ -18,19 +26,21 @@ fn main() {
         match args[i].as_str() {
             "--max-iters" => {
                 i += 1;
-                max_iters = args.get(i).and_then(|s| s.parse().ok());
+                let Some(value) = args.get(i) else {
+                    usage_error("--max-iters: missing value")
+                };
+                match value.parse() {
+                    Ok(n) => max_iters = Some(n),
+                    Err(e) => usage_error(&format!("--max-iters: bad value `{value}` ({e})")),
+                }
             }
             p if path.is_none() => path = Some(p.to_owned()),
-            _ => {
-                eprintln!("usage: qbf2_solve <file.qdimacs|-> [--max-iters n]");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("{other}: unexpected argument")),
         }
         i += 1;
     }
     let Some(path) = path else {
-        eprintln!("usage: qbf2_solve <file.qdimacs|-> [--max-iters n]");
-        std::process::exit(2);
+        usage_error("<file>: missing argument")
     };
     let text = if path == "-" {
         let mut s = String::new();

@@ -17,8 +17,9 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 
-use step_core::Model;
+use step_core::{GateOp, Model};
 
+use crate::flag::{parsed_or_exit, Args};
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{ClientFrame, ErrorCode, OutputRow, ServerFrame, SubmitRequest, PROTO_VERSION};
 use crate::table;
@@ -38,8 +39,7 @@ struct ClientCli {
     path: String,
     tenant: Option<String>,
     model: Model,
-    model_name: String,
-    op: String,
+    op: GateOp,
     seed: Option<u64>,
     sat_restarts: Option<String>,
     sat_preprocess: bool,
@@ -51,19 +51,15 @@ struct ClientCli {
     shutdown: bool,
 }
 
-fn usage() -> ! {
-    eprintln!("{CLIENT_USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_cli(args: &[String]) -> ClientCli {
+/// The `step client` flags; `Ok(None)` on `--help`. Restart policies
+/// and budget specs travel as written: the server validates them.
+fn parse_args(args: &[String]) -> Result<Option<ClientCli>, String> {
     let mut cli = ClientCli {
         addr: String::new(),
         path: String::new(),
         tenant: None,
         model: Model::QbfDisjoint,
-        model_name: "qd".to_owned(),
-        op: "or".to_owned(),
+        op: GateOp::Or,
         seed: None,
         sat_restarts: None,
         sat_preprocess: false,
@@ -74,83 +70,34 @@ fn parse_cli(args: &[String]) -> ClientCli {
         no_timing: false,
         shutdown: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tenant" => {
-                i += 1;
-                match args.get(i) {
-                    Some(t) => cli.tenant = Some(t.clone()),
-                    None => usage(),
-                }
-            }
-            "--model" => {
-                i += 1;
-                let name = args.get(i).map(String::as_str);
-                cli.model = match name {
-                    Some("ljh") => Model::Ljh,
-                    Some("mg") => Model::MusGroup,
-                    Some("qd") => Model::QbfDisjoint,
-                    Some("qb") => Model::QbfBalanced,
-                    Some("qdb") => Model::QbfCombined,
-                    _ => usage(),
-                };
-                cli.model_name = name.expect("matched above").to_owned();
-            }
-            "--op" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some(op @ ("or" | "and" | "xor")) => cli.op = op.to_owned(),
-                    _ => usage(),
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(seed) => cli.seed = Some(seed),
-                    None => usage(),
-                }
-            }
-            "--sat-restarts" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => cli.sat_restarts = Some(p.clone()),
-                    None => usage(),
-                }
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg() {
+        match arg {
+            "--tenant" => cli.tenant = Some(args.value()?.to_owned()),
+            "--model" => cli.model = args.model()?,
+            "--op" => cli.op = args.op()?,
+            "--seed" => cli.seed = Some(args.parse()?),
+            "--sat-restarts" => cli.sat_restarts = Some(args.value()?.to_owned()),
             "--sat-preprocess" => cli.sat_preprocess = true,
-            flag @ ("--budget" | "--circuit-budget" | "--qbf-budget") => {
-                i += 1;
-                let Some(spec) = args.get(i) else { usage() };
-                match flag {
-                    "--budget" => cli.budget = Some(spec.clone()),
-                    "--circuit-budget" => cli.circuit_budget = Some(spec.clone()),
-                    _ => cli.qbf_budget = Some(spec.clone()),
-                }
-            }
-            "--deadline-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(ms) => cli.deadline_ms = Some(ms),
-                    None => usage(),
-                }
-            }
+            "--budget" => cli.budget = Some(args.value()?.to_owned()),
+            "--circuit-budget" => cli.circuit_budget = Some(args.value()?.to_owned()),
+            "--qbf-budget" => cli.qbf_budget = Some(args.value()?.to_owned()),
+            "--deadline-ms" => cli.deadline_ms = Some(args.parse()?),
             "--no-timing" => cli.no_timing = true,
             "--shutdown" => cli.shutdown = true,
-            "--help" | "-h" => {
-                println!("{CLIENT_USAGE}");
-                std::process::exit(0)
-            }
+            "--help" | "-h" => return Ok(None),
             other if !other.starts_with('-') && cli.addr.is_empty() => cli.addr = other.to_owned(),
             other if !other.starts_with('-') && cli.path.is_empty() => cli.path = other.to_owned(),
-            _ => usage(),
+            _ => return Err(args.error("unknown option")),
         }
-        i += 1;
     }
-    if cli.addr.is_empty() || (cli.path.is_empty() && !cli.shutdown) {
-        usage();
+    if cli.addr.is_empty() {
+        return Err("<host:port>: missing argument".to_owned());
     }
-    cli
+    if cli.path.is_empty() && !cli.shutdown {
+        return Err("<circuit>: missing argument".to_owned());
+    }
+    Ok(Some(cli))
 }
 
 /// The wire format tag for a circuit path, by extension. Binary AIGER
@@ -175,7 +122,7 @@ fn fail(message: &str) -> ! {
 /// `step client ...` entry point: parses flags, runs one request,
 /// exits with the documented code.
 pub fn main(args: &[String]) -> ! {
-    let cli = parse_cli(args);
+    let cli = parsed_or_exit(parse_args(args), CLIENT_USAGE);
     let stream = match TcpStream::connect(&cli.addr) {
         Ok(s) => s,
         Err(e) => fail(&format!("connect {}: {e}", cli.addr)),
@@ -237,8 +184,8 @@ pub fn main(args: &[String]) -> ! {
             req: 1,
             format: format.to_owned(),
             circuit,
-            op: cli.op.clone(),
-            model: cli.model_name.clone(),
+            op: cli.op.name().to_owned(),
+            model: cli.model.name().to_owned(),
             budget: cli.budget.clone(),
             circuit_budget: cli.circuit_budget.clone(),
             qbf_budget: cli.qbf_budget.clone(),

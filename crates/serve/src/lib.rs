@@ -14,13 +14,19 @@
 //! ## Module map
 //!
 //! * [`json`] — a tiny JSON value reader/writer (raw number lexemes
-//!   for exact `u64`/`f64` round-trips);
+//!   for exact `u64`/`f64` round-trips), also the codec of the
+//!   harness's `BENCH_*.json` files;
 //! * [`frame`] — 4-byte big-endian length-prefixed UTF-8 frames with a
 //!   hostile-length cap;
 //! * [`proto`] — the typed frames: `hello`/`submit`/`cancel`/
 //!   `shutdown` in, `hello_ok`/`accepted`/`output`/`done`/`error` out;
 //! * [`table`] — the pinned result-table format both the CLI and the
 //!   client print (parity is structural, not a convention);
+//! * [`flag`] — the one flag layer of every front end (`step`, `step
+//!   synthesize`, `step serve`, `step client` and the harness
+//!   binaries): an argument cursor whose value readers return
+//!   `<flag>: <why>` errors, the reuse flag group with its one store
+//!   builder and statistics printer, and the usage/exit convention;
 //! * [`server`] — accept loop, per-tenant admission (quota ledger +
 //!   queue-depth bound) and result forwarding;
 //! * [`client`] — the one-request client.
@@ -36,6 +42,7 @@
 //! what it answers; the serve smoke test in CI diffs exactly that.
 
 pub mod client;
+pub mod flag;
 pub mod frame;
 pub mod json;
 pub mod proto;

@@ -1,6 +1,6 @@
 //! The server side of `step serve`: a TCP accept loop feeding one
-//! shared [`StepService`] + [`TieredStore`], with per-tenant admission
-//! control in front of it.
+//! shared [`StepService`] + [`TieredStore`](step_core::TieredStore),
+//! with per-tenant admission control in front of it.
 //!
 //! ## Shape
 //!
@@ -40,10 +40,11 @@ use std::time::{Duration, Instant};
 
 use step_aig::{aiger, bench_io, blif, canonicalize, Aig};
 use step_core::{
-    check_cache_dir, Budget, Canceller, CostModel, DecompConfig, GateOp, Model, ResultCache,
-    StepError, StepService, SubmitOptions, TenantLedger, TieredStore, WorkReservation,
+    Budget, Canceller, CostModel, DecompConfig, GateOp, Model, StepError, StepService,
+    SubmitOptions, TenantLedger, WorkReservation,
 };
 
+use crate::flag::{parsed_or_exit, Args, ReuseOpts};
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{
     ClientFrame, ErrorCode, OutputRow, PartitionRow, ServerFrame, SubmitRequest, PROTO_VERSION,
@@ -89,74 +90,7 @@ const SERVE_USAGE: &str = "usage: step serve [--addr host:port] [--jobs n] [--qu
 
 /// `step serve ...` entry point: parses flags, runs the server, exits.
 pub fn main(args: &[String]) -> ! {
-    let mut opts = ServerOptions::default();
-    let usage = || -> ! {
-        eprintln!("{SERVE_USAGE}");
-        std::process::exit(2)
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => opts.addr = a.clone(),
-                    None => usage(),
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => opts.jobs = n,
-                    _ => usage(),
-                }
-            }
-            "--quota" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(q) => opts.default_quota = q,
-                    None => usage(),
-                }
-            }
-            "--tenant-quota" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|s| {
-                    let (name, q) = s.split_once('=')?;
-                    Some((name.to_owned(), q.parse().ok()?))
-                });
-                match parsed {
-                    Some(tq) => opts.tenant_quotas.push(tq),
-                    None => usage(),
-                }
-            }
-            "--max-queue" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => opts.max_queue = n,
-                    None => usage(),
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                let Some(dir) = args.get(i).map(PathBuf::from) else {
-                    usage()
-                };
-                // Vetted before anything binds: a bad path is a usage
-                // error, never a port announced and then abandoned.
-                if let Err(e) = check_cache_dir(&dir) {
-                    eprintln!("--cache-dir: {e}");
-                    usage();
-                }
-                opts.cache_dir = Some(dir);
-            }
-            "--help" | "-h" => {
-                println!("{SERVE_USAGE}");
-                std::process::exit(0)
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
+    let opts = parsed_or_exit(parse_args(args), SERVE_USAGE);
     match run(&opts) {
         Ok(()) => std::process::exit(0),
         Err(e) => {
@@ -164,6 +98,32 @@ pub fn main(args: &[String]) -> ! {
             std::process::exit(1)
         }
     }
+}
+
+/// The `step serve` flags; `Ok(None)` on `--help`.
+fn parse_args(args: &[String]) -> Result<Option<ServerOptions>, String> {
+    let mut opts = ServerOptions::default();
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_arg() {
+        match flag {
+            "--addr" => opts.addr = args.value()?.to_owned(),
+            "--jobs" => opts.jobs = args.count()?,
+            "--quota" => opts.default_quota = args.parse()?,
+            "--tenant-quota" => {
+                let spec = args.value()?;
+                let quota = spec
+                    .split_once('=')
+                    .and_then(|(name, q)| Some((name.to_owned(), q.parse().ok()?)))
+                    .ok_or_else(|| args.error(format!("`{spec}` is not name=conflicts")))?;
+                opts.tenant_quotas.push(quota);
+            }
+            "--max-queue" => opts.max_queue = args.parse()?,
+            "--cache-dir" => opts.cache_dir = Some(args.cache_dir()?),
+            "--help" | "-h" => return Ok(None),
+            _ => return Err(args.error("unknown option")),
+        }
+    }
+    Ok(Some(opts))
 }
 
 /// Everything a connection thread needs, shared by all of them.
@@ -187,11 +147,11 @@ pub fn run(opts: &ServerOptions) -> std::io::Result<()> {
     // Same reuse defaults as the CLI: result cache on, clause bank
     // off, disk tier when asked. One store serves every connection —
     // cross-request reuse changes conflict counts, never answers.
-    let cache = Some(Arc::new(ResultCache::new()));
-    let store = Arc::new(match &opts.cache_dir {
-        Some(dir) => TieredStore::with_disk(cache, None, dir)?,
-        None => TieredStore::memory(cache, None),
-    });
+    let store = ReuseOpts {
+        cache_dir: opts.cache_dir.clone(),
+        ..ReuseOpts::default()
+    }
+    .build_store()?;
 
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
@@ -319,20 +279,10 @@ fn parse_circuit(format: &str, text: &str) -> Result<Result<Aig, String>, String
 /// same defaulting rules as the CLI (including the pure-work
 /// wall-lift), so remote and local runs are configured identically.
 fn build_config(request: &SubmitRequest) -> Result<(GateOp, DecompConfig), String> {
-    let op = match request.op.as_str() {
-        "or" => GateOp::Or,
-        "and" => GateOp::And,
-        "xor" => GateOp::Xor,
-        other => return Err(format!("unknown op {other:?}")),
-    };
-    let model = match request.model.as_str() {
-        "ljh" => Model::Ljh,
-        "mg" => Model::MusGroup,
-        "qd" => Model::QbfDisjoint,
-        "qb" => Model::QbfBalanced,
-        "qdb" => Model::QbfCombined,
-        other => return Err(format!("unknown model {other:?}")),
-    };
+    let op =
+        GateOp::from_name(&request.op).ok_or_else(|| format!("unknown op {:?}", request.op))?;
+    let model = Model::from_name(&request.model)
+        .ok_or_else(|| format!("unknown model {:?}", request.model))?;
     let mut config = DecompConfig::new(model);
     let mut qbf_set = false;
     let mut circuit_set = false;

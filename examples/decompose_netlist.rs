@@ -26,11 +26,10 @@ fn main() {
         Some(path) => load_file(Path::new(path)).expect("parse circuit file"),
         None => qbf_bidec::aig::bench_io::parse(C17_LIKE).expect("builtin netlist"),
     };
-    let op = match args.get(1).map(String::as_str) {
-        Some("and") => GateOp::And,
-        Some("xor") => GateOp::Xor,
-        _ => GateOp::Or,
-    };
+    let op = args
+        .get(1)
+        .and_then(|name| GateOp::from_name(name))
+        .unwrap_or(GateOp::Or);
 
     let comb = if circuit.is_comb() {
         circuit

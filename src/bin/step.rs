@@ -53,6 +53,11 @@
 //! and therefore lifts the default *wall* limits on the per-call and
 //! per-circuit scopes unless those are set explicitly.
 //!
+//! Every subcommand parses its flags with [`qbf_bidec::serve::flag`],
+//! the layer all front ends share: `--help` prints the subcommand's
+//! usage on stdout and exits 0; a bad invocation prints one
+//! `<flag>: <why>` line and the usage on stderr and exits 2.
+//!
 //! Whole-circuit runs submit to a [`StepService`] worker pool and
 //! stream per-output events off the submission handle (`--progress`
 //! narrates them on stderr in completion order; the stdout table stays
@@ -101,19 +106,20 @@
 //!
 //! [`StepService`]: qbf_bidec::step::StepService
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use qbf_bidec::circuits::load_file;
+use qbf_bidec::serve::flag::{finish_store, parsed_or_exit, usage_error, Args, ReuseOpts};
 use qbf_bidec::serve::table;
 use qbf_bidec::step::optimum::Metric;
 use qbf_bidec::step::oracle::CoreFormula;
 use qbf_bidec::step::qbf_model::{ModelOptions, Target};
 use qbf_bidec::step::qdimacs_export::export_qdimacs;
 use qbf_bidec::step::{
-    check_cache_dir, BiDecomposer, Budget, BudgetPolicy, ClauseBank, DecompConfig, DiskTier,
-    EffortMeter, GateOp, Model, OutputResult, RestartPolicy, ResultCache, StepService, TieredStore,
+    BiDecomposer, Budget, BudgetPolicy, DecompConfig, DiskTier, EffortMeter, GateOp, Model,
+    OutputResult, RestartPolicy, StepService, TieredStore,
 };
 use qbf_bidec::synth::{SynthDriver, SynthOptions, SynthOutput};
 
@@ -150,20 +156,8 @@ const USAGE: &str = "usage: step <circuit.{bench,blif,aag}> [--model ljh|mg|qd|q
                      budget spec: wall:<dur> | work:<conflicts> | both:<dur>,<conflicts> \
                      | unlimited (e.g. --budget work:200k for deterministic truncation)";
 
-/// Bad invocation: usage on stderr, exit 2.
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2)
-}
-
-/// Explicitly requested help: usage on stdout, exit 0.
-fn help() -> ! {
-    println!("{USAGE}");
-    std::process::exit(0)
-}
-
-fn parse_cli() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// The plain `step` flags; `Ok(None)` on `--help`.
+fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
     let mut cli = Cli {
         path: String::new(),
         model: Model::QbfDisjoint,
@@ -186,110 +180,46 @@ fn parse_cli() -> Cli {
     // determinism promise holds.
     let mut qbf_budget_set = false;
     let mut circuit_budget_set = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--model" => {
-                i += 1;
-                cli.model = match args.get(i).map(String::as_str) {
-                    Some("ljh") => Model::Ljh,
-                    Some("mg") => Model::MusGroup,
-                    Some("qd") => Model::QbfDisjoint,
-                    Some("qb") => Model::QbfBalanced,
-                    Some("qdb") => Model::QbfCombined,
-                    _ => usage(),
-                };
-            }
-            "--op" => {
-                i += 1;
-                cli.op = match args.get(i).map(String::as_str) {
-                    Some("or") => GateOp::Or,
-                    Some("and") => GateOp::And,
-                    Some("xor") => GateOp::Xor,
-                    _ => usage(),
-                };
-            }
-            "--weights" => {
-                let wd = args.get(i + 1).and_then(|s| s.parse().ok());
-                let wb = args.get(i + 2).and_then(|s| s.parse().ok());
-                match (wd, wb) {
-                    (Some(wd), Some(wb)) => cli.weights = Some((wd, wb)),
-                    _ => usage(),
-                }
-                i += 2;
-            }
-            "--output" => {
-                i += 1;
-                cli.output = args.get(i).and_then(|s| s.parse().ok());
-                if cli.output.is_none() {
-                    usage();
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => cli.jobs = n,
-                    _ => usage(),
-                }
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg() {
+        match arg {
+            "--model" => cli.model = args.model()?,
+            "--op" => cli.op = args.op()?,
+            "--weights" => cli.weights = Some((args.parse()?, args.parse()?)),
+            "--output" => cli.output = Some(args.parse()?),
+            "--jobs" => cli.jobs = args.count()?,
             "--progress" => cli.progress = true,
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => cli.seed = Some(s),
-                    None => usage(),
-                }
-            }
-            "--sat-restarts" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(p) => cli.sat_restarts = p,
-                    None => usage(),
-                }
-            }
+            "--seed" => cli.seed = Some(args.parse()?),
+            "--sat-restarts" => cli.sat_restarts = args.parse()?,
             "--sat-preprocess" => cli.sat_preprocess = true,
-            _ if cli.reuse.parse_flag(&args, &mut i, usage) => {}
             "--no-timing" => cli.no_timing = true,
             "--emit-qdimacs" => cli.emit_qdimacs = true,
             "--emit-blif" => cli.emit_blif = true,
-            // Budgets: `--budget` is the per-output limit, the paper's
-            // central truncation knob; a malformed spec reports why and
-            // exits 2 with the usage message (never a panic).
-            flag @ ("--budget" | "--circuit-budget" | "--qbf-budget") => {
-                i += 1;
-                match args.get(i).map(|s| Budget::parse(s)) {
-                    Some(Ok(b)) => match flag {
-                        "--budget" => cli.budget.per_output = b,
-                        "--circuit-budget" => {
-                            cli.budget.per_circuit = b;
-                            circuit_budget_set = true;
-                        }
-                        _ => {
-                            cli.budget.per_qbf_call = b;
-                            qbf_budget_set = true;
-                        }
-                    },
-                    Some(Err(e)) => {
-                        eprintln!("{flag}: {e}");
-                        usage();
-                    }
-                    None => usage(),
-                }
+            // `--budget` is the per-output limit, the paper's central
+            // truncation knob.
+            "--budget" => cli.budget.per_output = args.budget()?,
+            "--circuit-budget" => {
+                cli.budget.per_circuit = args.budget()?;
+                circuit_budget_set = true;
             }
-            "--help" | "-h" => help(),
+            "--qbf-budget" => {
+                cli.budget.per_qbf_call = args.budget()?;
+                qbf_budget_set = true;
+            }
+            "--help" | "-h" => return Ok(None),
+            _ if cli.reuse.parse_flag(&mut args)? => {}
             other if cli.path.is_empty() && !other.starts_with('-') => {
                 cli.path = other.to_owned();
             }
-            _ => usage(),
+            _ => return Err(args.error("unknown option")),
         }
-        i += 1;
     }
     if cli.path.is_empty() {
-        usage();
+        return Err("<circuit>: missing argument".to_owned());
     }
     cli.budget
         .lift_unset_walls_for_pure_work(qbf_budget_set, circuit_budget_set);
-    cli
+    Ok(Some(cli))
 }
 
 /// `step cache <verb> ...` — persistent-store management. Always exits.
@@ -357,146 +287,21 @@ fn cache_command(args: &[String]) -> ! {
             );
             std::process::exit(0);
         }
-        _ => usage(),
+        _ => usage_error(
+            "cache: expected stats <dir>, merge <out> <in>... or verify <dir>",
+            USAGE,
+        ),
     }
 }
 
-/// The reuse-surface flags shared by the decompose and synthesize
-/// front-ends: result cache, clause bank, persistent store.
-struct ReuseOpts {
-    cache: bool,
-    cache_cap: Option<usize>,
-    clause_reuse: bool,
-    clause_bank_cap: Option<usize>,
-    cache_dir: Option<PathBuf>,
-}
-
-impl Default for ReuseOpts {
-    /// Result cache on, clause reuse off, memory only.
-    fn default() -> Self {
-        ReuseOpts {
-            cache: true,
-            cache_cap: None,
-            clause_reuse: false,
-            clause_bank_cap: None,
-            cache_dir: None,
-        }
-    }
-}
-
-impl ReuseOpts {
-    /// Applies the reuse flag at `args[*i]`, advancing `*i` past its
-    /// value; `false` when `args[*i]` is not a reuse flag. A bad value
-    /// is a usage error, and so is a `--cache-dir` that is not (and
-    /// cannot become) a writable directory — checked here, before any
-    /// solving starts.
-    fn parse_flag(&mut self, args: &[String], i: &mut usize, usage: fn() -> !) -> bool {
-        let positive = |i: &mut usize| {
-            *i += 1;
-            match args.get(*i).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => n,
-                _ => usage(),
-            }
-        };
-        match args[*i].as_str() {
-            "--cache" => self.cache = true,
-            "--no-cache" => self.cache = false,
-            "--cache-cap" => {
-                self.cache_cap = Some(positive(i));
-                self.cache = true;
-            }
-            "--clause-reuse" => self.clause_reuse = true,
-            "--no-clause-reuse" => self.clause_reuse = false,
-            "--clause-bank-cap" => {
-                self.clause_bank_cap = Some(positive(i));
-                self.clause_reuse = true;
-            }
-            "--cache-dir" => {
-                *i += 1;
-                let Some(dir) = args.get(*i).map(PathBuf::from) else {
-                    usage()
-                };
-                if let Err(e) = check_cache_dir(&dir) {
-                    eprintln!("--cache-dir: {e}");
-                    usage();
-                }
-                self.cache_dir = Some(dir);
-            }
-            _ => return false,
-        }
-        true
-    }
-
-    /// Builds the run's tiered store: the cache/bank as tier 0, plus
-    /// the persistent tier when `--cache-dir` was given (already vetted
-    /// writable at parse time; a load failure here means the directory
-    /// changed under us and is worth an exit, not a warn).
-    fn build_store(&self) -> Arc<TieredStore> {
-        let cache = self.cache.then(|| {
-            Arc::new(match self.cache_cap {
-                Some(cap) => ResultCache::with_capacity(cap),
-                None => ResultCache::new(),
-            })
-        });
-        let bank = self.clause_reuse.then(|| {
-            Arc::new(match self.clause_bank_cap {
-                Some(cap) => ClauseBank::with_capacity(cap),
-                None => ClauseBank::new(),
-            })
-        });
-        match &self.cache_dir {
-            Some(dir) => match TieredStore::with_disk(cache, bank, dir) {
-                Ok(s) => Arc::new(s),
-                Err(e) => {
-                    eprintln!("error: cache dir {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            },
-            None => Arc::new(TieredStore::memory(cache, bank)),
-        }
-    }
-}
-
-/// The cache, clause-bank and store statistics lines. They vary with
-/// scheduling under `--jobs`, so callers gate this behind
-/// `--no-timing` together with the wall clocks.
-fn print_reuse_stats(store: &TieredStore) {
-    if let Some(cache) = store.cache() {
-        println!(
-            "cache: {} hits, {} misses, {} inserts, {} evictions, {} entries",
-            cache.hits(),
-            cache.misses(),
-            cache.inserts(),
-            cache.evictions(),
-            cache.len()
-        );
-    }
-    if let Some(bank) = store.bank() {
-        println!(
-            "clause bank: {} hits ({} exact, {} cluster), {} misses, \
-             {} donations, {} entries, {} probe hits, {} probe records",
-            bank.hits(),
-            bank.exact_hits(),
-            bank.cluster_hits(),
-            bank.misses(),
-            bank.donations(),
-            bank.len(),
-            bank.probe_hits(),
-            bank.probe_records()
-        );
-    }
-    if let Some(disk) = store.disk() {
-        println!(
-            "store: {} record(s) loaded, disk hits {} results / {} clauses / \
-             {} probes, {} flushed, {} corrupt",
-            disk.loaded_records(),
-            store.disk_result_hits(),
-            store.disk_clause_hits(),
-            store.disk_probe_hits(),
-            disk.flushed_records(),
-            disk.corrupt_records()
-        );
-    }
+/// The run's tiered store. The directory was vetted at parse time, so
+/// a load failure here means it changed under us and is worth an exit.
+fn build_store(reuse: &ReuseOpts) -> Arc<TieredStore> {
+    reuse.build_store().unwrap_or_else(|e| {
+        let dir = reuse.cache_dir.as_deref().unwrap_or(Path::new(""));
+        eprintln!("error: cache dir {}: {e}", dir.display());
+        std::process::exit(1)
+    })
 }
 
 /// The wall-clock cell: milliseconds, or `-` under `--no-timing` so
@@ -569,12 +374,6 @@ const SYNTH_USAGE: &str = "usage: step synthesize <circuit.{bench,blif,aag}> \
     scope (default unlimited here, unlike plain step): every default is pure \
     work, so stdout under --no-timing is byte-identical across --jobs values";
 
-/// Bad `step synthesize` invocation: usage on stderr, exit 2.
-fn synth_usage() -> ! {
-    eprintln!("{SYNTH_USAGE}");
-    std::process::exit(2)
-}
-
 struct SynthCli {
     path: String,
     model: Model,
@@ -590,7 +389,8 @@ struct SynthCli {
     qbf_budget: Budget,
 }
 
-fn parse_synth_cli(args: &[String]) -> SynthCli {
+/// The `step synthesize` flags; `Ok(None)` on `--help`.
+fn parse_synth_cli(args: &[String]) -> Result<Option<SynthCli>, String> {
     let mut cli = SynthCli {
         path: String::new(),
         model: Model::QbfDisjoint,
@@ -610,105 +410,38 @@ fn parse_synth_cli(args: &[String]) -> SynthCli {
         },
         qbf_budget: Budget::Unlimited,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--model" => {
-                i += 1;
-                cli.model = match args.get(i).map(String::as_str) {
-                    Some("ljh") => Model::Ljh,
-                    Some("mg") => Model::MusGroup,
-                    Some("qd") => Model::QbfDisjoint,
-                    Some("qb") => Model::QbfBalanced,
-                    Some("qdb") => Model::QbfCombined,
-                    _ => synth_usage(),
-                };
-            }
-            "--output" => {
-                i += 1;
-                cli.output = args.get(i).and_then(|s| s.parse().ok());
-                if cli.output.is_none() {
-                    synth_usage();
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => cli.jobs = n,
-                    _ => synth_usage(),
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => cli.seed = Some(s),
-                    None => synth_usage(),
-                }
-            }
-            "--sat-restarts" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(p) => cli.sat_restarts = p,
-                    None => synth_usage(),
-                }
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg() {
+        match arg {
+            "--model" => cli.model = args.model()?,
+            "--output" => cli.output = Some(args.parse()?),
+            "--jobs" => cli.jobs = args.count()?,
+            "--seed" => cli.seed = Some(args.parse()?),
+            "--sat-restarts" => cli.sat_restarts = args.parse()?,
             "--sat-preprocess" => cli.sat_preprocess = true,
-            "--target-support" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => cli.opts.target_support = n,
-                    _ => synth_usage(),
-                }
-            }
-            "--max-depth" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => cli.opts.max_depth = Some(n),
-                    None => synth_usage(),
-                }
-            }
+            "--target-support" => cli.opts.target_support = args.count()?,
+            "--max-depth" => cli.opts.max_depth = Some(args.parse()?),
             "--no-bdd-fallback" => cli.opts.bdd_fallback = false,
-            "--bdd-max-support" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => cli.opts.bdd_max_support = n,
-                    None => synth_usage(),
-                }
-            }
+            "--bdd-max-support" => cli.opts.bdd_max_support = args.parse()?,
             "--no-verify" => cli.opts.verify = false,
             "--render" => cli.render = true,
-            _ if cli.reuse.parse_flag(args, &mut i, synth_usage) => {}
             "--no-timing" => cli.no_timing = true,
-            flag @ ("--budget" | "--synth-budget" | "--qbf-budget") => {
-                i += 1;
-                match args.get(i).map(|s| Budget::parse(s)) {
-                    Some(Ok(b)) => match flag {
-                        "--budget" => cli.opts.per_node = b,
-                        "--synth-budget" => cli.opts.synthesis = b,
-                        _ => cli.qbf_budget = b,
-                    },
-                    Some(Err(e)) => {
-                        eprintln!("{flag}: {e}");
-                        synth_usage();
-                    }
-                    None => synth_usage(),
-                }
-            }
-            "--help" | "-h" => {
-                println!("{SYNTH_USAGE}");
-                std::process::exit(0)
-            }
+            // `--budget` here is the per-node scope of the recursion.
+            "--budget" => cli.opts.per_node = args.budget()?,
+            "--synth-budget" => cli.opts.synthesis = args.budget()?,
+            "--qbf-budget" => cli.qbf_budget = args.budget()?,
+            "--help" | "-h" => return Ok(None),
+            _ if cli.reuse.parse_flag(&mut args)? => {}
             other if cli.path.is_empty() && !other.starts_with('-') => {
                 cli.path = other.to_owned();
             }
-            _ => synth_usage(),
+            _ => return Err(args.error("unknown option")),
         }
-        i += 1;
     }
     if cli.path.is_empty() {
-        synth_usage();
+        return Err("<circuit>: missing argument".to_owned());
     }
-    cli
+    Ok(Some(cli))
 }
 
 /// One deterministic row of the synthesis table: network metrics and
@@ -735,7 +468,7 @@ fn synth_row(out: &SynthOutput, no_timing: bool) -> String {
 /// `step synthesize <circuit> ...` — the multi-level synthesis
 /// front-end over [`qbf_bidec::synth`]. Always exits.
 fn synthesize_command(args: &[String]) -> ! {
-    let cli = parse_synth_cli(args);
+    let cli = parsed_or_exit(parse_synth_cli(args), SYNTH_USAGE);
     let circuit = match load_file(Path::new(&cli.path)) {
         Ok(c) => c,
         Err(e) => {
@@ -773,7 +506,7 @@ fn synthesize_command(args: &[String]) -> ! {
     if let Some(seed) = cli.seed {
         config.seed = seed;
     }
-    let store = cli.reuse.build_store();
+    let store = build_store(&cli.reuse);
     // The recursion fans out well past the output count, so the pool
     // is NOT clamped to num_outputs here (unlike plain decomposition).
     let service = StepService::spawn_with_store(cli.jobs.max(1), Arc::clone(&store));
@@ -823,11 +556,9 @@ fn synthesize_command(args: &[String]) -> ! {
         driver.options().target_support.max(1),
         cli.model
     );
-    if let Err(e) = store.flush() {
-        eprintln!("warning: cache flush failed: {e}");
-    }
+    let stats = finish_store(&store);
     if !cli.no_timing {
-        print_reuse_stats(&store);
+        print!("{stats}");
     }
     std::process::exit(0)
 }
@@ -844,7 +575,7 @@ fn main() {
         Some("synthesize") => synthesize_command(&raw[1..]),
         _ => {}
     }
-    let cli = parse_cli();
+    let cli = parsed_or_exit(parse_cli(&raw), USAGE);
     let circuit = match load_file(Path::new(&cli.path)) {
         Ok(c) => c,
         Err(e) => {
@@ -914,7 +645,7 @@ fn main() {
     }
     // One tiered store serves the whole run: the cache/bank as tier 0,
     // plus the persistent tier when --cache-dir was given.
-    let store = cli.reuse.build_store();
+    let store = build_store(&cli.reuse);
 
     println!("{}", table::header());
     let mut decomposed = 0usize;
@@ -994,14 +725,11 @@ fn main() {
         }
     }
     println!("{}", table::footer(decomposed, &cli.model.to_string()));
-    // Persist whatever the run learnt. A flush failure (disk full,
-    // directory removed mid-run) costs the warm start, not the answers
-    // already printed — warn, don't fail.
-    if let Err(e) = store.flush() {
-        eprintln!("warning: cache flush failed: {e}");
-    }
+    // Persist whatever the run learnt; the stats lines vary with
+    // scheduling, so they hide with the wall clocks.
+    let stats = finish_store(&store);
     if !cli.no_timing {
-        print_reuse_stats(&store);
+        print!("{stats}");
     }
 }
 

@@ -179,6 +179,47 @@ fn bad_jobs_value_is_an_error() {
     }
 }
 
+/// Every front end follows one exit convention: `--help` prints its own
+/// usage on stdout and exits 0; a bad `--jobs` value, or a bare
+/// trailing `--jobs`, prints `--jobs: <why>` and its own usage on
+/// stderr and exits 2 (`step client` has no `--jobs`, so there the why
+/// is "unknown option").
+#[test]
+fn front_ends_share_the_help_and_usage_error_convention() {
+    let path = write_two_outputs("frontends");
+    let path = path.to_str().unwrap();
+    let front_ends: [(&[&str], &str); 4] = [
+        (&[path], "usage: step <circuit"),
+        (&["synthesize", path], "usage: step synthesize "),
+        (&["serve"], "usage: step serve "),
+        (&["client", "127.0.0.1:9", path], "usage: step client "),
+    ];
+    for (prefix, usage) in front_ends {
+        for help in ["--help", "-h"] {
+            let out = run(step().args(prefix).arg(help));
+            assert_eq!(out.status.code(), Some(0), "{prefix:?} {help}");
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert!(stdout.starts_with(usage), "{prefix:?} {help}: {stdout}");
+        }
+        for bad in [&["--jobs", "0"][..], &["--jobs"]] {
+            let out = run(step().args(prefix).args(bad));
+            assert_eq!(out.status.code(), Some(2), "{prefix:?} {bad:?}");
+            assert!(
+                out.stdout.is_empty(),
+                "{prefix:?} {bad:?}: nothing on stdout"
+            );
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            let mut lines = stderr.lines();
+            let why = lines.next().unwrap_or_default();
+            assert!(why.starts_with("--jobs: "), "{prefix:?} {bad:?}: {stderr}");
+            assert!(
+                lines.next().is_some_and(|l| l.starts_with(usage)),
+                "{prefix:?} {bad:?}: {stderr}"
+            );
+        }
+    }
+}
+
 #[test]
 fn seed_flag_parses_and_runs() {
     let path = write_two_outputs("seed");
