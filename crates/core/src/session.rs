@@ -13,11 +13,11 @@
 //! **Canonical solving.** The session never searches on the cone as
 //! extracted: it first rewrites it into canonical input order
 //! ([`step_aig::canonicalize`]) and runs the sim filter, core formula
-//! and the model's search there, translating the winning partition back through
-//! the canonical permutation. Because the canonical cone — and the
-//! simulation seed, which derives from the canonical fingerprint
-//! ([`cone_seed`]) — is byte-identical for every structurally identical
-//! cone, solved outcomes are a pure function of
+//! and the model's search there, translating the winning partition
+//! back through the canonical permutation. Because the canonical cone
+//! — and the simulation seed, which derives from the canonical
+//! fingerprint ([`cone_seed`]) — is byte-identical for every
+//! structurally identical cone, solved outcomes are a pure function of
 //! `(fingerprint, op, config)`. That purity is what the result cache
 //! ([`crate::cache::ResultCache`]) keys on: a session consults it
 //! before building the core formula and oracle, and a hit skips the
