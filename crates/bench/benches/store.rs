@@ -14,10 +14,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use step_aig::ConeFingerprint;
 use step_cnf::{Lit, Var};
-use step_core::{
-    Artifact, ArtifactKey, ArtifactStore, CachedResult, ClausePayload, DecompConfig, GateOp, Model,
-    Namespace, TieredStore, VarClass,
-};
+use step_core::{CachedResult, DecompConfig, GateOp, Model, Namespace, TieredStore, VarClass};
 use step_sat::LearntExport;
 
 const ENTRIES: usize = 10_000;
@@ -82,18 +79,10 @@ fn export(i: usize) -> LearntExport {
 fn populate(store: &TieredStore) {
     let config = DecompConfig::new(Model::QbfDisjoint);
     let results = Namespace::results(&config);
-    let clauses = Namespace::clauses();
     for i in 0..ENTRIES {
         let fp = fingerprint(i);
         if i.is_multiple_of(CLAUSE_STRIDE) {
-            store.put(
-                &clauses,
-                &ArtifactKey::of(fp, GateOp::Or),
-                Artifact::Clauses(ClausePayload {
-                    export: Arc::new(export(i)),
-                    exact: true,
-                }),
-            );
+            store.donate(fp, GateOp::Or, Arc::new(export(i)));
         } else {
             store.insert_result(
                 &results,

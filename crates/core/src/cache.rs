@@ -1,15 +1,21 @@
-//! The per-op result cache: a sharded, `Send + Sync` map from
-//! `(cone fingerprint, operator, cache-relevant config)` to solved
-//! outcomes.
+//! The per-op result cache — a sharded, `Send + Sync` map from
+//! `(result namespace, cone fingerprint, operator)` to solved
+//! outcomes — and the second-chance map it shares with the clause bank's
+//! exact channel.
 //!
 //! The engine solves every non-trivial cone in *canonical* input order
 //! (see [`step_aig::canonicalize`]), so a solved outcome is a pure
-//! function of the [`CacheKey`]: the canonical partition stored here
+//! function of the cone's fingerprint, its operator and the
+//! result-relevant configuration, which
+//! [`ConfigKey::results`](crate::store::ConfigKey::results) names once
+//! for both tiers of the store. The canonical partition stored here
 //! can be handed to any structurally identical cone — including
 //! permuted-input twins at other outputs, in other circuits, or in
 //! later runs — and translated through that cone's input permutation.
-//! Sessions consult the cache before building the core formula and
-//! oracle, which is where the real cost lives.
+//! Sessions consult the cache (through
+//! [`TieredStore::lookup_result`](crate::TieredStore::lookup_result))
+//! before building the core formula and oracle, which is where the
+//! real cost lives.
 //!
 //! Only **definitive** outcomes are cached (`solved` and not
 //! `timed_out`): a budget-truncated result is a property of the run,
@@ -18,75 +24,24 @@
 //! go stale, because everything budget-dependent is excluded from the
 //! cache and everything result-relevant is part of the key.
 //!
-//! The map is sharded ([`NUM_SHARDS`] mutexes) so the parallel circuit
-//! driver's workers can hit it concurrently, and optionally bounded
-//! with a second-chance (clock) eviction policy — no external deps.
+//! The map is sharded ([`NUM_SHARDS`] mutexes) so the service's
+//! workers can hit it concurrently, and optionally bounded with a
+//! second-chance (clock) eviction policy — no external deps.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use step_aig::ConeFingerprint;
 
 use crate::partition::VarClass;
-use crate::spec::{DecompConfig, GateOp, Model, SearchStrategy};
+use crate::spec::GateOp;
+use crate::store::ConfigKey;
 
 /// Number of independently-locked shards.
 pub const NUM_SHARDS: usize = 16;
-
-/// Everything a solved outcome depends on: the canonical cone identity
-/// plus the configuration fields that steer the search. Budgets are
-/// deliberately absent — wall *and* work alike, they only decide
-/// *whether* a definitive outcome is reached, never which one (a
-/// budget-truncated outcome is never cached), so entries are shared
-/// across runs with different [`crate::spec::BudgetPolicy`] values.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CacheKey {
-    /// Canonical structural identity of the cone.
-    pub fingerprint: ConeFingerprint,
-    /// Root operator.
-    pub op: GateOp,
-    /// Engine model.
-    pub model: Model,
-    /// Effective `k`-search strategy.
-    pub strategy: SearchStrategy,
-    /// Symmetry-breaking constraint on/off.
-    pub symmetry_breaking: bool,
-    /// `(α,β) = (1,1)` assignments permitted.
-    pub allow_both: bool,
-    /// Simulation pre-filter on/off.
-    pub sim_filter: bool,
-    /// Pre-filter rounds.
-    pub sim_rounds: usize,
-    /// Engine base seed (feeds the canonical simulation seed).
-    pub seed: u64,
-    /// SAT restart policy: steers which partition the search finds
-    /// first, so runs with different policies must not share entries.
-    pub sat_restarts: step_sat::RestartPolicy,
-    /// SAT root-level preprocessing on/off (result-relevant for the
-    /// same reason).
-    pub sat_preprocess: bool,
-}
-
-impl CacheKey {
-    /// The key for solving `fingerprint` under `op` with `config`.
-    pub fn new(fingerprint: ConeFingerprint, op: GateOp, config: &DecompConfig) -> Self {
-        CacheKey {
-            fingerprint,
-            op,
-            model: config.model,
-            strategy: config.effective_strategy(),
-            symmetry_breaking: config.symmetry_breaking,
-            allow_both: config.allow_both,
-            sim_filter: config.sim_filter,
-            sim_rounds: config.sim_rounds,
-            seed: config.seed,
-            sat_restarts: config.sat_restarts,
-            sat_preprocess: config.sat_preprocess,
-        }
-    }
-}
 
 /// A cached definitive outcome, in canonical variable order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,97 +67,71 @@ pub enum CacheLookup {
     Hit,
 }
 
-struct Slot {
-    value: CachedResult,
+struct Slot<V> {
+    value: V,
     /// Second-chance bit: set on every hit, cleared once by the clock
     /// hand before the entry becomes evictable.
     referenced: bool,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<CacheKey, Slot>,
+struct ClockShard<K, V> {
+    map: HashMap<K, Slot<V>>,
     /// Insertion ring for the clock hand.
-    ring: VecDeque<CacheKey>,
+    ring: VecDeque<K>,
 }
 
-/// The sharded result cache. See the module docs.
-///
-/// Create one, wrap it in an [`std::sync::Arc`] and make it the tier-0
-/// cache of a [`TieredStore`](crate::TieredStore) shared by any number
-/// of engines and services (or attach it directly with
-/// [`crate::BiDecomposer::set_cache`]) to share solved cones across
-/// outputs, circuits and whole benchmark sweeps.
-pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
+/// A sharded map, optionally bounded per shard with second-chance
+/// (clock) eviction. The caller picks each key's shard, so the result
+/// cache (by fingerprint hash) and the clause bank's exact channel (by
+/// operator and support) each keep their own shard layout — and with
+/// it, which entries a capped run evicts.
+pub(crate) struct ClockMap<K, V> {
+    shards: Vec<Mutex<ClockShard<K, V>>>,
     /// Per-shard entry bound (`None` = unbounded).
     shard_capacity: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl Default for ResultCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ResultCache {
-    /// An unbounded cache.
-    pub fn new() -> Self {
-        Self::build(None)
-    }
-
-    /// A cache holding at most `capacity` entries (rounded up to a
-    /// multiple of [`NUM_SHARDS`]), evicting with second chance.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::build(Some(capacity.div_ceil(NUM_SHARDS).max(1)))
-    }
-
-    fn build(shard_capacity: Option<usize>) -> Self {
-        ResultCache {
+impl<K: Clone + Eq + Hash, V: Clone> ClockMap<K, V> {
+    /// A map holding at most `capacity` entries (rounded up to a
+    /// multiple of [`NUM_SHARDS`]); `None` is unbounded.
+    pub(crate) fn new(capacity: Option<usize>) -> Self {
+        ClockMap {
             shards: (0..NUM_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
+                .map(|_| {
+                    Mutex::new(ClockShard {
+                        map: HashMap::new(),
+                        ring: VecDeque::new(),
+                    })
+                })
                 .collect(),
-            shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+            shard_capacity: capacity.map(|c| c.div_ceil(NUM_SHARDS).max(1)),
             evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        &self.shards[(key.fingerprint.hash as usize) % NUM_SHARDS]
+    fn lock(&self, shard: usize) -> MutexGuard<'_, ClockShard<K, V>> {
+        self.shards[shard % NUM_SHARDS]
+            .lock()
+            .expect("clock map shard poisoned")
     }
 
-    /// Looks up a definitive outcome, bumping the hit/miss counters.
-    pub fn lookup(&self, key: &CacheKey) -> Option<CachedResult> {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.map.get_mut(key) {
-            Some(slot) => {
-                slot.referenced = true;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// The value under `key`, which earns a second chance.
+    pub(crate) fn get(&self, shard: usize, key: &K) -> Option<V> {
+        let mut shard = self.lock(shard);
+        let slot = shard.map.get_mut(key)?;
+        slot.referenced = true;
+        Some(slot.value.clone())
     }
 
-    /// Inserts (or refreshes) a definitive outcome, evicting with
-    /// second chance when the shard is at capacity.
-    pub fn insert(&self, key: CacheKey, value: CachedResult) {
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+    /// Inserts `value`, or refreshes it in place when `key` is already
+    /// present; returns whether the key was new. A full shard first
+    /// evicts its oldest entry that has no second chance left.
+    pub(crate) fn insert(&self, shard: usize, key: K, value: V) -> bool {
+        let mut shard = self.lock(shard);
         if let Some(slot) = shard.map.get_mut(&key) {
-            // Concurrent workers may race on the same cone; outcomes
-            // are deterministic per key, so last write is a no-op.
             slot.value = value;
-            return;
+            return false;
         }
         if let Some(cap) = self.shard_capacity {
             while shard.map.len() >= cap {
@@ -226,7 +155,7 @@ impl ResultCache {
                 }
             }
         }
-        shard.ring.push_back(key);
+        shard.ring.push_back(key.clone());
         shard.map.insert(
             key,
             Slot {
@@ -234,7 +163,102 @@ impl ResultCache {
                 referenced: false,
             },
         );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Entries evicted by the capacity bound since creation.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Entries currently resident.
+    pub(crate) fn len(&self) -> usize {
+        (0..NUM_SHARDS).map(|s| self.lock(s).map.len()).sum()
+    }
+
+    /// The configured total capacity, if bounded.
+    pub(crate) fn capacity(&self) -> Option<usize> {
+        self.shard_capacity.map(|c| c * NUM_SHARDS)
+    }
+}
+
+/// Address of one cached outcome: the result namespace's config key,
+/// the canonical cone and the root operator.
+type ResultKey = (ConfigKey, ConeFingerprint, GateOp);
+
+/// The sharded result cache. See the module docs.
+///
+/// Create one, wrap it in an [`std::sync::Arc`] and make it the tier-0
+/// cache of a [`TieredStore`](crate::TieredStore) shared by any number
+/// of engines and services (or attach it directly with
+/// [`crate::BiDecomposer::set_cache`]) to share solved cones across
+/// outputs, circuits and whole benchmark sweeps.
+pub struct ResultCache {
+    map: ClockMap<ResultKey, CachedResult>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    inserts: AtomicU64,
+}
+
+impl Default for ResultCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ResultCache {
+    /// An unbounded cache.
+    pub fn new() -> Self {
+        Self::build(None)
+    }
+
+    /// A cache holding at most `capacity` entries (rounded up to a
+    /// multiple of [`NUM_SHARDS`]), evicting with second chance.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self::build(Some(capacity))
+    }
+
+    fn build(capacity: Option<usize>) -> Self {
+        ResultCache {
+            map: ClockMap::new(capacity),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            inserts: AtomicU64::new(0),
+        }
+    }
+
+    /// Looks up a definitive outcome, bumping the hit/miss counters.
+    pub(crate) fn lookup(
+        &self,
+        config: &ConfigKey,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+    ) -> Option<CachedResult> {
+        let key = (config.clone(), fingerprint, op);
+        let hit = self.map.get(fingerprint.hash as usize, &key);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    /// Inserts (or refreshes) a definitive outcome. Concurrent workers
+    /// may race on the same cone; outcomes are deterministic per key,
+    /// so a refresh writes the value already there.
+    pub(crate) fn insert(
+        &self,
+        config: &ConfigKey,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+        value: CachedResult,
+    ) {
+        let key = (config.clone(), fingerprint, op);
+        if self.map.insert(fingerprint.hash as usize, key, value) {
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Cache hits since creation.
@@ -254,15 +278,12 @@ impl ResultCache {
 
     /// Entries evicted by the capacity bound since creation.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.map.evictions()
     }
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
+        self.map.len()
     }
 
     /// Whether the cache is empty.
@@ -272,7 +293,7 @@ impl ResultCache {
 
     /// The configured total capacity, if bounded.
     pub fn capacity(&self) -> Option<usize> {
-        self.shard_capacity.map(|c| c * NUM_SHARDS)
+        self.map.capacity()
     }
 }
 
@@ -291,19 +312,22 @@ impl fmt::Debug for ResultCache {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::spec::Model;
+    use std::sync::Arc;
 
-    fn key(h: u128) -> CacheKey {
-        CacheKey::new(
-            ConeFingerprint {
-                hash: h,
-                inputs: 4,
-                ands: 3,
-            },
-            GateOp::Or,
-            &DecompConfig::new(Model::QbfDisjoint),
-        )
+    use super::*;
+    use crate::spec::{DecompConfig, Model};
+    use crate::store::{Namespace, TieredStore};
+
+    fn fp(h: u128) -> ConeFingerprint {
+        ConeFingerprint {
+            hash: h,
+            inputs: 4,
+            ands: 3,
+        }
+    }
+
+    fn config() -> ConfigKey {
+        ConfigKey::results(&DecompConfig::new(Model::QbfDisjoint))
     }
 
     fn value(tag: bool) -> CachedResult {
@@ -316,10 +340,10 @@ mod tests {
     #[test]
     fn lookup_roundtrip_and_counters() {
         let cache = ResultCache::new();
-        let k = key(7);
-        assert_eq!(cache.lookup(&k), None);
-        cache.insert(k, value(true));
-        assert_eq!(cache.lookup(&k), Some(value(true)));
+        let c = config();
+        assert_eq!(cache.lookup(&c, fp(7), GateOp::Or), None);
+        cache.insert(&c, fp(7), GateOp::Or, value(true));
+        assert_eq!(cache.lookup(&c, fp(7), GateOp::Or), Some(value(true)));
         assert_eq!(
             (cache.hits(), cache.misses(), cache.inserts(), cache.len()),
             (1, 1, 1, 1)
@@ -328,23 +352,21 @@ mod tests {
 
     #[test]
     fn distinct_configs_do_not_collide() {
-        let cache = ResultCache::new();
-        let fp = ConeFingerprint {
-            hash: 9,
-            inputs: 4,
-            ands: 3,
-        };
+        let cache = Arc::new(ResultCache::new());
+        let store = TieredStore::memory(Some(Arc::clone(&cache)), None);
         let mut c1 = DecompConfig::new(Model::QbfDisjoint);
         let mut c2 = DecompConfig::new(Model::QbfDisjoint);
         c2.seed = c1.seed ^ 1;
         c1.sim_rounds = 4;
-        cache.insert(CacheKey::new(fp, GateOp::Or, &c1), value(true));
-        assert_eq!(cache.lookup(&CacheKey::new(fp, GateOp::Or, &c2)), None);
-        assert_eq!(cache.lookup(&CacheKey::new(fp, GateOp::And, &c1)), None);
+        let (n1, n2) = (Namespace::results(&c1), Namespace::results(&c2));
+        store.insert_result(&n1, fp(9), GateOp::Or, value(true));
+        assert_eq!(store.lookup_result(&n2, fp(9), GateOp::Or), None);
+        assert_eq!(store.lookup_result(&n1, fp(9), GateOp::And), None);
         assert_eq!(
-            cache.lookup(&CacheKey::new(fp, GateOp::Or, &c1)),
-            Some(value(true))
+            store.lookup_result(&n1, fp(9), GateOp::Or),
+            Some((value(true), false))
         );
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 1));
     }
 
     #[test]
@@ -352,33 +374,34 @@ mod tests {
         // Single-shard-sized capacity: keys all map to one shard when
         // their hashes share `h % NUM_SHARDS`.
         let cache = ResultCache::with_capacity(2 * NUM_SHARDS);
-        let shard_keys: Vec<CacheKey> = (0..3)
-            .map(|i| key((i * NUM_SHARDS) as u128)) // same shard
+        let c = config();
+        let shard_keys: Vec<ConeFingerprint> = (0..3)
+            .map(|i| fp((i * NUM_SHARDS) as u128)) // same shard
             .collect();
-        cache.insert(shard_keys[0], value(false));
-        cache.insert(shard_keys[1], value(false));
+        cache.insert(&c, shard_keys[0], GateOp::Or, value(false));
+        cache.insert(&c, shard_keys[1], GateOp::Or, value(false));
         // Touch key 0 so it owns a second chance.
-        assert!(cache.lookup(&shard_keys[0]).is_some());
-        cache.insert(shard_keys[2], value(false));
+        assert!(cache.lookup(&c, shard_keys[0], GateOp::Or).is_some());
+        cache.insert(&c, shard_keys[2], GateOp::Or, value(false));
         assert!(
-            cache.lookup(&shard_keys[0]).is_some(),
+            cache.lookup(&c, shard_keys[0], GateOp::Or).is_some(),
             "recently-hit entry survives"
         );
         assert!(
-            cache.lookup(&shard_keys[1]).is_none(),
+            cache.lookup(&c, shard_keys[1], GateOp::Or).is_none(),
             "cold entry is the victim"
         );
-        assert!(cache.lookup(&shard_keys[2]).is_some());
+        assert!(cache.lookup(&c, shard_keys[2], GateOp::Or).is_some());
         assert_eq!(cache.evictions(), 1);
     }
 
     #[test]
     fn reinsert_refreshes_in_place() {
         let cache = ResultCache::with_capacity(NUM_SHARDS);
-        let k = key(3);
-        cache.insert(k, value(false));
-        cache.insert(k, value(true));
+        let c = config();
+        cache.insert(&c, fp(3), GateOp::Or, value(false));
+        cache.insert(&c, fp(3), GateOp::Or, value(true));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(&k), Some(value(true)));
+        assert_eq!(cache.lookup(&c, fp(3), GateOp::Or), Some(value(true)));
     }
 }

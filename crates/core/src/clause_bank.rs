@@ -14,25 +14,34 @@
 //! * **exact** — keyed by `(fingerprint, op)`. The recipient's CNF is
 //!   var-for-var identical to the donor's, so clauses import verbatim
 //!   ([`PartitionOracle::import_learnts`]). Deliberately *looser* than
-//!   the result cache's key (no model/strategy/seed): a sweep running
+//!   the result namespace (no model/strategy/seed): a sweep running
 //!   five models over the same circuit gets verbatim imports the
-//!   exact-result cache can never serve.
+//!   exact-result cache can never serve. The channel is the same
+//!   sharded second-chance map the result cache uses, sharded
+//!   by `(op, support)`.
 //! * **cluster** — keyed by `(op, support size)`, a small ring of
 //!   recent donors per cluster. A *near*-twin cone (shared
 //!   substructure, different fingerprint) carries no implication
 //!   guarantee, so every clause is **vetted** before use
 //!   ([`PartitionOracle::import_vetted`]): a bounded refutation probe
 //!   proves the recipient's own clauses imply it, or it is discarded.
-//! * **probe certificates** — keyed by `(fingerprint, op, solver
-//!   knobs, target)`. A QBF probe's outcome is a pure function of
-//!   that key when no budget truncates it (the CEGAR loop builds its
-//!   abstraction and check solvers fresh for every probe and shares no
-//!   state with the session's oracle), so a definitive verdict — infeasible, or
-//!   *exactly this partition* — replays into any later session's
-//!   optimum search with no solving at all ([`ProbeLedger`]). This is
-//!   where twin-heavy circuits win big: a twin cone's `k`-search
-//!   re-runs its sibling's probes as lookups, skipping the
-//!   abstraction-side UNSAT proofs that dominate QBF-model cost.
+//! * **probe certificates** — keyed by `(probe namespace, fingerprint,
+//!   op, target)`, the namespace
+//!   ([`ConfigKey::probes`](crate::store::ConfigKey::probes)) naming
+//!   the solver knobs a verdict depends on. A QBF probe's outcome is a
+//!   pure function of that key when no budget truncates it (the CEGAR
+//!   loop builds its abstraction and check solvers fresh for every
+//!   probe and shares no state with the session's oracle), so a
+//!   definitive verdict — infeasible, or *exactly this partition* —
+//!   replays into any later session's optimum search with no solving
+//!   at all ([`ProbeLedger`]). This is where twin-heavy circuits win
+//!   big: a twin cone's `k`-search re-runs its sibling's probes as
+//!   lookups, skipping the abstraction-side UNSAT proofs that dominate
+//!   QBF-model cost.
+//!
+//! Sessions reach the bank only through their
+//! [`TieredStore`]'s typed clause and probe methods, which add the
+//! disk tier behind it.
 //!
 //! Both channels add only clauses *implied by the recipient's CNF*,
 //! so verdicts and partitions are byte-identical with reuse on or off
@@ -54,21 +63,21 @@
 //! model's search consumes only its SAT/UNSAT verdicts. The QBF models
 //! reuse work through probe certificates instead.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use step_aig::ConeFingerprint;
-use step_sat::{LearntExport, RestartPolicy};
+use step_sat::LearntExport;
 
+use crate::cache::{ClockMap, NUM_SHARDS};
 use crate::oracle::PartitionOracle;
 use crate::partition::VarClass;
 use crate::qbf_model::Target;
-use crate::spec::GateOp;
-
-/// Number of independently-locked bank shards.
-pub const NUM_SHARDS: usize = 16;
+use crate::spec::{DecompConfig, GateOp};
+use crate::store::{op_tag, ConfigKey, Namespace, TieredStore};
 
 /// Donors retained per `(op, support)` cluster ring.
 const CLUSTER_DONORS: usize = 4;
@@ -90,7 +99,7 @@ pub struct BankKey {
     pub op: GateOp,
 }
 
-/// A successful bank lookup: the donated snapshot plus which channel
+/// A successful clause lookup: the donated snapshot plus which channel
 /// served it (exact donors import verbatim, cluster donors must be
 /// vetted clause-by-clause).
 #[derive(Clone, Debug)]
@@ -130,25 +139,6 @@ impl BankLookup {
     }
 }
 
-/// Everything besides the cone identity that a QBF probe's outcome
-/// depends on. The CEGAR loop of
-/// [`solve_partition`](crate::qbf_model::solve_partition) builds fresh
-/// abstraction and check solvers per probe and never reads the
-/// session's oracle, pool or bank imports, so its result is a pure
-/// function of `(canonical cone, op, target, these knobs)` whenever no
-/// budget truncates the solve.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ProbeCfg {
-    /// `|XA| ≥ |XB|` symmetry breaking.
-    pub symmetry_breaking: bool,
-    /// Allow `(αᵢ, βᵢ) = (1,1)`.
-    pub allow_both: bool,
-    /// Restart policy of the inner SAT solvers.
-    pub restarts: RestartPolicy,
-    /// Bounded root-level preprocessing in the inner SAT solvers.
-    pub preprocess: bool,
-}
-
 /// A recorded probe outcome — a *semantic certificate* about the cone,
 /// never a heuristic: `Infeasible` is an UNSAT proof of formulation
 /// (4) at the target, `Feasible` is the exact partition the
@@ -162,76 +152,65 @@ pub enum ProbeVerdict {
     Feasible(Vec<VarClass>),
 }
 
-/// A session's handle for probe-certificate reuse: the tiered store
-/// plus the cone identity and solver knobs every probe of the session
-/// shares. Built by [`SolveSession`](crate::session::SolveSession) and
-/// threaded through the optimum search.
-pub struct ProbeLedger {
-    store: Arc<crate::store::TieredStore>,
-    ns: crate::store::Namespace,
+/// A session's handle for probe-certificate reuse: the session's store
+/// plus the probe namespace and the cone identity every probe of the
+/// session shares. Built by
+/// [`SolveSession`](crate::session::SolveSession) and threaded through
+/// the optimum search.
+pub struct ProbeLedger<'a> {
+    store: &'a TieredStore,
+    ns: Namespace,
     fingerprint: ConeFingerprint,
     op: GateOp,
-    /// Probe certificates served from the disk tier, shared with the
-    /// owning session (the ledger is local to the search and dropped
-    /// before the session aggregates statistics).
-    disk_hits: Arc<std::sync::atomic::AtomicU64>,
+    /// Probe certificates served from the disk tier so far.
+    disk_hits: Cell<u64>,
 }
 
-impl ProbeLedger {
-    /// A ledger for one session's probes.
+impl<'a> ProbeLedger<'a> {
+    /// A ledger for the probes of one session solving `(fingerprint,
+    /// op)` under `config`.
     pub fn new(
-        store: Arc<crate::store::TieredStore>,
+        store: &'a TieredStore,
         fingerprint: ConeFingerprint,
         op: GateOp,
-        cfg: ProbeCfg,
-        disk_hits: Arc<std::sync::atomic::AtomicU64>,
+        config: &DecompConfig,
     ) -> Self {
         ProbeLedger {
             store,
-            ns: crate::store::Namespace::probes(cfg),
+            ns: Namespace::probes(config),
             fingerprint,
             op,
-            disk_hits,
+            disk_hits: Cell::new(0),
         }
     }
 
     /// The recorded verdict for `target`, if any sibling (or a prior
     /// run, through the disk tier) solved it.
     pub fn lookup(&self, target: Target) -> Option<ProbeVerdict> {
-        use crate::store::{Artifact, ArtifactKey, ArtifactStore};
-        let key = ArtifactKey::probe(self.fingerprint, self.op, target)?;
-        let hit = self.store.get(&self.ns, &key)?;
-        if hit.from_disk {
-            self.disk_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        match hit.artifact {
-            Artifact::Probe(v) => Some(v),
-            _ => None,
-        }
+        let (verdict, from_disk) =
+            self.store
+                .lookup_probe(&self.ns, self.fingerprint, self.op, target)?;
+        self.disk_hits
+            .set(self.disk_hits.get() + u64::from(from_disk));
+        Some(verdict)
     }
 
     /// Records a definitive probe outcome (never record timeouts: a
     /// truncation is budget state, not a fact about the cone).
     pub fn record(&self, target: Target, verdict: ProbeVerdict) {
-        use crate::store::{Artifact, ArtifactKey, ArtifactStore};
-        let Some(key) = ArtifactKey::probe(self.fingerprint, self.op, target) else {
-            return;
-        };
-        self.store.put(&self.ns, &key, Artifact::Probe(verdict));
+        self.store
+            .record_probe(&self.ns, self.fingerprint, self.op, target, verdict);
+    }
+
+    /// Probe certificates this ledger served from the disk tier.
+    pub(crate) fn disk_hits(&self) -> u64 {
+        self.disk_hits.get()
     }
 }
 
-struct ExactSlot {
-    export: Arc<LearntExport>,
-    /// Second-chance bit: set on every hit, cleared once by the clock
-    /// hand before the entry becomes evictable.
-    referenced: bool,
-}
-
-/// Key of one probe certificate: the cone, the solver knobs and the
-/// target probed.
-type ProbeKey = (BankKey, ProbeCfg, Target);
+/// Key of one probe certificate: the probe namespace's config key,
+/// the cone and the target probed.
+type ProbeKey = (ConfigKey, BankKey, Target);
 
 /// One cluster's donor ring: `(fingerprint hash, export)`, newest at
 /// the back.
@@ -239,9 +218,6 @@ type ClusterRing = VecDeque<(u128, Arc<LearntExport>)>;
 
 #[derive(Default)]
 struct BankShard {
-    exact: HashMap<BankKey, ExactSlot>,
-    /// Insertion ring for the exact channel's clock hand.
-    ring: VecDeque<BankKey>,
     /// Cluster rings: most recent donors per `(op, support)`, newest
     /// at the back, deduplicated by fingerprint hash.
     clusters: HashMap<(GateOp, u32), ClusterRing>,
@@ -253,23 +229,22 @@ struct BankShard {
 /// The sharded clause bank. See the module docs.
 ///
 /// Create one, wrap it in an [`Arc`] and make it the tier-0 bank of a
-/// [`TieredStore`](crate::TieredStore) (via
-/// [`TieredStore::memory`](crate::TieredStore::memory) or
-/// [`with_disk`](crate::TieredStore::with_disk)); engines
+/// [`TieredStore`] (via [`TieredStore::memory`] or
+/// [`with_disk`](TieredStore::with_disk)); engines
 /// ([`crate::BiDecomposer::set_store`]) and services
 /// ([`crate::StepService::spawn_with_store`]) sharing that store share
 /// donations across outputs, circuits, models and whole sweeps.
 pub struct ClauseBank {
+    /// The exact channel, bounded like the result cache.
+    exact: ClockMap<BankKey, Arc<LearntExport>>,
+    /// Cluster rings and probe certificates, bounded by construction
+    /// ([`CLUSTER_DONORS`] donors per distinct `(op, support)` pair,
+    /// [`PROBES_PER_SHARD`] certificates per shard).
     shards: Vec<Mutex<BankShard>>,
-    /// Per-shard bound on exact entries (`None` = unbounded). Cluster
-    /// rings are bounded by construction ([`CLUSTER_DONORS`] donors
-    /// per distinct `(op, support)` pair).
-    shard_capacity: Option<usize>,
     exact_hits: AtomicU64,
     cluster_hits: AtomicU64,
     misses: AtomicU64,
     donations: AtomicU64,
-    evictions: AtomicU64,
     probe_hits: AtomicU64,
     probe_records: AtomicU64,
 }
@@ -289,91 +264,58 @@ impl ClauseBank {
     /// A bank holding at most `capacity` exact entries (rounded up to
     /// a multiple of [`NUM_SHARDS`]), evicting with second chance.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::build(Some(capacity.div_ceil(NUM_SHARDS).max(1)))
+        Self::build(Some(capacity))
     }
 
-    fn build(shard_capacity: Option<usize>) -> Self {
+    fn build(capacity: Option<usize>) -> Self {
         ClauseBank {
+            exact: ClockMap::new(capacity),
             shards: (0..NUM_SHARDS)
                 .map(|_| Mutex::new(BankShard::default()))
                 .collect(),
-            shard_capacity,
             exact_hits: AtomicU64::new(0),
             cluster_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             donations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             probe_hits: AtomicU64::new(0),
             probe_records: AtomicU64::new(0),
         }
     }
 
-    /// Shard by `(op, support)` so a cluster ring and every exact key
-    /// that could feed it live under one lock.
-    fn shard(&self, op: GateOp, support: u32) -> &Mutex<BankShard> {
-        let op_ix = match op {
-            GateOp::Or => 0usize,
-            GateOp::And => 1,
-            GateOp::Xor => 2,
-        };
-        &self.shards[((support as usize).wrapping_mul(3) + op_ix) % NUM_SHARDS]
+    /// Shard by `(op, support)`, so a cluster ring and every exact key
+    /// that could feed it share a shard index.
+    fn shard_ix(op: GateOp, support: u32) -> usize {
+        ((support as usize).wrapping_mul(3) + usize::from(op_tag(op))) % NUM_SHARDS
+    }
+
+    fn shard(&self, op: GateOp, support: u32) -> MutexGuard<'_, BankShard> {
+        self.shards[Self::shard_ix(op, support)]
+            .lock()
+            .expect("bank shard poisoned")
     }
 
     /// Publishes a completed session's snapshot on both channels.
     /// Empty snapshots are dropped — they could only evict something
     /// useful.
-    pub fn donate(&self, fingerprint: ConeFingerprint, op: GateOp, export: LearntExport) {
+    pub fn donate(&self, fingerprint: ConeFingerprint, op: GateOp, export: Arc<LearntExport>) {
         if export.is_empty() {
             return;
         }
-        let key = BankKey { fingerprint, op };
-        let export = Arc::new(export);
-        let mut shard = self
-            .shard(op, fingerprint.inputs)
-            .lock()
-            .expect("bank shard poisoned");
-        // Cluster channel: newest donor at the back, one entry per
-        // fingerprint (a re-donation refreshes in place).
-        let ring = shard.clusters.entry((op, fingerprint.inputs)).or_default();
-        ring.retain(|(h, _)| *h != fingerprint.hash);
-        ring.push_back((fingerprint.hash, Arc::clone(&export)));
-        while ring.len() > CLUSTER_DONORS {
-            ring.pop_front();
-        }
-        // Exact channel, second-chance bounded like the result cache.
-        if let Some(slot) = shard.exact.get_mut(&key) {
-            slot.export = export;
-            self.donations.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if let Some(cap) = self.shard_capacity {
-            while shard.exact.len() >= cap {
-                let Some(victim) = shard.ring.pop_front() else {
-                    break;
-                };
-                let evict = match shard.exact.get_mut(&victim) {
-                    Some(slot) if slot.referenced => {
-                        slot.referenced = false;
-                        false
-                    }
-                    Some(_) => true,
-                    None => continue,
-                };
-                if evict {
-                    shard.exact.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shard.ring.push_back(victim);
-                }
+        {
+            // Cluster channel: newest donor at the back, one entry per
+            // fingerprint (a re-donation refreshes in place).
+            let mut shard = self.shard(op, fingerprint.inputs);
+            let ring = shard.clusters.entry((op, fingerprint.inputs)).or_default();
+            ring.retain(|(h, _)| *h != fingerprint.hash);
+            ring.push_back((fingerprint.hash, Arc::clone(&export)));
+            while ring.len() > CLUSTER_DONORS {
+                ring.pop_front();
             }
         }
-        shard.ring.push_back(key);
-        shard.exact.insert(
-            key,
-            ExactSlot {
-                export,
-                referenced: false,
-            },
+        self.exact.insert(
+            Self::shard_ix(op, fingerprint.inputs),
+            BankKey { fingerprint, op },
+            export,
         );
         self.donations.fetch_add(1, Ordering::Relaxed);
     }
@@ -383,18 +325,15 @@ impl ClauseBank {
     /// a *different* fingerprint (the same one would have hit exact).
     pub fn lookup(&self, fingerprint: ConeFingerprint, op: GateOp) -> Option<BankHit> {
         let key = BankKey { fingerprint, op };
-        let mut shard = self
-            .shard(op, fingerprint.inputs)
-            .lock()
-            .expect("bank shard poisoned");
-        if let Some(slot) = shard.exact.get_mut(&key) {
-            slot.referenced = true;
+        let shard_ix = Self::shard_ix(op, fingerprint.inputs);
+        if let Some(export) = self.exact.get(shard_ix, &key) {
             self.exact_hits.fetch_add(1, Ordering::Relaxed);
             return Some(BankHit {
-                export: Arc::clone(&slot.export),
+                export,
                 exact: true,
             });
         }
+        let shard = self.shard(op, fingerprint.inputs);
         if let Some(ring) = shard.clusters.get(&(op, fingerprint.inputs)) {
             if let Some((_, export)) = ring.iter().rev().find(|(h, _)| *h != fingerprint.hash) {
                 self.cluster_hits.fetch_add(1, Ordering::Relaxed);
@@ -408,23 +347,21 @@ impl ClauseBank {
         None
     }
 
-    /// Stores a probe certificate for `(fingerprint, op, cfg, target)`
-    /// (last writer wins — all writers hold the same certificate, the
-    /// outcome being a pure function of the key).
+    /// Stores a probe certificate for `(config, fingerprint, op,
+    /// target)`, `config` being a probe namespace's key (last writer
+    /// wins — all writers hold the same certificate, the outcome being
+    /// a pure function of the key).
     pub fn record_probe(
         &self,
+        config: &ConfigKey,
         fingerprint: ConeFingerprint,
         op: GateOp,
-        cfg: ProbeCfg,
         target: Target,
         verdict: ProbeVerdict,
     ) {
-        let key = (BankKey { fingerprint, op }, cfg, target);
-        let mut shard = self
-            .shard(op, fingerprint.inputs)
-            .lock()
-            .expect("bank shard poisoned");
-        if shard.probes.insert(key, verdict).is_none() {
+        let key = (config.clone(), BankKey { fingerprint, op }, target);
+        let mut shard = self.shard(op, fingerprint.inputs);
+        if shard.probes.insert(key.clone(), verdict).is_none() {
             shard.probe_ring.push_back(key);
         }
         while shard.probes.len() > PROBES_PER_SHARD {
@@ -436,20 +373,17 @@ impl ClauseBank {
         self.probe_records.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The recorded certificate for `(fingerprint, op, cfg, target)`.
+    /// The recorded certificate for `(config, fingerprint, op,
+    /// target)`.
     pub fn lookup_probe(
         &self,
+        config: &ConfigKey,
         fingerprint: ConeFingerprint,
         op: GateOp,
-        cfg: ProbeCfg,
         target: Target,
     ) -> Option<ProbeVerdict> {
-        let key = (BankKey { fingerprint, op }, cfg, target);
-        let shard = self
-            .shard(op, fingerprint.inputs)
-            .lock()
-            .expect("bank shard poisoned");
-        let hit = shard.probes.get(&key).cloned();
+        let key = (config.clone(), BankKey { fingerprint, op }, target);
+        let hit = self.shard(op, fingerprint.inputs).probes.get(&key).cloned();
         if hit.is_some() {
             self.probe_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -493,15 +427,12 @@ impl ClauseBank {
 
     /// Exact entries evicted by the capacity bound since creation.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.exact.evictions()
     }
 
     /// Exact entries currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("bank shard poisoned").exact.len())
-            .sum()
+        self.exact.len()
     }
 
     /// Whether the exact channel is empty.
@@ -511,7 +442,7 @@ impl ClauseBank {
 
     /// The configured exact-channel capacity, if bounded.
     pub fn capacity(&self) -> Option<usize> {
-        self.shard_capacity.map(|c| c * NUM_SHARDS)
+        self.exact.capacity()
     }
 }
 
@@ -631,41 +562,6 @@ impl fmt::Debug for OraclePool {
     }
 }
 
-/// The reuse handles one session needs: the tiered artifact store
-/// (whose tier-0 bank may be run-scoped or sweep-wide, and whose disk
-/// tier — if any — spans processes) and the submission-scoped oracle
-/// pool. Cheap to clone; built by the engine/service when
-/// [`DecompConfig::clause_reuse`](crate::spec::DecompConfig::clause_reuse)
-/// is on.
-#[derive(Clone, Debug)]
-pub struct ReuseCtx {
-    /// Donated-clause and probe-certificate storage, shared as widely
-    /// as the caller wants. Always carries a clause bank (see
-    /// [`TieredStore::reuse_ctx`](crate::store::TieredStore::reuse_ctx)).
-    pub store: Arc<crate::store::TieredStore>,
-    /// Live-oracle pool, scoped to one submission / circuit run (one
-    /// `DecompConfig`, so pooled oracles share solver knobs).
-    pub pool: Arc<OraclePool>,
-}
-
-impl ReuseCtx {
-    /// A memory-only context over `bank` with a fresh (empty) oracle
-    /// pool.
-    pub fn over(bank: Arc<ClauseBank>) -> Self {
-        ReuseCtx {
-            store: Arc::new(crate::store::TieredStore::memory(None, Some(bank))),
-            pool: Arc::new(OraclePool::new()),
-        }
-    }
-
-    /// The tier-0 clause bank (always present by construction).
-    pub fn bank(&self) -> &Arc<ClauseBank> {
-        self.store
-            .bank()
-            .expect("ReuseCtx stores always carry a bank")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,14 +575,14 @@ mod tests {
         }
     }
 
-    fn export(tag: u32) -> LearntExport {
-        LearntExport {
+    fn export(tag: u32) -> Arc<LearntExport> {
+        Arc::new(LearntExport {
             clauses: vec![vec![
                 Lit::pos(Var::new(tag as usize)),
                 Lit::neg(Var::new(0)),
             ]],
             activities: vec![(Var::new(0), 1.0)],
-        }
+        })
     }
 
     #[test]
@@ -721,7 +617,7 @@ mod tests {
     #[test]
     fn empty_donations_are_dropped() {
         let bank = ClauseBank::new();
-        bank.donate(fp(1, 4), GateOp::Or, LearntExport::default());
+        bank.donate(fp(1, 4), GateOp::Or, Arc::default());
         assert_eq!(bank.donations(), 0);
         assert!(bank.lookup(fp(2, 4), GateOp::Or).is_none());
     }
@@ -775,27 +671,23 @@ mod tests {
     #[test]
     fn probe_certificates_round_trip_and_key_on_cfg() {
         let bank = ClauseBank::new();
-        let cfg = ProbeCfg {
-            symmetry_breaking: true,
-            allow_both: false,
-            restarts: RestartPolicy::Luby,
-            preprocess: false,
-        };
+        let config = DecompConfig::new(crate::spec::Model::QbfDisjoint);
+        let cfg = ConfigKey::probes(&config);
         let t = Target::DisjointAtMost(2);
-        assert!(bank.lookup_probe(fp(1, 4), GateOp::Or, cfg, t).is_none());
-        bank.record_probe(fp(1, 4), GateOp::Or, cfg, t, ProbeVerdict::Infeasible);
+        assert!(bank.lookup_probe(&cfg, fp(1, 4), GateOp::Or, t).is_none());
+        bank.record_probe(&cfg, fp(1, 4), GateOp::Or, t, ProbeVerdict::Infeasible);
         bank.record_probe(
+            &cfg,
             fp(1, 4),
             GateOp::Or,
-            cfg,
             Target::DisjointAtMost(3),
             ProbeVerdict::Feasible(vec![VarClass::A, VarClass::B, VarClass::C, VarClass::C]),
         );
         assert!(matches!(
-            bank.lookup_probe(fp(1, 4), GateOp::Or, cfg, t),
+            bank.lookup_probe(&cfg, fp(1, 4), GateOp::Or, t),
             Some(ProbeVerdict::Infeasible)
         ));
-        match bank.lookup_probe(fp(1, 4), GateOp::Or, cfg, Target::DisjointAtMost(3)) {
+        match bank.lookup_probe(&cfg, fp(1, 4), GateOp::Or, Target::DisjointAtMost(3)) {
             Some(ProbeVerdict::Feasible(classes)) => {
                 assert_eq!(
                     classes,
@@ -806,15 +698,15 @@ mod tests {
         }
         // A verdict is a fact about (cone, op, cfg, target) — any other
         // coordinate must miss.
-        let other_cfg = ProbeCfg {
+        let other_cfg = ConfigKey::probes(&DecompConfig {
             symmetry_breaking: false,
-            ..cfg
-        };
+            ..config
+        });
         assert!(bank
-            .lookup_probe(fp(1, 4), GateOp::Or, other_cfg, t)
+            .lookup_probe(&other_cfg, fp(1, 4), GateOp::Or, t)
             .is_none());
-        assert!(bank.lookup_probe(fp(2, 4), GateOp::Or, cfg, t).is_none());
-        assert!(bank.lookup_probe(fp(1, 4), GateOp::And, cfg, t).is_none());
+        assert!(bank.lookup_probe(&cfg, fp(2, 4), GateOp::Or, t).is_none());
+        assert!(bank.lookup_probe(&cfg, fp(1, 4), GateOp::And, t).is_none());
         assert_eq!((bank.probe_hits(), bank.probe_records()), (2, 2));
     }
 

@@ -327,8 +327,8 @@ impl BiDecomposer {
     /// Replaces the store with a memory-only one over `cache` — the
     /// shorthand for `set_store(TieredStore::memory(Some(cache), None))`.
     /// The same `Arc` can be shared by many engines (e.g. a whole
-    /// benchmark sweep): the cache key includes every result-relevant
-    /// config field.
+    /// benchmark sweep): entries key on the result namespace, which
+    /// names every result-relevant config field.
     pub fn set_cache(&mut self, cache: Arc<ResultCache>) {
         self.store = Arc::new(TieredStore::memory(Some(cache), None));
     }
@@ -371,16 +371,8 @@ impl BiDecomposer {
         op: GateOp,
     ) -> Result<OutputResult, StepError> {
         let job = OutputJob::new(&self.config, out_idx, op);
-        let store = &*self.store;
-        let reuse = self.config.clause_reuse.then(|| store.reuse_ctx());
-        let result = SolveSession::new(
-            aig,
-            job,
-            &self.config,
-            store.serves_results().then_some(store),
-            reuse.as_ref(),
-        )?
-        .run();
+        let (store, pool) = self.store.for_run(self.config.clause_reuse);
+        let result = SolveSession::new(aig, job, &self.config, &store, pool.as_ref())?.run();
         // Persist what this call learned (best-effort: a full disk must
         // not turn a solved output into an error).
         let _ = store.flush();

@@ -24,7 +24,8 @@ use crate::spec::{Budget, DecompConfig, GateOp};
 /// and two structurally identical cones simulate *identical* patterns.
 /// This is what makes [`crate::BiDecomposer::decompose_circuit`]
 /// deterministic under `jobs > 1` *and* makes solved outcomes a pure
-/// function of the result-cache key ([`crate::cache::CacheKey`]).
+/// function of the result namespace's key
+/// ([`crate::store::ConfigKey::results`]) and the canonical cone.
 pub fn cone_seed(base: u64, fingerprint: u128) -> u64 {
     let mut z = base
         ^ (fingerprint as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -40,19 +40,20 @@
 //! * [`cache`] — the per-op result cache: sessions solve every cone in
 //!   canonical input order (`step_aig::canonicalize`), so definitive
 //!   outcomes are memoizable by `(fingerprint, op, config)` and
-//!   translate to any permuted-input twin of the cone;
+//!   translate to any permuted-input twin of the cone; its sharded
+//!   second-chance map also holds the clause bank's exact channel;
 //! * [`clause_bank`] — cross-output clause reuse: completed sessions
 //!   donate tier-core learnt clauses (keyed by `(fingerprint, op)`
 //!   exactly, and by `(op, support)` for vetted near-twin seeding) and
 //!   park live oracles for same-fingerprint siblings — answers are
 //!   identical with reuse on or off, only the conflicts to reach them
 //!   drop;
-//! * [`store`] — the tiered [`ArtifactStore`] unifying all three reuse
-//!   surfaces (results, clause donations, probe certificates) behind
-//!   one get/put/scan interface, with the in-memory structures as
-//!   tier 0 and an optional persistent, mergeable disk tier
-//!   ([`TieredStore::with_disk`]) that warm-starts later runs — the
-//!   one reuse handle engines and services hold;
+//! * [`store`] — the [`TieredStore`], the one reuse handle engines and
+//!   services hold: one typed lookup/record pair per reuse surface
+//!   (results, clause donations, probe certificates), with the
+//!   in-memory structures as tier 0 and an optional persistent,
+//!   mergeable disk tier ([`TieredStore::with_disk`]) that
+//!   warm-starts later runs;
 //! * [`predict`] / [`tenant`] — the multi-tenant layer under the
 //!   `step-serve` network front-end: a conflict-cost estimator
 //!   (fingerprint history + support-bucket EWMAs) feeding the
@@ -83,8 +84,8 @@ pub mod store;
 pub mod tenant;
 pub mod verify;
 
-pub use cache::{CacheKey, CacheLookup, CachedResult, ResultCache};
-pub use clause_bank::{BankHit, BankKey, BankLookup, ClauseBank, OraclePool, ReuseCtx};
+pub use cache::{CacheLookup, CachedResult, ResultCache};
+pub use clause_bank::{BankHit, BankKey, BankLookup, ClauseBank, OraclePool};
 pub use effort::{CallLimits, CircuitBudget, EffortMeter, WorkLedger, WorkPool};
 pub use engine::{BiDecomposer, CircuitResult, OutputResult, StepError};
 pub use extract::{extract, extract_by_quantification, Decomposition, ExtractError};
@@ -98,8 +99,8 @@ pub use service::{
 pub use session::SolveSession;
 pub use spec::{Budget, BudgetPolicy, DecompConfig, GateOp, Model, SearchStrategy};
 pub use store::{
-    check_cache_dir, Artifact, ArtifactKey, ArtifactKind, ArtifactStore, ClausePayload, ConfigKey,
-    DiskTier, Namespace, StoreHit, TieredStore,
+    check_cache_dir, Artifact, ArtifactKey, ArtifactKind, ArtifactStore, ConfigKey, DiskTier,
+    Namespace, TieredStore,
 };
 pub use tenant::{OverQuota, TenantLedger, WorkReservation};
 // The effort-counter vocabulary is shared with the solver layers, as

@@ -119,7 +119,7 @@ pub fn search_with_reuse(
     strategy: SearchStrategy,
     opts: &ModelOptions,
     meter: &mut EffortMeter,
-    ledger: Option<&ProbeLedger>,
+    ledger: Option<&ProbeLedger<'_>>,
 ) -> OptimumResult {
     let n = core.n;
     let mut result = OptimumResult {
@@ -207,7 +207,7 @@ fn probe(
     k: usize,
     opts: &ModelOptions,
     meter: &mut EffortMeter,
-    ledger: Option<&ProbeLedger>,
+    ledger: Option<&ProbeLedger<'_>>,
     result: &mut OptimumResult,
 ) -> ProbeResult {
     result.qbf_calls += 1;

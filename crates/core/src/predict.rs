@@ -5,7 +5,7 @@
 //! output will be: the cone's **support size** (computed for every
 //! result) and its **canonical fingerprint** (the
 //! [`ResultCache`](crate::cache::ResultCache)/
-//! [`ArtifactStore`](crate::store::ArtifactStore) key — an output seen
+//! [`TieredStore`](crate::store::TieredStore) key — an output seen
 //! before, in this process or a previous one, costs what it cost last
 //! time, or nothing at all if the cache still holds it). The
 //! [`CostModel`] folds both into a conflict estimate:

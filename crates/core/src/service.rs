@@ -89,7 +89,7 @@ use std::time::Instant;
 use step_aig::Aig;
 
 use crate::cache::CacheLookup;
-use crate::clause_bank::ReuseCtx;
+use crate::clause_bank::OraclePool;
 use crate::effort::{CircuitBudget, WorkLedger, WorkPool};
 use crate::engine::{CircuitResult, OutputResult, StepError};
 use crate::job::OutputJob;
@@ -186,12 +186,14 @@ struct Submission {
     n_out: usize,
     /// Claim counter: `fetch_add` hands out output indices.
     next: AtomicUsize,
-    /// Clause-reuse handles (`Some` iff `config.clause_reuse`): the
-    /// bank — the service-wide one, or a submission-scoped fallback —
-    /// plus this submission's own oracle pool. The pool is
-    /// per-submission by design: pooled oracles embed solver knobs
-    /// from one `DecompConfig` and may not cross submissions.
-    reuse: Option<ReuseCtx>,
+    /// The service's store, plus under clause reuse a
+    /// submission-scoped bank when the service's store has none.
+    store: TieredStore,
+    /// This submission's own oracle pool (`Some` iff
+    /// `config.clause_reuse`). The pool is per-submission by design:
+    /// pooled oracles embed solver knobs from one `DecompConfig` and
+    /// may not cross submissions.
+    pool: Option<OraclePool>,
     /// Set by [`SubmissionHandle::cancel`] (or service drop).
     cancelled: AtomicBool,
     /// Set when any output of this submission failed; remaining
@@ -720,7 +722,7 @@ impl StepService {
             }),
             None => 0,
         };
-        let reuse = config.clause_reuse.then(|| self.shared.store.reuse_ctx());
+        let (store, pool) = self.shared.store.for_run(config.clause_reuse);
         let sub = Arc::new(Submission {
             id: SubmissionId(self.shared.next_id.fetch_add(1, Ordering::Relaxed)),
             aig,
@@ -734,7 +736,8 @@ impl StepService {
             finished: OnceLock::new(),
             submitted,
             n_out,
-            reuse,
+            store,
+            pool,
             next: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
@@ -857,15 +860,7 @@ fn run_claimed(shared: &ServiceShared, sub: &Submission, idx: usize) {
         if sub.config.panic_on_output == Some(idx) {
             panic!("injected fault on output {idx}");
         }
-        run_queued(
-            &sub.aig,
-            &sub.config,
-            shared.store.serves_results().then_some(&*shared.store),
-            sub.reuse.as_ref(),
-            idx,
-            sub.op,
-            &circuit,
-        )
+        run_queued(sub, idx, &circuit)
     }));
     let result = match outcome {
         Ok(r) => r,
@@ -907,26 +902,22 @@ fn run_claimed(shared: &ServiceShared, sub: &Submission, idx: usize) {
 /// with the output they came from, so a failure deep in a many-output
 /// circuit stays locatable.
 fn run_queued(
-    aig: &Aig,
-    config: &DecompConfig,
-    store: Option<&TieredStore>,
-    reuse: Option<&ReuseCtx>,
+    sub: &Submission,
     out_idx: usize,
-    op: GateOp,
     circuit: &CircuitBudget,
 ) -> Result<OutputResult, StepError> {
-    let output = &aig.outputs()[out_idx];
+    let output = &sub.aig.outputs()[out_idx];
     let name = output.name().to_owned();
     if circuit.expired() {
         // Skipped, not solved: report the real cone support so the
         // output doesn't masquerade as a constant function in
         // per-support statistics (the support walk is linear in the
         // cone, cheap next to what was just saved).
-        let support = aig.support(output.lit()).len();
+        let support = sub.aig.support(output.lit()).len();
         return Ok(OutputResult::budget_exhausted(name, out_idx, support));
     }
-    let job = OutputJob::new(config, out_idx, op).with_circuit(circuit.clone());
-    SolveSession::new(aig, job, config, store, reuse)?
+    let job = OutputJob::new(&sub.config, out_idx, sub.op).with_circuit(circuit.clone());
+    SolveSession::new(&sub.aig, job, &sub.config, &sub.store, sub.pool.as_ref())?
         .run()
         .map_err(|e| match e {
             StepError::Internal(m) => {
@@ -1400,7 +1391,8 @@ mod tests {
             finished: OnceLock::new(),
             submitted: Instant::now(),
             n_out: 2,
-            reuse: None,
+            store: TieredStore::default(),
+            pool: None,
             next: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),

@@ -18,26 +18,25 @@
 //! — and the simulation seed, which derives from the canonical
 //! fingerprint ([`cone_seed`]) — is byte-identical for every
 //! structurally identical cone, solved outcomes are a pure function of
-//! `(fingerprint, op, config)`. That purity is what the result cache
-//! ([`crate::cache::ResultCache`]) keys on: a session consults it
-//! before building the core formula and oracle, and a hit skips the
-//! entire search (the dominant cost) while producing the same
-//! `OutputResult` the search would have.
+//! `(fingerprint, op, config)`. That purity is what the store's result
+//! tiers key on: a session consults them before building the core
+//! formula and oracle, and a hit skips the entire search (the dominant
+//! cost) while producing the same `OutputResult` the search would have.
 //!
 //! Sessions are created and consumed by one worker thread; nothing in
-//! them is shared except the (internally synchronized) cache, which is
-//! what lets the [`StepService`](crate::service::StepService) pool run
-//! many of them concurrently — across outputs of one submission and
-//! across submissions alike.
+//! them is shared except the (internally synchronized) store and
+//! oracle pool, which is what lets the
+//! [`StepService`](crate::service::StepService) pool run many of them
+//! concurrently — across outputs of one submission and across
+//! submissions alike.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use step_aig::{canonicalize, Aig, CanonicalCone, Cone, ConeFingerprint};
 
 use crate::cache::{CacheLookup, CachedResult};
-use crate::clause_bank::{BankLookup, ProbeCfg, ProbeLedger, ReuseCtx};
+use crate::clause_bank::{BankLookup, OraclePool, ProbeLedger};
 use crate::effort::EffortMeter;
 use crate::engine::{OutputResult, StepError};
 use crate::extract::{extract, ExtractError};
@@ -49,7 +48,7 @@ use crate::oracle::{sim_filter_pairs, CoreFormula, PartitionOracle};
 use crate::partition::VarPartition;
 use crate::qbf_model::ModelOptions;
 use crate::spec::{DecompConfig, Model};
-use crate::store::{Artifact, ArtifactKey, ArtifactStore, ClausePayload, Namespace, TieredStore};
+use crate::store::{Namespace, TieredStore};
 use crate::verify::verify;
 
 /// What a model's search concluded about one output.
@@ -68,14 +67,17 @@ struct SearchOutcome {
     qbf_calls: u32,
     /// Total CEGAR iterations across QBF solves.
     cegar_iterations: u64,
+    /// Probe certificates served from the disk tier.
+    probe_disk_hits: u64,
 }
 
 /// Per-output solving state: cone, core formula, oracle, seed-pair
 /// candidates and budgets. See the module docs.
 pub struct SolveSession<'a> {
     config: &'a DecompConfig,
-    store: Option<&'a TieredStore>,
-    reuse: Option<&'a ReuseCtx>,
+    store: &'a TieredStore,
+    /// `Some` iff clause reuse is on: then the store carries a bank.
+    pool: Option<&'a OraclePool>,
     job: OutputJob,
     name: String,
     cone: Cone,
@@ -83,21 +85,13 @@ pub struct SolveSession<'a> {
     meter: EffortMeter,
     candidates: Option<Vec<Vec<bool>>>,
     oracle: Option<PartitionOracle>,
-    /// Canonical fingerprint of the cone, set by [`run`] once the cone
-    /// is canonicalized — the probe ledger keys on it.
-    ///
-    /// [`run`]: SolveSession::run
-    fingerprint: Option<ConeFingerprint>,
-    /// Probe certificates served from the disk tier. The ledger is
-    /// local to the search, so it shares this counter with the session
-    /// and the session folds it into the output statistics after the
-    /// search returns.
-    probe_disk_hits: Arc<AtomicU64>,
 }
 
 impl<'a> SolveSession<'a> {
-    /// Opens a session for `job` on `aig`, consulting `store` (if any)
-    /// for a solved result before solving.
+    /// Opens a session for `job` on `aig`, consulting `store` for a
+    /// solved result before solving when it serves results. Clause and
+    /// probe reuse run iff `pool` is given, over the store's bank and
+    /// disk tier ([`TieredStore::for_run`] builds both halves).
     ///
     /// The wall clock anchors **first**, so cone extraction — which can
     /// dominate on huge outputs — is charged against the per-output
@@ -115,8 +109,8 @@ impl<'a> SolveSession<'a> {
         aig: &Aig,
         job: OutputJob,
         config: &'a DecompConfig,
-        store: Option<&'a TieredStore>,
-        reuse: Option<&'a ReuseCtx>,
+        store: &'a TieredStore,
+        pool: Option<&'a OraclePool>,
     ) -> Result<Self, StepError> {
         let start = Instant::now();
         if !aig.is_comb() {
@@ -132,7 +126,7 @@ impl<'a> SolveSession<'a> {
         Ok(SolveSession {
             config,
             store,
-            reuse,
+            pool,
             job,
             name,
             cone,
@@ -140,8 +134,6 @@ impl<'a> SolveSession<'a> {
             meter,
             candidates: None,
             oracle: None,
-            fingerprint: None,
-            probe_disk_hits: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -163,8 +155,10 @@ impl<'a> SolveSession<'a> {
     /// the paper), then search the optimum bound for their metric. Both
     /// phases charge the session's meter, so wall and work budgets
     /// apply uniformly across the bootstrap's SAT/MUS calls and the
-    /// search's QBF probes.
-    fn search(&mut self) -> SearchOutcome {
+    /// search's QBF probes. Under clause reuse the search's probe
+    /// ledger replays definitive verdicts recorded for the canonical
+    /// cone `fingerprint` by sibling sessions and earlier runs.
+    fn search(&mut self, fingerprint: ConeFingerprint) -> SearchOutcome {
         let config = self.config;
         let mut out = SearchOutcome::default();
         let (oracle, candidates, meter) = self.solve_parts();
@@ -228,9 +222,9 @@ impl<'a> SolveSession<'a> {
             restarts: config.sat_restarts,
             preprocess: config.sat_preprocess,
         };
-        // Under clause reuse, the probe ledger replays definitive
-        // verdicts recorded by sibling sessions over the same cone.
-        let ledger = self.make_probe_ledger();
+        let ledger = self
+            .pool
+            .map(|_| ProbeLedger::new(self.store, fingerprint, self.job.op, config));
         let (oracle, _, meter) = self.solve_parts();
         let search = optimum::search_with_reuse(
             oracle.core(),
@@ -247,29 +241,8 @@ impl<'a> SolveSession<'a> {
         out.solved = search.proved_optimal;
         out.timed_out = search.truncated;
         out.partition = search.partition.or(bootstrap);
+        out.probe_disk_hits = ledger.map_or(0, |l| l.disk_hits());
         out
-    }
-
-    /// Builds the session's [`ProbeLedger`] over the shared store (QBF
-    /// models only, `None` when clause reuse is off). Solved outcomes
-    /// are a pure function of `(fingerprint, op, config)`, so the
-    /// ledger keys on the fingerprint plus every configuration knob a
-    /// probe's verdict can depend on.
-    fn make_probe_ledger(&self) -> Option<ProbeLedger> {
-        let reuse = self.reuse?;
-        let fingerprint = self.fingerprint?;
-        Some(ProbeLedger::new(
-            Arc::clone(&reuse.store),
-            fingerprint,
-            self.job.op,
-            ProbeCfg {
-                symmetry_breaking: self.config.symmetry_breaking,
-                allow_both: self.config.allow_both,
-                restarts: self.config.sat_restarts,
-                preprocess: self.config.sat_preprocess,
-            },
-            Arc::clone(&self.probe_disk_hits),
-        ))
     }
 
     /// Translates a canonical-order partition into this session's cone
@@ -356,12 +329,15 @@ impl<'a> SolveSession<'a> {
         }
 
         let canon = canonicalize(&self.cone.aig, self.cone.root);
-        self.fingerprint = Some(canon.fingerprint);
         result.fingerprint = Some(canon.fingerprint.hash);
-        let result_ns = self.store.map(|_| Namespace::results(self.config));
+        let result_ns = self
+            .store
+            .serves_results()
+            .then(|| Namespace::results(self.config));
 
-        if let (Some(store), Some(ns)) = (self.store, &result_ns) {
-            if let Some((hit, from_disk)) = store.lookup_result(ns, canon.fingerprint, self.job.op)
+        if let Some(ns) = &result_ns {
+            if let Some((hit, from_disk)) =
+                self.store.lookup_result(ns, canon.fingerprint, self.job.op)
             {
                 result.cache = CacheLookup::Hit;
                 result.disk_hits += u64::from(from_disk);
@@ -394,8 +370,8 @@ impl<'a> SolveSession<'a> {
         // only clauses implied by this oracle's own CNF, so the
         // search sees identical verdicts either way.
         let mut pooled_calls = 0;
-        if let Some(reuse) = self.reuse {
-            if let Some(oracle) = reuse.pool.take(canon.fingerprint.hash, self.job.op) {
+        if let Some(pool) = self.pool {
+            if let Some(oracle) = pool.take(canon.fingerprint.hash, self.job.op) {
                 pooled_calls = oracle.sat_calls;
                 result.bank = BankLookup::Pooled;
                 self.oracle = Some(oracle);
@@ -408,21 +384,17 @@ impl<'a> SolveSession<'a> {
                 self.config.sat_restarts,
                 self.config.sat_preprocess,
             );
-            if let Some(reuse) = self.reuse {
-                let cns = Namespace::clauses();
-                let ckey = ArtifactKey::of(canon.fingerprint, self.job.op);
-                match reuse.store.get(&cns, &ckey) {
-                    Some(hit) => {
-                        result.disk_hits += u64::from(hit.from_disk);
-                        if let Artifact::Clauses(payload) = hit.artifact {
-                            if payload.exact {
-                                result.imported_clauses = oracle.import_learnts(&payload.export);
-                                result.bank = BankLookup::Exact;
-                            } else {
-                                result.imported_clauses =
-                                    oracle.import_vetted(&payload.export, &mut self.meter);
-                                result.bank = BankLookup::Cluster;
-                            }
+            if self.pool.is_some() {
+                match self.store.lookup_clauses(canon.fingerprint, self.job.op) {
+                    Some((hit, from_disk)) => {
+                        result.disk_hits += u64::from(from_disk);
+                        if hit.exact {
+                            result.imported_clauses = oracle.import_learnts(&hit.export);
+                            result.bank = BankLookup::Exact;
+                        } else {
+                            result.imported_clauses =
+                                oracle.import_vetted(&hit.export, &mut self.meter);
+                            result.bank = BankLookup::Cluster;
                         }
                     }
                     None => result.bank = BankLookup::Miss,
@@ -431,7 +403,7 @@ impl<'a> SolveSession<'a> {
             self.oracle = Some(oracle);
         }
 
-        let outcome = self.search();
+        let outcome = self.search(canon.fingerprint);
         // A pooled oracle arrives with its donor's call count; report
         // only this output's own share.
         result.sat_calls = self
@@ -444,13 +416,13 @@ impl<'a> SolveSession<'a> {
         result.proved_optimal = outcome.proved_optimal;
         result.solved = outcome.solved;
         result.timed_out = outcome.timed_out;
-        result.disk_hits += self.probe_disk_hits.load(Ordering::Relaxed);
+        result.disk_hits += outcome.probe_disk_hits;
 
         // Only definitive, budget-free outcomes enter the store: they
         // are pure functions of the key, a timeout is not.
-        if let (Some(store), Some(ns)) = (self.store, &result_ns) {
+        if let Some(ns) = &result_ns {
             if outcome.solved && !outcome.timed_out {
-                store.insert_result(
+                self.store.insert_result(
                     ns,
                     canon.fingerprint,
                     self.job.op,
@@ -467,19 +439,13 @@ impl<'a> SolveSession<'a> {
         // ended, which is exactly how truncated siblings still pay
         // forward — and park the live oracle for the next sibling with
         // this fingerprint.
-        if let Some(reuse) = self.reuse {
+        if let Some(pool) = self.pool {
             if let Some(oracle) = self.oracle.take() {
                 let export = oracle.export_learnts();
                 result.donated_clauses = export.num_clauses() as u64;
-                reuse.store.put(
-                    &Namespace::clauses(),
-                    &ArtifactKey::of(canon.fingerprint, self.job.op),
-                    Artifact::Clauses(ClausePayload {
-                        export: Arc::new(export),
-                        exact: true,
-                    }),
-                );
-                reuse.pool.put(canon.fingerprint.hash, self.job.op, oracle);
+                self.store
+                    .donate(canon.fingerprint, self.job.op, Arc::new(export));
+                pool.put(canon.fingerprint.hash, self.job.op, oracle);
             }
         }
 

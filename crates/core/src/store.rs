@@ -1,36 +1,45 @@
-//! The tiered [`ArtifactStore`]: one abstraction over all three reuse
-//! surfaces, with an optional persistent disk tier.
+//! The [`TieredStore`]: the one reuse handle engines and services
+//! hold, over all three reuse surfaces, with an optional persistent
+//! disk tier.
 //!
-//! PRs 3 and 7 grew three independent in-memory reuse surfaces —
-//! [`ResultCache`] (solved partitions), [`ClauseBank`] (donated learnt
-//! clauses) and the probe-certificate ledger — all keyed by the same
-//! canonical 128-bit cone fingerprint, and all forgotten at process
-//! exit. This module unifies them behind one trait:
+//! Three reuse surfaces key on the same canonical 128-bit cone
+//! fingerprint: solved partitions ([`ResultCache`]), donated learnt
+//! clauses ([`ClauseBank`]'s exact and cluster channels) and probe
+//! certificates (the bank's probe channel, read and written through a
+//! [`ProbeLedger`](crate::clause_bank::ProbeLedger)). The store stacks
+//! two tiers under each:
 //!
-//! * **tier 0** — the existing sharded in-memory structures, untouched
-//!   (their eviction policies, counters and tests stay exactly as they
-//!   were);
+//! * **tier 0** — the sharded in-memory structures, each optional;
 //! * **tier 1** — a persistent, mergeable [`DiskTier`]: one
 //!   append-only, checksummed record log per `(artifact kind,
-//!   result-relevant config key)` namespace, loaded at service spawn
-//!   and flushed at shutdown.
+//!   config key)` namespace, loaded at service spawn and flushed at
+//!   shutdown.
 //!
-//! Artifacts are addressed by [`Namespace`] × [`ArtifactKey`]. The
-//! namespace carries the artifact kind plus a canonical
-//! [`ConfigKey`] string naming every configuration field the artifact's
-//! *content* depends on — results key on the full result-relevant
-//! config (model, strategy, seed, …), clause donations are
-//! config-universal (the oracle CNF depends only on the cone), probe
-//! certificates key on the solver knobs a verdict depends on. Distinct
+//! Each surface has one typed lookup/record pair that consults tier 0
+//! first, falls back to the disk tier and promotes disk hits into tier
+//! 0: [`lookup_result`](TieredStore::lookup_result) /
+//! [`insert_result`](TieredStore::insert_result),
+//! [`lookup_clauses`](TieredStore::lookup_clauses) /
+//! [`donate`](TieredStore::donate) and
+//! [`lookup_probe`](TieredStore::lookup_probe) /
+//! [`record_probe`](TieredStore::record_probe).
+//!
+//! A [`Namespace`] is an artifact kind plus a canonical [`ConfigKey`]
+//! string naming every configuration field the artifact's *content*
+//! depends on — results key on the full result-relevant config (model,
+//! strategy, seed, …), clause donations are config-universal (the
+//! oracle CNF depends only on the cone), probe certificates key on the
+//! solver knobs a verdict depends on. Both tiers key on that one
+//! string, so what is result-relevant is defined once, and distinct
 //! config keys live in distinct files, so merging stores can never mix
 //! incomparable artifacts.
 //!
-//! **Determinism contract (PR 7, preserved).** Every tier serves only
-//! *semantic* artifacts: definitive solved outcomes, clauses implied by
-//! the recipient's own CNF, and probe certificates that are pure
-//! functions of their key. Persistence therefore changes how much work
-//! an answer costs, never the answer — a warm run over a shared cache
-//! directory is byte-identical (under `--no-timing`) to a cold run.
+//! **Determinism contract.** Every tier serves only *semantic*
+//! artifacts: definitive solved outcomes, clauses implied by the
+//! recipient's own CNF, and probe certificates that are pure functions
+//! of their key. Persistence therefore changes how much work an answer
+//! costs, never the answer — a warm run over a shared cache directory
+//! is byte-identical (under `--no-timing`) to a cold run.
 //!
 //! **Corruption tolerance.** Records are length-prefixed and carry an
 //! xxhash-style (XXH64) checksum. A truncated or bit-flipped tail is
@@ -45,27 +54,28 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
 use step_aig::ConeFingerprint;
 use step_cnf::{Lit, Var};
 use step_sat::LearntExport;
 
-use crate::cache::{CacheKey, CachedResult, ResultCache};
-use crate::clause_bank::{ClauseBank, OraclePool, ProbeCfg, ProbeVerdict, ReuseCtx};
+use crate::cache::{CachedResult, ResultCache};
+use crate::clause_bank::{BankHit, ClauseBank, OraclePool, ProbeVerdict};
 use crate::partition::VarClass;
 use crate::qbf_model::Target;
 use crate::spec::{DecompConfig, GateOp, SearchStrategy};
 
-/// Which reuse surface an artifact belongs to.
+/// Which reuse surface an artifact belongs to. The discriminant is the
+/// kind's tag in store file headers.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ArtifactKind {
     /// A definitive solved outcome (the result cache's currency).
-    Result,
+    Result = 0,
     /// A donated learnt-clause snapshot (the clause bank's currency).
-    Clauses,
+    Clauses = 1,
     /// A probe certificate (the probe ledger's currency).
-    Probe,
+    Probe = 2,
 }
 
 impl ArtifactKind {
@@ -85,31 +95,19 @@ impl ArtifactKind {
         }
     }
 
-    fn tag(self) -> u8 {
-        match self {
-            ArtifactKind::Result => 0,
-            ArtifactKind::Clauses => 1,
-            ArtifactKind::Probe => 2,
-        }
-    }
-
     fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(ArtifactKind::Result),
-            1 => Some(ArtifactKind::Clauses),
-            2 => Some(ArtifactKind::Probe),
-            _ => None,
-        }
+        Self::ALL.get(usize::from(tag)).copied()
     }
 }
 
 /// The canonical rendering of every configuration field an artifact's
 /// content depends on. Two runs share a namespace — and therefore a
-/// store file — if and only if their config keys are equal, which is
-/// what makes merged stores safe: nothing config-dependent can cross
-/// configs.
+/// store file and the tier-0 entries — if and only if their config
+/// keys are equal, which is what makes merged stores safe: nothing
+/// config-dependent can cross configs. Cheap to clone (one shared
+/// string), so tier-0 lookups key on it without allocating.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ConfigKey(String);
+pub struct ConfigKey(Arc<str>);
 
 /// The QBF solve that result and probe artifacts came from: the ∃-side
 /// encoding (`qbf_model::encode_exists`) and the refinement form of the
@@ -117,9 +115,20 @@ pub struct ConfigKey(String);
 /// whose witnesses differ, load into namespaces that nothing looks up.
 const QBF_ENCODING: &str = "exists=linear;refine=clause";
 
+/// The clause namespace, built once: clause traffic names it on every
+/// lookup and donation.
+static CLAUSES: LazyLock<Namespace> = LazyLock::new(|| Namespace {
+    kind: ArtifactKind::Clauses,
+    config: ConfigKey(Arc::from("universal")),
+});
+
 impl ConfigKey {
-    /// The result namespace: exactly the [`CacheKey`] config fields,
-    /// plus the QBF encoding tag.
+    /// The result namespace: every configuration field that steers the
+    /// search, plus the QBF encoding tag. Budgets are deliberately
+    /// absent — wall *and* work alike, they only decide *whether* a
+    /// definitive outcome is reached, never which one (a
+    /// budget-truncated outcome is never stored), so entries are shared
+    /// across runs with different [`crate::spec::BudgetPolicy`] values.
     pub fn results(config: &DecompConfig) -> Self {
         let model = config.model.name();
         let strategy = match config.effective_strategy() {
@@ -128,7 +137,7 @@ impl ConfigKey {
             SearchStrategy::Binary => "bin",
             SearchStrategy::MdBinMi => "mdbinmi",
         };
-        ConfigKey(format!(
+        ConfigKey(Arc::from(format!(
             "{QBF_ENCODING};model={model};strategy={strategy};sb={};ab={};simf={};simr={};\
              seed={};restarts={};prep={}",
             u8::from(config.symmetry_breaking),
@@ -138,28 +147,31 @@ impl ConfigKey {
             config.seed,
             config.sat_restarts,
             u8::from(config.sat_preprocess),
-        ))
+        )))
     }
 
     /// The clause namespace: config-universal by design — the oracle
     /// CNF is a pure function of `(fingerprint, op)`, which is exactly
     /// why the bank's exact channel serves across models and seeds.
     pub fn clauses() -> Self {
-        ConfigKey("universal".to_owned())
+        CLAUSES.config.clone()
     }
 
     /// The probe namespace: the encoding tag and the solver knobs a
-    /// deterministic CEGAR verdict depends on (no model, no seed — a
-    /// probe's outcome is a pure function of `(cone, op, target, these
-    /// knobs)`).
-    pub fn probes(cfg: ProbeCfg) -> Self {
-        ConfigKey(format!(
+    /// deterministic CEGAR verdict depends on. The CEGAR loop of
+    /// [`solve_partition`](crate::qbf_model::solve_partition) builds
+    /// fresh abstraction and check solvers per probe and never reads
+    /// the session's oracle, pool or bank imports, so a probe's outcome
+    /// is a pure function of `(cone, op, target, these knobs)` whenever
+    /// no budget truncates it — no model, no seed.
+    pub fn probes(config: &DecompConfig) -> Self {
+        ConfigKey(Arc::from(format!(
             "{QBF_ENCODING};sb={};ab={};restarts={};prep={}",
-            u8::from(cfg.symmetry_breaking),
-            u8::from(cfg.allow_both),
-            cfg.restarts,
-            u8::from(cfg.preprocess),
-        ))
+            u8::from(config.symmetry_breaking),
+            u8::from(config.allow_both),
+            config.sat_restarts,
+            u8::from(config.sat_preprocess),
+        )))
     }
 
     /// The canonical string.
@@ -168,38 +180,14 @@ impl ConfigKey {
     }
 }
 
-/// How the tier-0 structure of a namespace is addressed — the piece a
-/// namespace needs beyond the config string to talk to the existing
-/// sharded in-memory maps.
-#[derive(Clone, Debug)]
-enum Tier0Ctx {
-    /// Result lookups need a full [`CacheKey`]; the namespace carries a
-    /// prototype built from the config once, and each lookup stamps the
-    /// fingerprint and operator in.
-    Result { proto: CacheKey },
-    /// Clause lookups address the bank by `(fingerprint, op)` alone.
-    Clauses,
-    /// Probe lookups additionally carry the solver knobs.
-    Probe { cfg: ProbeCfg },
-}
-
-/// One artifact namespace: kind × result-relevant config key. Build
-/// with [`Namespace::results`], [`Namespace::clauses`] or
+/// One artifact namespace: kind × config key. Build with
+/// [`Namespace::results`], [`Namespace::clauses`] or
 /// [`Namespace::probes`].
 #[derive(Clone, Debug)]
 pub struct Namespace {
     kind: ArtifactKind,
     config: ConfigKey,
-    tier0: Tier0Ctx,
 }
-
-/// A placeholder fingerprint for the namespace's prototype
-/// [`CacheKey`]; every lookup overwrites it before use.
-const PROTO_FP: ConeFingerprint = ConeFingerprint {
-    hash: 0,
-    inputs: 0,
-    ands: 0,
-};
 
 impl Namespace {
     /// The solved-result namespace of `config`.
@@ -207,50 +195,19 @@ impl Namespace {
         Namespace {
             kind: ArtifactKind::Result,
             config: ConfigKey::results(config),
-            tier0: Tier0Ctx::Result {
-                proto: CacheKey::new(PROTO_FP, GateOp::Or, config),
-            },
         }
     }
 
     /// The (config-universal) clause-donation namespace.
     pub fn clauses() -> Self {
-        Namespace {
-            kind: ArtifactKind::Clauses,
-            config: ConfigKey::clauses(),
-            tier0: Tier0Ctx::Clauses,
-        }
+        CLAUSES.clone()
     }
 
-    /// The probe-certificate namespace of `cfg`.
-    pub fn probes(cfg: ProbeCfg) -> Self {
+    /// The probe-certificate namespace of `config`'s solver knobs.
+    pub fn probes(config: &DecompConfig) -> Self {
         Namespace {
             kind: ArtifactKind::Probe,
-            config: ConfigKey::probes(cfg),
-            tier0: Tier0Ctx::Probe { cfg },
-        }
-    }
-
-    /// The artifact kind this namespace holds.
-    pub fn kind(&self) -> ArtifactKind {
-        self.kind
-    }
-
-    /// The canonical config key naming this namespace.
-    pub fn config_key(&self) -> &ConfigKey {
-        &self.config
-    }
-
-    /// The full [`CacheKey`] for a result lookup in this namespace.
-    fn cache_key(&self, key: &ArtifactKey) -> Option<CacheKey> {
-        match &self.tier0 {
-            Tier0Ctx::Result { proto } => {
-                let mut k = *proto;
-                k.fingerprint = key.fingerprint;
-                k.op = key.op;
-                Some(k)
-            }
-            _ => None,
+            config: ConfigKey::probes(config),
         }
     }
 }
@@ -299,7 +256,7 @@ const PACK_W_MAX: u32 = (1 << 14) - 1;
 /// certificate answer another probe's question, corrupting answers.
 /// Layout: tag in bits 60–63, payload below. Returns `None` for
 /// `Weighted` targets whose weights exceed `PACK_W_MAX` — such
-/// probes simply skip the store (tier 0 handles them natively).
+/// probes skip both tiers and are always solved.
 pub fn pack_target(target: Target) -> Option<u64> {
     Some(match target {
         Target::Any => 0,
@@ -334,52 +291,22 @@ pub fn unpack_target(aux: u64) -> Option<Target> {
     })
 }
 
-/// A donated clause snapshot as the store carries it. Disk entries are
-/// always exact — the cluster channel's near-twin matching is a tier-0
-/// notion.
-#[derive(Clone, Debug)]
-pub struct ClausePayload {
-    /// Oracle-CNF learnt clauses and activity hints.
-    pub export: Arc<LearntExport>,
-    /// `true` = same-fingerprint donor (verbatim import); `false` =
-    /// tier-0 cluster hit (vet every clause before use).
-    pub exact: bool,
-}
-
-/// One stored artifact.
+/// One persisted artifact, as the disk tier stores and
+/// [`ArtifactStore::scan`] visits it.
 #[derive(Clone, Debug)]
 pub enum Artifact {
     /// A definitive solved outcome.
     Result(CachedResult),
-    /// A donated clause snapshot.
-    Clauses(ClausePayload),
+    /// A donated clause snapshot (always an exact donor: the cluster
+    /// channel's near-twin matching is a tier-0 notion).
+    Clauses(Arc<LearntExport>),
     /// A probe certificate.
     Probe(ProbeVerdict),
 }
 
-/// A successful store lookup: the artifact plus its provenance (the
-/// disk-tier hit counters feed the `disk_hits` statistics).
-#[derive(Clone, Debug)]
-pub struct StoreHit {
-    /// The artifact served.
-    pub artifact: Artifact,
-    /// Served by the persistent tier (and promoted into tier 0).
-    pub from_disk: bool,
-}
-
-/// The unified reuse-surface interface: get/put/scan over namespaced
-/// artifacts. [`TieredStore`] is the engine's implementation; the
-/// trait exists so tooling (the `step cache` subcommand, tests,
-/// alternative backends) can program against the surface rather than
-/// the concrete tiers.
+/// The merge and stats surface over persisted artifacts, for tooling
+/// that programs against the store rather than the concrete tiers.
 pub trait ArtifactStore: Send + Sync {
-    /// Looks `key` up in `ns`, consulting tier 0 first and falling
-    /// back to the disk tier (promoting disk hits into tier 0).
-    fn get(&self, ns: &Namespace, key: &ArtifactKey) -> Option<StoreHit>;
-
-    /// Stores `value` under `key` in `ns` on every tier.
-    fn put(&self, ns: &Namespace, key: &ArtifactKey, value: Artifact);
-
     /// Visits every *persisted* entry of `ns`. Tier-0 structures
     /// deliberately expose no iteration (their sharded locks would
     /// make a consistent walk expensive); scan is the merge/stats
@@ -391,20 +318,17 @@ pub trait ArtifactStore: Send + Sync {
 // The tiered implementation.
 // ---------------------------------------------------------------------
 
-/// The engine's [`ArtifactStore`]: the existing in-memory structures
-/// as tier 0 plus an optional persistent [`DiskTier`]. Cheap to clone
-/// (three `Arc`s); every handle shares the same tiers. The one reuse
-/// handle engines and services hold; its `Default` is an empty memory
-/// store (no cache, no bank, no disk), so no-reuse callers write
+/// The engine's reuse store: the in-memory structures as tier 0 plus
+/// an optional persistent [`DiskTier`]. Cheap to clone (three `Arc`s);
+/// every handle shares the same tiers. The one reuse handle engines and
+/// services hold; its `Default` is an empty memory store (no cache, no
+/// bank, no disk), so no-reuse callers write
 /// `StepService::spawn_with_store(n, Arc::default())`.
 #[derive(Clone, Default, Debug)]
 pub struct TieredStore {
     cache: Option<Arc<ResultCache>>,
     bank: Option<Arc<ClauseBank>>,
     disk: Option<Arc<DiskTier>>,
-    disk_result_hits: Arc<AtomicU64>,
-    disk_clause_hits: Arc<AtomicU64>,
-    disk_probe_hits: Arc<AtomicU64>,
 }
 
 impl TieredStore {
@@ -415,9 +339,6 @@ impl TieredStore {
             cache,
             bank,
             disk: None,
-            disk_result_hits: Arc::new(AtomicU64::new(0)),
-            disk_clause_hits: Arc::new(AtomicU64::new(0)),
-            disk_probe_hits: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -434,9 +355,10 @@ impl TieredStore {
         bank: Option<Arc<ClauseBank>>,
         dir: &Path,
     ) -> io::Result<Self> {
-        let mut store = Self::memory(cache, bank);
-        store.disk = Some(Arc::new(DiskTier::open(dir)?));
-        Ok(store)
+        Ok(TieredStore {
+            disk: Some(Arc::new(DiskTier::open(dir)?)),
+            ..Self::memory(cache, bank)
+        })
     }
 
     /// The tier-0 result cache, if any.
@@ -464,33 +386,38 @@ impl TieredStore {
 
     /// Result artifacts served from disk so far.
     pub fn disk_result_hits(&self) -> u64 {
-        self.disk_result_hits.load(Ordering::Relaxed)
+        self.disk_hits(ArtifactKind::Result)
     }
 
     /// Clause artifacts served from disk so far.
     pub fn disk_clause_hits(&self) -> u64 {
-        self.disk_clause_hits.load(Ordering::Relaxed)
+        self.disk_hits(ArtifactKind::Clauses)
     }
 
     /// Probe certificates served from disk so far.
     pub fn disk_probe_hits(&self) -> u64 {
-        self.disk_probe_hits.load(Ordering::Relaxed)
+        self.disk_hits(ArtifactKind::Probe)
     }
 
-    /// The reuse handles for one submission / circuit run: this
-    /// store's tiers plus a fresh oracle pool (pooled oracles embed
-    /// one `DecompConfig`'s solver knobs and may not cross
-    /// submissions). A store without a bank overlays a fresh
-    /// submission-scoped one, preserving the pre-store semantics.
-    pub fn reuse_ctx(&self) -> ReuseCtx {
+    fn disk_hits(&self, kind: ArtifactKind) -> u64 {
+        self.disk
+            .as_ref()
+            .map_or(0, |d| d.hits[kind as usize].load(Ordering::Relaxed))
+    }
+
+    /// The tiers one run (a service submission, or one
+    /// [`decompose_output`](crate::BiDecomposer::decompose_output)
+    /// call) solves on. Under clause reuse that is this store plus a
+    /// fresh oracle pool — pooled oracles embed one `DecompConfig`'s
+    /// solver knobs and may not cross runs — and, for a store without
+    /// a bank, a fresh run-scoped one; otherwise this store alone.
+    pub fn for_run(&self, clause_reuse: bool) -> (TieredStore, Option<OraclePool>) {
         let mut store = self.clone();
-        if store.bank.is_none() {
-            store.bank = Some(Arc::new(ClauseBank::new()));
+        if !clause_reuse {
+            return (store, None);
         }
-        ReuseCtx {
-            store: Arc::new(store),
-            pool: Arc::new(OraclePool::new()),
-        }
+        store.bank.get_or_insert_with(Arc::default);
+        (store, Some(OraclePool::new()))
     }
 
     /// Flushes dirty disk-tier entries (no-op without a disk tier);
@@ -506,22 +433,33 @@ impl TieredStore {
         }
     }
 
-    /// Convenience wrapper: looks up a solved result, translating to
-    /// the trait surface. Also reports whether the hit came from disk.
+    /// The solved result for `(fingerprint, op)` in `ns` (a result
+    /// namespace), and whether it came from disk.
     pub fn lookup_result(
         &self,
         ns: &Namespace,
         fingerprint: ConeFingerprint,
         op: GateOp,
     ) -> Option<(CachedResult, bool)> {
-        let hit = self.get(ns, &ArtifactKey::of(fingerprint, op))?;
-        match hit.artifact {
-            Artifact::Result(r) => Some((r, hit.from_disk)),
-            _ => None,
+        if let Some(hit) = self
+            .cache
+            .as_ref()
+            .and_then(|c| c.lookup(&ns.config, fingerprint, op))
+        {
+            return Some((hit, false));
         }
+        let key = ArtifactKey::of(fingerprint, op);
+        let Artifact::Result(r) = self.disk.as_ref()?.get(ns, &key)? else {
+            return None;
+        };
+        // Promote, so later twins hit tier 0 directly.
+        if let Some(cache) = &self.cache {
+            cache.insert(&ns.config, fingerprint, op, r.clone());
+        }
+        Some((r, true))
     }
 
-    /// Convenience wrapper: stores a definitive solved result.
+    /// Stores a definitive solved result on every tier.
     pub fn insert_result(
         &self,
         ns: &Namespace,
@@ -529,147 +467,117 @@ impl TieredStore {
         op: GateOp,
         value: CachedResult,
     ) {
-        self.put(
-            ns,
-            &ArtifactKey::of(fingerprint, op),
-            Artifact::Result(value),
-        );
+        if let Some(cache) = &self.cache {
+            cache.insert(&ns.config, fingerprint, op, value.clone());
+        }
+        if let Some(disk) = &self.disk {
+            disk.put(
+                ns,
+                &ArtifactKey::of(fingerprint, op),
+                Artifact::Result(value),
+            );
+        }
+    }
+
+    /// The best clause donor for `(fingerprint, op)`, and whether it
+    /// came from disk: a tier-0 exact donor, else an exact disk donor,
+    /// else a tier-0 cluster donor.
+    pub fn lookup_clauses(
+        &self,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+    ) -> Option<(BankHit, bool)> {
+        let tier0 = self.bank.as_ref().and_then(|b| b.lookup(fingerprint, op));
+        if tier0.as_ref().is_some_and(|hit| hit.exact) {
+            return tier0.map(|hit| (hit, false));
+        }
+        // No exact tier-0 donor: an exact disk donor beats a tier-0
+        // cluster hit (verbatim import needs no vetting).
+        let key = ArtifactKey::of(fingerprint, op);
+        if let Some(Artifact::Clauses(export)) =
+            self.disk.as_ref().and_then(|d| d.get(&CLAUSES, &key))
+        {
+            if let Some(bank) = &self.bank {
+                bank.donate(fingerprint, op, Arc::clone(&export));
+            }
+            return Some((
+                BankHit {
+                    export,
+                    exact: true,
+                },
+                true,
+            ));
+        }
+        tier0.map(|hit| (hit, false))
+    }
+
+    /// Donates a completed session's clause snapshot to every tier.
+    /// Empty snapshots are dropped: in the bank they could only evict
+    /// something useful, and on disk one would claim the key (first
+    /// writer wins) and block a later sibling's real clauses forever.
+    pub fn donate(&self, fingerprint: ConeFingerprint, op: GateOp, export: Arc<LearntExport>) {
+        if export.is_empty() {
+            return;
+        }
+        if let Some(disk) = &self.disk {
+            let key = ArtifactKey::of(fingerprint, op);
+            let value = Artifact::Clauses(Arc::clone(&export));
+            disk.put(&CLAUSES, &key, value);
+        }
+        if let Some(bank) = &self.bank {
+            bank.donate(fingerprint, op, export);
+        }
+    }
+
+    /// The recorded verdict of probing `(fingerprint, op)` at `target`
+    /// in `ns` (a probe namespace), and whether it came from disk.
+    /// Targets [`pack_target`] cannot encode skip the store.
+    pub fn lookup_probe(
+        &self,
+        ns: &Namespace,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+        target: Target,
+    ) -> Option<(ProbeVerdict, bool)> {
+        let key = ArtifactKey::probe(fingerprint, op, target)?;
+        if let Some(v) = self
+            .bank
+            .as_ref()
+            .and_then(|b| b.lookup_probe(&ns.config, fingerprint, op, target))
+        {
+            return Some((v, false));
+        }
+        let Artifact::Probe(v) = self.disk.as_ref()?.get(ns, &key)? else {
+            return None;
+        };
+        if let Some(bank) = &self.bank {
+            bank.record_probe(&ns.config, fingerprint, op, target, v.clone());
+        }
+        Some((v, true))
+    }
+
+    /// Records a definitive probe verdict on every tier.
+    pub fn record_probe(
+        &self,
+        ns: &Namespace,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+        target: Target,
+        verdict: ProbeVerdict,
+    ) {
+        let Some(key) = ArtifactKey::probe(fingerprint, op, target) else {
+            return;
+        };
+        if let Some(bank) = &self.bank {
+            bank.record_probe(&ns.config, fingerprint, op, target, verdict.clone());
+        }
+        if let Some(disk) = &self.disk {
+            disk.put(ns, &key, Artifact::Probe(verdict));
+        }
     }
 }
 
 impl ArtifactStore for TieredStore {
-    fn get(&self, ns: &Namespace, key: &ArtifactKey) -> Option<StoreHit> {
-        match ns.kind {
-            ArtifactKind::Result => {
-                let cache_key = ns.cache_key(key)?;
-                if let Some(cache) = &self.cache {
-                    if let Some(hit) = cache.lookup(&cache_key) {
-                        return Some(StoreHit {
-                            artifact: Artifact::Result(hit),
-                            from_disk: false,
-                        });
-                    }
-                }
-                let disk = self.disk.as_ref()?;
-                let value = disk.get(ns, key)?;
-                let Artifact::Result(r) = &value else {
-                    return None;
-                };
-                // Promote, so later twins hit tier 0 directly.
-                if let Some(cache) = &self.cache {
-                    cache.insert(cache_key, r.clone());
-                }
-                self.disk_result_hits.fetch_add(1, Ordering::Relaxed);
-                Some(StoreHit {
-                    artifact: value,
-                    from_disk: true,
-                })
-            }
-            ArtifactKind::Clauses => {
-                let bank_hit = self
-                    .bank
-                    .as_ref()
-                    .and_then(|b| b.lookup(key.fingerprint, key.op));
-                if let Some(hit) = &bank_hit {
-                    if hit.exact {
-                        return Some(StoreHit {
-                            artifact: Artifact::Clauses(ClausePayload {
-                                export: Arc::clone(&hit.export),
-                                exact: true,
-                            }),
-                            from_disk: false,
-                        });
-                    }
-                }
-                // No exact tier-0 donor: an exact disk donor beats a
-                // tier-0 cluster hit (verbatim import needs no vetting).
-                if let Some(disk) = &self.disk {
-                    if let Some(Artifact::Clauses(payload)) = disk.get(ns, key) {
-                        if let Some(bank) = &self.bank {
-                            bank.donate(key.fingerprint, key.op, (*payload.export).clone());
-                        }
-                        self.disk_clause_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(StoreHit {
-                            artifact: Artifact::Clauses(payload),
-                            from_disk: true,
-                        });
-                    }
-                }
-                let hit = bank_hit?;
-                Some(StoreHit {
-                    artifact: Artifact::Clauses(ClausePayload {
-                        export: hit.export,
-                        exact: false,
-                    }),
-                    from_disk: false,
-                })
-            }
-            ArtifactKind::Probe => {
-                let Tier0Ctx::Probe { cfg } = &ns.tier0 else {
-                    return None;
-                };
-                let target = unpack_target(key.aux)?;
-                if let Some(bank) = &self.bank {
-                    if let Some(v) = bank.lookup_probe(key.fingerprint, key.op, *cfg, target) {
-                        return Some(StoreHit {
-                            artifact: Artifact::Probe(v),
-                            from_disk: false,
-                        });
-                    }
-                }
-                let disk = self.disk.as_ref()?;
-                let value = disk.get(ns, key)?;
-                let Artifact::Probe(v) = &value else {
-                    return None;
-                };
-                if let Some(bank) = &self.bank {
-                    bank.record_probe(key.fingerprint, key.op, *cfg, target, v.clone());
-                }
-                self.disk_probe_hits.fetch_add(1, Ordering::Relaxed);
-                Some(StoreHit {
-                    artifact: value,
-                    from_disk: true,
-                })
-            }
-        }
-    }
-
-    fn put(&self, ns: &Namespace, key: &ArtifactKey, value: Artifact) {
-        match (&value, ns.kind) {
-            (Artifact::Result(r), ArtifactKind::Result) => {
-                if let (Some(cache), Some(cache_key)) = (&self.cache, ns.cache_key(key)) {
-                    cache.insert(cache_key, r.clone());
-                }
-            }
-            (Artifact::Clauses(p), ArtifactKind::Clauses) => {
-                if let Some(bank) = &self.bank {
-                    bank.donate(key.fingerprint, key.op, (*p.export).clone());
-                }
-            }
-            (Artifact::Probe(v), ArtifactKind::Probe) => {
-                if let (Some(bank), Tier0Ctx::Probe { cfg }, Some(target)) =
-                    (&self.bank, &ns.tier0, unpack_target(key.aux))
-                {
-                    bank.record_probe(key.fingerprint, key.op, *cfg, target, v.clone());
-                }
-            }
-            // Kind/value mismatch: a caller bug, but never corrupt a
-            // tier over it.
-            _ => return,
-        }
-        // Mirror the bank's drop-empty rule on disk: persisting an
-        // empty donation would claim the key (first writer wins) and
-        // block a later sibling's real clauses forever.
-        if let Artifact::Clauses(p) = &value {
-            if p.export.is_empty() {
-                return;
-            }
-        }
-        if let Some(disk) = &self.disk {
-            disk.put(ns, key, value);
-        }
-    }
-
     fn scan(&self, ns: &Namespace, f: &mut dyn FnMut(&ArtifactKey, &Artifact)) {
         if let Some(disk) = &self.disk {
             disk.scan(ns, f);
@@ -693,9 +601,6 @@ const MAX_RECORD_LEN: u32 = 1 << 28;
 
 /// Filename extension of store files.
 pub const STORE_EXT: &str = "stepstore";
-
-/// Identity of one namespace inside the disk tier.
-type NsId = (ArtifactKind, String);
 
 /// The on-disk key: the fingerprint fields plus operator and aux word
 /// (no `GateOp`/`ConeFingerprint` so the codec is self-contained).
@@ -723,21 +628,17 @@ fn artifact_key(k: &DiskKey) -> Option<ArtifactKey> {
     })
 }
 
-fn op_tag(op: GateOp) -> u8 {
-    match op {
-        GateOp::Or => 0,
-        GateOp::And => 1,
-        GateOp::Xor => 2,
-    }
+/// An operator's tag: its index in [`GateOp::ALL`] (store records
+/// persist it; the clause bank shards by it).
+pub(crate) fn op_tag(op: GateOp) -> u8 {
+    GateOp::ALL
+        .iter()
+        .position(|&o| o == op)
+        .unwrap_or_default() as u8
 }
 
 fn op_from_tag(tag: u8) -> Option<GateOp> {
-    match tag {
-        0 => Some(GateOp::Or),
-        1 => Some(GateOp::And),
-        2 => Some(GateOp::Xor),
-        _ => None,
-    }
+    GateOp::ALL.get(usize::from(tag)).copied()
 }
 
 /// One namespace's loaded entries plus the records appended since the
@@ -747,6 +648,10 @@ struct NsState {
     entries: HashMap<DiskKey, Artifact>,
     dirty: Vec<(DiskKey, Artifact)>,
 }
+
+/// Every namespace's state, per artifact kind (indexed by tag), by
+/// config string — so a lookup borrows the namespace's `&str`.
+type Namespaces = [HashMap<Arc<str>, NsState>; 3];
 
 /// Vets a store directory before any work starts: `dir` must be (or
 /// become) a writable directory. Front ends run this on `--cache-dir`
@@ -781,7 +686,9 @@ pub fn check_cache_dir(dir: &Path) -> io::Result<()> {
 /// the format and the corruption-tolerance rules.
 pub struct DiskTier {
     dir: PathBuf,
-    state: Mutex<HashMap<NsId, NsState>>,
+    state: Mutex<Namespaces>,
+    /// Lookups served, per artifact kind (indexed by tag).
+    hits: [AtomicU64; 3],
     loaded_records: AtomicU64,
     corrupt_records: AtomicU64,
     flushed_records: AtomicU64,
@@ -811,7 +718,8 @@ impl DiskTier {
         fs::create_dir_all(dir)?;
         let tier = DiskTier {
             dir: dir.to_owned(),
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::default(),
+            hits: Default::default(),
             loaded_records: AtomicU64::new(0),
             corrupt_records: AtomicU64::new(0),
             flushed_records: AtomicU64::new(0),
@@ -843,7 +751,7 @@ impl DiskTier {
 
     /// Parses one store file into `state`, stopping at the first
     /// damaged record and counting it.
-    fn load_file(&self, bytes: &[u8], state: &mut HashMap<NsId, NsState>) {
+    fn load_file(&self, bytes: &[u8], state: &mut Namespaces) {
         let mut r = Reader { buf: bytes, at: 0 };
         let header = (|| {
             let magic = r.take(8)?;
@@ -862,7 +770,7 @@ impl DiskTier {
             self.corrupt_records.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let ns = state.entry((kind, config)).or_default();
+        let ns = state[kind as usize].entry(Arc::from(config)).or_default();
         while r.at < r.buf.len() {
             let record = (|| {
                 let len = r.u32()?;
@@ -890,18 +798,18 @@ impl DiskTier {
         }
     }
 
-    fn ns_id(ns: &Namespace) -> NsId {
-        (ns.kind, ns.config.as_str().to_owned())
-    }
-
-    /// The artifact stored under `key`, if any.
+    /// The artifact stored under `key`, if any (counted as a hit of
+    /// its kind).
     fn get(&self, ns: &Namespace, key: &ArtifactKey) -> Option<Artifact> {
+        let tag = ns.kind as usize;
         let state = self.state.lock().expect("disk tier poisoned");
-        state
-            .get(&Self::ns_id(ns))?
+        let value = state[tag]
+            .get(ns.config.as_str())?
             .entries
             .get(&disk_key(key))
-            .cloned()
+            .cloned()?;
+        self.hits[tag].fetch_add(1, Ordering::Relaxed);
+        Some(value)
     }
 
     /// Stores `value` under `key` (first writer wins: an already
@@ -910,7 +818,9 @@ impl DiskTier {
     /// output independent of completion order).
     fn put(&self, ns: &Namespace, key: &ArtifactKey, value: Artifact) {
         let mut state = self.state.lock().expect("disk tier poisoned");
-        let entry = state.entry(Self::ns_id(ns)).or_default();
+        let entry = state[ns.kind as usize]
+            .entry(Arc::clone(&ns.config.0))
+            .or_default();
         let dk = disk_key(key);
         if entry.entries.contains_key(&dk) {
             return;
@@ -923,7 +833,7 @@ impl DiskTier {
     /// for stats and merge tooling).
     fn scan(&self, ns: &Namespace, f: &mut dyn FnMut(&ArtifactKey, &Artifact)) {
         let state = self.state.lock().expect("disk tier poisoned");
-        let Some(entry) = state.get(&Self::ns_id(ns)) else {
+        let Some(entry) = state[ns.kind as usize].get(ns.config.as_str()) else {
             return;
         };
         let mut keys: Vec<&DiskKey> = entry.entries.keys().collect();
@@ -949,11 +859,15 @@ impl DiskTier {
     pub fn flush(&self) -> io::Result<u64> {
         let mut state = self.state.lock().expect("disk tier poisoned");
         let mut written = 0u64;
-        for ((kind, config), ns) in state.iter_mut() {
+        for (kind, config, ns) in ArtifactKind::ALL
+            .into_iter()
+            .zip(state.iter_mut())
+            .flat_map(|(kind, map)| map.iter_mut().map(move |(c, ns)| (kind, c, ns)))
+        {
             if ns.dirty.is_empty() {
                 continue;
             }
-            let path = self.dir.join(store_file_name(*kind, config));
+            let path = self.dir.join(store_file_name(kind, config));
             let mut file = fs::OpenOptions::new()
                 .read(true)
                 .append(true)
@@ -965,7 +879,7 @@ impl DiskTier {
                 let mut header = Vec::new();
                 header.extend_from_slice(MAGIC);
                 header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-                header.push(kind.tag());
+                header.push(kind as u8);
                 let cfg = config.as_bytes();
                 header.extend_from_slice(&(cfg.len() as u32).to_le_bytes());
                 header.extend_from_slice(cfg);
@@ -981,7 +895,7 @@ impl DiskTier {
                 let mut r = Reader { buf: &rest, at: 0 };
                 let ok = existing_header == *MAGIC
                     && r.u32() == Some(FORMAT_VERSION)
-                    && r.u8() == Some(kind.tag())
+                    && r.u8() == Some(kind as u8)
                     && r.u32() == Some(config.len() as u32)
                     && r.take(config.len()) == Some(config.as_bytes());
                 if !ok {
@@ -1016,16 +930,18 @@ impl DiskTier {
         let other_state = other.state.lock().expect("disk tier poisoned");
         let mut state = self.state.lock().expect("disk tier poisoned");
         let mut adopted = 0u64;
-        for (id, src) in other_state.iter() {
-            let dst = state.entry(id.clone()).or_default();
-            let mut keys: Vec<&DiskKey> = src.entries.keys().collect();
-            keys.sort();
-            for dk in keys {
-                if !dst.entries.contains_key(dk) {
-                    let value = src.entries[dk].clone();
-                    dst.entries.insert(*dk, value.clone());
-                    dst.dirty.push((*dk, value));
-                    adopted += 1;
+        for (dst_kind, src_kind) in state.iter_mut().zip(other_state.iter()) {
+            for (config, src) in src_kind {
+                let dst = dst_kind.entry(Arc::clone(config)).or_default();
+                let mut keys: Vec<&DiskKey> = src.entries.keys().collect();
+                keys.sort();
+                for dk in keys {
+                    if !dst.entries.contains_key(dk) {
+                        let value = src.entries[dk].clone();
+                        dst.entries.insert(*dk, value.clone());
+                        dst.dirty.push((*dk, value));
+                        adopted += 1;
+                    }
                 }
             }
         }
@@ -1036,18 +952,26 @@ impl DiskTier {
     /// sorted for stable reporting.
     pub fn summaries(&self) -> Vec<(ArtifactKind, String, usize)> {
         let state = self.state.lock().expect("disk tier poisoned");
-        let mut out: Vec<(ArtifactKind, String, usize)> = state
-            .iter()
-            .map(|((kind, config), ns)| (*kind, config.clone(), ns.entries.len()))
+        let mut out: Vec<(ArtifactKind, String, usize)> = ArtifactKind::ALL
+            .into_iter()
+            .zip(state.iter())
+            .flat_map(|(kind, map)| {
+                map.iter()
+                    .map(move |(config, ns)| (kind, config.to_string(), ns.entries.len()))
+            })
             .collect();
-        out.sort_by(|a, b| (a.0.tag(), &a.1).cmp(&(b.0.tag(), &b.1)));
+        out.sort_by(|a, b| (a.0 as u8, &a.1).cmp(&(b.0 as u8, &b.1)));
         out
     }
 
     /// Entries currently resident across all namespaces.
     pub fn len(&self) -> usize {
         let state = self.state.lock().expect("disk tier poisoned");
-        state.values().map(|ns| ns.entries.len()).sum()
+        state
+            .iter()
+            .flat_map(|map| map.values())
+            .map(|ns| ns.entries.len())
+            .sum()
     }
 
     /// Whether the tier holds no entries.
@@ -1211,8 +1135,8 @@ fn encode_record(dk: &DiskKey, value: &Artifact) -> Vec<u8> {
                 encode_classes(&mut out, classes);
             }
         }
-        Artifact::Clauses(p) => {
-            encode_export(&mut out, &p.export);
+        Artifact::Clauses(export) => {
+            encode_export(&mut out, export);
             // A zero flag byte: in older stores a 1 here announced a
             // second (counterexample-check) snapshot, so the byte stays
             // for those stores to keep loading under `FORMAT_VERSION` 1.
@@ -1267,10 +1191,7 @@ fn decode_record(kind: ArtifactKind, payload: &[u8]) -> Option<(DiskKey, Artifac
                 }
                 _ => return None,
             }
-            Artifact::Clauses(ClausePayload {
-                export: Arc::new(export),
-                exact: true,
-            })
+            Artifact::Clauses(Arc::new(export))
         }
         ArtifactKind::Probe => {
             unpack_target(dk.4)?;
@@ -1379,7 +1300,6 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::spec::Model;
-    use step_sat::RestartPolicy;
 
     fn fp(hash: u128) -> ConeFingerprint {
         ConeFingerprint {
@@ -1406,13 +1326,8 @@ mod tests {
         }
     }
 
-    fn probe_cfg() -> ProbeCfg {
-        ProbeCfg {
-            symmetry_breaking: true,
-            allow_both: false,
-            restarts: RestartPolicy::Luby,
-            preprocess: false,
-        }
+    fn probe_ns() -> Namespace {
+        Namespace::probes(&DecompConfig::new(Model::QbfDisjoint))
     }
 
     /// Result namespaces name persisted store files, so the model names
@@ -1497,7 +1412,7 @@ mod tests {
         let config = DecompConfig::new(Model::QbfDisjoint);
         let rns = Namespace::results(&config);
         let cns = Namespace::clauses();
-        let pns = Namespace::probes(probe_cfg());
+        let pns = probe_ns();
         {
             let tier = DiskTier::open(&dir).unwrap();
             tier.put(
@@ -1508,10 +1423,7 @@ mod tests {
             tier.put(
                 &cns,
                 &ArtifactKey::of(fp(2), GateOp::And),
-                Artifact::Clauses(ClausePayload {
-                    export: Arc::new(export(3)),
-                    exact: true,
-                }),
+                Artifact::Clauses(Arc::new(export(3))),
             );
             let pk = ArtifactKey::probe(fp(5), GateOp::Or, Target::DisjointAtMost(2)).unwrap();
             tier.put(&pns, &pk, Artifact::Probe(ProbeVerdict::Infeasible));
@@ -1526,10 +1438,9 @@ mod tests {
             other => panic!("expected result, got {other:?}"),
         }
         match tier.get(&cns, &ArtifactKey::of(fp(2), GateOp::And)) {
-            Some(Artifact::Clauses(p)) => {
-                assert_eq!(p.export.clauses, export(3).clauses);
-                assert_eq!(p.export.activities, export(3).activities);
-                assert!(p.exact);
+            Some(Artifact::Clauses(export3)) => {
+                assert_eq!(export3.clauses, export(3).clauses);
+                assert_eq!(export3.activities, export(3).activities);
             }
             other => panic!("expected clauses, got {other:?}"),
         }
@@ -1559,21 +1470,13 @@ mod tests {
     fn clause_records_with_a_check_snapshot_still_load() {
         let dir = std::env::temp_dir().join(format!("step-store-legacy-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let ns = Namespace::clauses();
-        let key = ArtifactKey::of(fp(2), GateOp::And);
         {
-            let tier = DiskTier::open(&dir).unwrap();
-            tier.put(
-                &ns,
-                &key,
-                Artifact::Clauses(ClausePayload {
-                    export: Arc::new(export(3)),
-                    exact: true,
-                }),
-            );
-            tier.flush().unwrap();
+            let store = TieredStore::with_disk(None, None, &dir).unwrap();
+            store.donate(fp(2), GateOp::And, Arc::new(export(3)));
+            store.flush().unwrap();
         }
-        let config = ns.config_key().as_str();
+        let config = ConfigKey::clauses();
+        let config = config.as_str();
         let path = dir.join(store_file_name(ArtifactKind::Clauses, config));
         let bytes = fs::read(&path).unwrap();
         // Magic, version, kind tag, config length and string; then the
@@ -1597,14 +1500,11 @@ mod tests {
         let disk = store.disk().unwrap();
         assert_eq!(disk.loaded_records(), 1);
         assert_eq!(disk.corrupt_records(), 0);
-        match store.get(&ns, &key) {
-            Some(StoreHit {
-                artifact: Artifact::Clauses(p),
-                from_disk: true,
-            }) => {
-                assert_eq!(p.export.clauses, export(3).clauses);
-                assert_eq!(p.export.activities, export(3).activities);
-                assert!(p.exact);
+        match store.lookup_clauses(fp(2), GateOp::And) {
+            Some((hit, true)) => {
+                assert_eq!(hit.export.clauses, export(3).clauses);
+                assert_eq!(hit.export.activities, export(3).activities);
+                assert!(hit.exact);
             }
             other => panic!("expected the oracle export from disk, got {other:?}"),
         }
@@ -1776,25 +1676,18 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let config = DecompConfig::new(Model::QbfDisjoint);
         let rns = Namespace::results(&config);
-        let cns = Namespace::clauses();
-        let pns = Namespace::probes(probe_cfg());
+        let pns = probe_ns();
         {
             let seed = TieredStore::with_disk(None, None, &dir).unwrap();
-            seed.put(
-                &rns,
-                &ArtifactKey::of(fp(1), GateOp::Or),
-                Artifact::Result(result(true)),
+            seed.insert_result(&rns, fp(1), GateOp::Or, result(true));
+            seed.donate(fp(2), GateOp::Or, Arc::new(export(9)));
+            seed.record_probe(
+                &pns,
+                fp(3),
+                GateOp::Or,
+                Target::Any,
+                ProbeVerdict::Infeasible,
             );
-            seed.put(
-                &cns,
-                &ArtifactKey::of(fp(2), GateOp::Or),
-                Artifact::Clauses(ClausePayload {
-                    export: Arc::new(export(9)),
-                    exact: true,
-                }),
-            );
-            let pk = ArtifactKey::probe(fp(3), GateOp::Or, Target::Any).unwrap();
-            seed.put(&pns, &pk, Artifact::Probe(ProbeVerdict::Infeasible));
             seed.flush().unwrap();
         }
         let cache = Arc::new(ResultCache::new());
@@ -1802,23 +1695,23 @@ mod tests {
         let store = TieredStore::with_disk(Some(Arc::clone(&cache)), Some(Arc::clone(&bank)), &dir)
             .unwrap();
         // First lookup: disk. Second: tier 0 (promoted).
-        let key = ArtifactKey::of(fp(1), GateOp::Or);
-        assert!(store.get(&rns, &key).unwrap().from_disk);
-        assert!(!store.get(&rns, &key).unwrap().from_disk);
+        let result_from_disk = || store.lookup_result(&rns, fp(1), GateOp::Or).unwrap().1;
+        assert!(result_from_disk());
+        assert!(!result_from_disk());
         assert_eq!(store.disk_result_hits(), 1);
         assert_eq!(cache.len(), 1, "promotion lands in the cache");
-        let ckey = ArtifactKey::of(fp(2), GateOp::Or);
-        let hit = store.get(&cns, &ckey).unwrap();
-        assert!(hit.from_disk);
-        let Artifact::Clauses(p) = hit.artifact else {
-            panic!("clauses expected")
-        };
-        assert!(p.exact, "disk donors import verbatim");
-        assert!(!store.get(&cns, &ckey).unwrap().from_disk);
+        let (hit, from_disk) = store.lookup_clauses(fp(2), GateOp::Or).unwrap();
+        assert!(from_disk);
+        assert!(hit.exact, "disk donors import verbatim");
+        assert!(!store.lookup_clauses(fp(2), GateOp::Or).unwrap().1);
         assert_eq!(bank.exact_hits(), 1, "promotion lands in the bank");
-        let pk = ArtifactKey::probe(fp(3), GateOp::Or, Target::Any).unwrap();
-        assert!(store.get(&pns, &pk).unwrap().from_disk);
-        assert!(!store.get(&pns, &pk).unwrap().from_disk);
+        assert_eq!(store.disk_clause_hits(), 1);
+        let probe_from_disk = || {
+            let hit = store.lookup_probe(&pns, fp(3), GateOp::Or, Target::Any);
+            hit.unwrap().1
+        };
+        assert!(probe_from_disk());
+        assert!(!probe_from_disk());
         assert_eq!(store.disk_probe_hits(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1847,11 +1740,7 @@ mod tests {
         let config = DecompConfig::new(Model::QbfDisjoint);
         let ns = Namespace::results(&config);
         for h in [3u128, 1, 2] {
-            store.put(
-                &ns,
-                &ArtifactKey::of(fp(h), GateOp::Or),
-                Artifact::Result(result(true)),
-            );
+            store.insert_result(&ns, fp(h), GateOp::Or, result(true));
         }
         let mut seen = Vec::new();
         store.scan(&ns, &mut |key, _| seen.push(key.fingerprint.hash));

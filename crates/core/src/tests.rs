@@ -826,7 +826,7 @@ fn expired_deadline_short_circuits_before_any_solver_work() {
         deadline: Some(std::time::Instant::now()),
         work: None,
     });
-    let r = SolveSession::new(&aig, job, &config, None, None)
+    let r = SolveSession::new(&aig, job, &config, &Default::default(), None)
         .unwrap()
         .run()
         .unwrap();
@@ -841,9 +841,10 @@ fn expired_deadline_short_circuits_before_any_solver_work() {
 fn sessions_reuse_pooled_oracles_and_bank_exports() {
     use std::sync::Arc;
 
-    use crate::clause_bank::{BankLookup, ClauseBank, ReuseCtx};
+    use crate::clause_bank::{BankLookup, ClauseBank, OraclePool};
     use crate::job::OutputJob;
     use crate::session::SolveSession;
+    use crate::store::TieredStore;
 
     // maj3 is not OR-decomposable: proving that takes real conflicts,
     // so the oracle has tier-core clauses to donate.
@@ -858,33 +859,34 @@ fn sessions_reuse_pooled_oracles_and_bank_exports() {
     // pairs means no oracle work at all) — turn it off so the oracle
     // actually searches, conflicts, and has something to donate.
     config.sim_filter = false;
-    let reuse = ReuseCtx::over(Arc::new(ClauseBank::new()));
-    let run = |idx: usize, reuse: &ReuseCtx| {
+    let bank = Arc::new(ClauseBank::new());
+    let store = TieredStore::memory(None, Some(Arc::clone(&bank)));
+    let pool = OraclePool::new();
+    let run = |idx: usize, pool: &OraclePool| {
         let job = OutputJob::new(&config, idx, GateOp::Or);
-        SolveSession::new(&aig, job, &config, None, Some(reuse))
+        SolveSession::new(&aig, job, &config, &store, Some(pool))
             .unwrap()
             .run()
             .unwrap()
     };
 
-    let r0 = run(0, &reuse);
+    let r0 = run(0, &pool);
     assert_eq!(r0.bank, BankLookup::Miss, "empty bank, empty pool");
     assert!(r0.solved && r0.partition.is_none());
     assert!(r0.donated_clauses > 0, "the UNSAT proof pins clauses");
-    assert_eq!(reuse.bank().donations(), 1);
+    assert_eq!(bank.donations(), 1);
 
     // The twin takes over the parked oracle — no CNF rebuild, and its
     // sat_calls report only its own share.
-    let r1 = run(1, &reuse);
+    let r1 = run(1, &pool);
     assert_eq!(r1.bank, BankLookup::Pooled);
     assert_eq!(r1.partition, r0.partition, "reuse never changes answers");
     assert_eq!(r1.solved, r0.solved);
-    assert_eq!(reuse.pool.reuses(), 1);
+    assert_eq!(pool.reuses(), 1);
 
     // Same bank, fresh pool (a new submission): the donor's export now
     // serves the exact channel, imported verbatim.
-    let fresh_pool = ReuseCtx::over(Arc::clone(reuse.bank()));
-    let r2 = run(0, &fresh_pool);
+    let r2 = run(0, &OraclePool::new());
     assert_eq!(r2.bank, BankLookup::Exact);
     assert!(r2.imported_clauses > 0, "verbatim import from the donor");
     assert_eq!(r2.partition, r0.partition);
@@ -1110,17 +1112,21 @@ mod props {
         /// returned partition is valid (and extracts and verifies for
         /// the engine); every "not decomposable" has an empty ground set.
         ///
-        /// The engine models run three passes: clause reuse off, reuse
-        /// on over one shared store, and reuse on again against that
-        /// now-warm store. Every pass must return the reuse-off
-        /// partition, and the warm pass must replay every probe from
-        /// the ledger instead of solving it.
+        /// The engine models run four passes: clause reuse off; reuse
+        /// on over a shared bank with a disk tier; reuse on again
+        /// against that now-warm bank; and reuse on over the disk tier
+        /// alone, flushed to a directory and reopened in a new store.
+        /// Every pass must return the reuse-off partition. The warm
+        /// pass must replay every probe from the bank, and the disk
+        /// pass every probe from disk, solving none.
         #[test]
         fn engine_sound_and_complete(ops in arb_ops(), n in 4usize..=6) {
+            use std::sync::atomic::{AtomicUsize, Ordering};
             use std::sync::Arc;
             use crate::clause_bank::ClauseBank;
-            use crate::store::TieredStore;
+            use crate::store::{ArtifactKind, TieredStore};
 
+            static CASE: AtomicUsize = AtomicUsize::new(0);
             let (mut aig, f) = build_covering(&ops, n);
             if aig.support(f).len() != n {
                 return Ok(());
@@ -1133,26 +1139,54 @@ mod props {
                 (Model::QbfBalanced, Metric::Balancedness),
                 (Model::QbfCombined, Metric::Combined),
             ];
+            let dir = std::env::temp_dir().join(format!(
+                "step-ground-truth-{}-{}",
+                std::process::id(),
+                CASE.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
             let bank = Arc::new(ClauseBank::new());
-            let store = Arc::new(TieredStore::memory(None, Some(Arc::clone(&bank))));
+            let cold = Arc::new(TieredStore::with_disk(None, Some(Arc::clone(&bank)), &dir).unwrap());
+            let warm = Arc::new(TieredStore::memory(None, Some(Arc::clone(&bank))));
+            let mut disk = Arc::default();
             let mut reuse_off = Vec::new();
             let mut cold_records = 0;
-            for pass in ["reuse off", "reuse on", "warm store"] {
-                if pass == "warm store" {
-                    cold_records = bank.probe_records();
+            let (mut disk_probes, mut disk_iterations) = (0, 0);
+            for pass in ["reuse off", "reuse on", "warm store", "warm disk"] {
+                match pass {
+                    "warm store" => cold_records = bank.probe_records(),
+                    "warm disk" => {
+                        // Only the clause and probe logs stay: a stored
+                        // result would skip the search this pass checks.
+                        for entry in std::fs::read_dir(&dir).unwrap() {
+                            let path = entry.unwrap().path();
+                            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                            if name.starts_with(ArtifactKind::Result.label()) {
+                                std::fs::remove_file(&path).unwrap();
+                            }
+                        }
+                        disk = Arc::new(TieredStore::with_disk(None, None, &dir).unwrap());
+                    }
+                    _ => {}
                 }
                 let mut run = 0;
                 for (&op, ground) in GateOp::ALL.iter().zip(&grounds) {
                     let optimum = |metric: Metric| ground.iter().map(|g| metric.k_of(g)).min();
                     for (model, metric) in models {
-                        let reuse = pass != "reuse off";
                         let mut config = DecompConfig::new(model);
-                        config.clause_reuse = reuse;
+                        config.clause_reuse = pass != "reuse off";
                         let mut engine = BiDecomposer::new(config);
-                        if reuse {
-                            engine.set_store(Arc::clone(&store));
+                        match pass {
+                            "reuse on" => engine.set_store(Arc::clone(&cold)),
+                            "warm store" => engine.set_store(Arc::clone(&warm)),
+                            "warm disk" => engine.set_store(Arc::clone(&disk)),
+                            _ => {}
                         }
                         let r = engine.decompose_output(&aig, 0, op).unwrap();
+                        if pass == "warm disk" {
+                            disk_probes += u64::from(r.qbf_calls);
+                            disk_iterations += r.cegar_iterations;
+                        }
                         match &r.partition {
                             Some(p) => {
                                 prop_assert!(
@@ -1190,10 +1224,20 @@ mod props {
                     }
                 }
             }
+            let _ = std::fs::remove_dir_all(&dir);
             prop_assert_eq!(
                 bank.probe_records(), cold_records,
                 "the warm pass solved a probe instead of replaying it"
             );
+            prop_assert_eq!(
+                disk_probes, cold_records,
+                "the disk pass probed other targets than the cold pass"
+            );
+            prop_assert_eq!(
+                disk.disk_probe_hits(), disk_probes,
+                "the disk pass looked a probe up elsewhere than on disk"
+            );
+            prop_assert_eq!(disk_iterations, 0, "the disk pass solved a probe");
             for (&op, ground) in GateOp::ALL.iter().zip(&grounds) {
                 let optimum = |metric: Metric| ground.iter().map(|g| metric.k_of(g)).min();
                 let core = CoreFormula::build(&aig, f, op);

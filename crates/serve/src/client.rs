@@ -17,7 +17,7 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 
-use step_core::{GateOp, Model};
+use step_core::{GateOp, Model, RestartPolicy};
 
 use crate::flag::{parsed_or_exit, Args};
 use crate::frame::{read_frame, write_frame};
@@ -52,7 +52,8 @@ struct ClientCli {
 }
 
 /// The `step client` flags; `Ok(None)` on `--help`. Restart policies
-/// and budget specs travel as written: the server validates them.
+/// and budget specs are checked here, as `step` checks them, and travel
+/// as written.
 fn parse_args(args: &[String]) -> Result<Option<ClientCli>, String> {
     let mut cli = ClientCli {
         addr: String::new(),
@@ -77,11 +78,14 @@ fn parse_args(args: &[String]) -> Result<Option<ClientCli>, String> {
             "--model" => cli.model = args.model()?,
             "--op" => cli.op = args.op()?,
             "--seed" => cli.seed = Some(args.parse()?),
-            "--sat-restarts" => cli.sat_restarts = Some(args.value()?.to_owned()),
+            "--sat-restarts" => {
+                let policy = args.vetted(Args::parse::<RestartPolicy>)?;
+                cli.sat_restarts = Some(policy.to_owned());
+            }
             "--sat-preprocess" => cli.sat_preprocess = true,
-            "--budget" => cli.budget = Some(args.value()?.to_owned()),
-            "--circuit-budget" => cli.circuit_budget = Some(args.value()?.to_owned()),
-            "--qbf-budget" => cli.qbf_budget = Some(args.value()?.to_owned()),
+            "--budget" => cli.budget = Some(args.vetted(Args::budget)?.to_owned()),
+            "--circuit-budget" => cli.circuit_budget = Some(args.vetted(Args::budget)?.to_owned()),
+            "--qbf-budget" => cli.qbf_budget = Some(args.vetted(Args::budget)?.to_owned()),
             "--deadline-ms" => cli.deadline_ms = Some(args.parse()?),
             "--no-timing" => cli.no_timing = true,
             "--shutdown" => cli.shutdown = true,

@@ -135,6 +135,22 @@ impl<'a> Args<'a> {
         })
     }
 
+    /// The flag's value as written, once `read` accepts it — for a
+    /// front end that forwards the text (the client's budget specs and
+    /// restart policy) but should refuse a bad value as `step` does.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `read` reports.
+    pub(crate) fn vetted<T>(
+        &mut self,
+        read: fn(&mut Self) -> Result<T, String>,
+    ) -> Result<&'a str, String> {
+        let at = self.next;
+        read(self)?;
+        Ok(self.args[at].as_str())
+    }
+
     /// The flag's value as a store directory, vetted by
     /// [`check_cache_dir`] before any work starts: a bad path is a
     /// usage error up front, never a failure after solving or after a
@@ -345,6 +361,15 @@ mod tests {
         );
         let budget = err(&["--budget", "60"], &|a| a.budget().map(drop));
         assert!(budget.starts_with("--budget: bad budget `60`"), "{budget}");
+        // Vetted values pass on as typed, and fail as their reader does.
+        assert_eq!(
+            on_flag(&strings(&["--budget", "work:200k"])).vetted(Args::budget),
+            Ok("work:200k")
+        );
+        assert_eq!(
+            err(&["--budget", "60"], &|a| a.vetted(Args::budget).map(drop)),
+            budget
+        );
         assert_eq!(
             on_flag(&strings(&["--model", "qdb"])).model(),
             Ok(Model::QbfCombined)

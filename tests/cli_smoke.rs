@@ -201,7 +201,9 @@ fn front_ends_share_the_help_and_usage_error_convention() {
             let stdout = String::from_utf8(out.stdout).unwrap();
             assert!(stdout.starts_with(usage), "{prefix:?} {help}: {stdout}");
         }
-        for bad in [&["--jobs", "0"][..], &["--jobs"]] {
+        // A bad value is refused before any work starts: `step client`
+        // checks the budget specs it forwards before it connects.
+        for bad in [&["--jobs", "0"][..], &["--jobs"], &["--budget", "60"]] {
             let out = run(step().args(prefix).args(bad));
             assert_eq!(out.status.code(), Some(2), "{prefix:?} {bad:?}");
             assert!(
@@ -211,7 +213,10 @@ fn front_ends_share_the_help_and_usage_error_convention() {
             let stderr = String::from_utf8(out.stderr).unwrap();
             let mut lines = stderr.lines();
             let why = lines.next().unwrap_or_default();
-            assert!(why.starts_with("--jobs: "), "{prefix:?} {bad:?}: {stderr}");
+            assert!(
+                why.starts_with(&format!("{}: ", bad[0])),
+                "{prefix:?} {bad:?}: {stderr}"
+            );
             assert!(
                 lines.next().is_some_and(|l| l.starts_with(usage)),
                 "{prefix:?} {bad:?}: {stderr}"
