@@ -2,7 +2,7 @@
 //!
 //! The workload is the twin-heavy population `gen_circuit --copies
 //! --shared-substructure` plants: permuted copies (identical canonical
-//! cones — the exact channel and oracle pool reuse these verbatim) and
+//! cones — the exact channel reuses these verbatim) and
 //! near-twins (same support, shared subcones, different fingerprint —
 //! served by the vetted cluster channel). Runs are uncached so the
 //! measurement isolates the clause bank from the result cache, which
@@ -42,8 +42,8 @@ fn run(aig: &Aig, reuse: bool, bank: Option<Arc<ClauseBank>>) {
 }
 
 /// Reuse on vs off, fresh bank every iteration: what one cold
-/// whole-circuit run gains from its own internal donations (pool,
-/// exact and cluster channels all start empty).
+/// whole-circuit run gains from its own internal donations (exact and
+/// cluster channels both start empty).
 fn bench_reuse_on_vs_off(c: &mut Criterion) {
     let mut g = c.benchmark_group("clause_reuse");
     g.sample_size(10);

@@ -104,7 +104,7 @@ fn bench_sat(c: &mut Criterion) {
 
 /// A seeded wide cone, Tseitin-encoded: `inputs` primary inputs
 /// feeding random AND/XOR gates, with the negated root asserted — the
-/// shape of the `ExistsForall` check solver, which looks for an input
+/// shape of the QBF models' CEGAR check solver, which looks for an input
 /// assignment falsifying the cone under a candidate partition.
 struct WideCone {
     inputs: usize,

@@ -21,7 +21,7 @@ use std::time::Duration;
 use step_circuits::{CircuitEntry, Scale};
 use step_core::{
     BiDecomposer, Budget, BudgetPolicy, CircuitResult, DecompConfig, GateOp, Model, OutputResult,
-    RestartPolicy, StepService, SubmissionHandle, TieredStore,
+    RestartPolicy, StepService, SubmissionHandle, SubmitOptions, TieredStore,
 };
 use step_serve::flag::{parsed_or_exit, Args, ReuseOpts};
 use step_serve::json::{self, Value};
@@ -323,7 +323,12 @@ pub fn submit_sweep_entry(
         .expect("stand-in circuits convert combinationally");
     Model::ALL.map(|m| {
         service
-            .submit_shared(Arc::clone(&aig), opts.op, opts.config(m))
+            .submit_with(
+                Arc::clone(&aig),
+                opts.op,
+                opts.config(m),
+                SubmitOptions::default(),
+            )
             .expect("stand-in circuits are well-formed")
     })
 }
@@ -598,8 +603,8 @@ pub struct BenchRecord {
     /// Scheduling-dependent under `jobs > 1` — see
     /// [`cache_hits`](BenchRecord::cache_hits).
     pub cache_misses: u64,
-    /// Outputs seeded by the clause bank or a pooled sibling oracle in
-    /// this run (0 with reuse off). Scheduling-dependent under
+    /// Outputs seeded by the clause bank in this run (0 with reuse
+    /// off). Scheduling-dependent under
     /// `jobs > 1` — which sibling completes first decides who donates
     /// and who imports — see [`cache_hits`](BenchRecord::cache_hits).
     pub bank_hits: u64,
@@ -1295,7 +1300,7 @@ mod tests {
         // vs off gives byte-identical verdicts and partitions at any
         // worker count — only the work counters move. The circuit
         // carries both reuse populations: permuted copies (exact
-        // channel / oracle pool) and near-twins (cluster channel).
+        // channel) and near-twins (cluster channel).
         let e = &registry_table1()[16]; // mm9a: small
         let base = e.build(Scale::Smoke);
         let aig = step_circuits::with_shared_substructure(

@@ -255,10 +255,23 @@ impl ResultCache {
         op: GateOp,
         value: CachedResult,
     ) {
-        let key = (config.clone(), fingerprint, op);
-        if self.map.insert(fingerprint.hash as usize, key, value) {
+        if self.promote(config, fingerprint, op, value) {
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// [`insert`](ResultCache::insert) without counting: the store
+    /// copies disk-tier hits in here, which are not new solves. Returns
+    /// whether the key was new.
+    pub(crate) fn promote(
+        &self,
+        config: &ConfigKey,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+        value: CachedResult,
+    ) -> bool {
+        let key = (config.clone(), fingerprint, op);
+        self.map.insert(fingerprint.hash as usize, key, value)
     }
 
     /// Cache hits since creation.

@@ -1,6 +1,5 @@
 //! Cross-output clause reuse: the sharded [`ClauseBank`] of donated
-//! learnt clauses and the per-submission [`OraclePool`] of live
-//! incremental oracles.
+//! learnt clauses and probe certificates.
 //!
 //! Sessions solve every cone in *canonical* input order (PR 3), so a
 //! [`PartitionOracle`]'s CNF is a pure function of
@@ -62,6 +61,10 @@
 //! contract. The [`PartitionOracle`] is safe to seed because every
 //! model's search consumes only its SAT/UNSAT verdicts. The QBF models
 //! reuse work through probe certificates instead.
+//!
+//! [`PartitionOracle`]: crate::oracle::PartitionOracle
+//! [`PartitionOracle::import_learnts`]: crate::oracle::PartitionOracle::import_learnts
+//! [`PartitionOracle::import_vetted`]: crate::oracle::PartitionOracle::import_vetted
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -73,7 +76,6 @@ use step_aig::ConeFingerprint;
 use step_sat::LearntExport;
 
 use crate::cache::{ClockMap, NUM_SHARDS};
-use crate::oracle::PartitionOracle;
 use crate::partition::VarClass;
 use crate::qbf_model::Target;
 use crate::spec::{DecompConfig, GateOp};
@@ -81,9 +83,6 @@ use crate::store::{op_tag, ConfigKey, Namespace, TieredStore};
 
 /// Donors retained per `(op, support)` cluster ring.
 const CLUSTER_DONORS: usize = 4;
-
-/// Live oracles retained per [`OraclePool`].
-const POOL_CAPACITY: usize = 32;
 
 /// Probe certificates retained per shard (FIFO beyond this).
 const PROBES_PER_SHARD: usize = 4096;
@@ -110,8 +109,7 @@ pub struct BankHit {
     pub exact: bool,
 }
 
-/// How one output's solve interacted with the clause bank and oracle
-/// pool.
+/// How one output's solve interacted with the clause bank.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BankLookup {
     /// Clause reuse disabled, or the output never reached the bank
@@ -124,18 +122,12 @@ pub enum BankLookup {
     Exact,
     /// Seeded from a near-twin donor after per-clause vetting.
     Cluster,
-    /// Re-used a live pooled oracle from a sibling with the same
-    /// fingerprint — no rebuild, no bank lookup needed.
-    Pooled,
 }
 
 impl BankLookup {
     /// Whether this output was seeded or re-used at all.
     pub fn is_hit(self) -> bool {
-        matches!(
-            self,
-            BankLookup::Exact | BankLookup::Cluster | BankLookup::Pooled
-        )
+        matches!(self, BankLookup::Exact | BankLookup::Cluster)
     }
 }
 
@@ -301,6 +293,19 @@ impl ClauseBank {
         if export.is_empty() {
             return;
         }
+        self.promote(fingerprint, op, export);
+        self.donations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// [`donate`](ClauseBank::donate) without counting: the store
+    /// copies disk-tier donors in here, which no session of this run
+    /// donated.
+    pub(crate) fn promote(
+        &self,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+        export: Arc<LearntExport>,
+    ) {
         {
             // Cluster channel: newest donor at the back, one entry per
             // fingerprint (a re-donation refreshes in place).
@@ -317,7 +322,6 @@ impl ClauseBank {
             BankKey { fingerprint, op },
             export,
         );
-        self.donations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Finds the best donor for `(fingerprint, op)`: the exact channel
@@ -359,6 +363,21 @@ impl ClauseBank {
         target: Target,
         verdict: ProbeVerdict,
     ) {
+        self.promote_probe(config, fingerprint, op, target, verdict);
+        self.probe_records.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// [`record_probe`](ClauseBank::record_probe) without counting: the
+    /// store copies disk-tier certificates in here, which no session of
+    /// this run recorded.
+    pub(crate) fn promote_probe(
+        &self,
+        config: &ConfigKey,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+        target: Target,
+        verdict: ProbeVerdict,
+    ) {
         let key = (config.clone(), BankKey { fingerprint, op }, target);
         let mut shard = self.shard(op, fingerprint.inputs);
         if shard.probes.insert(key.clone(), verdict).is_none() {
@@ -370,7 +389,6 @@ impl ClauseBank {
             };
             shard.probes.remove(&victim);
         }
-        self.probe_records.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The recorded certificate for `(config, fingerprint, op,
@@ -458,106 +476,6 @@ impl fmt::Debug for ClauseBank {
             .field("evictions", &self.evictions())
             .field("probe_hits", &self.probe_hits())
             .field("probe_records", &self.probe_records())
-            .finish()
-    }
-}
-
-struct PoolInner {
-    map: HashMap<(u128, GateOp), PartitionOracle>,
-    /// Insertion order for FIFO eviction.
-    ring: VecDeque<(u128, GateOp)>,
-}
-
-/// A bounded pool of *live* incremental oracles, keyed by
-/// `(canonical fingerprint hash, op)`.
-///
-/// Within one submission (or one inline circuit run) a completed
-/// session parks its oracle here instead of dropping it; a sibling
-/// with the same fingerprint takes it and re-solves under assumptions
-/// — no CNF rebuild, no clause replay, all learnt state intact. An
-/// oracle is removed while in use, so concurrent same-fingerprint
-/// workers fall back to fresh construction (plus a bank seed) rather
-/// than blocking. The pool is scoped to one `DecompConfig`, so every
-/// pooled oracle was built with the same restart/preprocess knobs.
-pub struct OraclePool {
-    inner: Mutex<PoolInner>,
-    capacity: usize,
-    reuses: AtomicU64,
-}
-
-impl Default for OraclePool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OraclePool {
-    /// A pool retaining up to `POOL_CAPACITY` (32) oracles.
-    pub fn new() -> Self {
-        Self::with_capacity(POOL_CAPACITY)
-    }
-
-    /// A pool retaining up to `capacity` oracles (at least one),
-    /// evicting the oldest.
-    pub fn with_capacity(capacity: usize) -> Self {
-        OraclePool {
-            inner: Mutex::new(PoolInner {
-                map: HashMap::new(),
-                ring: VecDeque::new(),
-            }),
-            capacity: capacity.max(1),
-            reuses: AtomicU64::new(0),
-        }
-    }
-
-    /// Takes the live oracle for `(hash, op)`, if one is parked.
-    pub fn take(&self, hash: u128, op: GateOp) -> Option<PartitionOracle> {
-        let mut inner = self.inner.lock().expect("oracle pool poisoned");
-        let oracle = inner.map.remove(&(hash, op));
-        if oracle.is_some() {
-            inner.ring.retain(|k| *k != (hash, op));
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-        }
-        oracle
-    }
-
-    /// Parks an oracle for later siblings (latest donation wins),
-    /// evicting the oldest parked oracle beyond capacity.
-    pub fn put(&self, hash: u128, op: GateOp, oracle: PartitionOracle) {
-        let mut inner = self.inner.lock().expect("oracle pool poisoned");
-        if inner.map.insert((hash, op), oracle).is_none() {
-            inner.ring.push_back((hash, op));
-        }
-        while inner.map.len() > self.capacity {
-            let Some(victim) = inner.ring.pop_front() else {
-                break;
-            };
-            inner.map.remove(&victim);
-        }
-    }
-
-    /// Oracles taken (re-used) since creation.
-    pub fn reuses(&self) -> u64 {
-        self.reuses.load(Ordering::Relaxed)
-    }
-
-    /// Oracles currently parked.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("oracle pool poisoned").map.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl fmt::Debug for OraclePool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OraclePool")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("reuses", &self.reuses())
             .finish()
     }
 }
@@ -716,6 +634,5 @@ mod tests {
         assert!(!BankLookup::Miss.is_hit());
         assert!(BankLookup::Exact.is_hit());
         assert!(BankLookup::Cluster.is_hit());
-        assert!(BankLookup::Pooled.is_hit());
     }
 }

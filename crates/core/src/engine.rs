@@ -44,7 +44,7 @@ use crate::clause_bank::BankLookup;
 use crate::extract::Decomposition;
 use crate::job::OutputJob;
 use crate::partition::VarPartition;
-use crate::service::StepService;
+use crate::service::{StepService, SubmitOptions};
 use crate::session::SolveSession;
 use crate::spec::{DecompConfig, GateOp};
 use crate::store::TieredStore;
@@ -126,8 +126,8 @@ pub struct OutputResult {
     pub effort: EffortStats,
     /// How this output's solve interacted with the result cache.
     pub cache: CacheLookup,
-    /// How this output's solve interacted with the clause bank /
-    /// oracle pool (always `Bypass` when clause reuse is off).
+    /// How this output's solve interacted with the clause bank
+    /// (always `Bypass` when clause reuse is off).
     pub bank: BankLookup,
     /// Donated clauses imported (verbatim or vetted-through) before
     /// this output's first oracle check.
@@ -262,8 +262,8 @@ impl CircuitResult {
         self.outputs.iter().filter(|o| o.cache == want).count() as u64
     }
 
-    /// Outputs seeded from the clause bank or a pooled oracle in this
-    /// run (exact, cluster and pooled reuse alike).
+    /// Outputs seeded from the clause bank in this run (exact and
+    /// cluster donors alike).
     pub fn clause_bank_hits(&self) -> u64 {
         self.outputs.iter().filter(|o| o.bank.is_hit()).count() as u64
     }
@@ -371,8 +371,8 @@ impl BiDecomposer {
         op: GateOp,
     ) -> Result<OutputResult, StepError> {
         let job = OutputJob::new(&self.config, out_idx, op);
-        let (store, pool) = self.store.for_run(self.config.clause_reuse);
-        let result = SolveSession::new(aig, job, &self.config, &store, pool.as_ref())?.run();
+        let store = self.store.for_run(self.config.clause_reuse);
+        let result = SolveSession::new(aig, job, &self.config, &store)?.run();
         // Persist what this call learned (best-effort: a full disk must
         // not turn a solved output into an error).
         let _ = store.flush();
@@ -389,9 +389,8 @@ impl BiDecomposer {
     /// submits the circuit and joins. Per-output computation is
     /// deterministic regardless of scheduling (see the module docs), so
     /// the result is identical for any `jobs` value; long-running
-    /// callers should keep one [`StepService`] and use
-    /// [`decompose_circuit_on`](BiDecomposer::decompose_circuit_on) (or
-    /// [`StepService::submit`] directly) to amortize the pool.
+    /// callers should keep one [`StepService`] and submit to it
+    /// ([`StepService::submit`]) to amortize the pool.
     ///
     /// # Errors
     ///
@@ -403,27 +402,7 @@ impl BiDecomposer {
         let aig = StepService::comb_arc(circuit)?;
         let workers = self.config.jobs.min(aig.num_outputs()).max(1);
         StepService::spawn_with_store(workers, Arc::clone(&self.store))
-            .submit_shared(aig, op, self.config.clone())?
+            .submit_with(aig, op, self.config.clone(), SubmitOptions::default())?
             .join()
-    }
-
-    /// [`decompose_circuit`](BiDecomposer::decompose_circuit) on a
-    /// caller-supplied (typically long-running) service: submit with
-    /// this engine's configuration and block for the output-ordered
-    /// result. Sessions use the *service's* store — the shared pool
-    /// owns the shared reuse tiers; this engine's store only serves
-    /// [`decompose_output`](BiDecomposer::decompose_output) and the
-    /// ephemeral pools of
-    /// [`decompose_circuit`](BiDecomposer::decompose_circuit).
-    pub fn decompose_circuit_on(
-        &self,
-        service: &StepService,
-        circuit: &Aig,
-        op: GateOp,
-    ) -> Result<CircuitResult, StepError> {
-        // One clone into the submission's shared allocation (and no
-        // second comb conversion when the caller already converted).
-        let aig = StepService::comb_arc(circuit)?;
-        service.submit_shared(aig, op, self.config.clone())?.join()
     }
 }

@@ -85,7 +85,7 @@ pub mod tenant;
 pub mod verify;
 
 pub use cache::{CacheLookup, CachedResult, ResultCache};
-pub use clause_bank::{BankHit, BankKey, BankLookup, ClauseBank, OraclePool};
+pub use clause_bank::{BankHit, BankKey, BankLookup, ClauseBank};
 pub use effort::{CallLimits, CircuitBudget, EffortMeter, WorkLedger, WorkPool};
 pub use engine::{BiDecomposer, CircuitResult, OutputResult, StepError};
 pub use extract::{extract, extract_by_quantification, Decomposition, ExtractError};
@@ -121,10 +121,8 @@ const _: fn() = || {
     assert_sync::<spec::DecompConfig>();
     assert_sync::<ResultCache>();
     // Clause reuse crosses the same thread boundaries the cache does:
-    // the bank is shared by every worker, pooled oracles migrate
-    // between them.
+    // the bank is shared by every worker.
     assert_sync::<ClauseBank>();
-    assert_sync::<OraclePool>();
     // The tiered store (and its disk tier) is the one object every
     // worker of a persistent service shares.
     assert_sync::<TieredStore>();

@@ -52,8 +52,8 @@
 //! The check does not reuse the session's
 //! [`PartitionOracle`](crate::oracle::PartitionOracle), although it
 //! encodes the same CNF.
-//! That oracle's state depends on its query history (STEP-MG), on the
-//! oracle pool and on clause-bank imports, and so its counterexamples,
+//! That oracle's state depends on its query history (STEP-MG) and on
+//! clause-bank imports, and so its counterexamples,
 //! and with them the witness, would vary across reuse settings. A
 //! fresh check keeps every probe a pure function of (cone, operator,
 //! target, solver knobs), which the probe ledger's replay and the

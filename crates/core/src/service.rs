@@ -13,7 +13,7 @@
 //! submission: already-started submissions drain first (the pop is
 //! non-preemptive — a started submission's per-circuit budget is
 //! anchored and ticking, so nothing may jump ahead of it), then
-//! earliest explicit deadline ([`StepService::submit_with_deadline`]),
+//! earliest explicit deadline ([`SubmitOptions::deadline`]),
 //! then FIFO among submissions without deadlines. A single large
 //! circuit thus fans out over the whole pool, and independent
 //! submissions drain through the same pool
@@ -81,7 +81,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -89,7 +89,6 @@ use std::time::Instant;
 use step_aig::Aig;
 
 use crate::cache::CacheLookup;
-use crate::clause_bank::OraclePool;
 use crate::effort::{CircuitBudget, WorkLedger, WorkPool};
 use crate::engine::{CircuitResult, OutputResult, StepError};
 use crate::job::OutputJob;
@@ -189,11 +188,6 @@ struct Submission {
     /// The service's store, plus under clause reuse a
     /// submission-scoped bank when the service's store has none.
     store: TieredStore,
-    /// This submission's own oracle pool (`Some` iff
-    /// `config.clause_reuse`). The pool is per-submission by design:
-    /// pooled oracles embed solver knobs from one `DecompConfig` and
-    /// may not cross submissions.
-    pool: Option<OraclePool>,
     /// Set by [`SubmissionHandle::cancel`] (or service drop).
     cancelled: AtomicBool,
     /// Set when any output of this submission failed; remaining
@@ -574,8 +568,9 @@ impl StepService {
     /// Returns immediately; consume results through the handle.
     ///
     /// Clones the circuit into the submission; callers submitting the
-    /// same circuit many times (e.g. one per model) should use
-    /// [`submit_shared`](StepService::submit_shared) to share one copy.
+    /// same circuit many times (e.g. one per model) should convert it
+    /// once with [`comb_arc`](StepService::comb_arc) and share the
+    /// `Arc` through [`submit_with`](StepService::submit_with).
     ///
     /// # Errors
     ///
@@ -586,95 +581,17 @@ impl StepService {
         op: GateOp,
         config: DecompConfig,
     ) -> Result<SubmissionHandle, StepError> {
-        self.submit_with(circuit, op, config, SubmitOptions::default())
-    }
-
-    /// [`submit`](StepService::submit) with explicit scheduling
-    /// options: an absolute deadline, a tenant tag for fair-share
-    /// ordering, and/or a predicted cost (see [`SubmitOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StepError::Internal`] if the combinational conversion fails.
-    pub fn submit_with(
-        &self,
-        circuit: &Aig,
-        op: GateOp,
-        config: DecompConfig,
-        options: SubmitOptions,
-    ) -> Result<SubmissionHandle, StepError> {
-        let aig = Self::comb_arc(circuit)?;
-        self.submit_inner(aig, op, config, options)
-    }
-
-    /// Like [`submit`](StepService::submit), but shares an
-    /// already-combinational circuit across submissions without
-    /// cloning — sweep harnesses submit one `Arc` per circuit for all
-    /// five models.
-    ///
-    /// # Errors
-    ///
-    /// [`StepError::NotCombinational`] if the circuit has latches
-    /// (convert with [`Aig::comb`] before wrapping in the `Arc`).
-    pub fn submit_shared(
-        &self,
-        circuit: Arc<Aig>,
-        op: GateOp,
-        config: DecompConfig,
-    ) -> Result<SubmissionHandle, StepError> {
-        if !circuit.is_comb() {
-            return Err(StepError::NotCombinational);
-        }
-        self.submit_inner(circuit, op, config, SubmitOptions::default())
-    }
-
-    /// [`submit_shared`](StepService::submit_shared) with explicit
-    /// scheduling options ([`SubmitOptions`]) — the serve front-end's
-    /// entry point.
-    ///
-    /// # Errors
-    ///
-    /// [`StepError::NotCombinational`] if the circuit has latches.
-    pub fn submit_shared_with(
-        &self,
-        circuit: Arc<Aig>,
-        op: GateOp,
-        config: DecompConfig,
-        options: SubmitOptions,
-    ) -> Result<SubmissionHandle, StepError> {
-        if !circuit.is_comb() {
-            return Err(StepError::NotCombinational);
-        }
-        self.submit_inner(circuit, op, config, options)
-    }
-
-    /// Like [`submit`](StepService::submit), with an absolute
-    /// per-submission deadline: outputs not solved by `deadline` are
-    /// reported as timed out, exactly as if the per-circuit budget had
-    /// expired then. The deadline only tightens the configured
-    /// per-circuit budget, never extends it.
-    pub fn submit_with_deadline(
-        &self,
-        circuit: &Aig,
-        op: GateOp,
-        config: DecompConfig,
-        deadline: Instant,
-    ) -> Result<SubmissionHandle, StepError> {
         self.submit_with(
-            circuit,
+            Self::comb_arc(circuit)?,
             op,
             config,
-            SubmitOptions {
-                deadline: Some(deadline),
-                ..SubmitOptions::default()
-            },
+            SubmitOptions::default(),
         )
     }
 
     /// Clones `circuit` (converting combinationally if needed) into
     /// the shared allocation a submission carries — the one-time
-    /// preparation step for
-    /// [`submit_shared`](StepService::submit_shared).
+    /// preparation step for [`submit_with`](StepService::submit_with).
     ///
     /// # Errors
     ///
@@ -689,13 +606,30 @@ impl StepService {
         }))
     }
 
-    fn submit_inner(
+    /// The full submission entry point: enqueues an
+    /// already-combinational circuit without cloning it (sweep
+    /// harnesses submit one `Arc` per circuit for all five models),
+    /// with explicit scheduling options — an absolute deadline, a
+    /// tenant tag for fair-share ordering, and/or a predicted cost (see
+    /// [`SubmitOptions`]). Outputs not solved by the deadline are
+    /// reported as timed out, exactly as if the per-circuit budget had
+    /// expired then; the deadline only tightens that budget, never
+    /// extends it.
+    ///
+    /// # Errors
+    ///
+    /// [`StepError::NotCombinational`] if the circuit has latches
+    /// (convert with [`comb_arc`](StepService::comb_arc) first).
+    pub fn submit_with(
         &self,
         aig: Arc<Aig>,
         op: GateOp,
         config: DecompConfig,
         options: SubmitOptions,
     ) -> Result<SubmissionHandle, StepError> {
+        if !aig.is_comb() {
+            return Err(StepError::NotCombinational);
+        }
         let submitted = Instant::now();
         let n_out = aig.num_outputs();
         let (tx, rx) = channel();
@@ -722,7 +656,7 @@ impl StepService {
             }),
             None => 0,
         };
-        let (store, pool) = self.shared.store.for_run(config.clause_reuse);
+        let store = self.shared.store.for_run(config.clause_reuse);
         let sub = Arc::new(Submission {
             id: SubmissionId(self.shared.next_id.fetch_add(1, Ordering::Relaxed)),
             aig,
@@ -737,7 +671,6 @@ impl StepService {
             submitted,
             n_out,
             store,
-            pool,
             next: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
@@ -917,7 +850,7 @@ fn run_queued(
         return Ok(OutputResult::budget_exhausted(name, out_idx, support));
     }
     let job = OutputJob::new(&sub.config, out_idx, sub.op).with_circuit(circuit.clone());
-    SolveSession::new(&sub.aig, job, &sub.config, &sub.store, sub.pool.as_ref())?
+    SolveSession::new(&sub.aig, job, &sub.config, &sub.store)?
         .run()
         .map_err(|e| match e {
             StepError::Internal(m) => {
@@ -1015,20 +948,6 @@ impl SubmissionHandle {
                 Some(event)
             }
             Err(_) => None,
-        }
-    }
-
-    /// Non-blocking [`recv`](SubmissionHandle::recv): `None` when no
-    /// event is ready right now (which does not mean the submission is
-    /// finished — use `recv` or [`join`](SubmissionHandle::join) to
-    /// drain to completion).
-    pub fn try_recv(&mut self) -> Option<OutputEvent> {
-        match self.rx.try_recv() {
-            Ok(event) => {
-                self.record(&event);
-                Some(event)
-            }
-            Err(TryRecvError::Empty | TryRecvError::Disconnected) => None,
         }
     }
 
@@ -1344,14 +1263,13 @@ mod tests {
 
     #[test]
     fn expired_deadline_reports_timeouts_not_errors() {
-        let aig = twin_aig();
         let service = StepService::spawn_with_store(1, Arc::default());
         let handle = service
-            .submit_with_deadline(
-                &aig,
+            .submit_with(
+                Arc::new(twin_aig()),
                 GateOp::Or,
                 config(Model::QbfDisjoint),
-                Instant::now() - Duration::from_secs(1),
+                due(Instant::now() - Duration::from_secs(1)),
             )
             .unwrap();
         let result = handle.join().unwrap();
@@ -1360,6 +1278,14 @@ mod tests {
             assert!(out.timed_out, "output {} skipped by deadline", out.name);
             assert!(!out.solved);
             assert_eq!(out.support, 4, "real cone support still reported");
+        }
+    }
+
+    /// Options carrying only an explicit deadline.
+    fn due(deadline: Instant) -> SubmitOptions {
+        SubmitOptions {
+            deadline: Some(deadline),
+            ..SubmitOptions::default()
         }
     }
 
@@ -1392,7 +1318,6 @@ mod tests {
             submitted: Instant::now(),
             n_out: 2,
             store: TieredStore::default(),
-            pool: None,
             next: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
@@ -1559,11 +1484,17 @@ mod tests {
             .collect();
         let far = Instant::now() + Duration::from_secs(3600);
         let near = Instant::now() + Duration::from_secs(600);
+        let shared = Arc::new(aig.clone());
         let mut loose = service
-            .submit_with_deadline(&aig, GateOp::Or, config(Model::QbfDisjoint), far)
+            .submit_with(
+                Arc::clone(&shared),
+                GateOp::Or,
+                config(Model::QbfDisjoint),
+                due(far),
+            )
             .unwrap();
         let mut tight = service
-            .submit_with_deadline(&aig, GateOp::Or, config(Model::QbfDisjoint), near)
+            .submit_with(shared, GateOp::Or, config(Model::QbfDisjoint), due(near))
             .unwrap();
         let mut fifo = service
             .submit(&aig, GateOp::Or, config(Model::QbfDisjoint))

@@ -24,8 +24,8 @@
 //! cost) while producing the same `OutputResult` the search would have.
 //!
 //! Sessions are created and consumed by one worker thread; nothing in
-//! them is shared except the (internally synchronized) store and
-//! oracle pool, which is what lets the
+//! them is shared except the (internally synchronized) store, which is
+//! what lets the
 //! [`StepService`](crate::service::StepService) pool run many of them
 //! concurrently — across outputs of one submission and across
 //! submissions alike.
@@ -36,7 +36,7 @@ use std::time::Instant;
 use step_aig::{canonicalize, Aig, CanonicalCone, Cone, ConeFingerprint};
 
 use crate::cache::{CacheLookup, CachedResult};
-use crate::clause_bank::{BankLookup, OraclePool, ProbeLedger};
+use crate::clause_bank::{BankLookup, ProbeLedger};
 use crate::effort::EffortMeter;
 use crate::engine::{OutputResult, StepError};
 use crate::extract::{extract, ExtractError};
@@ -76,8 +76,6 @@ struct SearchOutcome {
 pub struct SolveSession<'a> {
     config: &'a DecompConfig,
     store: &'a TieredStore,
-    /// `Some` iff clause reuse is on: then the store carries a bank.
-    pool: Option<&'a OraclePool>,
     job: OutputJob,
     name: String,
     cone: Cone,
@@ -90,8 +88,9 @@ pub struct SolveSession<'a> {
 impl<'a> SolveSession<'a> {
     /// Opens a session for `job` on `aig`, consulting `store` for a
     /// solved result before solving when it serves results. Clause and
-    /// probe reuse run iff `pool` is given, over the store's bank and
-    /// disk tier ([`TieredStore::for_run`] builds both halves).
+    /// probe reuse run iff [`DecompConfig::clause_reuse`] is on, over
+    /// the store's bank and disk tier ([`TieredStore::for_run`] adds a
+    /// bank to a store that has none).
     ///
     /// The wall clock anchors **first**, so cone extraction — which can
     /// dominate on huge outputs — is charged against the per-output
@@ -110,7 +109,6 @@ impl<'a> SolveSession<'a> {
         job: OutputJob,
         config: &'a DecompConfig,
         store: &'a TieredStore,
-        pool: Option<&'a OraclePool>,
     ) -> Result<Self, StepError> {
         let start = Instant::now();
         if !aig.is_comb() {
@@ -126,7 +124,6 @@ impl<'a> SolveSession<'a> {
         Ok(SolveSession {
             config,
             store,
-            pool,
             job,
             name,
             cone,
@@ -222,9 +219,9 @@ impl<'a> SolveSession<'a> {
             restarts: config.sat_restarts,
             preprocess: config.sat_preprocess,
         };
-        let ledger = self
-            .pool
-            .map(|_| ProbeLedger::new(self.store, fingerprint, self.job.op, config));
+        let ledger = config
+            .clause_reuse
+            .then(|| ProbeLedger::new(self.store, fingerprint, self.job.op, config));
         let (oracle, _, meter) = self.solve_parts();
         let search = optimum::search_with_reuse(
             oracle.core(),
@@ -362,54 +359,37 @@ impl<'a> SolveSession<'a> {
                 cone_seed(self.config.seed, canon.fingerprint.hash),
             ));
         }
-        // Clause reuse, layer by layer: a parked sibling oracle for
-        // this exact fingerprint skips CNF construction entirely;
-        // otherwise a fresh oracle is seeded from the bank — verbatim
-        // from an exact donor (identical CNF by canonicalization),
-        // clause-by-clause vetted from a near-twin. Every path adds
-        // only clauses implied by this oracle's own CNF, so the
-        // search sees identical verdicts either way.
-        let mut pooled_calls = 0;
-        if let Some(pool) = self.pool {
-            if let Some(oracle) = pool.take(canon.fingerprint.hash, self.job.op) {
-                pooled_calls = oracle.sat_calls;
-                result.bank = BankLookup::Pooled;
-                self.oracle = Some(oracle);
-            }
-        }
-        if self.oracle.is_none() {
-            let core = CoreFormula::build(&canon.aig, canon.root, self.job.op);
-            let mut oracle = PartitionOracle::with_options(
-                core,
-                self.config.sat_restarts,
-                self.config.sat_preprocess,
-            );
-            if self.pool.is_some() {
-                match self.store.lookup_clauses(canon.fingerprint, self.job.op) {
-                    Some((hit, from_disk)) => {
-                        result.disk_hits += u64::from(from_disk);
-                        if hit.exact {
-                            result.imported_clauses = oracle.import_learnts(&hit.export);
-                            result.bank = BankLookup::Exact;
-                        } else {
-                            result.imported_clauses =
-                                oracle.import_vetted(&hit.export, &mut self.meter);
-                            result.bank = BankLookup::Cluster;
-                        }
+        // Clause reuse: the fresh oracle is seeded from the bank —
+        // verbatim from an exact donor (identical CNF by
+        // canonicalization), clause-by-clause vetted from a near-twin.
+        // Either way it gains only clauses implied by its own CNF, so
+        // the search sees identical verdicts.
+        let core = CoreFormula::build(&canon.aig, canon.root, self.job.op);
+        let mut oracle = PartitionOracle::with_options(
+            core,
+            self.config.sat_restarts,
+            self.config.sat_preprocess,
+        );
+        if self.config.clause_reuse {
+            match self.store.lookup_clauses(canon.fingerprint, self.job.op) {
+                Some((hit, from_disk)) => {
+                    result.disk_hits += u64::from(from_disk);
+                    if hit.exact {
+                        result.imported_clauses = oracle.import_learnts(&hit.export);
+                        result.bank = BankLookup::Exact;
+                    } else {
+                        result.imported_clauses =
+                            oracle.import_vetted(&hit.export, &mut self.meter);
+                        result.bank = BankLookup::Cluster;
                     }
-                    None => result.bank = BankLookup::Miss,
                 }
+                None => result.bank = BankLookup::Miss,
             }
-            self.oracle = Some(oracle);
         }
+        self.oracle = Some(oracle);
 
         let outcome = self.search(canon.fingerprint);
-        // A pooled oracle arrives with its donor's call count; report
-        // only this output's own share.
-        result.sat_calls = self
-            .oracle
-            .as_ref()
-            .map_or(0, |o| o.sat_calls - pooled_calls);
+        result.sat_calls = self.oracle.as_ref().map_or(0, |o| o.sat_calls);
         result.effort = self.meter.spent();
         result.qbf_calls = outcome.qbf_calls;
         result.cegar_iterations = outcome.cegar_iterations;
@@ -437,15 +417,13 @@ impl<'a> SolveSession<'a> {
         // Donate the oracle's pinned clauses — timeouts included, a
         // learnt clause is implied by the CNF no matter how the search
         // ended, which is exactly how truncated siblings still pay
-        // forward — and park the live oracle for the next sibling with
-        // this fingerprint.
-        if let Some(pool) = self.pool {
-            if let Some(oracle) = self.oracle.take() {
+        // forward.
+        if self.config.clause_reuse {
+            if let Some(oracle) = &self.oracle {
                 let export = oracle.export_learnts();
                 result.donated_clauses = export.num_clauses() as u64;
                 self.store
                     .donate(canon.fingerprint, self.job.op, Arc::new(export));
-                pool.put(canon.fingerprint.hash, self.job.op, oracle);
             }
         }
 

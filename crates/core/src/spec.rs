@@ -427,9 +427,8 @@ pub struct DecompConfig {
     pub sat_preprocess: bool,
     /// Cross-output clause reuse: completed sessions donate their
     /// oracle's pinned learnt clauses to a shared
-    /// [`ClauseBank`](crate::clause_bank::ClauseBank) and park live
-    /// oracles in a per-submission pool for same-fingerprint siblings.
-    /// Only *implied* clauses ever flow (exact donors share an
+    /// [`ClauseBank`](crate::clause_bank::ClauseBank), which seeds the
+    /// oracles of later sessions, and record probe certificates. Only *implied* clauses ever flow (exact donors share an
     /// identical CNF; near-twin donations are vetted per clause), so
     /// verdicts and partitions are byte-identical with this on or off;
     /// conflict counts drop, and at `jobs > 1` may vary with sibling

@@ -17,7 +17,10 @@
 //!
 //! Each surface has one typed lookup/record pair that consults tier 0
 //! first, falls back to the disk tier and promotes disk hits into tier
-//! 0: [`lookup_result`](TieredStore::lookup_result) /
+//! 0. The tier-0 counters count only this run's own traffic: a lookup
+//! that misses tier 0 and hits disk stays a tier-0 miss, and a
+//! promotion is no insert, donation or probe record:
+//! [`lookup_result`](TieredStore::lookup_result) /
 //! [`insert_result`](TieredStore::insert_result),
 //! [`lookup_clauses`](TieredStore::lookup_clauses) /
 //! [`donate`](TieredStore::donate) and
@@ -61,7 +64,7 @@ use step_cnf::{Lit, Var};
 use step_sat::LearntExport;
 
 use crate::cache::{CachedResult, ResultCache};
-use crate::clause_bank::{BankHit, ClauseBank, OraclePool, ProbeVerdict};
+use crate::clause_bank::{BankHit, ClauseBank, ProbeVerdict};
 use crate::partition::VarClass;
 use crate::qbf_model::Target;
 use crate::spec::{DecompConfig, GateOp, SearchStrategy};
@@ -161,7 +164,7 @@ impl ConfigKey {
     /// deterministic CEGAR verdict depends on. The CEGAR loop of
     /// [`solve_partition`](crate::qbf_model::solve_partition) builds
     /// fresh abstraction and check solvers per probe and never reads
-    /// the session's oracle, pool or bank imports, so a probe's outcome
+    /// the session's oracle or bank imports, so a probe's outcome
     /// is a pure function of `(cone, op, target, these knobs)` whenever
     /// no budget truncates it — no model, no seed.
     pub fn probes(config: &DecompConfig) -> Self {
@@ -407,17 +410,14 @@ impl TieredStore {
 
     /// The tiers one run (a service submission, or one
     /// [`decompose_output`](crate::BiDecomposer::decompose_output)
-    /// call) solves on. Under clause reuse that is this store plus a
-    /// fresh oracle pool — pooled oracles embed one `DecompConfig`'s
-    /// solver knobs and may not cross runs — and, for a store without
-    /// a bank, a fresh run-scoped one; otherwise this store alone.
-    pub fn for_run(&self, clause_reuse: bool) -> (TieredStore, Option<OraclePool>) {
+    /// call) solves on: this store, plus under clause reuse a fresh
+    /// run-scoped bank when this store has none.
+    pub fn for_run(&self, clause_reuse: bool) -> TieredStore {
         let mut store = self.clone();
-        if !clause_reuse {
-            return (store, None);
+        if clause_reuse {
+            store.bank.get_or_insert_with(Arc::default);
         }
-        store.bank.get_or_insert_with(Arc::default);
-        (store, Some(OraclePool::new()))
+        store
     }
 
     /// Flushes dirty disk-tier entries (no-op without a disk tier);
@@ -452,9 +452,10 @@ impl TieredStore {
         let Artifact::Result(r) = self.disk.as_ref()?.get(ns, &key)? else {
             return None;
         };
-        // Promote, so later twins hit tier 0 directly.
+        // Promote, so later twins hit tier 0 directly. A promotion is
+        // no new solve, so it does not count as an insert.
         if let Some(cache) = &self.cache {
-            cache.insert(&ns.config, fingerprint, op, r.clone());
+            cache.promote(&ns.config, fingerprint, op, r.clone());
         }
         Some((r, true))
     }
@@ -498,7 +499,7 @@ impl TieredStore {
             self.disk.as_ref().and_then(|d| d.get(&CLAUSES, &key))
         {
             if let Some(bank) = &self.bank {
-                bank.donate(fingerprint, op, Arc::clone(&export));
+                bank.promote(fingerprint, op, Arc::clone(&export));
             }
             return Some((
                 BankHit {
@@ -551,7 +552,7 @@ impl TieredStore {
             return None;
         };
         if let Some(bank) = &self.bank {
-            bank.record_probe(&ns.config, fingerprint, op, target, v.clone());
+            bank.promote_probe(&ns.config, fingerprint, op, target, v.clone());
         }
         Some((v, true))
     }
@@ -1713,6 +1714,12 @@ mod tests {
         assert!(probe_from_disk());
         assert!(!probe_from_disk());
         assert_eq!(store.disk_probe_hits(), 1);
+        // Promotions copy what a prior run stored; they are not this
+        // run's inserts, donations or probe records.
+        assert_eq!(
+            (cache.inserts(), bank.donations(), bank.probe_records()),
+            (0, 0, 0)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

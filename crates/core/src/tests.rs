@@ -826,7 +826,7 @@ fn expired_deadline_short_circuits_before_any_solver_work() {
         deadline: Some(std::time::Instant::now()),
         work: None,
     });
-    let r = SolveSession::new(&aig, job, &config, &Default::default(), None)
+    let r = SolveSession::new(&aig, job, &config, &Default::default())
         .unwrap()
         .run()
         .unwrap();
@@ -838,10 +838,10 @@ fn expired_deadline_short_circuits_before_any_solver_work() {
 }
 
 #[test]
-fn sessions_reuse_pooled_oracles_and_bank_exports() {
+fn sessions_reuse_bank_exports() {
     use std::sync::Arc;
 
-    use crate::clause_bank::{BankLookup, ClauseBank, OraclePool};
+    use crate::clause_bank::{BankLookup, ClauseBank};
     use crate::job::OutputJob;
     use crate::session::SolveSession;
     use crate::store::TieredStore;
@@ -861,36 +861,28 @@ fn sessions_reuse_pooled_oracles_and_bank_exports() {
     config.sim_filter = false;
     let bank = Arc::new(ClauseBank::new());
     let store = TieredStore::memory(None, Some(Arc::clone(&bank)));
-    let pool = OraclePool::new();
-    let run = |idx: usize, pool: &OraclePool| {
+    let run = |idx: usize| {
         let job = OutputJob::new(&config, idx, GateOp::Or);
-        SolveSession::new(&aig, job, &config, &store, Some(pool))
+        SolveSession::new(&aig, job, &config, &store)
             .unwrap()
             .run()
             .unwrap()
     };
 
-    let r0 = run(0, &pool);
-    assert_eq!(r0.bank, BankLookup::Miss, "empty bank, empty pool");
+    let r0 = run(0);
+    assert_eq!(r0.bank, BankLookup::Miss, "empty bank");
     assert!(r0.solved && r0.partition.is_none());
     assert!(r0.donated_clauses > 0, "the UNSAT proof pins clauses");
     assert_eq!(bank.donations(), 1);
 
-    // The twin takes over the parked oracle — no CNF rebuild, and its
-    // sat_calls report only its own share.
-    let r1 = run(1, &pool);
-    assert_eq!(r1.bank, BankLookup::Pooled);
+    // The twin output's oracle is seeded verbatim from the donor's
+    // export on the exact channel, and reaches the same answer.
+    let r1 = run(1);
+    assert_eq!(r1.bank, BankLookup::Exact);
+    assert!(r1.imported_clauses > 0, "verbatim import from the donor");
     assert_eq!(r1.partition, r0.partition, "reuse never changes answers");
     assert_eq!(r1.solved, r0.solved);
-    assert_eq!(pool.reuses(), 1);
-
-    // Same bank, fresh pool (a new submission): the donor's export now
-    // serves the exact channel, imported verbatim.
-    let r2 = run(0, &OraclePool::new());
-    assert_eq!(r2.bank, BankLookup::Exact);
-    assert!(r2.imported_clauses > 0, "verbatim import from the donor");
-    assert_eq!(r2.partition, r0.partition);
-    assert_eq!(r2.solved, r0.solved);
+    assert_eq!(bank.exact_hits(), 1);
 }
 
 #[test]

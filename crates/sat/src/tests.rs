@@ -782,7 +782,7 @@ fn seeded_resolve_spends_no_more_conflicts() {
 }
 
 /// Deleted clauses are reclaimed: a long-lived incremental solver —
-/// the shape of an `OraclePool` member or a `step serve` process —
+/// the shape of a session's partition oracle or a `step serve` process —
 /// that keeps adding clauses and reducing its learnt database holds its
 /// arena within a constant factor of its live clauses, and compaction
 /// leaves no watcher pointing at a dead clause.

@@ -405,7 +405,7 @@ fn handle_submit(
     };
     let handle = match ctx
         .service
-        .submit_shared_with(Arc::clone(&comb), op, config, options)
+        .submit_with(Arc::clone(&comb), op, config, options)
     {
         Ok(handle) => handle,
         Err(e) => {

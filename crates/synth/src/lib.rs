@@ -51,6 +51,7 @@
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use step_aig::{canonicalize, Aig, AigLit};
@@ -483,6 +484,7 @@ impl<'a> SynthDriver<'a> {
             }
             let budget = probe_budget(self.opts.per_node, slice);
             let mut handles = Vec::with_capacity(self.opts.ops.len());
+            let sub = StepService::comb_arc(&node.sub)?;
             for &op in &self.opts.ops {
                 let mut config = self.config.clone();
                 config.budget.per_output = budget;
@@ -490,7 +492,10 @@ impl<'a> SynthDriver<'a> {
                     deadline,
                     ..SubmitOptions::default()
                 };
-                handles.push(self.service.submit_with(&node.sub, op, config, options)?);
+                handles.push(
+                    self.service
+                        .submit_with(Arc::clone(&sub), op, config, options)?,
+                );
             }
             stats.nodes_expanded += 1;
             in_flight.insert(node.fp);

@@ -9,11 +9,11 @@
 //! * [`aig`] — And-Inverter Graphs (the role of ABC)
 //! * [`cnf`] — CNF, Tseitin encoding, cardinality constraints
 //! * [`sat`] — CDCL SAT solver with assumptions and proof logging
-//! * [`qbf`] — CEGAR 2QBF solver (the role of AReQS)
 //! * [`mus`] — (group-)MUS extraction (the role of MUSer)
 //! * [`itp`] — Craig interpolation for function extraction
 //! * [`bdd`] — BDD package (verification oracle / related work)
-//! * [`step`] — the STEP bi-decomposition engine itself
+//! * [`step`] — the STEP bi-decomposition engine itself, including the
+//!   CEGAR loop that solves its QBF models (the role of AReQS)
 //! * [`circuits`] — benchmark circuit generators and registry
 //! * [`serve`] — the framed-JSON network front-end (`step serve` /
 //!   `step client`) with per-tenant quotas and admission control
@@ -50,7 +50,6 @@ pub use step_cnf as cnf;
 pub use step_core as step;
 pub use step_itp as itp;
 pub use step_mus as mus;
-pub use step_qbf as qbf;
 pub use step_sat as sat;
 pub use step_serve as serve;
 pub use step_synth as synth;

@@ -14,7 +14,7 @@ use std::time::Duration;
 use qbf_bidec::circuits::{registry_table1, Scale};
 use qbf_bidec::step::{
     BiDecomposer, CircuitResult, DecompConfig, GateOp, Model, ResultCache, StepError, StepService,
-    TieredStore,
+    SubmitOptions, TieredStore,
 };
 
 fn config(model: Model, jobs: usize) -> DecompConfig {
@@ -67,21 +67,6 @@ fn service_join_matches_legacy_driver_on_a_registry_circuit() {
         }
         assert!(legacy.num_decomposed() > 0, "{model}: something decomposes");
     }
-}
-
-#[test]
-fn decompose_circuit_on_reuses_a_shared_service() {
-    let entry = &registry_table1()[16]; // mm9a: small
-    let aig = entry.build(Scale::Smoke);
-    let service = StepService::spawn_with_store(2, Arc::default());
-    let engine = BiDecomposer::new(config(Model::QbfDisjoint, 2));
-    let on_service = engine
-        .decompose_circuit_on(&service, &aig, GateOp::Or)
-        .expect("service-backed run");
-    let standalone = engine
-        .decompose_circuit(&aig, GateOp::Or)
-        .expect("ephemeral run");
-    assert_same_outputs(&on_service, &standalone, "decompose_circuit_on");
 }
 
 #[test]
@@ -159,12 +144,16 @@ fn expired_submission_deadline_times_out_instead_of_erroring() {
     let entry = &registry_table1()[16];
     let aig = entry.build(Scale::Smoke);
     let service = StepService::spawn_with_store(2, Arc::default());
+    let options = SubmitOptions {
+        deadline: Some(std::time::Instant::now() - Duration::from_millis(1)),
+        ..SubmitOptions::default()
+    };
     let result = service
-        .submit_with_deadline(
-            &aig,
+        .submit_with(
+            StepService::comb_arc(&aig).expect("comb"),
             GateOp::Or,
             config(Model::QbfDisjoint, 2),
-            std::time::Instant::now() - Duration::from_millis(1),
+            options,
         )
         .expect("submit")
         .join()
