@@ -328,27 +328,43 @@ impl ClauseBank {
     /// first (identical CNF), then the most recent cluster donor with
     /// a *different* fingerprint (the same one would have hit exact).
     pub fn lookup(&self, fingerprint: ConeFingerprint, op: GateOp) -> Option<BankHit> {
+        self.lookup_or(fingerprint, op, || None).map(|(hit, _)| hit)
+    }
+
+    /// [`lookup`](ClauseBank::lookup) with a lower tier between the two
+    /// channels: when the exact channel misses, `lower` is asked for an
+    /// exact donor, which beats any near-twin, is promoted into this
+    /// bank and comes back flagged `true`. The counters record only the
+    /// donor actually served, so a lower-tier donor is a miss here.
+    pub(crate) fn lookup_or(
+        &self,
+        fingerprint: ConeFingerprint,
+        op: GateOp,
+        lower: impl FnOnce() -> Option<Arc<LearntExport>>,
+    ) -> Option<(BankHit, bool)> {
         let key = BankKey { fingerprint, op };
         let shard_ix = Self::shard_ix(op, fingerprint.inputs);
-        if let Some(export) = self.exact.get(shard_ix, &key) {
+        let (export, exact, from_lower) = if let Some(export) = self.exact.get(shard_ix, &key) {
             self.exact_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(BankHit {
-                export,
-                exact: true,
-            });
-        }
-        let shard = self.shard(op, fingerprint.inputs);
-        if let Some(ring) = shard.clusters.get(&(op, fingerprint.inputs)) {
-            if let Some((_, export)) = ring.iter().rev().find(|(h, _)| *h != fingerprint.hash) {
-                self.cluster_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(BankHit {
-                    export: Arc::clone(export),
-                    exact: false,
-                });
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+            (export, true, false)
+        } else if let Some(export) = lower() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.promote(fingerprint, op, Arc::clone(&export));
+            (export, true, true)
+        } else {
+            let shard = self.shard(op, fingerprint.inputs);
+            let near = shard
+                .clusters
+                .get(&(op, fingerprint.inputs))
+                .and_then(|ring| ring.iter().rev().find(|(h, _)| *h != fingerprint.hash));
+            let Some((_, export)) = near else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return None;
+            };
+            self.cluster_hits.fetch_add(1, Ordering::Relaxed);
+            (Arc::clone(export), false, false)
+        };
+        Some((BankHit { export, exact }, from_lower))
     }
 
     /// Stores a probe certificate for `(config, fingerprint, op,

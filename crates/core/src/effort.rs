@@ -15,19 +15,17 @@
 //!   limits from what remains ([`EffortMeter::call_limits`]), so a
 //!   budgeted truncation falls on the same call at the same conflict
 //!   count on every machine.
-//! * [`WorkPool`] — a saturating conflict pool. Each output job holds
-//!   a *private* pool carrying its reserved slice of the per-circuit
-//!   work budget (see [`WorkLedger`]); standalone callers may still
-//!   share one pool directly.
 //! * [`WorkLedger`] — the two-phase reservation ledger over the
 //!   per-circuit work budget: each output *reserves* its slice before
 //!   solving and *commits* its actual spend after, and the slice
 //!   handed out is, by construction, the one a sequential `jobs = 1`
 //!   run would have seen — which is what makes per-circuit `Work`
 //!   budgets deterministic at any worker count.
-//! * [`CircuitBudget`] — the circuit-scope limits a job carries: the
-//!   shared deadline (wall component, anchored at the submission's
-//!   first claim) plus the output's work-pool slice (work component).
+//! * [`CircuitBudget`] — the circuit-scope limits one output's
+//!   session runs under: the shared deadline (wall component, anchored
+//!   at the submission's first claim) plus the output's reserved slice
+//!   of the circuit's work budget (work component), which the meter
+//!   folds into its own work limit.
 //!
 //! **Determinism.** Per-output `Work` budgets are fully deterministic:
 //! each output's meter is private, so which outputs run out of budget
@@ -45,8 +43,7 @@
 //! ledger serializes outputs — the documented price of a deterministic
 //! uncapped circuit pool.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use step_sat::EffortStats;
@@ -55,57 +52,10 @@ use crate::spec::Budget;
 
 /// The tighter of two optional limits (`None` = unlimited): the one
 /// combining rule every budget scope in this module composes with.
-fn tighter<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
+pub(crate) fn tighter<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
-    }
-}
-
-/// A shared, saturating work budget (conflicts): the per-circuit
-/// analogue of a shared deadline. Outputs debit the work they spent;
-/// once the pool is empty, remaining outputs are truncated.
-#[derive(Debug)]
-pub struct WorkPool {
-    remaining: AtomicU64,
-}
-
-impl WorkPool {
-    /// A pool holding `limit` conflicts.
-    pub fn new(limit: u64) -> Self {
-        WorkPool {
-            remaining: AtomicU64::new(limit),
-        }
-    }
-
-    /// Conflicts left in the pool.
-    pub fn remaining(&self) -> u64 {
-        self.remaining.load(Ordering::Acquire)
-    }
-
-    /// Whether the pool is spent.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// Debits `work` conflicts, saturating at zero.
-    pub fn debit(&self, work: u64) {
-        if work == 0 {
-            return;
-        }
-        let mut cur = self.remaining.load(Ordering::Acquire);
-        loop {
-            let next = cur.saturating_sub(work);
-            match self.remaining.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
     }
 }
 
@@ -118,8 +68,8 @@ impl WorkPool {
 /// Workers therefore:
 ///
 /// 1. [`reserve`](WorkLedger::reserve) their output's slice (blocking
-///    until it is deterministic — see below), wrap it in a private
-///    [`WorkPool`] and solve under it;
+///    until it is deterministic — see below) and solve under it as the
+///    [`CircuitBudget::work`] limit;
 /// 2. [`commit`](WorkLedger::commit) the actual conflicts spent
 ///    (commit `0` on every skip path — cancellation, drains, panics —
 ///    so blocked reservations always wake).
@@ -177,20 +127,14 @@ impl WorkLedger {
         if self.limit == 0 {
             return 0;
         }
-        if let Some(cap) = self.per_output_cap {
-            let fits = (idx as u64)
-                .checked_add(1)
-                .and_then(|k| k.checked_mul(cap))
-                .is_some_and(|need| need <= self.limit);
-            if fits {
-                // Predecessors each spend at most `cap`, so at least
-                // `cap` of the pool provably survives to this output
-                // whatever they do. The `max(1)` keeps a zero cap from
-                // reading as an exhausted *circuit* pool: the
-                // per-output meter enforces the zero, exactly as it
-                // would against the true (positive) pool remainder.
-                return cap.max(1);
-            }
+        if let Some(cap) = self.prefix_cap(idx) {
+            // Predecessors each spend at most `cap`, so at least `cap`
+            // of the pool provably survives to this output whatever
+            // they do. The `max(1)` keeps a zero cap from reading as
+            // an exhausted *circuit* pool: the per-output meter
+            // enforces the zero, exactly as it would against the true
+            // (positive) pool remainder.
+            return cap.max(1);
         }
         let mut st = self.state.lock().expect("work ledger lock");
         while st.prefix < idx {
@@ -198,6 +142,31 @@ impl WorkLedger {
         }
         let spent: u64 = st.committed[..idx].iter().map(|c| c.unwrap_or(0)).sum();
         self.limit.saturating_sub(spent)
+    }
+
+    /// The per-output cap, if output `idx` lies in the independent
+    /// prefix (`(idx+1)·cap ≤ limit`).
+    fn prefix_cap(&self, idx: usize) -> Option<u64> {
+        let cap = self.per_output_cap?;
+        let need = (idx as u64).checked_add(1)?.checked_mul(cap)?;
+        (need <= self.limit).then_some(cap)
+    }
+
+    /// Whether [`reserve`](WorkLedger::reserve)`(idx)` would block
+    /// now: `idx` lies past the independent prefix and some earlier
+    /// output has not committed yet.
+    pub fn would_block(&self, idx: usize) -> bool {
+        self.limit != 0
+            && self.prefix_cap(idx).is_none()
+            && self.state.lock().expect("work ledger lock").prefix < idx
+    }
+
+    /// The spend committed so far, each output's capped at the
+    /// per-output cap: what a sequential run would have debited from
+    /// the pool.
+    pub fn committed(&self) -> u64 {
+        let st = self.state.lock().expect("work ledger lock");
+        st.committed.iter().flatten().sum()
     }
 
     /// Commits output `idx`'s actual spend (its meter's conflict
@@ -224,40 +193,25 @@ impl WorkLedger {
     }
 }
 
-/// The circuit-scope limits one output job runs under: the shared
-/// deadline (wall component of the per-circuit budget, possibly capped
-/// by an explicit per-submission deadline) and the shared work pool.
-/// Cheap to clone — the pool is shared, not copied.
-#[derive(Clone, Debug, Default)]
+/// The circuit-scope limits one output's session runs under: the
+/// shared deadline (wall component of the per-circuit budget, possibly
+/// capped by an explicit per-submission deadline) and the output's
+/// slice of the per-circuit work budget.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CircuitBudget {
     /// The shared circuit deadline, if the per-circuit budget has a
     /// wall component (anchored at the submission's first claim).
     pub deadline: Option<Instant>,
-    /// The shared work pool, if the per-circuit budget has a work
-    /// component.
-    pub work: Option<Arc<WorkPool>>,
+    /// This output's reserved slice of the per-circuit work budget
+    /// ([`WorkLedger::reserve`]), if that budget has a work component.
+    pub work: Option<u64>,
 }
 
 impl CircuitBudget {
-    /// The circuit budget for `budget` anchored at `start` (the
-    /// inline, single-caller path; the service anchors the wall
-    /// component lazily at first claim instead).
-    pub fn anchored(budget: Budget, start: Instant) -> Self {
-        CircuitBudget {
-            deadline: budget.wall().map(|d| start + d),
-            work: budget.work().map(|w| Arc::new(WorkPool::new(w))),
-        }
-    }
-
-    /// Whether the circuit budget is spent (deadline passed or pool
-    /// empty) — outputs claimed after this point are skipped.
+    /// Whether the circuit budget is spent (deadline passed or empty
+    /// work slice) — the output is skipped instead of solved.
     pub fn expired(&self) -> bool {
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return true;
-            }
-        }
-        self.work.as_deref().is_some_and(WorkPool::is_exhausted)
+        self.deadline.is_some_and(|d| Instant::now() >= d) || self.work == Some(0)
     }
 }
 
@@ -277,30 +231,26 @@ pub struct CallLimits {
 /// asks — *may I keep going?* ([`EffortMeter::exhausted`]) and *how
 /// much may the next call cost?* ([`EffortMeter::call_limits`]).
 ///
-/// The meter owns the output's wall deadline (per-output ∩ circuit)
-/// and work limit, and holds the circuit's shared [`WorkPool`];
-/// [`EffortMeter::charge`] feeds both. See the module docs for the
-/// determinism contract.
+/// The meter owns the output's wall deadline and work limit, each the
+/// tighter of its per-output and circuit components;
+/// [`EffortMeter::charge`] counts against both. See the module docs
+/// for the determinism contract.
 #[derive(Debug, Default)]
 pub struct EffortMeter {
     deadline: Option<Instant>,
     work_limit: Option<u64>,
     spent: EffortStats,
-    pool: Option<Arc<WorkPool>>,
 }
 
 impl EffortMeter {
-    /// A meter for one output starting at `start`: wall deadline from
-    /// the budgets' wall components (tighter of per-output and
-    /// circuit), work limit from the per-output work component, shared
-    /// pool from the circuit budget.
+    /// A meter for one output starting at `start`: wall deadline and
+    /// work limit each the tighter of the per-output budget's component
+    /// and the circuit budget's.
     pub fn new(start: Instant, per_output: Budget, circuit: &CircuitBudget) -> Self {
-        let deadline = tighter(per_output.wall().map(|d| start + d), circuit.deadline);
         EffortMeter {
-            deadline,
-            work_limit: per_output.work(),
+            deadline: tighter(per_output.wall().map(|d| start + d), circuit.deadline),
+            work_limit: tighter(per_output.work(), circuit.work),
             spent: EffortStats::default(),
-            pool: circuit.work.clone(),
         }
     }
 
@@ -320,17 +270,15 @@ impl EffortMeter {
         self.spent
     }
 
-    /// Conflicts left before a work budget trips: the tighter of the
-    /// per-output limit and the circuit pool (`None` = no work budget).
+    /// Conflicts left before the work limit trips (`None` = no work
+    /// budget).
     pub fn remaining_work(&self) -> Option<u64> {
-        let own = self
-            .work_limit
-            .map(|l| l.saturating_sub(self.spent.conflicts));
-        tighter(own, self.pool.as_ref().map(|p| p.remaining()))
+        self.work_limit
+            .map(|l| l.saturating_sub(self.spent.conflicts))
     }
 
-    /// Whether any budget is spent: the wall deadline passed, or a
-    /// work budget (own or circuit pool) ran out. Solving layers check
+    /// Whether any budget is spent: the wall deadline passed, or the
+    /// work limit (own or circuit slice) ran out. Solving layers check
     /// this between calls and report a timeout when it trips.
     pub fn exhausted(&self) -> bool {
         if let Some(d) = self.deadline {
@@ -341,15 +289,11 @@ impl EffortMeter {
         self.remaining_work() == Some(0)
     }
 
-    /// Charges solver effort to this meter (and debits the circuit
-    /// pool). Every solver call on the session's solve path reports
+    /// Charges solver effort to this meter. Every solver call on the session's solve path reports
     /// its work here — that single stream is what the work budgets
     /// meter.
     pub fn charge(&mut self, work: EffortStats) {
         self.spent += work;
-        if let Some(pool) = &self.pool {
-            pool.debit(work.conflicts);
-        }
     }
 
     /// The limits for one solver call under `per_call`: the call's
@@ -369,6 +313,7 @@ impl EffortMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn effort(conflicts: u64) -> EffortStats {
@@ -377,17 +322,6 @@ mod tests {
             decisions: 2 * conflicts,
             propagations: 10 * conflicts,
         }
-    }
-
-    #[test]
-    fn work_pool_debits_and_saturates() {
-        let pool = WorkPool::new(10);
-        assert_eq!(pool.remaining(), 10);
-        pool.debit(4);
-        assert_eq!(pool.remaining(), 6);
-        pool.debit(100);
-        assert_eq!(pool.remaining(), 0);
-        assert!(pool.is_exhausted());
     }
 
     #[test]
@@ -404,17 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn meter_trips_on_the_shared_pool() {
+    fn meter_trips_on_a_circuit_slice_below_its_own_cap() {
         let circuit = CircuitBudget {
             deadline: None,
-            work: Some(Arc::new(WorkPool::new(5))),
+            work: Some(5),
         };
-        let mut a = EffortMeter::new(Instant::now(), Budget::Unlimited, &circuit);
-        let b = EffortMeter::new(Instant::now(), Budget::Unlimited, &circuit);
-        a.charge(effort(5));
-        assert!(a.exhausted());
-        assert!(b.exhausted(), "siblings share the pool");
-        assert!(circuit.expired());
+        assert!(!circuit.expired());
+        let mut m = EffortMeter::new(Instant::now(), Budget::Work(10), &circuit);
+        assert_eq!(m.remaining_work(), Some(5), "the slice caps the own limit");
+        m.charge(effort(3));
+        assert_eq!(m.remaining_work(), Some(2));
+        assert!(!m.exhausted());
+        m.charge(effort(2));
+        assert!(m.exhausted(), "trips at the slice, not at the own cap");
+        assert_eq!(m.spent().conflicts, 5);
     }
 
     #[test]
@@ -463,6 +400,23 @@ mod tests {
     }
 
     #[test]
+    fn ledger_reports_its_prefix_and_committed_total() {
+        // limit 10, per-output cap 4: outputs 0 and 1 are in the
+        // independent prefix, output 2 waits for both commits.
+        let ledger = WorkLedger::new(10, Some(4), 3);
+        assert!(!ledger.would_block(0) && !ledger.would_block(1));
+        assert!(ledger.would_block(2), "past the prefix, nothing committed");
+        ledger.commit(1, 9);
+        assert!(ledger.would_block(2), "output 0 still outstanding");
+        ledger.commit(0, 2);
+        assert!(!ledger.would_block(2), "every predecessor committed");
+        assert_eq!(ledger.committed(), 2 + 4, "spend is capped per output");
+        ledger.commit(2, 1);
+        assert_eq!(ledger.committed(), 7);
+        assert_eq!(ledger.reserve(2), 10 - 6);
+    }
+
+    #[test]
     fn ledger_reservation_waits_for_predecessor_commits() {
         // No per-output cap: reserve(1) must block until output 0
         // commits (the serialized tail).
@@ -494,7 +448,7 @@ mod tests {
         assert!(slice >= 1);
         let circuit = CircuitBudget {
             deadline: None,
-            work: Some(Arc::new(WorkPool::new(slice))),
+            work: Some(slice),
         };
         assert!(!circuit.expired());
         let m = EffortMeter::new(Instant::now(), Budget::Work(0), &circuit);
@@ -509,22 +463,5 @@ mod tests {
         let ledger = WorkLedger::new(0, Some(5), 2);
         assert_eq!(ledger.reserve(0), 0);
         assert_eq!(ledger.reserve(1), 0);
-    }
-
-    #[test]
-    fn anchored_circuit_budget_splits_components() {
-        let start = Instant::now();
-        let b = CircuitBudget::anchored(
-            Budget::Both {
-                wall: Duration::from_secs(5),
-                work: 42,
-            },
-            start,
-        );
-        assert_eq!(b.deadline, Some(start + Duration::from_secs(5)));
-        assert_eq!(b.work.as_ref().map(|p| p.remaining()), Some(42));
-        assert!(!b.expired());
-        let unlimited = CircuitBudget::anchored(Budget::Unlimited, start);
-        assert!(unlimited.deadline.is_none() && unlimited.work.is_none());
     }
 }

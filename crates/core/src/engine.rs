@@ -1,14 +1,11 @@
-//! The STEP circuit driver: a work-queue over per-output
-//! [`SolveSession`]s with the model roster of the paper's evaluation
-//! (LJH, STEP-MG, STEP-QD, STEP-QB, STEP-QDB).
+//! The STEP engine front end, [`BiDecomposer`], with the model roster
+//! of the paper's evaluation (LJH, STEP-MG, STEP-QD, STEP-QB,
+//! STEP-QDB).
 //!
-//! The engine layer is split in two:
-//!
-//! * [`OutputJob`] — the pure description of one
-//!   unit of work (output index, operator, budgets, seed);
-//! * [`SolveSession`] — the per-output state (cone, core formula,
-//!   oracle, stats) that executes a job, running the configured
-//!   model's search through one `match` on [`Model`](crate::spec::Model).
+//! Each output is solved by a [`SolveSession`] — the per-output state
+//! (cone, budget meter, core formula, oracle, stats) that runs the
+//! configured model's search through one `match` on
+//! [`Model`](crate::spec::Model).
 //!
 //! Circuit-wide runs are driven by the persistent
 //! [`StepService`] worker pool, the only circuit driver:
@@ -22,7 +19,7 @@
 //! join. Per-output results are a pure function of
 //! `(cone, op, config)` — every cone is solved in canonical input
 //! order and the simulation seed derives from
-//! [`cone_seed`](crate::job::cone_seed) over the cone's canonical
+//! [`cone_seed`](crate::session::cone_seed) over the cone's canonical
 //! fingerprint, never from visitation order — so `jobs = 1` and
 //! `jobs = N` produce identical results (wall-clock timeouts aside —
 //! and under pure [`Budget::Work`](crate::spec::Budget::Work) budgets
@@ -41,8 +38,8 @@ use step_sat::EffortStats;
 
 use crate::cache::{CacheLookup, ResultCache};
 use crate::clause_bank::BankLookup;
+use crate::effort::CircuitBudget;
 use crate::extract::Decomposition;
-use crate::job::OutputJob;
 use crate::partition::VarPartition;
 use crate::service::{StepService, SubmitOptions};
 use crate::session::SolveSession;
@@ -370,9 +367,16 @@ impl BiDecomposer {
         out_idx: usize,
         op: GateOp,
     ) -> Result<OutputResult, StepError> {
-        let job = OutputJob::new(&self.config, out_idx, op);
         let store = self.store.for_run(self.config.clause_reuse);
-        let result = SolveSession::new(aig, job, &self.config, &store)?.run();
+        let result = SolveSession::new(
+            aig,
+            out_idx,
+            op,
+            &self.config,
+            CircuitBudget::default(),
+            &store,
+        )?
+        .run();
         // Persist what this call learned (best-effort: a full disk must
         // not turn a solved output into an error).
         let _ = store.flush();

@@ -29,10 +29,9 @@
 //! * [`extract`](mod@extract) — interpolation/cofactor extraction of
 //!   `fA`, `fB`;
 //! * [`verify`](mod@verify) — support + SAT equivalence checking;
-//! * [`engine`] — the circuit driver with the paper's budget
-//!   structure, built as a solve-session pipeline: a pure [`job`]
-//!   description per output and a stateful [`session`] that executes
-//!   it, dispatching on the roster model with one `match`;
+//! * [`engine`] — [`BiDecomposer`], the one-call front end with the
+//!   paper's budget structure, over one stateful [`session`] per
+//!   output that dispatches on the roster model with one `match`;
 //! * [`service`] — the circuit driver: a persistent [`StepService`]
 //!   worker pool with job submission, streaming per-output results and
 //!   cancellation ([`BiDecomposer::decompose_circuit`] is a
@@ -45,9 +44,8 @@
 //! * [`clause_bank`] — cross-output clause reuse: completed sessions
 //!   donate tier-core learnt clauses (keyed by `(fingerprint, op)`
 //!   exactly, and by `(op, support)` for vetted near-twin seeding) and
-//!   park live oracles for same-fingerprint siblings — answers are
-//!   identical with reuse on or off, only the conflicts to reach them
-//!   drop;
+//!   record QBF probe certificates — answers are identical with reuse
+//!   on or off, only the conflicts to reach them drop;
 //! * [`store`] — the [`TieredStore`], the one reuse handle engines and
 //!   services hold: one typed lookup/record pair per reuse surface
 //!   (results, clause donations, probe certificates), with the
@@ -67,7 +65,6 @@ pub mod clause_bank;
 pub mod effort;
 pub mod engine;
 pub mod extract;
-pub mod job;
 pub mod ljh;
 pub mod mg;
 pub mod network;
@@ -86,17 +83,16 @@ pub mod verify;
 
 pub use cache::{CacheLookup, CachedResult, ResultCache};
 pub use clause_bank::{BankHit, BankKey, BankLookup, ClauseBank};
-pub use effort::{CallLimits, CircuitBudget, EffortMeter, WorkLedger, WorkPool};
+pub use effort::{CallLimits, CircuitBudget, EffortMeter, WorkLedger};
 pub use engine::{BiDecomposer, CircuitResult, OutputResult, StepError};
 pub use extract::{extract, extract_by_quantification, Decomposition, ExtractError};
-pub use job::{cone_seed, OutputJob};
 pub use network::{DecompTree, LeafFn, TreeNode};
 pub use partition::{VarClass, VarPartition};
 pub use predict::CostModel;
 pub use service::{
     Canceller, OutputEvent, StepService, SubmissionHandle, SubmissionId, SubmitOptions,
 };
-pub use session::SolveSession;
+pub use session::{cone_seed, SolveSession};
 pub use spec::{Budget, BudgetPolicy, DecompConfig, GateOp, Model, SearchStrategy};
 pub use store::{
     check_cache_dir, Artifact, ArtifactKey, ArtifactKind, ArtifactStore, ConfigKey, DiskTier,

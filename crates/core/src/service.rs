@@ -8,9 +8,9 @@
 //! long-lived `StepService`
 //! owns a pool of worker threads **spawned once** and a queue of
 //! submissions, each submission being one `(circuit, op, config)`
-//! decomposition request. Workers claim [`OutputJob`]-shaped units
-//! (one primary output at a time) from the highest-priority queued
-//! submission: already-started submissions drain first (the pop is
+//! decomposition request. Workers claim one primary output at a time
+//! from the highest-priority queued submission: already-started
+//! submissions drain first (the pop is
 //! non-preemptive — a started submission's per-circuit budget is
 //! anchored and ticking, so nothing may jump ahead of it), then
 //! earliest explicit deadline ([`SubmitOptions::deadline`]),
@@ -75,7 +75,6 @@
 //! thread and the service survive and keep serving other submissions.
 //!
 //! [`BiDecomposer::decompose_circuit`]: crate::BiDecomposer::decompose_circuit
-//! [`OutputJob`]: crate::job::OutputJob
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -89,9 +88,8 @@ use std::time::Instant;
 use step_aig::Aig;
 
 use crate::cache::CacheLookup;
-use crate::effort::{CircuitBudget, WorkLedger, WorkPool};
+use crate::effort::{tighter, CircuitBudget, WorkLedger};
 use crate::engine::{CircuitResult, OutputResult, StepError};
-use crate::job::OutputJob;
 use crate::predict::CostModel;
 use crate::session::SolveSession;
 use crate::spec::{DecompConfig, GateOp};
@@ -143,16 +141,6 @@ pub struct SubmitOptions {
     pub cost_hint: Option<u64>,
 }
 
-/// How a submission's circuit-wide deadline is derived.
-enum DeadlinePolicy {
-    /// `first claim + config.budget.per_circuit` (the legacy rule).
-    Budget,
-    /// An absolute caller-supplied instant, additionally capped by the
-    /// per-circuit budget. Also the submission's queue priority:
-    /// deadlined submissions are claimed earliest-deadline-first.
-    Explicit(Instant),
-}
-
 /// Shared state of one submission: the work description plus the claim
 /// counter, flags and the event channel workers report through.
 struct Submission {
@@ -160,13 +148,17 @@ struct Submission {
     aig: Arc<Aig>,
     op: GateOp,
     config: DecompConfig,
-    deadline_policy: DeadlinePolicy,
+    /// The caller's absolute deadline ([`SubmitOptions::deadline`]):
+    /// caps the per-circuit budget's wall deadline and is the queue
+    /// priority (deadlined submissions are claimed
+    /// earliest-deadline-first).
+    deadline: Option<Instant>,
     /// The work component of the per-circuit budget: a two-phase
     /// reservation ledger slicing the budget across outputs in
     /// sequential order, so truncation verdicts are deterministic at
     /// any worker count. Created at submit (work needs no anchoring —
     /// queue wait costs none).
-    ledger: Option<Arc<WorkLedger>>,
+    ledger: Option<WorkLedger>,
     /// The submitting tenant, if the caller tagged one
     /// ([`SubmitOptions::tenant`]) — the deficit-round-robin grouping
     /// key.
@@ -202,25 +194,16 @@ struct Submission {
 impl Submission {
     /// The circuit-scope limits for output `idx`, anchoring the wall
     /// component of the per-circuit budget at the first claim. The
-    /// work component is this output's slice of the per-circuit pool,
-    /// reserved from the [`WorkLedger`] (may block until predecessors
-    /// commit — see [`crate::effort`]) and wrapped in a private
-    /// [`WorkPool`] so the session's meter needs no new plumbing.
+    /// work component is this output's slice of the per-circuit
+    /// budget, reserved from the [`WorkLedger`] (may block until
+    /// predecessors commit — see [`crate::effort`]).
     fn circuit_budget_for(&self, idx: usize) -> CircuitBudget {
         let start = *self.started.get_or_init(Instant::now);
         let budget = self.config.budget.per_circuit.wall().map(|d| start + d);
-        let deadline = match self.deadline_policy {
-            DeadlinePolicy::Budget => budget,
-            DeadlinePolicy::Explicit(d) => Some(match budget {
-                Some(b) => d.min(b),
-                None => d,
-            }),
-        };
-        let work = self
-            .ledger
-            .as_ref()
-            .map(|l| Arc::new(WorkPool::new(l.reserve(idx))));
-        CircuitBudget { deadline, work }
+        CircuitBudget {
+            deadline: tighter(budget, self.deadline),
+            work: self.ledger.as_ref().map(|l| l.reserve(idx)),
+        }
     }
 
     /// Commits output `idx`'s spend to the work ledger (0 on every
@@ -228,17 +211,6 @@ impl Submission {
     fn commit_work(&self, idx: usize, spent: u64) {
         if let Some(ledger) = &self.ledger {
             ledger.commit(idx, spent);
-        }
-    }
-
-    /// The queue priority: an explicit deadline, if the caller set
-    /// one. Queued submissions are claimed earliest-deadline-first;
-    /// submissions without deadlines keep FIFO order (by id) among
-    /// themselves, behind any deadlined ones.
-    fn queue_deadline(&self) -> Option<Instant> {
-        match self.deadline_policy {
-            DeadlinePolicy::Budget => None,
-            DeadlinePolicy::Explicit(d) => Some(d),
         }
     }
 
@@ -270,7 +242,7 @@ impl Submission {
         // Cost participates only for tenant-tagged submissions:
         // untagged ones promised FIFO, and their cost field is 0.
         let cost = if self.tenant.is_some() { self.cost } else { 0 };
-        match self.queue_deadline() {
+        match self.deadline {
             Some(d) => (unstarted, 0, Some(d), cost, self.id.0),
             None => (unstarted, 1, None, cost, self.id.0),
         }
@@ -637,10 +609,7 @@ impl StepService {
             .budget
             .per_circuit
             .work()
-            .map(|w| Arc::new(WorkLedger::new(w, config.budget.per_output.work(), n_out)));
-        let deadline_policy = options
-            .deadline
-            .map_or(DeadlinePolicy::Budget, DeadlinePolicy::Explicit);
+            .map(|w| WorkLedger::new(w, config.budget.per_output.work(), n_out));
         // Cost-aware ordering only applies to tenant-tagged
         // submissions; the estimate is the caller's hint, else a
         // support-size walk priced by the service's cost model.
@@ -662,7 +631,7 @@ impl StepService {
             aig,
             op,
             config,
-            deadline_policy,
+            deadline: options.deadline,
             ledger,
             tenant: options.tenant,
             cost,
@@ -793,7 +762,7 @@ fn run_claimed(shared: &ServiceShared, sub: &Submission, idx: usize) {
         if sub.config.panic_on_output == Some(idx) {
             panic!("injected fault on output {idx}");
         }
-        run_queued(sub, idx, &circuit)
+        run_queued(sub, idx, circuit)
     }));
     let result = match outcome {
         Ok(r) => r,
@@ -837,7 +806,7 @@ fn run_claimed(shared: &ServiceShared, sub: &Submission, idx: usize) {
 fn run_queued(
     sub: &Submission,
     out_idx: usize,
-    circuit: &CircuitBudget,
+    circuit: CircuitBudget,
 ) -> Result<OutputResult, StepError> {
     let output = &sub.aig.outputs()[out_idx];
     let name = output.name().to_owned();
@@ -849,8 +818,7 @@ fn run_queued(
         let support = sub.aig.support(output.lit()).len();
         return Ok(OutputResult::budget_exhausted(name, out_idx, support));
     }
-    let job = OutputJob::new(&sub.config, out_idx, sub.op).with_circuit(circuit.clone());
-    SolveSession::new(&sub.aig, job, &sub.config, &sub.store)?
+    SolveSession::new(&sub.aig, out_idx, sub.op, &sub.config, circuit, &sub.store)?
         .run()
         .map_err(|e| match e {
             StepError::Internal(m) => {
@@ -1309,7 +1277,7 @@ mod tests {
             aig: Arc::new(twin_aig()),
             op: GateOp::Or,
             config: config(Model::MusGroup),
-            deadline_policy: deadline.map_or(DeadlinePolicy::Budget, DeadlinePolicy::Explicit),
+            deadline,
             ledger: None,
             tenant: tenant.map(Arc::from),
             cost,

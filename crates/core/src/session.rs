@@ -1,14 +1,13 @@
 //! [`SolveSession`] — the per-output solving state machine.
 //!
-//! A session is the stateful counterpart of a pure
-//! [`OutputJob`]: it owns the extracted cone,
-//! the core formula, the incremental [`PartitionOracle`], the
-//! simulation pre-filter and the per-output statistics, and drives one
-//! output from job to [`OutputResult`]. The model's search is one
-//! `match` on [`Model`]: LJH or STEP-MG over the session's oracle and
-//! candidate filter, or for the QBF models the STEP-MG bootstrap and
-//! the optimum `k`-search of [`crate::optimum`]. The session then
-//! finishes with extraction and verification.
+//! A session owns everything one primary output's solve needs: the
+//! extracted cone, the budget meter, the core formula, the incremental
+//! [`PartitionOracle`], the simulation pre-filter and the per-output
+//! statistics, and drives the output to an [`OutputResult`]. The
+//! model's search is one `match` on [`Model`]: LJH or STEP-MG over the
+//! session's oracle and candidate filter, or for the QBF models the
+//! STEP-MG bootstrap and the optimum `k`-search of [`crate::optimum`].
+//! The session then finishes with extraction and verification.
 //!
 //! **Canonical solving.** The session never searches on the cone as
 //! extracted: it first rewrites it into canonical input order
@@ -37,19 +36,39 @@ use step_aig::{canonicalize, Aig, CanonicalCone, Cone, ConeFingerprint};
 
 use crate::cache::{CacheLookup, CachedResult};
 use crate::clause_bank::{BankLookup, ProbeLedger};
-use crate::effort::EffortMeter;
+use crate::effort::{CircuitBudget, EffortMeter};
 use crate::engine::{OutputResult, StepError};
 use crate::extract::{extract, ExtractError};
-use crate::job::{cone_seed, OutputJob};
 use crate::ljh::{self, LjhOutcome};
 use crate::mg::{self, MgOutcome};
 use crate::optimum::{self, Metric};
 use crate::oracle::{sim_filter_pairs, CoreFormula, PartitionOracle};
 use crate::partition::VarPartition;
 use crate::qbf_model::ModelOptions;
-use crate::spec::{DecompConfig, Model};
+use crate::spec::{DecompConfig, GateOp, Model};
 use crate::store::{Namespace, TieredStore};
 use crate::verify::verify;
+
+/// Derives the simulation seed for a cone from the engine's base seed
+/// and the cone's canonical fingerprint hash.
+///
+/// The seed is a pure function `hash(base, fingerprint)` (a SplitMix64
+/// finalizer folding both 64-bit halves of the fingerprint), so a given
+/// cone always simulates the same random patterns regardless of which
+/// output, circuit, thread or visitation order it was reached through —
+/// and two structurally identical cones simulate *identical* patterns.
+/// This is what makes [`crate::BiDecomposer::decompose_circuit`]
+/// deterministic under `jobs > 1` *and* makes solved outcomes a pure
+/// function of the result namespace's key
+/// ([`crate::store::ConfigKey::results`]) and the canonical cone.
+pub fn cone_seed(base: u64, fingerprint: u128) -> u64 {
+    let mut z = base
+        ^ (fingerprint as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ ((fingerprint >> 64) as u64).rotate_left(31);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// What a model's search concluded about one output.
 #[derive(Default)]
@@ -76,7 +95,8 @@ struct SearchOutcome {
 pub struct SolveSession<'a> {
     config: &'a DecompConfig,
     store: &'a TieredStore,
-    job: OutputJob,
+    out_idx: usize,
+    op: GateOp,
     name: String,
     cone: Cone,
     start: Instant,
@@ -86,8 +106,10 @@ pub struct SolveSession<'a> {
 }
 
 impl<'a> SolveSession<'a> {
-    /// Opens a session for `job` on `aig`, consulting `store` for a
-    /// solved result before solving when it serves results. Clause and
+    /// Opens a session for primary output `out_idx` of `aig` under
+    /// `op`, metered by `config`'s per-output budget and the
+    /// circuit-scope limits `circuit`, consulting `store` for a solved
+    /// result before solving when it serves results. Clause and
     /// probe reuse run iff [`DecompConfig::clause_reuse`] is on, over
     /// the store's bank and disk tier ([`TieredStore::for_run`] adds a
     /// bank to a store that has none).
@@ -106,8 +128,10 @@ impl<'a> SolveSession<'a> {
     /// [`run`]: SolveSession::run
     pub fn new(
         aig: &Aig,
-        job: OutputJob,
+        out_idx: usize,
+        op: GateOp,
         config: &'a DecompConfig,
+        circuit: CircuitBudget,
         store: &'a TieredStore,
     ) -> Result<Self, StepError> {
         let start = Instant::now();
@@ -116,15 +140,16 @@ impl<'a> SolveSession<'a> {
         }
         let output = aig
             .outputs()
-            .get(job.output_index)
-            .ok_or(StepError::OutputOutOfRange(job.output_index))?;
+            .get(out_idx)
+            .ok_or(StepError::OutputOutOfRange(out_idx))?;
         let name = output.name().to_owned();
-        let meter = EffortMeter::new(start, job.per_output, &job.circuit);
+        let meter = EffortMeter::new(start, config.budget.per_output, &circuit);
         let cone = aig.cone(output.lit());
         Ok(SolveSession {
             config,
             store,
-            job,
+            out_idx,
+            op,
             name,
             cone,
             start,
@@ -221,7 +246,7 @@ impl<'a> SolveSession<'a> {
         };
         let ledger = config
             .clause_reuse
-            .then(|| ProbeLedger::new(self.store, fingerprint, self.job.op, config));
+            .then(|| ProbeLedger::new(self.store, fingerprint, self.op, config));
         let (oracle, _, meter) = self.solve_parts();
         let search = optimum::search_with_reuse(
             oracle.core(),
@@ -268,7 +293,7 @@ impl<'a> SolveSession<'a> {
             match extract(
                 &self.cone.aig,
                 self.cone.root,
-                self.job.op,
+                self.op,
                 &p,
                 self.meter.deadline(),
             ) {
@@ -306,7 +331,7 @@ impl<'a> SolveSession<'a> {
     /// verified partition failing extraction).
     pub fn run(mut self) -> Result<OutputResult, StepError> {
         let n = self.cone.support_size();
-        let mut result = OutputResult::pending(self.name.clone(), self.job.output_index, n);
+        let mut result = OutputResult::pending(self.name.clone(), self.out_idx, n);
         if n < 2 {
             // Constant or single-input function: no non-trivial
             // bi-decomposition exists by definition.
@@ -333,8 +358,7 @@ impl<'a> SolveSession<'a> {
             .then(|| Namespace::results(self.config));
 
         if let Some(ns) = &result_ns {
-            if let Some((hit, from_disk)) =
-                self.store.lookup_result(ns, canon.fingerprint, self.job.op)
+            if let Some((hit, from_disk)) = self.store.lookup_result(ns, canon.fingerprint, self.op)
             {
                 result.cache = CacheLookup::Hit;
                 result.disk_hits += u64::from(from_disk);
@@ -354,7 +378,7 @@ impl<'a> SolveSession<'a> {
             self.candidates = Some(sim_filter_pairs(
                 &canon.aig,
                 canon.root,
-                self.job.op,
+                self.op,
                 self.config.sim_rounds,
                 cone_seed(self.config.seed, canon.fingerprint.hash),
             ));
@@ -364,14 +388,14 @@ impl<'a> SolveSession<'a> {
         // canonicalization), clause-by-clause vetted from a near-twin.
         // Either way it gains only clauses implied by its own CNF, so
         // the search sees identical verdicts.
-        let core = CoreFormula::build(&canon.aig, canon.root, self.job.op);
+        let core = CoreFormula::build(&canon.aig, canon.root, self.op);
         let mut oracle = PartitionOracle::with_options(
             core,
             self.config.sat_restarts,
             self.config.sat_preprocess,
         );
         if self.config.clause_reuse {
-            match self.store.lookup_clauses(canon.fingerprint, self.job.op) {
+            match self.store.lookup_clauses(canon.fingerprint, self.op) {
                 Some((hit, from_disk)) => {
                     result.disk_hits += u64::from(from_disk);
                     if hit.exact {
@@ -405,7 +429,7 @@ impl<'a> SolveSession<'a> {
                 self.store.insert_result(
                     ns,
                     canon.fingerprint,
-                    self.job.op,
+                    self.op,
                     CachedResult {
                         partition: outcome.partition.as_ref().map(|p| p.classes().to_vec()),
                         proved_optimal: outcome.proved_optimal,
@@ -423,7 +447,7 @@ impl<'a> SolveSession<'a> {
                 let export = oracle.export_learnts();
                 result.donated_clauses = export.num_clauses() as u64;
                 self.store
-                    .donate(canon.fingerprint, self.job.op, Arc::new(export));
+                    .donate(canon.fingerprint, self.op, Arc::new(export));
             }
         }
 
@@ -435,5 +459,28 @@ impl<'a> SolveSession<'a> {
         }
         result.cpu = self.start.elapsed();
         Ok(result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cone_seed_is_a_pure_spread_function() {
+        let fp = 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233u128;
+        let a = cone_seed(42, fp);
+        assert_eq!(a, cone_seed(42, fp), "pure function of (base, fingerprint)");
+        assert_ne!(
+            a,
+            cone_seed(42, fp ^ 1),
+            "distinct cones get distinct seeds"
+        );
+        assert_ne!(a, cone_seed(43, fp), "distinct bases get distinct seeds");
+        assert_ne!(
+            cone_seed(0, 1u128 << 64),
+            cone_seed(0, 1),
+            "both fingerprint halves feed the seed"
+        );
     }
 }

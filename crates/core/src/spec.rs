@@ -439,12 +439,12 @@ pub struct DecompConfig {
     /// [`StepService`](crate::service::StepService) it spins up gets
     /// `jobs` persistent workers claiming outputs from the submission
     /// queue. Per-output results are identical for any value (see
-    /// [`crate::job::cone_seed`]).
+    /// [`crate::session::cone_seed`]).
     ///
     /// [`decompose_circuit`]: crate::BiDecomposer::decompose_circuit
     pub jobs: usize,
     /// Base seed of the engine. Per-cone simulation seeds derive as
-    /// `hash(seed, cone fingerprint)` ([`crate::job::cone_seed`]), so
+    /// `hash(seed, cone fingerprint)` ([`crate::session::cone_seed`]), so
     /// results depend neither on the order (or thread) in which outputs
     /// are visited nor on where in a circuit a cone appears —
     /// structurally identical cones always simulate the same patterns.

@@ -481,35 +481,35 @@ impl TieredStore {
     }
 
     /// The best clause donor for `(fingerprint, op)`, and whether it
-    /// came from disk: a tier-0 exact donor, else an exact disk donor,
-    /// else a tier-0 cluster donor.
+    /// came from disk: a tier-0 exact donor, else an exact disk donor
+    /// (verbatim import needs no vetting, so it beats a near-twin),
+    /// else a tier-0 cluster donor. The bank counts only the donor
+    /// served: a disk-served lookup is a tier-0 miss.
     pub fn lookup_clauses(
         &self,
         fingerprint: ConeFingerprint,
         op: GateOp,
     ) -> Option<(BankHit, bool)> {
-        let tier0 = self.bank.as_ref().and_then(|b| b.lookup(fingerprint, op));
-        if tier0.as_ref().is_some_and(|hit| hit.exact) {
-            return tier0.map(|hit| (hit, false));
-        }
-        // No exact tier-0 donor: an exact disk donor beats a tier-0
-        // cluster hit (verbatim import needs no vetting).
-        let key = ArtifactKey::of(fingerprint, op);
-        if let Some(Artifact::Clauses(export)) =
-            self.disk.as_ref().and_then(|d| d.get(&CLAUSES, &key))
+        let disk = || match self
+            .disk
+            .as_ref()?
+            .get(&CLAUSES, &ArtifactKey::of(fingerprint, op))?
         {
-            if let Some(bank) = &self.bank {
-                bank.promote(fingerprint, op, Arc::clone(&export));
-            }
-            return Some((
-                BankHit {
-                    export,
-                    exact: true,
-                },
-                true,
-            ));
+            Artifact::Clauses(export) => Some(export),
+            _ => None,
+        };
+        match &self.bank {
+            Some(bank) => bank.lookup_or(fingerprint, op, disk),
+            None => disk().map(|export| {
+                (
+                    BankHit {
+                        export,
+                        exact: true,
+                    },
+                    true,
+                )
+            }),
         }
-        tier0.map(|hit| (hit, false))
     }
 
     /// Donates a completed session's clause snapshot to every tier.
@@ -1720,6 +1720,31 @@ mod tests {
             (cache.inserts(), bank.donations(), bank.probe_records()),
             (0, 0, 0)
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_served_clause_donor_is_a_tier_0_miss() {
+        let dir = std::env::temp_dir().join(format!("step-store-donor-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        {
+            let seed = TieredStore::with_disk(None, None, &dir).unwrap();
+            seed.donate(fp(2), GateOp::Or, Arc::new(export(9)));
+            seed.flush().unwrap();
+        }
+        let bank = Arc::new(ClauseBank::new());
+        // A near-twin (same op and support, other fingerprint) sits in
+        // tier 0's cluster channel; the exact donor is only on disk.
+        bank.donate(fp(7), GateOp::Or, Arc::new(export(5)));
+        let store = TieredStore::with_disk(None, Some(Arc::clone(&bank)), &dir).unwrap();
+        let (hit, from_disk) = store.lookup_clauses(fp(2), GateOp::Or).unwrap();
+        assert!(from_disk && hit.exact, "the exact disk donor is served");
+        assert_eq!(
+            bank.cluster_hits(),
+            0,
+            "the unserved cluster donor is not a hit"
+        );
+        assert_eq!(bank.misses(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

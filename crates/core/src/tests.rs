@@ -813,7 +813,7 @@ fn skipped_outputs_report_their_real_support() {
 
 #[test]
 fn expired_deadline_short_circuits_before_any_solver_work() {
-    use crate::job::OutputJob;
+    use crate::effort::CircuitBudget;
     use crate::session::SolveSession;
 
     let (mut aig, f) = or_of_ands();
@@ -822,11 +822,11 @@ fn expired_deadline_short_circuits_before_any_solver_work() {
     // The clock anchors at session construction, before cone
     // extraction; a circuit deadline that already passed must surface
     // as a timeout with the real support and zero oracle calls.
-    let job = OutputJob::new(&config, 0, GateOp::Or).with_circuit(crate::effort::CircuitBudget {
+    let circuit = CircuitBudget {
         deadline: Some(std::time::Instant::now()),
         work: None,
-    });
-    let r = SolveSession::new(&aig, job, &config, &Default::default())
+    };
+    let r = SolveSession::new(&aig, 0, GateOp::Or, &config, circuit, &Default::default())
         .unwrap()
         .run()
         .unwrap();
@@ -842,7 +842,6 @@ fn sessions_reuse_bank_exports() {
     use std::sync::Arc;
 
     use crate::clause_bank::{BankLookup, ClauseBank};
-    use crate::job::OutputJob;
     use crate::session::SolveSession;
     use crate::store::TieredStore;
 
@@ -862,8 +861,7 @@ fn sessions_reuse_bank_exports() {
     let bank = Arc::new(ClauseBank::new());
     let store = TieredStore::memory(None, Some(Arc::clone(&bank)));
     let run = |idx: usize| {
-        let job = OutputJob::new(&config, idx, GateOp::Or);
-        SolveSession::new(&aig, job, &config, &store)
+        SolveSession::new(&aig, idx, GateOp::Or, &config, Default::default(), &store)
             .unwrap()
             .run()
             .unwrap()

@@ -396,7 +396,7 @@ impl<'a> SynthDriver<'a> {
     ) -> Result<(), StepError> {
         let n_ops = self.opts.ops.len() as u64;
         let slot_cap = self.opts.per_node.work().map(|w| w.saturating_mul(n_ops));
-        let ledger = pool_left.map(|limit| (limit, WorkLedger::new(limit, slot_cap, expand.len())));
+        let ledger = pool_left.map(|limit| WorkLedger::new(limit, slot_cap, expand.len()));
 
         // Probes in flight, in slot order. A slot is drained by
         // joining its handles, committing its spend to the ledger and
@@ -404,11 +404,9 @@ impl<'a> SynthDriver<'a> {
         // child-id assignment) is scheduling-independent.
         let mut pending: Vec<(usize, Node, Vec<step_core::SubmissionHandle>)> = Vec::new();
         let mut in_flight: HashSet<(u128, u32, u32)> = HashSet::new();
-        let mut committed: u64 = 0;
 
         let drain = |pending: &mut Vec<(usize, Node, Vec<step_core::SubmissionHandle>)>,
                      in_flight: &mut HashSet<(u128, u32, u32)>,
-                     committed: &mut u64,
                      outcomes: &mut HashMap<u64, Outcome>,
                      next_id: &mut u64,
                      frontier: &mut Vec<Node>,
@@ -434,13 +432,9 @@ impl<'a> SynthDriver<'a> {
                     spent += out.effort.conflicts;
                     probes.push(out);
                 }
-                if let Some((_, l)) = &ledger {
+                if let Some(l) = &ledger {
                     l.commit(slot, spent);
                 }
-                *committed += match slot_cap {
-                    Some(c) => spent.min(c),
-                    None => spent,
-                };
                 self.resolve(node, probes, outcomes, next_id, frontier, stats);
             }
             in_flight.clear();
@@ -448,36 +442,29 @@ impl<'a> SynthDriver<'a> {
         };
 
         for (slot, node) in expand.into_iter().enumerate() {
-            // The ledger's independent-prefix condition: outside it, a
-            // reservation needs every earlier commit, so drain first
-            // (reserve then returns without blocking). Twins also wait
-            // for their leader's commit, which makes the round replay
-            // the sequential run: the leader solves, twins are served
-            // from the (now warm) cache — at any worker count.
-            let fast = match (&ledger, slot_cap) {
-                (None, _) => true,
-                (Some((limit, _)), Some(cap)) => (slot as u64 + 1)
-                    .checked_mul(cap)
-                    .is_some_and(|need| need <= *limit),
-                (Some(_), None) => false,
-            };
-            if (!fast || in_flight.contains(&node.fp)) && !pending.is_empty() {
+            // Past the ledger's independent prefix a reservation needs
+            // every earlier commit, so drain first (reserve then
+            // returns without blocking). Twins also wait for their
+            // leader's commit, which makes the round replay the
+            // sequential run: the leader solves, twins are served from
+            // the (now warm) cache — at any worker count.
+            let blocks = ledger.as_ref().is_some_and(|l| l.would_block(slot));
+            if (blocks || in_flight.contains(&node.fp)) && !pending.is_empty() {
                 drain(
                     &mut pending,
                     &mut in_flight,
-                    &mut committed,
                     outcomes,
                     next_id,
                     frontier,
                     stats,
                 )?;
             }
-            let slice = ledger.as_ref().map(|(_, l)| l.reserve(slot));
+            let slice = ledger.as_ref().map(|l| l.reserve(slot));
             let exhausted = slice == Some(0) || deadline.is_some_and(|d| Instant::now() >= d);
             if exhausted {
                 stats.truncated = true;
                 outcomes.insert(node.id, leaf_outcome(&node));
-                if let Some((_, l)) = &ledger {
+                if let Some(l) = &ledger {
                     l.commit(slot, 0);
                 }
                 continue;
@@ -504,15 +491,14 @@ impl<'a> SynthDriver<'a> {
         drain(
             &mut pending,
             &mut in_flight,
-            &mut committed,
             outcomes,
             next_id,
             frontier,
             stats,
         )?;
 
-        if let Some((limit, _)) = &ledger {
-            *pool_left = Some(limit.saturating_sub(committed));
+        if let (Some(left), Some(l)) = (pool_left.as_mut(), &ledger) {
+            *left = left.saturating_sub(l.committed());
         }
         Ok(())
     }
