@@ -234,7 +234,7 @@ fn build_gate(
 /// tie-off input `__tie0` is added for constant functions of zero inputs.
 pub fn write(aig: &Aig) -> String {
     use crate::graph::AigNode;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::fmt::Write as _;
 
     let mut out = String::new();
@@ -249,9 +249,11 @@ pub fn write(aig: &Aig) -> String {
             AigNode::And { .. } => format!("n{}", id.index()),
         }
     };
-    let mut inverters: HashSet<u32> = HashSet::new();
+    // Sorted by literal code, so the `NOT` lines come out in the same
+    // order on every run.
+    let mut inverters: BTreeSet<u32> = BTreeSet::new();
     let mut used_const = false;
-    let ref_name = |lit: AigLit, inverters: &mut HashSet<u32>, used_const: &mut bool| {
+    let ref_name = |lit: AigLit, inverters: &mut BTreeSet<u32>, used_const: &mut bool| {
         if lit.is_const() {
             *used_const = true;
         }

@@ -358,6 +358,36 @@ fn bench_round_trip_sequential() {
     }
 }
 
+/// The writer is a pure function of the AIG: two writes of one AIG
+/// give the same text, with the `NOT` lines in literal-code order.
+#[test]
+fn bench_write_is_deterministic() {
+    let mut aig = Aig::new();
+    let ins: Vec<AigLit> = (0..12).map(|i| aig.add_input(format!("x{i}"))).collect();
+    let mut acc = ins[0];
+    for (i, &x) in ins.iter().enumerate().skip(1) {
+        acc = if i % 2 == 0 {
+            aig.or(acc, !x)
+        } else {
+            aig.xor(acc, x)
+        };
+    }
+    aig.add_output("f", !acc);
+    let text = bench_io::write(&aig);
+    assert_eq!(text, bench_io::write(&aig));
+    let inverted: Vec<u32> = text
+        .lines()
+        .filter(|l| l.contains("= NOT("))
+        .map(|l| match l.split("_inv").next().unwrap().split_at(1) {
+            // Node 0 is the constant, so input `xi` is node i + 1.
+            ("x", i) => i.parse::<u32>().unwrap() + 1,
+            (_, id) => id.parse().unwrap(),
+        })
+        .collect();
+    assert!(inverted.len() > 10, "only {} NOT lines", inverted.len());
+    assert!(inverted.windows(2).all(|w| w[0] < w[1]), "{inverted:?}");
+}
+
 #[test]
 fn bench_rejects_garbage() {
     assert!(bench_io::parse("WHAT(a)").is_err());
