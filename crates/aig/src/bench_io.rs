@@ -15,16 +15,81 @@
 //! ```
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::error::ParseError;
 use crate::graph::Aig;
 use crate::lit::AigLit;
 
-#[derive(Debug, Clone)]
-struct GateDef {
+/// A gate's operator, read case-insensitively.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Op {
+    And,
+    Nand,
+    Or,
+    Nor,
+    Xor,
+    Xnor,
+    Not,
+    Buf,
+    Dff,
+    Unknown,
+}
+
+impl Op {
+    fn of(kind: &str) -> Op {
+        const OPS: [(&str, Op); 10] = [
+            ("AND", Op::And),
+            ("NAND", Op::Nand),
+            ("OR", Op::Or),
+            ("NOR", Op::Nor),
+            ("XOR", Op::Xor),
+            ("XNOR", Op::Xnor),
+            ("NOT", Op::Not),
+            ("BUF", Op::Buf),
+            ("BUFF", Op::Buf),
+            ("DFF", Op::Dff),
+        ];
+        OPS.iter()
+            .find(|(name, _)| kind.eq_ignore_ascii_case(name))
+            .map_or(Op::Unknown, |&(_, op)| op)
+    }
+}
+
+/// One `name = KIND(args)` line: the defined signal, the operator (and
+/// its spelling, for messages) and its operands' range in
+/// [`Netlist::operands`].
+struct Gate<'a> {
     line: usize,
-    kind: String,
-    args: Vec<String>,
+    out: u32,
+    kind: &'a str,
+    op: Op,
+    args: Range<usize>,
+}
+
+/// No gate defines the signal.
+const UNDEFINED: u32 = u32::MAX;
+
+/// Every signal name of a netlist, interned once: names borrow the
+/// text, and signal `i` is `names[i]`.
+#[derive(Default)]
+struct Netlist<'a> {
+    ids: HashMap<&'a str, u32>,
+    names: Vec<&'a str>,
+    /// The gate defining each signal, or [`UNDEFINED`].
+    gate_of: Vec<u32>,
+    gates: Vec<Gate<'a>>,
+    operands: Vec<u32>,
+}
+
+impl<'a> Netlist<'a> {
+    fn id(&mut self, name: &'a str) -> u32 {
+        *self.ids.entry(name).or_insert_with(|| {
+            self.names.push(name);
+            self.gate_of.push(UNDEFINED);
+            (self.names.len() - 1) as u32
+        })
+    }
 }
 
 /// Parses `.bench` text into an [`Aig`].
@@ -34,10 +99,9 @@ struct GateDef {
 /// Returns a [`ParseError`] on malformed lines, undefined signals,
 /// combinational cycles or arity violations.
 pub fn parse(text: &str) -> Result<Aig, ParseError> {
-    let mut inputs: Vec<(usize, String)> = Vec::new();
-    let mut outputs: Vec<(usize, String)> = Vec::new();
-    let mut gates: HashMap<String, GateDef> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    let mut net = Netlist::default();
+    let mut inputs: Vec<(usize, u32)> = Vec::new();
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let lineno = lineno + 1;
@@ -46,11 +110,11 @@ pub fn parse(text: &str) -> Result<Aig, ParseError> {
             continue;
         }
         if let Some(rest) = strip_decl(line, "INPUT") {
-            inputs.push((lineno, rest.to_owned()));
+            inputs.push((lineno, net.id(rest)));
         } else if let Some(rest) = strip_decl(line, "OUTPUT") {
-            outputs.push((lineno, rest.to_owned()));
+            outputs.push((lineno, rest));
         } else if let Some(eq) = line.find('=') {
-            let name = line[..eq].trim().to_owned();
+            let name = line[..eq].trim();
             let rhs = line[eq + 1..].trim();
             let open = rhs
                 .find('(')
@@ -58,32 +122,33 @@ pub fn parse(text: &str) -> Result<Aig, ParseError> {
             if !rhs.ends_with(')') {
                 return Err(ParseError::new(lineno, "missing `)`"));
             }
-            let kind = rhs[..open].trim().to_ascii_uppercase();
-            let args: Vec<String> = rhs[open + 1..rhs.len() - 1]
-                .split(',')
-                .map(|a| a.trim().to_owned())
-                .filter(|a| !a.is_empty())
-                .collect();
-            if args.is_empty() {
+            let kind = rhs[..open].trim();
+            let start = net.operands.len();
+            for arg in rhs[open + 1..rhs.len() - 1].split(',') {
+                let arg = arg.trim();
+                if !arg.is_empty() {
+                    let id = net.id(arg);
+                    net.operands.push(id);
+                }
+            }
+            if net.operands.len() == start {
                 return Err(ParseError::new(lineno, "gate with no operands"));
             }
-            if gates
-                .insert(
-                    name.clone(),
-                    GateDef {
-                        line: lineno,
-                        kind,
-                        args,
-                    },
-                )
-                .is_some()
-            {
+            let out = net.id(name);
+            if net.gate_of[out as usize] != UNDEFINED {
                 return Err(ParseError::new(
                     lineno,
                     format!("signal `{name}` redefined"),
                 ));
             }
-            order.push(name);
+            net.gate_of[out as usize] = net.gates.len() as u32;
+            net.gates.push(Gate {
+                line: lineno,
+                out,
+                kind,
+                op: Op::of(kind),
+                args: start..net.operands.len(),
+            });
         } else {
             return Err(ParseError::new(
                 lineno,
@@ -93,49 +158,50 @@ pub fn parse(text: &str) -> Result<Aig, ParseError> {
     }
 
     let mut aig = Aig::new();
-    let mut sig: HashMap<String, AigLit> = HashMap::new();
-    for (lineno, name) in &inputs {
-        if sig.contains_key(name) {
-            return Err(ParseError::new(
-                *lineno,
-                format!("input `{name}` redefined"),
-            ));
+    let mut sig: Vec<Option<AigLit>> = vec![None; net.names.len()];
+    for &(lineno, id) in &inputs {
+        let name = net.names[id as usize];
+        if sig[id as usize].is_some() {
+            return Err(ParseError::new(lineno, format!("input `{name}` redefined")));
         }
-        let lit = aig.add_input(name.clone());
-        sig.insert(name.clone(), lit);
+        sig[id as usize] = Some(aig.add_input(name));
     }
     // DFF outputs are leaves; create them before resolving gates so that
     // definition order does not matter and latch cycles are legal.
-    let mut latch_next: Vec<(usize, String)> = Vec::new(); // (latch idx, source)
-    for name in &order {
-        let def = &gates[name];
-        if def.kind == "DFF" {
-            if def.args.len() != 1 {
-                return Err(ParseError::new(def.line, "DFF takes exactly one operand"));
-            }
-            let idx = aig.latches().len();
-            let lit = aig.add_latch(name.clone(), false);
-            sig.insert(name.clone(), lit);
-            latch_next.push((idx, def.args[0].clone()));
+    let mut latch_next: Vec<(usize, u32)> = Vec::new(); // (latch idx, source)
+    for gate in net.gates.iter().filter(|g| g.op == Op::Dff) {
+        if gate.args.len() != 1 {
+            return Err(ParseError::new(gate.line, "DFF takes exactly one operand"));
         }
+        let idx = aig.latches().len();
+        let lit = aig.add_latch(net.names[gate.out as usize], false);
+        sig[gate.out as usize] = Some(lit);
+        latch_next.push((idx, net.operands[gate.args.start]));
     }
 
-    // Resolve combinational gates with an explicit work stack.
-    for name in &order {
-        resolve(name, &gates, &mut sig, &mut aig)?;
+    // Resolve combinational gates in definition order, each by an
+    // iterative DFS over its unresolved operands.
+    let mut dfs = Dfs {
+        stack: Vec::new(),
+        visiting: vec![false; net.names.len()],
+        lits: Vec::new(),
+    };
+    for gate in &net.gates {
+        dfs.resolve(gate.out, &net, &mut sig, &mut aig)?;
     }
+    let undefined = |id: u32| format!("undefined signal `{}`", net.names[id as usize]);
     for (idx, src) in latch_next {
-        let lit = *sig
-            .get(&src)
-            .ok_or_else(|| ParseError::new(0, format!("undefined signal `{src}`")))?;
+        let lit = sig[src as usize].ok_or_else(|| ParseError::new(0, undefined(src)))?;
         aig.set_latch_next(idx, lit)
             .map_err(|e| ParseError::new(0, e.to_string()))?;
     }
-    for (lineno, name) in &outputs {
-        let lit = *sig
+    for &(lineno, name) in &outputs {
+        let lit = net
+            .ids
             .get(name)
-            .ok_or_else(|| ParseError::new(*lineno, format!("undefined output `{name}`")))?;
-        aig.add_output(name.clone(), lit);
+            .and_then(|&id| sig[id as usize])
+            .ok_or_else(|| ParseError::new(lineno, format!("undefined output `{name}`")))?;
+        aig.add_output(name, lit);
     }
     Ok(aig)
 }
@@ -147,82 +213,98 @@ fn strip_decl<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
     Some(rest.trim())
 }
 
-fn resolve(
-    target: &str,
-    gates: &HashMap<String, GateDef>,
-    sig: &mut HashMap<String, AigLit>,
-    aig: &mut Aig,
-) -> Result<AigLit, ParseError> {
-    if let Some(&lit) = sig.get(target) {
-        return Ok(lit);
-    }
-    // Iterative DFS; `visiting` detects combinational cycles.
-    let mut stack: Vec<String> = vec![target.to_owned()];
-    let mut visiting: HashMap<String, bool> = HashMap::new();
-    while let Some(name) = stack.last().cloned() {
-        if sig.contains_key(&name) {
-            stack.pop();
-            continue;
-        }
-        let def = gates
-            .get(&name)
-            .ok_or_else(|| ParseError::new(0, format!("undefined signal `{name}`")))?;
-        let pending: Vec<&String> = def.args.iter().filter(|a| !sig.contains_key(*a)).collect();
-        if pending.is_empty() {
-            let args: Vec<AigLit> = def.args.iter().map(|a| sig[a]).collect();
-            let lit = build_gate(aig, &def.kind, &args, def.line)?;
-            sig.insert(name.clone(), lit);
-            visiting.remove(&name);
-            stack.pop();
-        } else {
-            if *visiting.get(&name).unwrap_or(&false) {
-                return Err(ParseError::new(
-                    def.line,
-                    format!("combinational cycle through `{name}`"),
-                ));
-            }
-            visiting.insert(name.clone(), true);
-            for p in pending {
-                stack.push(p.clone());
-            }
-        }
-    }
-    Ok(sig[target])
+/// The resolution DFS's buffers, reused across gates: the work stack,
+/// the on-stack marks that detect combinational cycles, and the
+/// operand literals of the gate being built.
+struct Dfs {
+    stack: Vec<u32>,
+    visiting: Vec<bool>,
+    lits: Vec<AigLit>,
 }
 
-fn build_gate(
-    aig: &mut Aig,
-    kind: &str,
-    args: &[AigLit],
-    line: usize,
-) -> Result<AigLit, ParseError> {
-    let unary = |n: usize| -> Result<(), ParseError> {
-        if args.len() == n {
+impl Dfs {
+    /// Builds signal `target` and every unresolved signal it depends
+    /// on. A gate is built once all its operands are; until then its
+    /// unresolved operands go on the stack in operand order, so the
+    /// last one is built first.
+    fn resolve(
+        &mut self,
+        target: u32,
+        net: &Netlist<'_>,
+        sig: &mut [Option<AigLit>],
+        aig: &mut Aig,
+    ) -> Result<(), ParseError> {
+        self.stack.clear();
+        self.stack.push(target);
+        while let Some(&id) = self.stack.last() {
+            let at = id as usize;
+            if sig[at].is_some() {
+                self.stack.pop();
+                continue;
+            }
+            let Some(gate) = net.gates.get(net.gate_of[at] as usize) else {
+                return Err(ParseError::new(
+                    0,
+                    format!("undefined signal `{}`", net.names[at]),
+                ));
+            };
+            let args = &net.operands[gate.args.clone()];
+            if args.iter().all(|&a| sig[a as usize].is_some()) {
+                self.lits.clear();
+                self.lits
+                    .extend(args.iter().filter_map(|&a| sig[a as usize]));
+                sig[at] = Some(build_gate(aig, gate, &self.lits)?);
+                self.visiting[at] = false;
+                self.stack.pop();
+            } else {
+                if self.visiting[at] {
+                    return Err(ParseError::new(
+                        gate.line,
+                        format!("combinational cycle through `{}`", net.names[at]),
+                    ));
+                }
+                self.visiting[at] = true;
+                self.stack
+                    .extend(args.iter().copied().filter(|&a| sig[a as usize].is_none()));
+            }
+        }
+        Ok(())
+    }
+}
+
+fn build_gate(aig: &mut Aig, gate: &Gate<'_>, args: &[AigLit]) -> Result<AigLit, ParseError> {
+    let unary = || -> Result<(), ParseError> {
+        if args.len() == 1 {
             Ok(())
         } else {
             Err(ParseError::new(
-                line,
-                format!("{kind} expects {n} operand(s)"),
+                gate.line,
+                format!("{} expects 1 operand(s)", gate.kind.to_ascii_uppercase()),
             ))
         }
     };
-    Ok(match kind {
-        "AND" => aig.and_many(args),
-        "NAND" => !aig.and_many(args),
-        "OR" => aig.or_many(args),
-        "NOR" => !aig.or_many(args),
-        "XOR" => aig.xor_many(args),
-        "XNOR" => !aig.xor_many(args),
-        "NOT" => {
-            unary(1)?;
+    Ok(match gate.op {
+        Op::And => aig.and_many(args),
+        Op::Nand => !aig.and_many(args),
+        Op::Or => aig.or_many(args),
+        Op::Nor => !aig.or_many(args),
+        Op::Xor => aig.xor_many(args),
+        Op::Xnor => !aig.xor_many(args),
+        Op::Not => {
+            unary()?;
             !args[0]
         }
-        "BUF" | "BUFF" => {
-            unary(1)?;
+        Op::Buf => {
+            unary()?;
             args[0]
         }
-        "DFF" => unreachable!("latches are handled separately"),
-        other => return Err(ParseError::new(line, format!("unknown gate `{other}`"))),
+        Op::Dff => unreachable!("latches are handled separately"),
+        Op::Unknown => {
+            return Err(ParseError::new(
+                gate.line,
+                format!("unknown gate `{}`", gate.kind.to_ascii_uppercase()),
+            ))
+        }
     })
 }
 
