@@ -1,5 +1,5 @@
 //! Cross-output clause reuse: the sharded [`ClauseBank`] of donated
-//! learnt clauses and probe certificates.
+//! learnt clauses and search transcripts.
 //!
 //! Sessions solve every cone in *canonical* input order (PR 3), so a
 //! [`PartitionOracle`]'s CNF is a pure function of
@@ -24,22 +24,23 @@
 //!   guarantee, so every clause is **vetted** before use
 //!   ([`PartitionOracle::import_vetted`]): a bounded refutation probe
 //!   proves the recipient's own clauses imply it, or it is discarded.
-//! * **probe certificates** — keyed by `(probe namespace, fingerprint,
-//!   op, target)`, the namespace
-//!   ([`ConfigKey::probes`](crate::store::ConfigKey::probes)) naming
-//!   the solver knobs a verdict depends on. A QBF probe's outcome is a
-//!   pure function of that key when no budget truncates it (the CEGAR
-//!   loop builds its abstraction and check solvers fresh for every
-//!   probe and shares no state with the session's oracle), so a
-//!   definitive verdict — infeasible, or *exactly this partition* —
-//!   replays into any later session's optimum search with no solving
-//!   at all ([`ProbeLedger`]). This is where twin-heavy circuits win
-//!   big: a twin cone's `k`-search re-runs its sibling's probes as
-//!   lookups, skipping the abstraction-side UNSAT proofs that dominate
-//!   QBF-model cost.
+//! * **search transcripts** — keyed by `(probe namespace, fingerprint,
+//!   op, search key)`, the namespace
+//!   ([`ConfigKey::searches`](crate::store::ConfigKey::searches))
+//!   naming the solver knobs a search depends on and the
+//!   [`SearchKey`] its metric, strategy and starting bound. A QBF
+//!   `k`-search keeps one abstraction solver warm across its probes,
+//!   so a probe's witness depends on the probes before it; the whole
+//!   search, though, is a pure function of that key when no budget
+//!   truncates it (the check side is fresh per probe and shares no
+//!   state with the session's oracle). A finished search's transcript
+//!   — each probed `k`, its verdict and each witness — therefore
+//!   replays whole into any later session's optimum search with no
+//!   solving at all ([`ProbeLedger`]). This is where twin-heavy
+//!   circuits win big: a twin cone's `k`-search becomes one lookup.
 //!
 //! Sessions reach the bank only through their
-//! [`TieredStore`]'s typed clause and probe methods, which add the
+//! [`TieredStore`]'s typed clause and search methods, which add the
 //! disk tier behind it.
 //!
 //! Both channels add only clauses *implied by the recipient's CNF*,
@@ -60,7 +61,7 @@
 //! witness is found first — violating the identical-partitions
 //! contract. The [`PartitionOracle`] is safe to seed because every
 //! model's search consumes only its SAT/UNSAT verdicts. The QBF models
-//! reuse work through probe certificates instead.
+//! reuse work through search transcripts instead.
 //!
 //! [`PartitionOracle`]: crate::oracle::PartitionOracle
 //! [`PartitionOracle::import_learnts`]: crate::oracle::PartitionOracle::import_learnts
@@ -76,16 +77,16 @@ use step_aig::ConeFingerprint;
 use step_sat::LearntExport;
 
 use crate::cache::{ClockMap, NUM_SHARDS};
+use crate::optimum::SearchKey;
 use crate::partition::VarClass;
-use crate::qbf_model::Target;
 use crate::spec::{DecompConfig, GateOp};
 use crate::store::{op_tag, ConfigKey, Namespace, TieredStore};
 
 /// Donors retained per `(op, support)` cluster ring.
 const CLUSTER_DONORS: usize = 4;
 
-/// Probe certificates retained per shard (FIFO beyond this).
-const PROBES_PER_SHARD: usize = 4096;
+/// Search transcripts retained per shard (FIFO beyond this).
+const SEARCHES_PER_SHARD: usize = 4096;
 
 /// Identity of one donation: the canonical cone and the operator its
 /// oracle CNF encodes. Everything else (model, strategy, seed,
@@ -131,35 +132,42 @@ impl BankLookup {
     }
 }
 
-/// A recorded probe outcome — a *semantic certificate* about the cone,
-/// never a heuristic: `Infeasible` is an UNSAT proof of formulation
-/// (4) at the target, `Feasible` is the exact partition the
-/// deterministic solve returns.
-#[derive(Clone, Debug)]
+/// One probe's recorded outcome — a *semantic certificate* about the
+/// cone, never a heuristic: `Infeasible` is an UNSAT proof of
+/// formulation (4) at the probed bound, `Feasible` is the exact
+/// partition the search's solve returned there.
+#[derive(Clone, PartialEq, Debug)]
 pub enum ProbeVerdict {
-    /// The cone admits no partition meeting the target.
+    /// The cone admits no partition meeting the bound.
     Infeasible,
-    /// The deterministic CEGAR solve returns exactly this partition
-    /// (canonical input order, pre-normalization).
+    /// The solve returned exactly this partition (canonical input
+    /// order, pre-normalization).
     Feasible(Vec<VarClass>),
 }
 
-/// A session's handle for probe-certificate reuse: the session's store
-/// plus the probe namespace and the cone identity every probe of the
-/// session shares. Built by
-/// [`SolveSession`](crate::session::SolveSession) and threaded through
-/// the optimum search.
+/// The transcript of one finished `k`-search: every probed bound with
+/// its verdict, in probe order.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct SearchTranscript {
+    /// `(k, verdict)` per probe.
+    pub probes: Vec<(usize, ProbeVerdict)>,
+}
+
+/// A session's handle for search reuse: the session's store plus the
+/// probe namespace and the cone identity every search of the session
+/// shares. Built by [`SolveSession`](crate::session::SolveSession) and
+/// threaded through the optimum search.
 pub struct ProbeLedger<'a> {
     store: &'a TieredStore,
     ns: Namespace,
     fingerprint: ConeFingerprint,
     op: GateOp,
-    /// Probe certificates served from the disk tier so far.
+    /// Search transcripts served from the disk tier so far.
     disk_hits: Cell<u64>,
 }
 
 impl<'a> ProbeLedger<'a> {
-    /// A ledger for the probes of one session solving `(fingerprint,
+    /// A ledger for the searches of one session solving `(fingerprint,
     /// op)` under `config`.
     pub fn new(
         store: &'a TieredStore,
@@ -169,40 +177,40 @@ impl<'a> ProbeLedger<'a> {
     ) -> Self {
         ProbeLedger {
             store,
-            ns: Namespace::probes(config),
+            ns: Namespace::searches(config),
             fingerprint,
             op,
             disk_hits: Cell::new(0),
         }
     }
 
-    /// The recorded verdict for `target`, if any sibling (or a prior
-    /// run, through the disk tier) solved it.
-    pub fn lookup(&self, target: Target) -> Option<ProbeVerdict> {
-        let (verdict, from_disk) =
+    /// The transcript of the search `key`, if a sibling (or a prior
+    /// run, through the disk tier) finished it.
+    pub fn lookup(&self, key: &SearchKey) -> Option<SearchTranscript> {
+        let (transcript, from_disk) =
             self.store
-                .lookup_probe(&self.ns, self.fingerprint, self.op, target)?;
+                .lookup_search(&self.ns, self.fingerprint, self.op, key)?;
         self.disk_hits
             .set(self.disk_hits.get() + u64::from(from_disk));
-        Some(verdict)
+        Some(transcript)
     }
 
-    /// Records a definitive probe outcome (never record timeouts: a
+    /// Records a finished search (never record a truncated one: a
     /// truncation is budget state, not a fact about the cone).
-    pub fn record(&self, target: Target, verdict: ProbeVerdict) {
+    pub fn record(&self, key: &SearchKey, transcript: SearchTranscript) {
         self.store
-            .record_probe(&self.ns, self.fingerprint, self.op, target, verdict);
+            .record_search(&self.ns, self.fingerprint, self.op, key, transcript);
     }
 
-    /// Probe certificates this ledger served from the disk tier.
+    /// Search transcripts this ledger served from the disk tier.
     pub(crate) fn disk_hits(&self) -> u64 {
         self.disk_hits.get()
     }
 }
 
-/// Key of one probe certificate: the probe namespace's config key,
-/// the cone and the target probed.
-type ProbeKey = (ConfigKey, BankKey, Target);
+/// Key of one search transcript: the probe namespace's config key,
+/// the cone and the search.
+type SearchSlot = (ConfigKey, BankKey, SearchKey);
 
 /// One cluster's donor ring: `(fingerprint hash, export)`, newest at
 /// the back.
@@ -213,9 +221,9 @@ struct BankShard {
     /// Cluster rings: most recent donors per `(op, support)`, newest
     /// at the back, deduplicated by fingerprint hash.
     clusters: HashMap<(GateOp, u32), ClusterRing>,
-    /// Probe certificates, FIFO-bounded at [`PROBES_PER_SHARD`].
-    probes: HashMap<ProbeKey, ProbeVerdict>,
-    probe_ring: VecDeque<ProbeKey>,
+    /// Search transcripts, FIFO-bounded at [`SEARCHES_PER_SHARD`].
+    searches: HashMap<SearchSlot, SearchTranscript>,
+    search_ring: VecDeque<SearchSlot>,
 }
 
 /// The sharded clause bank. See the module docs.
@@ -229,16 +237,16 @@ struct BankShard {
 pub struct ClauseBank {
     /// The exact channel, bounded like the result cache.
     exact: ClockMap<BankKey, Arc<LearntExport>>,
-    /// Cluster rings and probe certificates, bounded by construction
+    /// Cluster rings and search transcripts, bounded by construction
     /// ([`CLUSTER_DONORS`] donors per distinct `(op, support)` pair,
-    /// [`PROBES_PER_SHARD`] certificates per shard).
+    /// [`SEARCHES_PER_SHARD`] transcripts per shard).
     shards: Vec<Mutex<BankShard>>,
     exact_hits: AtomicU64,
     cluster_hits: AtomicU64,
     misses: AtomicU64,
     donations: AtomicU64,
-    probe_hits: AtomicU64,
-    probe_records: AtomicU64,
+    search_hits: AtomicU64,
+    search_records: AtomicU64,
 }
 
 impl Default for ClauseBank {
@@ -269,8 +277,8 @@ impl ClauseBank {
             cluster_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             donations: AtomicU64::new(0),
-            probe_hits: AtomicU64::new(0),
-            probe_records: AtomicU64::new(0),
+            search_hits: AtomicU64::new(0),
+            search_records: AtomicU64::new(0),
         }
     }
 
@@ -367,71 +375,75 @@ impl ClauseBank {
         Some((BankHit { export, exact }, from_lower))
     }
 
-    /// Stores a probe certificate for `(config, fingerprint, op,
-    /// target)`, `config` being a probe namespace's key (last writer
-    /// wins — all writers hold the same certificate, the outcome being
-    /// a pure function of the key).
-    pub fn record_probe(
+    /// Stores the transcript of the finished search `key` over
+    /// `(fingerprint, op)` in `config`, a probe namespace's key (last
+    /// writer wins — all writers hold the same transcript, a finished
+    /// search being a pure function of the key).
+    pub fn record_search(
         &self,
         config: &ConfigKey,
         fingerprint: ConeFingerprint,
         op: GateOp,
-        target: Target,
-        verdict: ProbeVerdict,
+        key: &SearchKey,
+        transcript: SearchTranscript,
     ) {
-        self.promote_probe(config, fingerprint, op, target, verdict);
-        self.probe_records.fetch_add(1, Ordering::Relaxed);
+        self.promote_search(config, fingerprint, op, key, transcript);
+        self.search_records.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// [`record_probe`](ClauseBank::record_probe) without counting: the
-    /// store copies disk-tier certificates in here, which no session of
-    /// this run recorded.
-    pub(crate) fn promote_probe(
+    /// [`record_search`](ClauseBank::record_search) without counting:
+    /// the store copies disk-tier transcripts in here, which no session
+    /// of this run recorded.
+    pub(crate) fn promote_search(
         &self,
         config: &ConfigKey,
         fingerprint: ConeFingerprint,
         op: GateOp,
-        target: Target,
-        verdict: ProbeVerdict,
+        key: &SearchKey,
+        transcript: SearchTranscript,
     ) {
-        let key = (config.clone(), BankKey { fingerprint, op }, target);
+        let slot = (config.clone(), BankKey { fingerprint, op }, *key);
         let mut shard = self.shard(op, fingerprint.inputs);
-        if shard.probes.insert(key.clone(), verdict).is_none() {
-            shard.probe_ring.push_back(key);
+        if shard.searches.insert(slot.clone(), transcript).is_none() {
+            shard.search_ring.push_back(slot);
         }
-        while shard.probes.len() > PROBES_PER_SHARD {
-            let Some(victim) = shard.probe_ring.pop_front() else {
+        while shard.searches.len() > SEARCHES_PER_SHARD {
+            let Some(victim) = shard.search_ring.pop_front() else {
                 break;
             };
-            shard.probes.remove(&victim);
+            shard.searches.remove(&victim);
         }
     }
 
-    /// The recorded certificate for `(config, fingerprint, op,
-    /// target)`.
-    pub fn lookup_probe(
+    /// The recorded transcript of the search `key` over
+    /// `(fingerprint, op)` in `config`.
+    pub fn lookup_search(
         &self,
         config: &ConfigKey,
         fingerprint: ConeFingerprint,
         op: GateOp,
-        target: Target,
-    ) -> Option<ProbeVerdict> {
-        let key = (config.clone(), BankKey { fingerprint, op }, target);
-        let hit = self.shard(op, fingerprint.inputs).probes.get(&key).cloned();
+        key: &SearchKey,
+    ) -> Option<SearchTranscript> {
+        let slot = (config.clone(), BankKey { fingerprint, op }, *key);
+        let hit = self
+            .shard(op, fingerprint.inputs)
+            .searches
+            .get(&slot)
+            .cloned();
         if hit.is_some() {
-            self.probe_hits.fetch_add(1, Ordering::Relaxed);
+            self.search_hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    /// Probe-certificate hits since creation.
-    pub fn probe_hits(&self) -> u64 {
-        self.probe_hits.load(Ordering::Relaxed)
+    /// Search-transcript hits since creation.
+    pub fn search_hits(&self) -> u64 {
+        self.search_hits.load(Ordering::Relaxed)
     }
 
-    /// Probe certificates recorded since creation.
-    pub fn probe_records(&self) -> u64 {
-        self.probe_records.load(Ordering::Relaxed)
+    /// Search transcripts recorded since creation.
+    pub fn search_records(&self) -> u64 {
+        self.search_records.load(Ordering::Relaxed)
     }
 
     /// Exact-channel hits since creation.
@@ -490,8 +502,8 @@ impl fmt::Debug for ClauseBank {
             .field("misses", &self.misses())
             .field("donations", &self.donations())
             .field("evictions", &self.evictions())
-            .field("probe_hits", &self.probe_hits())
-            .field("probe_records", &self.probe_records())
+            .field("search_hits", &self.search_hits())
+            .field("search_records", &self.search_records())
             .finish()
     }
 }
@@ -603,45 +615,70 @@ mod tests {
     }
 
     #[test]
-    fn probe_certificates_round_trip_and_key_on_cfg() {
+    fn search_transcripts_round_trip_and_key_on_cfg() {
+        use crate::optimum::Metric;
+        use crate::spec::SearchStrategy;
         let bank = ClauseBank::new();
         let config = DecompConfig::new(crate::spec::Model::QbfDisjoint);
-        let cfg = ConfigKey::probes(&config);
-        let t = Target::DisjointAtMost(2);
-        assert!(bank.lookup_probe(&cfg, fp(1, 4), GateOp::Or, t).is_none());
-        bank.record_probe(&cfg, fp(1, 4), GateOp::Or, t, ProbeVerdict::Infeasible);
-        bank.record_probe(
-            &cfg,
-            fp(1, 4),
-            GateOp::Or,
-            Target::DisjointAtMost(3),
-            ProbeVerdict::Feasible(vec![VarClass::A, VarClass::B, VarClass::C, VarClass::C]),
+        let cfg = ConfigKey::searches(&config);
+        let key = SearchKey {
+            metric: Metric::Disjointness,
+            strategy: SearchStrategy::MdBinMi,
+            start_k: 2,
+        };
+        let transcript = SearchTranscript {
+            probes: vec![
+                (
+                    1,
+                    ProbeVerdict::Feasible(vec![
+                        VarClass::A,
+                        VarClass::B,
+                        VarClass::C,
+                        VarClass::A,
+                    ]),
+                ),
+                (0, ProbeVerdict::Infeasible),
+            ],
+        };
+        assert!(bank
+            .lookup_search(&cfg, fp(1, 4), GateOp::Or, &key)
+            .is_none());
+        bank.record_search(&cfg, fp(1, 4), GateOp::Or, &key, transcript.clone());
+        assert_eq!(
+            bank.lookup_search(&cfg, fp(1, 4), GateOp::Or, &key),
+            Some(transcript)
         );
-        assert!(matches!(
-            bank.lookup_probe(&cfg, fp(1, 4), GateOp::Or, t),
-            Some(ProbeVerdict::Infeasible)
-        ));
-        match bank.lookup_probe(&cfg, fp(1, 4), GateOp::Or, Target::DisjointAtMost(3)) {
-            Some(ProbeVerdict::Feasible(classes)) => {
-                assert_eq!(
-                    classes,
-                    vec![VarClass::A, VarClass::B, VarClass::C, VarClass::C]
-                );
-            }
-            other => panic!("expected feasible certificate, got {other:?}"),
-        }
-        // A verdict is a fact about (cone, op, cfg, target) — any other
-        // coordinate must miss.
-        let other_cfg = ConfigKey::probes(&DecompConfig {
+        // A transcript is a fact about (cone, op, cfg, search) — any
+        // other coordinate must miss.
+        let other_cfg = ConfigKey::searches(&DecompConfig {
             symmetry_breaking: false,
             ..config
         });
         assert!(bank
-            .lookup_probe(&other_cfg, fp(1, 4), GateOp::Or, t)
+            .lookup_search(&other_cfg, fp(1, 4), GateOp::Or, &key)
             .is_none());
-        assert!(bank.lookup_probe(&cfg, fp(2, 4), GateOp::Or, t).is_none());
-        assert!(bank.lookup_probe(&cfg, fp(1, 4), GateOp::And, t).is_none());
-        assert_eq!((bank.probe_hits(), bank.probe_records()), (2, 2));
+        assert!(bank
+            .lookup_search(&cfg, fp(2, 4), GateOp::Or, &key)
+            .is_none());
+        assert!(bank
+            .lookup_search(&cfg, fp(1, 4), GateOp::And, &key)
+            .is_none());
+        for other in [
+            SearchKey { start_k: 3, ..key },
+            SearchKey {
+                strategy: SearchStrategy::Binary,
+                ..key
+            },
+            SearchKey {
+                metric: Metric::Combined,
+                ..key
+            },
+        ] {
+            assert!(bank
+                .lookup_search(&cfg, fp(1, 4), GateOp::Or, &other)
+                .is_none());
+        }
+        assert_eq!((bank.search_hits(), bank.search_records()), (1, 1));
     }
 
     #[test]

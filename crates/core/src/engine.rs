@@ -114,6 +114,13 @@ pub struct OutputResult {
     pub sat_calls: u64,
     /// QBF solves in the optimum search.
     pub qbf_calls: u32,
+    /// QBF solves that a budget cut short (at most one per search: the
+    /// search stops there).
+    pub qbf_timeouts: u32,
+    /// The bound `k` of every QBF solve, in order, replayed ones
+    /// included; a timed-out solve is the last. Empty when the result
+    /// was served from the cache.
+    pub probed_k: Vec<usize>,
     /// Total CEGAR iterations across QBF solves.
     pub cegar_iterations: u64,
     /// Solver effort this output's search spent (oracle SAT calls, MUS
@@ -132,7 +139,7 @@ pub struct OutputResult {
     /// Clauses this output donated to the bank after solving.
     pub donated_clauses: u64,
     /// Artifacts this output was served from the persistent store tier
-    /// (results, clause snapshots and probe certificates alike; always
+    /// (results, clause snapshots and search transcripts alike; always
     /// zero without a disk tier, see [`TieredStore::with_disk`]).
     pub disk_hits: u64,
     /// The cone's canonical fingerprint hash (the cache/store key),
@@ -158,6 +165,8 @@ impl OutputResult {
             cpu: Duration::ZERO,
             sat_calls: 0,
             qbf_calls: 0,
+            qbf_timeouts: 0,
+            probed_k: Vec::new(),
             cegar_iterations: 0,
             effort: EffortStats::default(),
             cache: CacheLookup::Bypass,

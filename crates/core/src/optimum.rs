@@ -8,16 +8,30 @@
 //! **MI** probes `lo`, **MD** probes `hi−1`, **Bin** probes the middle,
 //! and **MD→Bin→MI** follows the paper's best-for-disjointness
 //! pipeline.
+//!
+//! The bound only ever tightens, so one search keeps one abstraction
+//! solver warm across all its probes
+//! (`qbf_model::Abstraction`): `fN` and the
+//! counters are built once, each probe's bound is an assumption, and
+//! the refinements and learnt clauses of earlier probes carry over.
+//! Each probe still checks its candidates against a fresh encoding of
+//! the core.
+//!
+//! A warm probe's witness depends on the probes before it, so reuse
+//! works on whole searches: the [`ProbeLedger`] records the transcript
+//! of every finished search (each probed `k`, its verdict and each
+//! witness) under the search's [`SearchKey`], and a later search with
+//! the same key over the same cone replays it whole, solving nothing.
 
-use crate::clause_bank::{ProbeLedger, ProbeVerdict};
+use crate::clause_bank::{ProbeLedger, ProbeVerdict, SearchTranscript};
 use crate::effort::EffortMeter;
 use crate::oracle::CoreFormula;
 use crate::partition::VarPartition;
-use crate::qbf_model::{solve_partition, ModelOptions, QbfModelOutcome, Target};
+use crate::qbf_model::{Abstraction, ModelOptions, QbfModelOutcome, Target};
 use crate::spec::SearchStrategy;
 
 /// Which metric the bound `k` constrains.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Metric {
     /// `k = |XC|` (equation (5)).
     Disjointness,
@@ -89,6 +103,25 @@ pub struct OptimumResult {
     pub truncated: bool,
     /// Total CEGAR iterations across calls.
     pub cegar_iterations: u64,
+    /// The bound `k` of every probe, in order (a probe that timed out
+    /// is the last).
+    pub probed_k: Vec<usize>,
+}
+
+/// The identity of one `k`-search over a cone within a probe
+/// namespace: the metric it bounds, how it picks probes, and the bound
+/// it starts below. Probes, verdicts and witnesses of a search are a
+/// pure function of this key, the cone, the operator and the
+/// namespace's solver knobs, whenever no budget truncates it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct SearchKey {
+    /// The metric bounded.
+    pub metric: Metric,
+    /// The probe-picking strategy.
+    pub strategy: SearchStrategy,
+    /// The bootstrap partition's metric value, or `k_max(n) + 1`
+    /// without a bootstrap (the search then first probes `k_max(n)`).
+    pub start_k: usize,
 }
 
 /// Searches the optimum `k` for `metric`, starting from an optional
@@ -107,11 +140,12 @@ pub fn search(
     search_with_reuse(core, metric, bootstrap, strategy, opts, meter, None)
 }
 
-/// [`search`] with a [`ProbeLedger`] consulted before every probe: it
-/// replays definitive probe verdicts recorded by sibling sessions over
-/// the same canonical cone — the searched `k` sequence, the verdicts
-/// and the returned partition are identical either way, only the
-/// solving is skipped.
+/// [`search`] with a [`ProbeLedger`] consulted first: a finished search
+/// recorded under the same [`SearchKey`] by a sibling session (or an
+/// earlier run, through the disk tier) replays whole — the probed `k`
+/// sequence, the verdicts and the returned partition are identical
+/// either way, only the solving is skipped. A search that finishes
+/// here is recorded; a truncated one is not.
 pub fn search_with_reuse(
     core: &CoreFormula,
     metric: Metric,
@@ -122,6 +156,84 @@ pub fn search_with_reuse(
     ledger: Option<&ProbeLedger<'_>>,
 ) -> OptimumResult {
     let n = core.n;
+    let key = SearchKey {
+        metric,
+        strategy,
+        start_k: bootstrap.map_or(metric.k_max(n) + 1, |p| metric.k_of(p)),
+    };
+    if let Some(transcript) = ledger.and_then(|l| l.lookup(&key)) {
+        let mut replay = transcript.probes.into_iter();
+        let mut diverged = false;
+        let result = drive(
+            n,
+            &key,
+            bootstrap,
+            meter,
+            &mut |k, _, _| match replay.next() {
+                Some((at, verdict)) if at == k => match verdict {
+                    ProbeVerdict::Infeasible => ProbeResult::Infeasible,
+                    ProbeVerdict::Feasible(classes) => {
+                        ProbeResult::Feasible(VarPartition::new(classes).normalized())
+                    }
+                },
+                _ => {
+                    diverged = true;
+                    ProbeResult::Timeout
+                }
+            },
+        );
+        // All or nothing: a transcript that does not replay to its end
+        // (one from a damaged store) is dropped and the search solved.
+        if !diverged && replay.next().is_none() {
+            return result;
+        }
+    }
+
+    let mut abstraction: Option<Abstraction> = None;
+    let mut probes = Vec::new();
+    let result = drive(n, &key, bootstrap, meter, &mut |k, meter, result| {
+        let target = metric.target(k);
+        let (outcome, stats) = abstraction
+            .get_or_insert_with(|| Abstraction::new(n, target, opts))
+            .probe(core, target, opts, meter, &mut |_, _, _| {});
+        result.cegar_iterations += stats.cegar_iterations;
+        match outcome {
+            QbfModelOutcome::Partition(p) => {
+                probes.push((k, ProbeVerdict::Feasible(p.classes().to_vec())));
+                ProbeResult::Feasible(p.normalized())
+            }
+            QbfModelOutcome::NoPartition => {
+                probes.push((k, ProbeVerdict::Infeasible));
+                ProbeResult::Infeasible
+            }
+            QbfModelOutcome::Timeout => {
+                result.timeouts += 1;
+                result.truncated = true;
+                ProbeResult::Timeout
+            }
+        }
+    });
+    if let Some(l) = ledger {
+        if result.proved_optimal && !probes.is_empty() {
+            l.record(&key, SearchTranscript { probes });
+        }
+    }
+    result
+}
+
+/// The search loop over `key`, asking `probe` for the verdict at each
+/// `k` it picks: `probe(k, meter, result)` solves (or replays) one
+/// probe and accounts its own statistics in `result`.
+fn drive(
+    n: usize,
+    key: &SearchKey,
+    bootstrap: Option<&VarPartition>,
+    meter: &mut EffortMeter,
+    probe: &mut dyn FnMut(usize, &mut EffortMeter, &mut OptimumResult) -> ProbeResult,
+) -> OptimumResult {
+    let SearchKey {
+        metric, strategy, ..
+    } = *key;
     let mut result = OptimumResult {
         partition: bootstrap.map(|p| p.normalized()),
         proved_optimal: false,
@@ -129,10 +241,16 @@ pub fn search_with_reuse(
         timeouts: 0,
         truncated: false,
         cegar_iterations: 0,
+        probed_k: Vec::new(),
     };
     if n < 2 {
         return result;
     }
+    let mut probe = |k: usize, meter: &mut EffortMeter, result: &mut OptimumResult| {
+        result.qbf_calls += 1;
+        result.probed_k.push(k);
+        probe(k, meter, result)
+    };
 
     // hi = best achieved bound + 1 conceptually; we track best_k as the
     // metric of the best partition, and probe within [lo, best_k - 1].
@@ -140,8 +258,7 @@ pub fn search_with_reuse(
         Some(p) => metric.k_of(p),
         None => {
             // No bootstrap: establish existence at the loosest bound.
-            let k = metric.k_max(n);
-            match probe(core, metric, k, opts, meter, ledger, &mut result) {
+            match probe(metric.k_max(n), meter, &mut result) {
                 ProbeResult::Feasible(p) => {
                     let kk = metric.k_of(&p);
                     result.partition = Some(p);
@@ -180,7 +297,7 @@ pub fn search_with_reuse(
                 }
             }
         };
-        match probe(core, metric, k, opts, meter, ledger, &mut result) {
+        match probe(k, meter, &mut result) {
             ProbeResult::Feasible(p) => {
                 best_k = metric.k_of(&p).min(k);
                 result.partition = Some(p);
@@ -199,48 +316,4 @@ enum ProbeResult {
     Feasible(VarPartition),
     Infeasible,
     Timeout,
-}
-
-fn probe(
-    core: &CoreFormula,
-    metric: Metric,
-    k: usize,
-    opts: &ModelOptions,
-    meter: &mut EffortMeter,
-    ledger: Option<&ProbeLedger<'_>>,
-    result: &mut OptimumResult,
-) -> ProbeResult {
-    result.qbf_calls += 1;
-    let target = metric.target(k);
-    // A sibling's certificate replays the exact outcome the
-    // deterministic solve below would produce — see the ledger docs.
-    if let Some(verdict) = ledger.and_then(|l| l.lookup(target)) {
-        return match verdict {
-            ProbeVerdict::Infeasible => ProbeResult::Infeasible,
-            ProbeVerdict::Feasible(classes) => {
-                ProbeResult::Feasible(VarPartition::new(classes).normalized())
-            }
-        };
-    }
-    let (outcome, stats) = solve_partition(core, target, opts, meter);
-    result.cegar_iterations += stats.cegar_iterations;
-    match outcome {
-        QbfModelOutcome::Partition(p) => {
-            if let Some(l) = ledger {
-                l.record(target, ProbeVerdict::Feasible(p.classes().to_vec()));
-            }
-            ProbeResult::Feasible(p.normalized())
-        }
-        QbfModelOutcome::NoPartition => {
-            if let Some(l) = ledger {
-                l.record(target, ProbeVerdict::Infeasible);
-            }
-            ProbeResult::Infeasible
-        }
-        QbfModelOutcome::Timeout => {
-            result.timeouts += 1;
-            result.truncated = true;
-            ProbeResult::Timeout
-        }
-    }
 }

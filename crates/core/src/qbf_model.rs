@@ -23,10 +23,14 @@
 //! # The CEGAR loop
 //!
 //! [`solve_partition`] specializes AReQS-style CEGAR to this formula.
-//! It alternates two fresh SAT solvers:
+//! It alternates two SAT solvers:
 //!
-//! * **Abstraction:** `α`, `β` and the ∃-side of [`encode_exists`].
-//!   A model is a candidate partition.
+//! * **Abstraction:** `α`, `β` and the ∃-side of [`encode_exists`],
+//!   with the target's bound stated as assumptions (`Abstraction`).
+//!   A model is a candidate partition. One optimum search keeps one
+//!   abstraction warm across all its probes: fN and the counters are
+//!   built once, and the refinements and learnt clauses of earlier
+//!   probes carry over, since neither depends on `k`.
 //! * **Check:** the core formula Tseitin-encoded once per probe, solved
 //!   under the candidate's `α`/`β` as assumptions. UNSAT proves the
 //!   candidate (Proposition 1): it is the witness. SAT yields a
@@ -54,10 +58,13 @@
 //! encodes the same CNF.
 //! That oracle's state depends on its query history (STEP-MG) and on
 //! clause-bank imports, and so its counterexamples,
-//! and with them the witness, would vary across reuse settings. A
-//! fresh check keeps every probe a pure function of (cone, operator,
-//! target, solver knobs), which the probe ledger's replay and the
-//! determinism of `--jobs`, cache, reuse and store settings rely on.
+//! and with them the witness, would vary across reuse settings. The
+//! check is fresh per probe and the abstraction belongs to one search,
+//! so a whole search is a pure function of (cone, operator, metric,
+//! strategy, starting bound, solver knobs), which the probe ledger's
+//! replay and the determinism of `--jobs`, cache, reuse and store
+//! settings rely on. (A check kept warm across probes as well spent
+//! more conflicts end to end on the benchmark's wide cones.)
 //!
 //! # The ∃-side encoding
 //!
@@ -80,11 +87,15 @@
 //! combined collapses to the unit `|XB| ≥ ⌈(n−k)/2⌉`.
 //!
 //! Disjointness keeps its own totalizer `tc` over the products
-//! `ᾱᵢ∧β̄ᵢ` and bounds it with one unit. Stating `|XA| + |XB| ≥ n−k`
-//! instead is equivalent but slower: summed over the effort golden's
-//! STEP-QD rows (`tests/golden/effort.txt`), `tc` takes 1 527
-//! conflicts, `assert_linear_le` clauses over `ta`/`tb` take 2 420,
-//! and one totalizer over all of `α` and `β` takes 3 378.
+//! `ᾱᵢ∧β̄ᵢ` and bounds it with one unit (in the solve, the assumption
+//! `¬tc.count_ge(k+1)`). Stating `|XA| + |XB| ≥ n−k` instead is
+//! equivalent but slower: summed over the effort golden's STEP-QD rows
+//! (`tests/golden/effort.txt`, measured with one fresh abstraction per
+//! probe), `tc` took 1 527 conflicts, `assert_linear_le` clauses over
+//! `ta`/`tb` 2 420, and one totalizer over all of `α` and `β` 3 378.
+//! The other bounds are `assert_linear_le` clauses, which the solve
+//! adds guarded by a fresh activation literal: the probe assumes it,
+//! and a unit retires it after the probe.
 //!
 //! Under `allow_both` a `(1,1)` pair belongs to neither block during
 //! the solve (the witness assigns it afterwards), so `ta`/`tb` count
@@ -178,7 +189,9 @@ pub struct QbfModelStats {
     pub cegar_iterations: u64,
 }
 
-/// Solves formulation (4) for the given target. The call's limits are
+/// Solves formulation (4) for the given target on a fresh
+/// `Abstraction` (one probe; [`crate::optimum`] keeps one abstraction
+/// warm across a search's probes instead). The call's limits are
 /// the per-call budget in `opts` capped by what remains of `meter`
 /// (deadline and work alike), and the whole CEGAR run's inner-SAT
 /// effort is charged to `meter` afterwards — so per-output work
@@ -207,80 +220,159 @@ pub(crate) fn solve_partition_observed(
     meter: &mut EffortMeter,
     on_refine: &mut OnRefine<'_>,
 ) -> (QbfModelOutcome, QbfModelStats) {
-    let mut stats = QbfModelStats::default();
     if meter.exhausted() {
-        return (QbfModelOutcome::Timeout, stats);
+        return (QbfModelOutcome::Timeout, QbfModelStats::default());
     }
-    let n = core.n;
-    let limits = meter.call_limits(opts.per_call);
+    Abstraction::new(core.n, target, opts).probe(core, target, opts, meter, on_refine)
+}
 
-    // Abstraction: α, β and the ∃-side; refinements arrive as clauses.
-    let mut cnf = Cnf::new();
-    let alpha: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
-    let beta: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
-    encode_exists(
-        &mut cnf,
-        &alpha,
-        &beta,
-        target,
-        opts.symmetry_breaking,
-        opts.allow_both,
-    );
-    let mut abs = Solver::new();
-    abs.set_restart_policy(opts.restarts);
-    abs.set_preprocess(opts.preprocess);
-    abs.set_deadline(limits.deadline);
-    abs.add_cnf(&cnf);
+/// The ∃-side of one `k`-search, kept warm across its probes: a SAT
+/// solver over `α`, `β`, `fN`, the symmetry breaking and the counters
+/// a bound on `k` is stated over, all built once. A probe states its
+/// bound as assumptions and nothing else, so every clause the solver
+/// holds or learns stays valid for every later probe: refinements are
+/// cofactors of `¬core`, which no `k` enters.
+pub(crate) struct Abstraction {
+    solver: Solver,
+    alpha: Vec<Lit>,
+    beta: Vec<Lit>,
+    bound: Bound,
+}
 
-    // Check: a fresh encoding of the core, asserted under the candidate.
-    let mut check = CoreSolver::new(core, opts.restarts, opts.preprocess);
-    check.solver.set_deadline(limits.deadline);
-
-    let spent = |abs: &Solver, check: &CoreSolver| abs.effort() + check.solver.effort();
-    // What is left of the call's conflict budget for the next inner solve.
-    let remaining = |abs: &Solver, check: &CoreSolver| {
-        limits
-            .conflicts
-            .map(|b| b.saturating_sub(spent(abs, check).conflicts))
-    };
-    let outcome = loop {
-        if limits.deadline.is_some_and(|d| Instant::now() >= d)
-            || remaining(&abs, &check) == Some(0)
-        {
-            break QbfModelOutcome::Timeout;
+impl Abstraction {
+    /// The ∃-side for the targets of `target`'s metric over `n`
+    /// support variables (the bound `k` of `target` is not used).
+    pub(crate) fn new(n: usize, target: Target, opts: &ModelOptions) -> Self {
+        let mut cnf = Cnf::new();
+        let alpha: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
+        let beta: Vec<Lit> = (0..n).map(|_| Lit::pos(cnf.new_var())).collect();
+        let bound = encode_unbounded(
+            &mut cnf,
+            &alpha,
+            &beta,
+            target,
+            opts.symmetry_breaking,
+            opts.allow_both,
+        );
+        let mut solver = Solver::new();
+        solver.set_restart_policy(opts.restarts);
+        solver.set_preprocess(opts.preprocess);
+        solver.add_cnf(&cnf);
+        Abstraction {
+            solver,
+            alpha,
+            beta,
+            bound,
         }
-        stats.cegar_iterations += 1;
+    }
 
-        abs.set_effort_budget(remaining(&abs, &check));
-        let candidate: Vec<bool> = match abs.solve() {
-            SolveResult::Unsat => break QbfModelOutcome::NoPartition,
-            SolveResult::Unknown => break QbfModelOutcome::Timeout,
-            SolveResult::Sat => alpha
-                .iter()
-                .chain(&beta)
-                .map(|&l| abs.model_value(l).unwrap_or(false))
-                .collect(),
-        };
-
-        check.solver.set_effort_budget(remaining(&abs, &check));
-        match check.solve(&candidate[..n], &candidate[n..]) {
-            SolveResult::Unsat => {
-                break QbfModelOutcome::Partition(witness_to_partition(&candidate, n))
+    /// The assumptions that bound the metric by `target`'s `k` for one
+    /// probe, and the activation literal to retire after it. The
+    /// disjointness bound is the assumption `¬tc.count_ge(k+1)`; a
+    /// linear bound's clauses are added guarded by a fresh activation
+    /// literal, which is assumed.
+    fn assume(&mut self, target: Target) -> (Vec<Lit>, Option<Lit>) {
+        let n = self.alpha.len();
+        match &self.bound {
+            Bound::Nothing => (Vec::new(), None),
+            Bound::Shared(tc) => {
+                let over = tc.count_ge(target_k(target) + 1);
+                (over.map(|l| !l).into_iter().collect(), None)
             }
-            SolveResult::Unknown => break QbfModelOutcome::Timeout,
-            SolveResult::Sat => {
-                let mut copies = check.copies_model();
-                if core.op != GateOp::Xor {
-                    generalize(core, &mut copies);
+            linear => {
+                let mut cnf = Cnf::with_vars(self.solver.num_vars());
+                linear.assert(&mut cnf, target, n);
+                let act = Lit::pos(self.solver.new_var());
+                for clause in cnf.clauses() {
+                    self.solver.add_clause(clause.iter().copied().chain([!act]));
                 }
-                let clause = refinement(core, &copies, &alpha, &beta);
-                on_refine(&candidate, &copies, &clause);
-                abs.add_clause(clause);
+                (vec![act], Some(act))
             }
         }
-    };
-    meter.charge(spent(&abs, &check));
-    (outcome, stats)
+    }
+
+    /// One probe of the CEGAR loop at `target`, which must be of the
+    /// metric this abstraction was built for. The check is a fresh
+    /// encoding of `core`; refinements stay in the abstraction. The
+    /// probe's limits are the per-call budget in `opts` capped by what
+    /// remains of `meter`, and count only this probe's own effort,
+    /// which is charged to `meter` at the end.
+    pub(crate) fn probe(
+        &mut self,
+        core: &CoreFormula,
+        target: Target,
+        opts: &ModelOptions,
+        meter: &mut EffortMeter,
+        on_refine: &mut OnRefine<'_>,
+    ) -> (QbfModelOutcome, QbfModelStats) {
+        let mut stats = QbfModelStats::default();
+        if meter.exhausted() {
+            return (QbfModelOutcome::Timeout, stats);
+        }
+        let n = core.n;
+        let limits = meter.call_limits(opts.per_call);
+        let (assumptions, act) = self.assume(target);
+        let abs = &mut self.solver;
+        abs.set_deadline(limits.deadline);
+        let abs_start = abs.effort();
+
+        // Check: a fresh encoding of the core, asserted under the candidate.
+        let mut check = CoreSolver::new(core, opts.restarts, opts.preprocess);
+        check.solver.set_deadline(limits.deadline);
+
+        let spent = |abs: &Solver, check: &CoreSolver| {
+            abs.effort().since(abs_start) + check.solver.effort()
+        };
+        // What is left of the probe's conflict budget for the next
+        // inner solve.
+        let remaining = |abs: &Solver, check: &CoreSolver| {
+            limits
+                .conflicts
+                .map(|b| b.saturating_sub(spent(abs, check).conflicts))
+        };
+        let outcome = loop {
+            if limits.deadline.is_some_and(|d| Instant::now() >= d)
+                || remaining(abs, &check) == Some(0)
+            {
+                break QbfModelOutcome::Timeout;
+            }
+            stats.cegar_iterations += 1;
+
+            abs.set_effort_budget(remaining(abs, &check));
+            let candidate: Vec<bool> = match abs.solve_with_assumptions(&assumptions) {
+                SolveResult::Unsat => break QbfModelOutcome::NoPartition,
+                SolveResult::Unknown => break QbfModelOutcome::Timeout,
+                SolveResult::Sat => self
+                    .alpha
+                    .iter()
+                    .chain(&self.beta)
+                    .map(|&l| abs.model_value(l).unwrap_or(false))
+                    .collect(),
+            };
+
+            check.solver.set_effort_budget(remaining(abs, &check));
+            match check.solve(&candidate[..n], &candidate[n..]) {
+                SolveResult::Unsat => {
+                    break QbfModelOutcome::Partition(witness_to_partition(&candidate, n))
+                }
+                SolveResult::Unknown => break QbfModelOutcome::Timeout,
+                SolveResult::Sat => {
+                    let mut copies = check.copies_model();
+                    if core.op != GateOp::Xor {
+                        generalize(core, &mut copies);
+                    }
+                    let clause = refinement(core, &copies, &self.alpha, &self.beta);
+                    on_refine(&candidate, &copies, &clause);
+                    abs.add_clause(clause);
+                }
+            }
+        };
+        if let Some(act) = act {
+            abs.add_clause([!act]);
+        }
+        meter.charge(spent(abs, &check));
+        (outcome, stats)
+    }
 }
 
 /// The refinement for a counterexample with circuit copies `copies`
@@ -353,7 +445,8 @@ fn generalize(core: &CoreFormula, copies: &mut [bool]) {
 /// (always for the windowed targets, under `symmetry` for
 /// [`Target::Any`] and [`Target::DisjointAtMost`]). The CEGAR solve and
 /// the QDIMACS export both build their ∃-side here, so the exported
-/// matrix is the CNF that is solved.
+/// matrix is the CNF that is solved; the solve states the bound itself
+/// per probe (see `Abstraction`).
 pub fn encode_exists(
     cnf: &mut Cnf,
     alpha: &[Lit],
@@ -362,6 +455,66 @@ pub fn encode_exists(
     symmetry: bool,
     allow_both: bool,
 ) {
+    encode_unbounded(cnf, alpha, beta, target, symmetry, allow_both).assert(
+        cnf,
+        target,
+        alpha.len(),
+    );
+}
+
+/// What a bound on a target's `k` is stated over.
+enum Bound {
+    /// [`Target::Any`]: no bound.
+    Nothing,
+    /// Disjointness: the totalizer `tc` over the products `ᾱᵢ∧β̄ᵢ`.
+    Shared(Totalizer),
+    /// The targets linear in `(|XA|, |XB|)`, with weights `(wd, wb)`.
+    Linear {
+        ta: Totalizer,
+        tb: Totalizer,
+        wd: i64,
+        wb: i64,
+    },
+}
+
+impl Bound {
+    /// Adds the clauses bounding the metric by `target`'s `k`, for `n`
+    /// support variables.
+    fn assert(&self, cnf: &mut Cnf, target: Target, n: usize) {
+        let k = target_k(target);
+        match self {
+            Bound::Nothing => {}
+            Bound::Shared(tc) => tc.assert_le(cnf, k),
+            // wd·|XC| + wb·(|XA| − |XB|) ≤ k with |XC| = n − |XA| − |XB|.
+            Bound::Linear { ta, tb, wd, wb } => {
+                assert_linear_le(cnf, ta, tb, wb - wd, wd + wb, k as i64 - wd * n as i64)
+            }
+        }
+    }
+}
+
+/// The bound `k` of a target (0 for [`Target::Any`]).
+fn target_k(target: Target) -> usize {
+    match target {
+        Target::Any => 0,
+        Target::DisjointAtMost(k)
+        | Target::BalancedWindow(k)
+        | Target::CombinedAtMost(k)
+        | Target::Weighted { k, .. } => k,
+    }
+}
+
+/// [`encode_exists`] without the bound: `fN`, the symmetry breaking and
+/// the counters of `target`'s metric, which the returned [`Bound`]
+/// states a `k` over.
+fn encode_unbounded(
+    cnf: &mut Cnf,
+    alpha: &[Lit],
+    beta: &[Lit],
+    target: Target,
+    symmetry: bool,
+    allow_both: bool,
+) -> Bound {
     let n = alpha.len();
     // fN: non-trivial partition.
     at_least_one(cnf, alpha);
@@ -371,22 +524,21 @@ pub fn encode_exists(
             cnf.add_clause([!alpha[i], !beta[i]]);
         }
     }
-    // (wd, wb, k) of the targets linear in (|XA|, |XB|).
-    let linear = match target {
-        Target::Any => None,
-        Target::DisjointAtMost(k) => {
-            let shared: Vec<Lit> = (0..n)
+    // (wd, wb) of the targets linear in (|XA|, |XB|).
+    let (shared, weights) = match target {
+        Target::Any => (None, None),
+        Target::DisjointAtMost(_) => {
+            let products: Vec<Lit> = (0..n)
                 .map(|i| define_and(cnf, !alpha[i], !beta[i]))
                 .collect();
-            Totalizer::new(cnf, &shared).assert_le(cnf, k);
-            None
+            (Some(Totalizer::new(cnf, &products)), None)
         }
-        Target::BalancedWindow(k) => Some((0, 1, k)),
-        Target::CombinedAtMost(k) => Some((1, 1, k)),
-        Target::Weighted { wd, wb, k } => Some((wd, wb, k)),
+        Target::BalancedWindow(_) => (None, Some((0, 1))),
+        Target::CombinedAtMost(_) => (None, Some((1, 1))),
+        Target::Weighted { wd, wb, .. } => (None, Some((i64::from(wd), i64::from(wb)))),
     };
-    if linear.is_none() && !symmetry {
-        return;
+    if weights.is_none() && !symmetry {
+        return shared.map_or(Bound::Nothing, Bound::Shared);
     }
     // A (1,1) pair is in neither block, so under `allow_both` the
     // counters see the products α∧¬β and ¬α∧β.
@@ -403,10 +555,10 @@ pub fn encode_exists(
     let ta = Totalizer::new(cnf, &in_a);
     let tb = Totalizer::new(cnf, &in_b);
     assert_count_dominates(cnf, &ta, &tb);
-    if let Some((wd, wb, k)) = linear {
-        // wd·|XC| + wb·(|XA| − |XB|) ≤ k with |XC| = n − |XA| − |XB|.
-        let (wd, wb) = (i64::from(wd), i64::from(wb));
-        assert_linear_le(cnf, &ta, &tb, wb - wd, wd + wb, k as i64 - wd * n as i64);
+    match (shared, weights) {
+        (Some(tc), _) => Bound::Shared(tc),
+        (None, Some((wd, wb))) => Bound::Linear { ta, tb, wd, wb },
+        (None, None) => Bound::Nothing,
     }
 }
 

@@ -84,10 +84,14 @@ struct SearchOutcome {
     timed_out: bool,
     /// QBF solves performed.
     qbf_calls: u32,
+    /// QBF solves a budget cut short.
+    qbf_timeouts: u32,
+    /// The bound of every QBF solve, in order.
+    probed_k: Vec<usize>,
     /// Total CEGAR iterations across QBF solves.
     cegar_iterations: u64,
-    /// Probe certificates served from the disk tier.
-    probe_disk_hits: u64,
+    /// Search transcripts served from the disk tier.
+    search_disk_hits: u64,
 }
 
 /// Per-output solving state: cone, core formula, oracle, seed-pair
@@ -178,8 +182,8 @@ impl<'a> SolveSession<'a> {
     /// phases charge the session's meter, so wall and work budgets
     /// apply uniformly across the bootstrap's SAT/MUS calls and the
     /// search's QBF probes. Under clause reuse the search's probe
-    /// ledger replays definitive verdicts recorded for the canonical
-    /// cone `fingerprint` by sibling sessions and earlier runs.
+    /// ledger replays a finished search recorded for the canonical cone
+    /// `fingerprint` by a sibling session or an earlier run.
     fn search(&mut self, fingerprint: ConeFingerprint) -> SearchOutcome {
         let config = self.config;
         let mut out = SearchOutcome::default();
@@ -258,12 +262,14 @@ impl<'a> SolveSession<'a> {
             ledger.as_ref(),
         );
         out.qbf_calls = search.qbf_calls;
+        out.qbf_timeouts = search.timeouts;
+        out.probed_k = search.probed_k;
         out.cegar_iterations = search.cegar_iterations;
         out.proved_optimal = search.proved_optimal;
         out.solved = search.proved_optimal;
         out.timed_out = search.truncated;
         out.partition = search.partition.or(bootstrap);
-        out.probe_disk_hits = ledger.map_or(0, |l| l.disk_hits());
+        out.search_disk_hits = ledger.map_or(0, |l| l.disk_hits());
         out
     }
 
@@ -416,11 +422,13 @@ impl<'a> SolveSession<'a> {
         result.sat_calls = self.oracle.as_ref().map_or(0, |o| o.sat_calls);
         result.effort = self.meter.spent();
         result.qbf_calls = outcome.qbf_calls;
+        result.qbf_timeouts = outcome.qbf_timeouts;
+        result.probed_k = outcome.probed_k;
         result.cegar_iterations = outcome.cegar_iterations;
         result.proved_optimal = outcome.proved_optimal;
         result.solved = outcome.solved;
         result.timed_out = outcome.timed_out;
-        result.disk_hits += outcome.probe_disk_hits;
+        result.disk_hits += outcome.search_disk_hits;
 
         // Only definitive, budget-free outcomes enter the store: they
         // are pure functions of the key, a timeout is not.

@@ -4,8 +4,8 @@
 //!
 //! Three reuse surfaces key on the same canonical 128-bit cone
 //! fingerprint: solved partitions ([`ResultCache`]), donated learnt
-//! clauses ([`ClauseBank`]'s exact and cluster channels) and probe
-//! certificates (the bank's probe channel, read and written through a
+//! clauses ([`ClauseBank`]'s exact and cluster channels) and search
+//! transcripts (the bank's search channel, read and written through a
 //! [`ProbeLedger`](crate::clause_bank::ProbeLedger)). The store stacks
 //! two tiers under each:
 //!
@@ -19,28 +19,28 @@
 //! first, falls back to the disk tier and promotes disk hits into tier
 //! 0. The tier-0 counters count only this run's own traffic: a lookup
 //! that misses tier 0 and hits disk stays a tier-0 miss, and a
-//! promotion is no insert, donation or probe record:
+//! promotion is no insert, donation or search record:
 //! [`lookup_result`](TieredStore::lookup_result) /
 //! [`insert_result`](TieredStore::insert_result),
 //! [`lookup_clauses`](TieredStore::lookup_clauses) /
 //! [`donate`](TieredStore::donate) and
-//! [`lookup_probe`](TieredStore::lookup_probe) /
-//! [`record_probe`](TieredStore::record_probe).
+//! [`lookup_search`](TieredStore::lookup_search) /
+//! [`record_search`](TieredStore::record_search).
 //!
 //! A [`Namespace`] is an artifact kind plus a canonical [`ConfigKey`]
 //! string naming every configuration field the artifact's *content*
 //! depends on — results key on the full result-relevant config (model,
 //! strategy, seed, …), clause donations are config-universal (the
-//! oracle CNF depends only on the cone), probe certificates key on the
-//! solver knobs a verdict depends on. Both tiers key on that one
+//! oracle CNF depends only on the cone), search transcripts key on the
+//! solver knobs a search depends on. Both tiers key on that one
 //! string, so what is result-relevant is defined once, and distinct
 //! config keys live in distinct files, so merging stores can never mix
 //! incomparable artifacts.
 //!
 //! **Determinism contract.** Every tier serves only *semantic*
 //! artifacts: definitive solved outcomes, clauses implied by the
-//! recipient's own CNF, and probe certificates that are pure functions
-//! of their key. Persistence therefore changes how much work an answer
+//! recipient's own CNF, and transcripts of finished searches, which are
+//! pure functions of their key. Persistence therefore changes how much work an answer
 //! costs, never the answer — a warm run over a shared cache directory
 //! is byte-identical (under `--no-timing`) to a cold run.
 //!
@@ -64,9 +64,9 @@ use step_cnf::{Lit, Var};
 use step_sat::LearntExport;
 
 use crate::cache::{CachedResult, ResultCache};
-use crate::clause_bank::{BankHit, ClauseBank, ProbeVerdict};
+use crate::clause_bank::{BankHit, ClauseBank, ProbeVerdict, SearchTranscript};
+use crate::optimum::{Metric, SearchKey};
 use crate::partition::VarClass;
-use crate::qbf_model::Target;
 use crate::spec::{DecompConfig, GateOp, SearchStrategy};
 
 /// Which reuse surface an artifact belongs to. The discriminant is the
@@ -77,16 +77,22 @@ pub enum ArtifactKind {
     Result = 0,
     /// A donated learnt-clause snapshot (the clause bank's currency).
     Clauses = 1,
-    /// A probe certificate (the probe ledger's currency).
-    Probe = 2,
+    /// A finished search's transcript (the probe ledger's currency).
+    Search = 3,
 }
+
+/// The header tag of the retired per-probe certificates. A warm
+/// search's probes depend on each other, so the ledger records whole
+/// searches now; files of this tag are skipped at load, not counted
+/// as corrupt.
+const RETIRED_PROBE_TAG: u8 = 2;
 
 impl ArtifactKind {
     /// All three kinds, in reporting order.
     pub const ALL: [ArtifactKind; 3] = [
         ArtifactKind::Result,
         ArtifactKind::Clauses,
-        ArtifactKind::Probe,
+        ArtifactKind::Search,
     ];
 
     /// The on-disk filename prefix and stats label.
@@ -94,12 +100,22 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Result => "results",
             ArtifactKind::Clauses => "clauses",
-            ArtifactKind::Probe => "probes",
+            ArtifactKind::Search => "searches",
+        }
+    }
+
+    /// The kind's position in [`ArtifactKind::ALL`], which indexes
+    /// per-kind tables.
+    fn slot(self) -> usize {
+        match self {
+            ArtifactKind::Result => 0,
+            ArtifactKind::Clauses => 1,
+            ArtifactKind::Search => 2,
         }
     }
 
     fn from_tag(tag: u8) -> Option<Self> {
-        Self::ALL.get(usize::from(tag)).copied()
+        Self::ALL.into_iter().find(|&k| k as u8 == tag)
     }
 }
 
@@ -112,11 +128,12 @@ impl ArtifactKind {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ConfigKey(Arc<str>);
 
-/// The QBF solve that result and probe artifacts came from: the ∃-side
-/// encoding (`qbf_model::encode_exists`) and the refinement form of the
-/// CEGAR loop (`qbf_model::solve_partition`). Stores of another solve,
-/// whose witnesses differ, load into namespaces that nothing looks up.
-const QBF_ENCODING: &str = "exists=linear;refine=clause";
+/// The QBF solve that result and search artifacts came from: the
+/// ∃-side encoding (`qbf_model::encode_exists`), the refinement form of
+/// the CEGAR loop (`qbf_model::solve_partition`) and the one warm
+/// abstraction per `k`-search. Stores of another solve, whose
+/// witnesses differ, load into namespaces that nothing looks up.
+const QBF_ENCODING: &str = "exists=linear;refine=clause;abstraction=warm";
 
 /// The clause namespace, built once: clause traffic names it on every
 /// lookup and donation.
@@ -160,14 +177,13 @@ impl ConfigKey {
         CLAUSES.config.clone()
     }
 
-    /// The probe namespace: the encoding tag and the solver knobs a
-    /// deterministic CEGAR verdict depends on. The CEGAR loop of
-    /// [`solve_partition`](crate::qbf_model::solve_partition) builds
-    /// fresh abstraction and check solvers per probe and never reads
-    /// the session's oracle or bank imports, so a probe's outcome
-    /// is a pure function of `(cone, op, target, these knobs)` whenever
-    /// no budget truncates it — no model, no seed.
-    pub fn probes(config: &DecompConfig) -> Self {
+    /// The search namespace: the encoding tag and the solver knobs a
+    /// deterministic `k`-search depends on. The search builds its own
+    /// abstraction solver, a fresh check per probe, and never reads the
+    /// session's oracle or bank imports, so a finished search is a pure
+    /// function of `(cone, op, search key, these knobs)` — no model, no
+    /// seed.
+    pub fn searches(config: &DecompConfig) -> Self {
         ConfigKey(Arc::from(format!(
             "{QBF_ENCODING};sb={};ab={};restarts={};prep={}",
             u8::from(config.symmetry_breaking),
@@ -185,7 +201,7 @@ impl ConfigKey {
 
 /// One artifact namespace: kind × config key. Build with
 /// [`Namespace::results`], [`Namespace::clauses`] or
-/// [`Namespace::probes`].
+/// [`Namespace::searches`].
 #[derive(Clone, Debug)]
 pub struct Namespace {
     kind: ArtifactKind,
@@ -206,26 +222,26 @@ impl Namespace {
         CLAUSES.clone()
     }
 
-    /// The probe-certificate namespace of `config`'s solver knobs.
-    pub fn probes(config: &DecompConfig) -> Self {
+    /// The search-transcript namespace of `config`'s solver knobs.
+    pub fn searches(config: &DecompConfig) -> Self {
         Namespace {
-            kind: ArtifactKind::Probe,
-            config: ConfigKey::probes(config),
+            kind: ArtifactKind::Search,
+            config: ConfigKey::searches(config),
         }
     }
 }
 
 /// The per-artifact address within a namespace: the canonical cone,
 /// the operator, and a kind-specific auxiliary word (a packed
-/// [`Target`] for probes, zero otherwise).
+/// [`SearchKey`] for searches, zero otherwise).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ArtifactKey {
     /// Canonical structural identity of the cone.
     pub fingerprint: ConeFingerprint,
     /// Root operator.
     pub op: GateOp,
-    /// Kind-specific discriminant: [`pack_target`] output for probe
-    /// certificates, `0` for results and clauses.
+    /// Kind-specific discriminant: [`pack_search`] output for search
+    /// transcripts, `0` for results and clauses.
     pub aux: u64,
 }
 
@@ -239,58 +255,84 @@ impl ArtifactKey {
         }
     }
 
-    /// The key for a probe certificate, if the target is encodable
-    /// (see [`pack_target`]).
-    pub fn probe(fingerprint: ConeFingerprint, op: GateOp, target: Target) -> Option<Self> {
+    /// The key for a search transcript, if the search key is
+    /// encodable (see [`pack_search`]).
+    pub fn search(fingerprint: ConeFingerprint, op: GateOp, key: &SearchKey) -> Option<Self> {
         Some(ArtifactKey {
             fingerprint,
             op,
-            aux: pack_target(target)?,
+            aux: pack_search(key)?,
         })
     }
 }
 
-/// Weight bound of the packed [`Target::Weighted`] encoding (14 bits
+/// Weight bound of the packed [`Metric::Weighted`] encoding (14 bits
 /// per weight keeps the whole pack inside 63 bits).
 const PACK_W_MAX: u32 = (1 << 14) - 1;
 
-/// Packs a probe [`Target`] into a `u64` **injectively** — never by
-/// hashing: two targets sharing an `aux` word would let one probe's
-/// certificate answer another probe's question, corrupting answers.
-/// Layout: tag in bits 60–63, payload below. Returns `None` for
-/// `Weighted` targets whose weights exceed `PACK_W_MAX` — such
-/// probes skip both tiers and are always solved.
-pub fn pack_target(target: Target) -> Option<u64> {
-    Some(match target {
-        Target::Any => 0,
-        Target::DisjointAtMost(k) => (1 << 60) | u64::from(u32::try_from(k).ok()?),
-        Target::BalancedWindow(k) => (2 << 60) | u64::from(u32::try_from(k).ok()?),
-        Target::CombinedAtMost(k) => (3 << 60) | u64::from(u32::try_from(k).ok()?),
-        Target::Weighted { wd, wb, k } => {
+/// Bound on the packed starting `k` (30 bits).
+const PACK_K_MAX: usize = (1 << 30) - 1;
+
+/// The 2-bit tag of a search strategy.
+fn strategy_tag(strategy: SearchStrategy) -> u64 {
+    match strategy {
+        SearchStrategy::MonotoneIncreasing => 0,
+        SearchStrategy::MonotoneDecreasing => 1,
+        SearchStrategy::Binary => 2,
+        SearchStrategy::MdBinMi => 3,
+    }
+}
+
+/// Packs a [`SearchKey`] into a `u64` **injectively** — never by
+/// hashing: two searches sharing an `aux` word would let one search's
+/// transcript answer another, corrupting answers. Layout: the metric's
+/// tag in bits 60–62, the weights of a weighted metric in bits 46–59
+/// and 32–45, the strategy in bits 30–31 and the starting `k` below.
+/// Returns `None` for weights above `PACK_W_MAX` or a starting `k`
+/// above `PACK_K_MAX` — such searches skip both tiers and are always
+/// solved.
+pub fn pack_search(key: &SearchKey) -> Option<u64> {
+    let metric = match key.metric {
+        Metric::Disjointness => 1 << 60,
+        Metric::Balancedness => 2 << 60,
+        Metric::Combined => 3 << 60,
+        Metric::Weighted { wd, wb } => {
             if wd > PACK_W_MAX || wb > PACK_W_MAX {
                 return None;
             }
-            let k = u64::from(u32::try_from(k).ok()?);
-            (4 << 60) | (u64::from(wd) << 46) | (u64::from(wb) << 32) | k
+            (4 << 60) | (u64::from(wd) << 46) | (u64::from(wb) << 32)
         }
-    })
+    };
+    if key.start_k > PACK_K_MAX {
+        return None;
+    }
+    Some(metric | (strategy_tag(key.strategy) << 30) | key.start_k as u64)
 }
 
-/// Inverts [`pack_target`]. Returns `None` for words no target packs
-/// to (e.g. read from a corrupted or foreign record).
-pub fn unpack_target(aux: u64) -> Option<Target> {
-    let k = (aux & 0xFFFF_FFFF) as usize;
-    Some(match aux >> 60 {
-        0 if aux == 0 => Target::Any,
-        1 => Target::DisjointAtMost(k),
-        2 => Target::BalancedWindow(k),
-        3 => Target::CombinedAtMost(k),
-        4 => Target::Weighted {
+/// Inverts [`pack_search`]. Returns `None` for words no search key
+/// packs to (e.g. read from a corrupted or foreign record).
+pub fn unpack_search(aux: u64) -> Option<SearchKey> {
+    let weights = (aux >> 32) & ((1 << 28) - 1);
+    let metric = match aux >> 60 {
+        1 if weights == 0 => Metric::Disjointness,
+        2 if weights == 0 => Metric::Balancedness,
+        3 if weights == 0 => Metric::Combined,
+        4 => Metric::Weighted {
             wd: ((aux >> 46) & u64::from(PACK_W_MAX)) as u32,
             wb: ((aux >> 32) & u64::from(PACK_W_MAX)) as u32,
-            k,
         },
         _ => return None,
+    };
+    let strategy = [
+        SearchStrategy::MonotoneIncreasing,
+        SearchStrategy::MonotoneDecreasing,
+        SearchStrategy::Binary,
+        SearchStrategy::MdBinMi,
+    ][((aux >> 30) & 3) as usize];
+    Some(SearchKey {
+        metric,
+        strategy,
+        start_k: (aux & PACK_K_MAX as u64) as usize,
     })
 }
 
@@ -303,8 +345,8 @@ pub enum Artifact {
     /// A donated clause snapshot (always an exact donor: the cluster
     /// channel's near-twin matching is a tier-0 notion).
     Clauses(Arc<LearntExport>),
-    /// A probe certificate.
-    Probe(ProbeVerdict),
+    /// A finished search's transcript.
+    Search(SearchTranscript),
 }
 
 /// The merge and stats surface over persisted artifacts, for tooling
@@ -397,15 +439,15 @@ impl TieredStore {
         self.disk_hits(ArtifactKind::Clauses)
     }
 
-    /// Probe certificates served from disk so far.
-    pub fn disk_probe_hits(&self) -> u64 {
-        self.disk_hits(ArtifactKind::Probe)
+    /// Search transcripts served from disk so far.
+    pub fn disk_search_hits(&self) -> u64 {
+        self.disk_hits(ArtifactKind::Search)
     }
 
     fn disk_hits(&self, kind: ArtifactKind) -> u64 {
         self.disk
             .as_ref()
-            .map_or(0, |d| d.hits[kind as usize].load(Ordering::Relaxed))
+            .map_or(0, |d| d.hits[kind.slot()].load(Ordering::Relaxed))
     }
 
     /// The tiers one run (a service submission, or one
@@ -530,50 +572,50 @@ impl TieredStore {
         }
     }
 
-    /// The recorded verdict of probing `(fingerprint, op)` at `target`
-    /// in `ns` (a probe namespace), and whether it came from disk.
-    /// Targets [`pack_target`] cannot encode skip the store.
-    pub fn lookup_probe(
+    /// The transcript of the finished search `key` over `(fingerprint,
+    /// op)` in `ns` (a search namespace), and whether it came from
+    /// disk. Keys [`pack_search`] cannot encode skip the store.
+    pub fn lookup_search(
         &self,
         ns: &Namespace,
         fingerprint: ConeFingerprint,
         op: GateOp,
-        target: Target,
-    ) -> Option<(ProbeVerdict, bool)> {
-        let key = ArtifactKey::probe(fingerprint, op, target)?;
-        if let Some(v) = self
+        key: &SearchKey,
+    ) -> Option<(SearchTranscript, bool)> {
+        let artifact_key = ArtifactKey::search(fingerprint, op, key)?;
+        if let Some(t) = self
             .bank
             .as_ref()
-            .and_then(|b| b.lookup_probe(&ns.config, fingerprint, op, target))
+            .and_then(|b| b.lookup_search(&ns.config, fingerprint, op, key))
         {
-            return Some((v, false));
+            return Some((t, false));
         }
-        let Artifact::Probe(v) = self.disk.as_ref()?.get(ns, &key)? else {
+        let Artifact::Search(t) = self.disk.as_ref()?.get(ns, &artifact_key)? else {
             return None;
         };
         if let Some(bank) = &self.bank {
-            bank.promote_probe(&ns.config, fingerprint, op, target, v.clone());
+            bank.promote_search(&ns.config, fingerprint, op, key, t.clone());
         }
-        Some((v, true))
+        Some((t, true))
     }
 
-    /// Records a definitive probe verdict on every tier.
-    pub fn record_probe(
+    /// Records a finished search's transcript on every tier.
+    pub fn record_search(
         &self,
         ns: &Namespace,
         fingerprint: ConeFingerprint,
         op: GateOp,
-        target: Target,
-        verdict: ProbeVerdict,
+        key: &SearchKey,
+        transcript: SearchTranscript,
     ) {
-        let Some(key) = ArtifactKey::probe(fingerprint, op, target) else {
+        let Some(artifact_key) = ArtifactKey::search(fingerprint, op, key) else {
             return;
         };
         if let Some(bank) = &self.bank {
-            bank.record_probe(&ns.config, fingerprint, op, target, verdict.clone());
+            bank.record_search(&ns.config, fingerprint, op, key, transcript.clone());
         }
         if let Some(disk) = &self.disk {
-            disk.put(ns, &key, Artifact::Probe(verdict));
+            disk.put(ns, &artifact_key, Artifact::Search(transcript));
         }
     }
 }
@@ -650,8 +692,9 @@ struct NsState {
     dirty: Vec<(DiskKey, Artifact)>,
 }
 
-/// Every namespace's state, per artifact kind (indexed by tag), by
-/// config string — so a lookup borrows the namespace's `&str`.
+/// Every namespace's state, per artifact kind (indexed by
+/// [`ArtifactKind::slot`]), by config string — so a lookup borrows the
+/// namespace's `&str`.
 type Namespaces = [HashMap<Arc<str>, NsState>; 3];
 
 /// Vets a store directory before any work starts: `dir` must be (or
@@ -688,7 +731,8 @@ pub fn check_cache_dir(dir: &Path) -> io::Result<()> {
 pub struct DiskTier {
     dir: PathBuf,
     state: Mutex<Namespaces>,
-    /// Lookups served, per artifact kind (indexed by tag).
+    /// Lookups served, per artifact kind (indexed by
+    /// [`ArtifactKind::slot`]).
     hits: [AtomicU64; 3],
     loaded_records: AtomicU64,
     corrupt_records: AtomicU64,
@@ -762,16 +806,24 @@ impl DiskTier {
             if r.u32()? != FORMAT_VERSION {
                 return None;
             }
-            let kind = ArtifactKind::from_tag(r.u8()?)?;
+            let tag = r.u8()?;
+            if tag == RETIRED_PROBE_TAG {
+                return Some(None);
+            }
+            let kind = ArtifactKind::from_tag(tag)?;
             let len = r.u32()? as usize;
             let config = String::from_utf8(r.take(len)?.to_vec()).ok()?;
-            Some((kind, config))
+            Some(Some((kind, config)))
         })();
-        let Some((kind, config)) = header else {
-            self.corrupt_records.fetch_add(1, Ordering::Relaxed);
-            return;
+        let (kind, config) = match header {
+            Some(Some(header)) => header,
+            Some(None) => return,
+            None => {
+                self.corrupt_records.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
         };
-        let ns = state[kind as usize].entry(Arc::from(config)).or_default();
+        let ns = state[kind.slot()].entry(Arc::from(config)).or_default();
         while r.at < r.buf.len() {
             let record = (|| {
                 let len = r.u32()?;
@@ -802,14 +854,14 @@ impl DiskTier {
     /// The artifact stored under `key`, if any (counted as a hit of
     /// its kind).
     fn get(&self, ns: &Namespace, key: &ArtifactKey) -> Option<Artifact> {
-        let tag = ns.kind as usize;
+        let slot = ns.kind.slot();
         let state = self.state.lock().expect("disk tier poisoned");
-        let value = state[tag]
+        let value = state[slot]
             .get(ns.config.as_str())?
             .entries
             .get(&disk_key(key))
             .cloned()?;
-        self.hits[tag].fetch_add(1, Ordering::Relaxed);
+        self.hits[slot].fetch_add(1, Ordering::Relaxed);
         Some(value)
     }
 
@@ -819,7 +871,7 @@ impl DiskTier {
     /// output independent of completion order).
     fn put(&self, ns: &Namespace, key: &ArtifactKey, value: Artifact) {
         let mut state = self.state.lock().expect("disk tier poisoned");
-        let entry = state[ns.kind as usize]
+        let entry = state[ns.kind.slot()]
             .entry(Arc::clone(&ns.config.0))
             .or_default();
         let dk = disk_key(key);
@@ -834,7 +886,7 @@ impl DiskTier {
     /// for stats and merge tooling).
     fn scan(&self, ns: &Namespace, f: &mut dyn FnMut(&ArtifactKey, &Artifact)) {
         let state = self.state.lock().expect("disk tier poisoned");
-        let Some(entry) = state[ns.kind as usize].get(ns.config.as_str()) else {
+        let Some(entry) = state[ns.kind.slot()].get(ns.config.as_str()) else {
             return;
         };
         let mut keys: Vec<&DiskKey> = entry.entries.keys().collect();
@@ -1143,13 +1195,19 @@ fn encode_record(dk: &DiskKey, value: &Artifact) -> Vec<u8> {
             // for those stores to keep loading under `FORMAT_VERSION` 1.
             out.push(0);
         }
-        Artifact::Probe(v) => match v {
-            ProbeVerdict::Infeasible => out.push(0),
-            ProbeVerdict::Feasible(classes) => {
-                out.push(1);
-                encode_classes(&mut out, classes);
+        Artifact::Search(t) => {
+            out.extend_from_slice(&(t.probes.len() as u32).to_le_bytes());
+            for (k, verdict) in &t.probes {
+                out.extend_from_slice(&(*k as u32).to_le_bytes());
+                match verdict {
+                    ProbeVerdict::Infeasible => out.push(0),
+                    ProbeVerdict::Feasible(classes) => {
+                        out.push(1);
+                        encode_classes(&mut out, classes);
+                    }
+                }
             }
-        },
+        }
     }
     out
 }
@@ -1194,13 +1252,23 @@ fn decode_record(kind: ArtifactKind, payload: &[u8]) -> Option<(DiskKey, Artifac
             }
             Artifact::Clauses(Arc::new(export))
         }
-        ArtifactKind::Probe => {
-            unpack_target(dk.4)?;
-            match r.u8()? {
-                0 => Artifact::Probe(ProbeVerdict::Infeasible),
-                1 => Artifact::Probe(ProbeVerdict::Feasible(decode_classes(&mut r)?)),
-                _ => return None,
+        ArtifactKind::Search => {
+            unpack_search(dk.4)?;
+            let len = r.u32()?;
+            if len > MAX_RECORD_LEN {
+                return None;
             }
+            let mut probes = Vec::with_capacity(len.min(1 << 10) as usize);
+            for _ in 0..len {
+                let k = r.u32()? as usize;
+                let verdict = match r.u8()? {
+                    0 => ProbeVerdict::Infeasible,
+                    1 => ProbeVerdict::Feasible(decode_classes(&mut r)?),
+                    _ => return None,
+                };
+                probes.push((k, verdict));
+            }
+            Artifact::Search(SearchTranscript { probes })
         }
     };
     if r.at != payload.len() {
@@ -1327,8 +1395,33 @@ mod tests {
         }
     }
 
-    fn probe_ns() -> Namespace {
-        Namespace::probes(&DecompConfig::new(Model::QbfDisjoint))
+    fn search_ns() -> Namespace {
+        Namespace::searches(&DecompConfig::new(Model::QbfDisjoint))
+    }
+
+    fn search_key(start_k: usize) -> SearchKey {
+        SearchKey {
+            metric: Metric::Disjointness,
+            strategy: SearchStrategy::MdBinMi,
+            start_k,
+        }
+    }
+
+    fn transcript() -> SearchTranscript {
+        SearchTranscript {
+            probes: vec![
+                (
+                    1,
+                    ProbeVerdict::Feasible(vec![
+                        VarClass::A,
+                        VarClass::B,
+                        VarClass::C,
+                        VarClass::A,
+                    ]),
+                ),
+                (0, ProbeVerdict::Infeasible),
+            ],
+        }
     }
 
     /// Result namespaces name persisted store files, so the model names
@@ -1345,7 +1438,7 @@ mod tests {
         ] {
             assert_eq!(
                 ConfigKey::results(&DecompConfig::new(model)).as_str(),
-                format!("exists=linear;refine=clause;{expected};{tail}"),
+                format!("exists=linear;refine=clause;abstraction=warm;{expected};{tail}"),
             );
         }
     }
@@ -1370,40 +1463,74 @@ mod tests {
     }
 
     #[test]
-    fn target_pack_round_trips_injectively() {
-        let targets = [
-            Target::Any,
-            Target::DisjointAtMost(0),
-            Target::DisjointAtMost(17),
-            Target::BalancedWindow(17),
-            Target::CombinedAtMost(17),
-            Target::Weighted {
-                wd: 1,
-                wb: 1,
-                k: 17,
-            },
-            Target::Weighted { wd: 3, wb: 9, k: 0 },
-            Target::Weighted {
+    fn search_key_pack_round_trips_injectively() {
+        let mut keys = Vec::new();
+        for metric in [
+            Metric::Disjointness,
+            Metric::Balancedness,
+            Metric::Combined,
+            Metric::Weighted { wd: 1, wb: 1 },
+            Metric::Weighted { wd: 3, wb: 9 },
+            Metric::Weighted {
                 wd: PACK_W_MAX,
                 wb: PACK_W_MAX,
-                k: u32::MAX as usize,
             },
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for t in targets {
-            let aux = pack_target(t).expect("in-range targets pack");
-            assert!(seen.insert(aux), "{t:?} must pack uniquely");
-            assert_eq!(unpack_target(aux), Some(t), "{t:?} must round-trip");
+        ] {
+            for strategy in [
+                SearchStrategy::MonotoneIncreasing,
+                SearchStrategy::MonotoneDecreasing,
+                SearchStrategy::Binary,
+                SearchStrategy::MdBinMi,
+            ] {
+                for start_k in [0, 17, PACK_K_MAX] {
+                    keys.push(SearchKey {
+                        metric,
+                        strategy,
+                        start_k,
+                    });
+                }
+            }
         }
-        // Out-of-range weights refuse to pack rather than collide.
-        assert_eq!(
-            pack_target(Target::Weighted {
+        let mut seen = std::collections::HashSet::new();
+        for key in keys {
+            let aux = pack_search(&key).expect("in-range keys pack");
+            assert!(seen.insert(aux), "{key:?} must pack uniquely");
+            assert_eq!(unpack_search(aux), Some(key), "{key:?} must round-trip");
+        }
+        // Out-of-range weights and bounds refuse to pack rather than
+        // collide.
+        let weighted = SearchKey {
+            metric: Metric::Weighted {
                 wd: PACK_W_MAX + 1,
                 wb: 1,
-                k: 0
-            }),
-            None
-        );
+            },
+            ..search_key(0)
+        };
+        assert_eq!(pack_search(&weighted), None);
+        assert_eq!(pack_search(&search_key(PACK_K_MAX + 1)), None);
+        // Words no key packs to are refused.
+        assert_eq!(unpack_search(0), None);
+        assert_eq!(unpack_search((1 << 60) | (1 << 40)), None);
+    }
+
+    /// A file of the retired per-probe certificate kind loads as
+    /// nothing: no entry, no corrupt record.
+    #[test]
+    fn retired_probe_files_are_skipped() {
+        let dir = std::env::temp_dir().join(format!("step-store-retired-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.push(RETIRED_PROBE_TAG);
+        let config = b"exists=linear;refine=clause;sb=1;ab=0;restarts=luby;prep=0";
+        bytes.extend_from_slice(&(config.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(config);
+        bytes.extend_from_slice(&[7; 40]);
+        fs::write(dir.join("probes-old.stepstore"), bytes).unwrap();
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!((tier.len(), tier.corrupt_records()), (0, 0));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1413,7 +1540,7 @@ mod tests {
         let config = DecompConfig::new(Model::QbfDisjoint);
         let rns = Namespace::results(&config);
         let cns = Namespace::clauses();
-        let pns = probe_ns();
+        let sns = search_ns();
         {
             let tier = DiskTier::open(&dir).unwrap();
             tier.put(
@@ -1426,8 +1553,8 @@ mod tests {
                 &ArtifactKey::of(fp(2), GateOp::And),
                 Artifact::Clauses(Arc::new(export(3))),
             );
-            let pk = ArtifactKey::probe(fp(5), GateOp::Or, Target::DisjointAtMost(2)).unwrap();
-            tier.put(&pns, &pk, Artifact::Probe(ProbeVerdict::Infeasible));
+            let sk = ArtifactKey::search(fp(5), GateOp::Or, &search_key(2)).unwrap();
+            tier.put(&sns, &sk, Artifact::Search(transcript()));
             assert_eq!(tier.flush().unwrap(), 3);
             assert_eq!(tier.flush().unwrap(), 0, "flush is idempotent");
         }
@@ -1445,11 +1572,11 @@ mod tests {
             }
             other => panic!("expected clauses, got {other:?}"),
         }
-        let pk = ArtifactKey::probe(fp(5), GateOp::Or, Target::DisjointAtMost(2)).unwrap();
-        assert!(matches!(
-            tier.get(&pns, &pk),
-            Some(Artifact::Probe(ProbeVerdict::Infeasible))
-        ));
+        let sk = ArtifactKey::search(fp(5), GateOp::Or, &search_key(2)).unwrap();
+        match tier.get(&sns, &sk) {
+            Some(Artifact::Search(t)) => assert_eq!(t, transcript()),
+            other => panic!("expected a search transcript, got {other:?}"),
+        }
         // A different config key is a different namespace.
         let mut other = DecompConfig::new(Model::QbfDisjoint);
         other.seed ^= 1;
@@ -1677,18 +1804,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let config = DecompConfig::new(Model::QbfDisjoint);
         let rns = Namespace::results(&config);
-        let pns = probe_ns();
+        let sns = search_ns();
         {
             let seed = TieredStore::with_disk(None, None, &dir).unwrap();
             seed.insert_result(&rns, fp(1), GateOp::Or, result(true));
             seed.donate(fp(2), GateOp::Or, Arc::new(export(9)));
-            seed.record_probe(
-                &pns,
-                fp(3),
-                GateOp::Or,
-                Target::Any,
-                ProbeVerdict::Infeasible,
-            );
+            seed.record_search(&sns, fp(3), GateOp::Or, &search_key(4), transcript());
             seed.flush().unwrap();
         }
         let cache = Arc::new(ResultCache::new());
@@ -1707,17 +1828,17 @@ mod tests {
         assert!(!store.lookup_clauses(fp(2), GateOp::Or).unwrap().1);
         assert_eq!(bank.exact_hits(), 1, "promotion lands in the bank");
         assert_eq!(store.disk_clause_hits(), 1);
-        let probe_from_disk = || {
-            let hit = store.lookup_probe(&pns, fp(3), GateOp::Or, Target::Any);
+        let search_from_disk = || {
+            let hit = store.lookup_search(&sns, fp(3), GateOp::Or, &search_key(4));
             hit.unwrap().1
         };
-        assert!(probe_from_disk());
-        assert!(!probe_from_disk());
-        assert_eq!(store.disk_probe_hits(), 1);
+        assert!(search_from_disk());
+        assert!(!search_from_disk());
+        assert_eq!(store.disk_search_hits(), 1);
         // Promotions copy what a prior run stored; they are not this
-        // run's inserts, donations or probe records.
+        // run's inserts, donations or search records.
         assert_eq!(
-            (cache.inserts(), bank.donations(), bank.probe_records()),
+            (cache.inserts(), bank.donations(), bank.search_records()),
             (0, 0, 0)
         );
         let _ = fs::remove_dir_all(&dir);

@@ -347,6 +347,79 @@ fn mg_rejects_undecomposable() {
 // QBF models
 // ---------------------------------------------------------------------
 
+/// A warm abstraction's per-call `Work` budget counts only the current
+/// probe's conflicts. Every bound of a disjointness search over a wide
+/// OR cone is probed in turn on one abstraction, first unbudgeted, then
+/// with the per-call budget just above the costliest single probe: the
+/// budgeted pass reaches every verdict of the unbudgeted one, although
+/// the probes before the last spend more than that budget together,
+/// and the meter is charged exactly the same effort.
+#[test]
+fn warm_probe_budget_counts_only_its_own_conflicts() {
+    use crate::qbf_model::Abstraction;
+
+    // f = (s ⊕ t ⊕ c(x0..x5)) ∨ (s ⊕ (t ∧ d(x6..x11))): both halves
+    // need s and t, so bounds below 2 are infeasible.
+    let mut aig = Aig::new();
+    let ins: Vec<AigLit> = (0..14).map(|i| aig.add_input(format!("x{i}"))).collect();
+    let (s, t) = (ins[12], ins[13]);
+    let mut chain = |xs: &[AigLit]| {
+        let mut acc = xs[0];
+        for (i, &x) in xs.iter().enumerate().skip(1) {
+            acc = match i % 3 {
+                0 => aig.and(acc, x),
+                1 => aig.or(acc, x),
+                _ => aig.xor(acc, x),
+            };
+        }
+        acc
+    };
+    let c = chain(&ins[0..6]);
+    let d = chain(&ins[6..12]);
+    let st = aig.xor(s, t);
+    let left = aig.xor(st, c);
+    let td = aig.and(t, d);
+    let right = aig.xor(s, td);
+    let f = aig.or(left, right);
+    let core = CoreFormula::build(&aig, f, GateOp::Or);
+    let n = core.n;
+    let probe_all = |per_call: Budget| {
+        let opts = ModelOptions {
+            per_call,
+            ..ModelOptions::default()
+        };
+        let mut abs = Abstraction::new(n, Target::DisjointAtMost(0), &opts);
+        let mut meter = EffortMeter::unlimited();
+        let mut verdicts = Vec::new();
+        let mut costs = Vec::new();
+        for k in (0..n - 1).rev() {
+            let before = meter.spent().conflicts;
+            let target = Target::DisjointAtMost(k);
+            let (outcome, _) = abs.probe(&core, target, &opts, &mut meter, &mut |_, _, _| {});
+            verdicts.push(outcome);
+            costs.push(meter.spent().conflicts - before);
+        }
+        (verdicts, costs, meter.spent())
+    };
+    let (verdicts, costs, spent) = probe_all(Budget::Unlimited);
+    let (&last, earlier) = costs.split_last().unwrap();
+    let max = costs.iter().copied().max().unwrap();
+    assert!(
+        earlier.iter().sum::<u64>() > max + 1 && last > 0,
+        "the cone is too easy to test the budget: {costs:?}"
+    );
+    assert!(
+        verdicts.contains(&QbfModelOutcome::NoPartition),
+        "{verdicts:?}"
+    );
+    // A solve stops when it reaches its budget, so the costliest probe
+    // needs one conflict of headroom.
+    let (budgeted, budgeted_costs, budgeted_spent) = probe_all(Budget::Work(max + 1));
+    assert_eq!(budgeted, verdicts, "per-probe costs {costs:?}");
+    assert_eq!(budgeted_costs, costs);
+    assert_eq!(budgeted_spent, spent);
+}
+
 #[test]
 fn qbf_any_finds_partition_or_proves_none() {
     let (aig, f) = or_of_ands();
@@ -1095,6 +1168,92 @@ mod props {
             }
         }
 
+        /// Ground truth for every warm search. On random functions of
+        /// support 4..=6, for OR, AND and XOR, every metric of
+        /// `probes_match_enumeration` and every strategy, a search from
+        /// no bootstrap (its first probe is `k_max`) proves an optimum
+        /// equal to the 3ⁿ enumeration's minimum, and the transcript
+        /// it records holds the probed `k` sequence with a verdict per
+        /// probe that matches the enumeration: each witness is a
+        /// decomposable partition the bound admits, and each
+        /// "infeasible" means the enumeration has none.
+        #[test]
+        fn search_matches_enumeration(ops in arb_ops(), n in 4usize..=6) {
+            use crate::clause_bank::{ClauseBank, ProbeLedger, ProbeVerdict};
+            use crate::optimum::SearchKey;
+            use crate::qbf_model::tests::target_admits;
+            use crate::store::TieredStore;
+            use std::sync::Arc;
+
+            let (aig, f) = build_covering(&ops, n);
+            if aig.support(f).len() != n {
+                return Ok(());
+            }
+            let metrics = [
+                Metric::Disjointness,
+                Metric::Balancedness,
+                Metric::Combined,
+                Metric::Weighted { wd: 2, wb: 1 },
+                Metric::Weighted { wd: 1, wb: 3 },
+            ];
+            let strategies = [
+                SearchStrategy::MonotoneIncreasing,
+                SearchStrategy::MonotoneDecreasing,
+                SearchStrategy::Binary,
+                SearchStrategy::MdBinMi,
+            ];
+            let store = TieredStore::memory(None, Some(Arc::new(ClauseBank::new())));
+            let config = DecompConfig::new(Model::QbfDisjoint);
+            let opts = ModelOptions::default();
+            for (fp, op) in GateOp::ALL.into_iter().enumerate() {
+                let ground = bdd_all_partitions(&aig, f, op);
+                let core = CoreFormula::build(&aig, f, op);
+                let fingerprint = step_aig::ConeFingerprint { hash: fp as u128, inputs: n as u32, ands: 0 };
+                let ledger = ProbeLedger::new(&store, fingerprint, op, &config);
+                for metric in metrics {
+                    let optimum = ground.iter().map(|g| metric.k_of(g)).min();
+                    for strategy in strategies {
+                        let tag = format!("op={op} {metric:?} {strategy:?}");
+                        let mut meter = EffortMeter::unlimited();
+                        let r = optimum::search_with_reuse(
+                            &core, metric, None, strategy, &opts, &mut meter, Some(&ledger),
+                        );
+                        prop_assert!(r.proved_optimal, "{}: unbudgeted search truncated", tag);
+                        prop_assert_eq!(r.partition.as_ref().map(|p| metric.k_of(p)), optimum, "{}", tag);
+                        if let Some(p) = &r.partition {
+                            prop_assert!(bdd_decomposable(&aig, f, op, p), "{}: invalid {}", tag, p);
+                        }
+                        let key = SearchKey { metric, strategy, start_k: metric.k_max(n) + 1 };
+                        let transcript = ledger.lookup(&key).expect("a finished search is recorded");
+                        let ks: Vec<usize> = transcript.probes.iter().map(|&(k, _)| k).collect();
+                        prop_assert_eq!(&ks, &r.probed_k, "{}: transcript vs probed k", tag);
+                        for (k, verdict) in &transcript.probes {
+                            let admits = |p: &VarPartition| {
+                                target_admits(
+                                    metric.target(*k),
+                                    opts.symmetry_breaking,
+                                    p.num_a(),
+                                    p.num_b(),
+                                    p.num_shared(),
+                                )
+                            };
+                            match verdict {
+                                ProbeVerdict::Feasible(classes) => {
+                                    let p = VarPartition::new(classes.clone());
+                                    prop_assert!(bdd_decomposable(&aig, f, op, &p), "{} k={}: invalid {}", tag, k, p);
+                                    prop_assert!(admits(&p), "{} k={}: {} misses the bound", tag, k, p);
+                                }
+                                ProbeVerdict::Infeasible => prop_assert!(
+                                    !ground.iter().any(admits),
+                                    "{} k={}: missed {}", tag, k, ground.iter().find(|p| admits(p)).unwrap()
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
         /// Ground truth for every definitive verdict. On random
         /// functions of support 4..=6, whenever a QBF model (QD, QB,
         /// QDB) or a weighted optimum search claims an optimum, its `k`
@@ -1107,8 +1266,8 @@ mod props {
         /// against that now-warm bank; and reuse on over the disk tier
         /// alone, flushed to a directory and reopened in a new store.
         /// Every pass must return the reuse-off partition. The warm
-        /// pass must replay every probe from the bank, and the disk
-        /// pass every probe from disk, solving none.
+        /// pass must replay every search from the bank, and the disk
+        /// pass every search from disk, with zero CEGAR iterations.
         #[test]
         fn engine_sound_and_complete(ops in arb_ops(), n in 4usize..=6) {
             use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1141,12 +1300,12 @@ mod props {
             let mut disk = Arc::default();
             let mut reuse_off = Vec::new();
             let mut cold_records = 0;
-            let (mut disk_probes, mut disk_iterations) = (0, 0);
+            let (mut warm_iterations, mut disk_searches, mut disk_iterations) = (0, 0, 0);
             for pass in ["reuse off", "reuse on", "warm store", "warm disk"] {
                 match pass {
-                    "warm store" => cold_records = bank.probe_records(),
+                    "warm store" => cold_records = bank.search_records(),
                     "warm disk" => {
-                        // Only the clause and probe logs stay: a stored
+                        // Only the clause and search logs stay: a stored
                         // result would skip the search this pass checks.
                         for entry in std::fs::read_dir(&dir).unwrap() {
                             let path = entry.unwrap().path();
@@ -1173,9 +1332,13 @@ mod props {
                             _ => {}
                         }
                         let r = engine.decompose_output(&aig, 0, op).unwrap();
-                        if pass == "warm disk" {
-                            disk_probes += u64::from(r.qbf_calls);
-                            disk_iterations += r.cegar_iterations;
+                        match pass {
+                            "warm store" => warm_iterations += r.cegar_iterations,
+                            "warm disk" => {
+                                disk_searches += u64::from(r.qbf_calls > 0);
+                                disk_iterations += r.cegar_iterations;
+                            }
+                            _ => {}
                         }
                         match &r.partition {
                             Some(p) => {
@@ -1216,16 +1379,17 @@ mod props {
             }
             let _ = std::fs::remove_dir_all(&dir);
             prop_assert_eq!(
-                bank.probe_records(), cold_records,
-                "the warm pass solved a probe instead of replaying it"
+                bank.search_records(), cold_records,
+                "the warm pass solved a search instead of replaying it"
+            );
+            prop_assert_eq!(warm_iterations, 0, "the warm pass solved a probe");
+            prop_assert_eq!(
+                disk_searches, cold_records,
+                "the disk pass ran other searches than the cold pass"
             );
             prop_assert_eq!(
-                disk_probes, cold_records,
-                "the disk pass probed other targets than the cold pass"
-            );
-            prop_assert_eq!(
-                disk.disk_probe_hits(), disk_probes,
-                "the disk pass looked a probe up elsewhere than on disk"
+                disk.disk_search_hits(), disk_searches,
+                "the disk pass looked a search up elsewhere than on disk"
             );
             prop_assert_eq!(disk_iterations, 0, "the disk pass solved a probe");
             for (&op, ground) in GateOp::ALL.iter().zip(&grounds) {

@@ -298,25 +298,25 @@ pub fn finish_store(store: &TieredStore) -> String {
     if let Some(bank) = store.bank() {
         lines += &format!(
             "clause bank: {} hits ({} exact, {} cluster), {} misses, \
-             {} donations, {} entries, {} probe hits, {} probe records\n",
+             {} donations, {} entries, {} search hits, {} search records\n",
             bank.hits(),
             bank.exact_hits(),
             bank.cluster_hits(),
             bank.misses(),
             bank.donations(),
             bank.len(),
-            bank.probe_hits(),
-            bank.probe_records()
+            bank.search_hits(),
+            bank.search_records()
         );
     }
     if let Some(disk) = store.disk() {
         lines += &format!(
             "store: {} record(s) loaded, disk hits {} results / {} clauses / \
-             {} probes, {} flushed, {} corrupt\n",
+             {} searches, {} flushed, {} corrupt\n",
             disk.loaded_records(),
             store.disk_result_hits(),
             store.disk_clause_hits(),
-            store.disk_probe_hits(),
+            store.disk_search_hits(),
             disk.flushed_records(),
             disk.corrupt_records()
         );

@@ -104,11 +104,12 @@ fn warm_results_come_from_disk_and_change_nothing() {
     );
 }
 
-/// The acceptance scenario, clause + certificate surfaces: a warm run
+/// The acceptance scenario, clause + search surfaces: a warm run
 /// under a *different seed* misses the result namespace (the seed is
 /// result-relevant) but still warm-starts from the seed-independent
-/// clause and probe namespaces — and answers exactly like its own
-/// memory-only baseline.
+/// clause and search namespaces — a search replays whenever the seed's
+/// STEP-MG bootstrap starts it at the same bound — and answers exactly
+/// like its own memory-only baseline.
 #[test]
 fn warm_clauses_and_probes_cross_result_config_boundaries() {
     let entry = &registry_table1()[2]; // s38584.1: 8 outputs
@@ -129,11 +130,11 @@ fn warm_clauses_and_probes_cross_result_config_boundaries() {
         "donated clause exports serve any seed"
     );
     assert!(
-        warm_store.disk_probe_hits() > 0,
-        "probe certificates serve any seed"
+        warm_store.disk_search_hits() > 0,
+        "search transcripts serve any seed"
     );
     assert!(
-        warm.disk_hits() >= warm_store.disk_clause_hits() + warm_store.disk_probe_hits(),
+        warm.disk_hits() >= warm_store.disk_clause_hits() + warm_store.disk_search_hits(),
         "per-output disk hits book both surfaces"
     );
 }
@@ -192,13 +193,14 @@ fn copy_renamed(from: &Path, tag: &str, rename: impl Fn(&str) -> String) -> Path
     to
 }
 
-/// A store written before the clause-refinement CEGAR loop holds
-/// witnesses of the old solve, which may differ from today's (equally
-/// optimal) ones. Its result and probe namespace strings carry the
-/// older `exists=linear;` tag instead of `exists=linear;refine=clause;`,
-/// so a warm run over it gets no QBF disk hit and answers like a cold
-/// run. The same files with today's strings do replay, so the misses
-/// come from the strings alone.
+/// A store written before the warm abstraction holds witnesses of the
+/// old solve, which may differ from today's (equally optimal) ones. Its
+/// result and search namespace strings carry the older
+/// `exists=linear;refine=clause;` tag instead of
+/// `exists=linear;refine=clause;abstraction=warm;`, so a warm run over
+/// it gets no QBF disk hit and answers like a cold run. The same files
+/// with today's strings do replay, so the misses come from the strings
+/// alone.
 #[test]
 fn stores_of_another_qbf_encoding_are_not_replayed() {
     let entry = &registry_table1()[2]; // s38584.1: 8 outputs
@@ -214,9 +216,9 @@ fn stores_of_another_qbf_encoding_are_not_replayed() {
             return c.to_owned();
         }
         let rest = c
-            .strip_prefix("exists=linear;refine=clause;")
+            .strip_prefix("exists=linear;refine=clause;abstraction=warm;")
             .unwrap_or_else(|| panic!("namespace {c:?} lacks today's encoding tag"));
-        format!("exists=linear;{rest}")
+        format!("exists=linear;refine=clause;{rest}")
     };
 
     // Same seed: the result namespace serves, or misses when untagged.
@@ -227,15 +229,15 @@ fn stores_of_another_qbf_encoding_are_not_replayed() {
     let (warm, store) = run(&aig, Model::QbfDisjoint, 1, Some(&old));
     assert_same_answers(&cold, &warm, "old-encoding store vs cold");
     assert_eq!(store.disk_result_hits(), 0, "old-encoding results");
-    assert_eq!(store.disk_probe_hits(), 0, "old-encoding probes");
+    assert_eq!(store.disk_search_hits(), 0, "old-encoding searches");
 
-    // Another seed misses the results, so the probe namespace answers.
+    // Another seed misses the results, so the search namespace answers.
     let same = copy_renamed(&dir, "encoding_same_seed2", str::to_owned);
     let (_, store) = run(&aig, Model::QbfDisjoint, 2, Some(&same));
-    assert!(store.disk_probe_hits() > 0, "control: probes replay");
+    assert!(store.disk_search_hits() > 0, "control: searches replay");
     let old = copy_renamed(&dir, "encoding_old_seed2", untag);
     let (warm, store) = run(&aig, Model::QbfDisjoint, 2, Some(&old));
     assert_same_answers(&cold_seed2, &warm, "old-encoding store vs cold, seed 2");
     assert_eq!(store.disk_result_hits(), 0, "old-encoding results, seed 2");
-    assert_eq!(store.disk_probe_hits(), 0, "old-encoding probes, seed 2");
+    assert_eq!(store.disk_search_hits(), 0, "old-encoding searches, seed 2");
 }
