@@ -502,7 +502,7 @@ pub fn secs(d: Duration) -> String {
 ///   ungrown records never silently merge.
 /// * v6 — persistent-store provenance: `disk_hits` (artifacts served
 ///   from the `--cache-dir` disk tier in this run — results, clauses
-///   and probe certificates combined; 0 on cold or memory-only runs)
+///   and search transcripts combined; 0 on cold or memory-only runs)
 ///   and `store_loaded` (records the store had loaded when the sweep
 ///   started). Warm and cold records answer identically — the fields
 ///   exist so trajectory tooling can tell the two cost profiles apart.
@@ -612,7 +612,7 @@ pub struct BenchRecord {
     /// Scheduling-dependent under `jobs > 1` like `bank_hits`.
     pub donated_clauses: u64,
     /// Artifacts this run was served from the `--cache-dir` disk tier
-    /// (results, clause exports and probe certificates combined; 0 on
+    /// (results, clause exports and search transcripts combined; 0 on
     /// cold or memory-only runs). Answers are identical warm or cold —
     /// this separates the two cost profiles, like `clause_reuse`.
     /// Scheduling-dependent under `jobs > 1` like `cache_hits`.

@@ -285,7 +285,7 @@ impl CircuitResult {
     }
 
     /// Total artifacts served from the persistent store tier across
-    /// all outputs (results + clause snapshots + probe certificates).
+    /// all outputs (results + clause snapshots + search transcripts).
     pub fn disk_hits(&self) -> u64 {
         self.outputs.iter().map(|o| o.disk_hits).sum()
     }

@@ -44,11 +44,11 @@
 //! * [`clause_bank`] — cross-output clause reuse: completed sessions
 //!   donate tier-core learnt clauses (keyed by `(fingerprint, op)`
 //!   exactly, and by `(op, support)` for vetted near-twin seeding) and
-//!   record QBF probe certificates — answers are identical with reuse
+//!   record QBF search transcripts — answers are identical with reuse
 //!   on or off, only the conflicts to reach them drop;
 //! * [`store`] — the [`TieredStore`], the one reuse handle engines and
 //!   services hold: one typed lookup/record pair per reuse surface
-//!   (results, clause donations, probe certificates), with the
+//!   (results, clause donations, search transcripts), with the
 //!   in-memory structures as tier 0 and an optional persistent,
 //!   mergeable disk tier ([`TieredStore::with_disk`]) that
 //!   warm-starts later runs;

@@ -10,12 +10,11 @@
 //! pipeline.
 //!
 //! The bound only ever tightens, so one search keeps one abstraction
-//! solver warm across all its probes
-//! (`qbf_model::Abstraction`): `fN` and the
-//! counters are built once, each probe's bound is an assumption, and
-//! the refinements and learnt clauses of earlier probes carry over.
-//! Each probe still checks its candidates against a fresh encoding of
-//! the core.
+//! solver (`qbf_model::Abstraction`) warm across all its probes: `fN`
+//! and the counters are built once, each probe's bound is an
+//! assumption, and the refinements and learnt clauses of earlier probes
+//! carry over. Each probe still checks its candidates against a fresh
+//! encoding of the core.
 //!
 //! A warm probe's witness depends on the probes before it, so reuse
 //! works on whole searches: the [`ProbeLedger`] records the transcript

@@ -220,9 +220,6 @@ pub(crate) fn solve_partition_observed(
     meter: &mut EffortMeter,
     on_refine: &mut OnRefine<'_>,
 ) -> (QbfModelOutcome, QbfModelStats) {
-    if meter.exhausted() {
-        return (QbfModelOutcome::Timeout, QbfModelStats::default());
-    }
     Abstraction::new(core.n, target, opts).probe(core, target, opts, meter, on_refine)
 }
 

@@ -428,7 +428,7 @@ pub struct DecompConfig {
     /// Cross-output clause reuse: completed sessions donate their
     /// oracle's pinned learnt clauses to a shared
     /// [`ClauseBank`](crate::clause_bank::ClauseBank), which seeds the
-    /// oracles of later sessions, and record probe certificates. Only *implied* clauses ever flow (exact donors share an
+    /// oracles of later sessions, and record search transcripts. Only *implied* clauses ever flow (exact donors share an
     /// identical CNF; near-twin donations are vetted per clause), so
     /// verdicts and partitions are byte-identical with this on or off;
     /// conflict counts drop, and at `jobs > 1` may vary with sibling

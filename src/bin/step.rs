@@ -32,7 +32,7 @@
 //!   --clause-bank-cap <n>       bound the bank's exact channel to n entries
 //!                               (second-chance eviction; implies --clause-reuse)
 //!   --cache-dir <path>          persistent artifact store: solved results,
-//!                               donated clauses and probe certificates load from
+//!                               donated clauses and search transcripts load from
 //!                               <path> at startup and flush back at exit, so a
 //!                               later run (or another replica) starts warm —
 //!                               byte-identical answers, fewer conflicts

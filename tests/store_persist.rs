@@ -5,7 +5,7 @@
 //! answer-identical to a cold one — persistence changes the work a run
 //! does, never what it answers — while serving nonzero disk hits on
 //! every reuse surface: solved results, donated clause exports and
-//! probe certificates. Asserted here through the library API over
+//! search transcripts. Asserted here through the library API over
 //! fresh [`TieredStore`]s per run, so nothing survives in memory
 //! between the "processes".
 
