@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use step_cnf::{Lit, Var};
-use step_sat::{ClauseDbPolicy, RestartPolicy, SolveResult, Solver};
+use step_sat::{RestartPolicy, SolveResult, Solver};
 
 /// Runs one kernel under the shim's timer and prints its propagation
 /// rate over all iterations; `run` returns the propagations one
@@ -210,12 +210,10 @@ fn configured(
     nv: usize,
     clauses: &[Vec<Lit>],
     restarts: RestartPolicy,
-    db: ClauseDbPolicy,
     preprocess: bool,
 ) -> Solver {
     let mut s = Solver::new();
     s.set_restart_policy(restarts);
-    s.set_clause_db_policy(db);
     s.set_preprocess(preprocess);
     s.ensure_vars(nv);
     for cl in clauses {
@@ -237,7 +235,7 @@ fn bench_kernel_ablations(c: &mut Criterion) {
     g.sample_size(10);
     for policy in [RestartPolicy::Luby, RestartPolicy::Ema] {
         kernel(RESTARTS, &mut g, &format!("php6/{policy}"), || {
-            let mut s = configured(php_nv, &php, policy, ClauseDbPolicy::Tiered, false);
+            let mut s = configured(php_nv, &php, policy, false);
             assert_eq!(s.solve(), SolveResult::Unsat);
             s.effort().propagations
         });
@@ -246,23 +244,11 @@ fn bench_kernel_ablations(c: &mut Criterion) {
             &mut g,
             &format!("random3sat_hard/{policy}"),
             || {
-                let mut s = configured(110, &hard, policy, ClauseDbPolicy::Tiered, false);
+                let mut s = configured(110, &hard, policy, false);
                 let _ = s.solve();
                 s.effort().propagations
             },
         );
-    }
-    g.finish();
-
-    const DB: &str = "sat_clause_db";
-    let mut g = c.benchmark_group(DB);
-    g.sample_size(10);
-    for db in [ClauseDbPolicy::Tiered, ClauseDbPolicy::SortHalf] {
-        kernel(DB, &mut g, &format!("php6/{db:?}"), || {
-            let mut s = configured(php_nv, &php, RestartPolicy::Luby, db, false);
-            assert_eq!(s.solve(), SolveResult::Unsat);
-            s.effort().propagations
-        });
     }
     g.finish();
 
@@ -271,13 +257,7 @@ fn bench_kernel_ablations(c: &mut Criterion) {
     g.sample_size(10);
     for preprocess in [false, true] {
         kernel(PREPROCESS, &mut g, &format!("php6/pp={preprocess}"), || {
-            let mut s = configured(
-                php_nv,
-                &php,
-                RestartPolicy::Luby,
-                ClauseDbPolicy::Tiered,
-                preprocess,
-            );
+            let mut s = configured(php_nv, &php, RestartPolicy::Luby, preprocess);
             assert_eq!(s.solve(), SolveResult::Unsat);
             s.effort().propagations
         });
@@ -286,13 +266,7 @@ fn bench_kernel_ablations(c: &mut Criterion) {
             &mut g,
             &format!("random3sat_hard/pp={preprocess}"),
             || {
-                let mut s = configured(
-                    110,
-                    &hard,
-                    RestartPolicy::Luby,
-                    ClauseDbPolicy::Tiered,
-                    preprocess,
-                );
+                let mut s = configured(110, &hard, RestartPolicy::Luby, preprocess);
                 let _ = s.solve();
                 s.effort().propagations
             },

@@ -380,6 +380,26 @@ mod tests {
             Some((value(true), false))
         );
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 1));
+
+        // STEP-QDB's weights split the namespace: the combined cost and
+        // two weightings are three distinct keys, none serving another.
+        let configs = [None, Some((2, 1)), Some((1, 3))].map(|weights| {
+            let mut c = DecompConfig::new(Model::QbfCombined);
+            c.weights = weights;
+            c
+        });
+        let keys = configs.each_ref().map(ConfigKey::results);
+        assert!(keys[0] != keys[1] && keys[1] != keys[2] && keys[0] != keys[2]);
+        store.insert_result(
+            &Namespace::results(&configs[0]),
+            fp(9),
+            GateOp::Or,
+            value(true),
+        );
+        for c in &configs[1..] {
+            let ns = Namespace::results(c);
+            assert_eq!(store.lookup_result(&ns, fp(9), GateOp::Or), None);
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ use step_sat::{SolveResult, Solver};
 use crate::effort::EffortMeter;
 use crate::oracle::{CoreFormula, CoreSolver};
 use crate::partition::{VarClass, VarPartition};
-use crate::spec::{Budget, GateOp};
+use crate::spec::{Budget, DecompConfig, GateOp};
 
 /// The `fT` target constraint attached to formulation (4).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -167,6 +167,19 @@ impl Default for ModelOptions {
             per_call: Budget::Unlimited,
             restarts: step_sat::RestartPolicy::default(),
             preprocess: false,
+        }
+    }
+}
+
+impl From<&DecompConfig> for ModelOptions {
+    /// The options a configuration's QBF solves run under.
+    fn from(config: &DecompConfig) -> Self {
+        ModelOptions {
+            symmetry_breaking: config.symmetry_breaking,
+            allow_both: config.allow_both,
+            per_call: config.budget.per_qbf_call,
+            restarts: config.sat_restarts,
+            preprocess: config.sat_preprocess,
         }
     }
 }

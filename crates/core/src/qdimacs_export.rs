@@ -115,6 +115,7 @@ pub fn export_qdimacs(core: &CoreFormula, target: Target, opts: &ModelOptions) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimum::Metric;
     use crate::partition::{VarClass, VarPartition};
     use crate::qbf_model::{self, solve_partition, QbfModelOutcome};
     use step_aig::Aig;
@@ -241,23 +242,48 @@ mod tests {
     /// cannot run an external 3QBF tool here).
     #[test]
     fn export_agrees_with_cegar_feasibility() {
-        let (aig, f) = or_of_ands();
-        let core = CoreFormula::build(&aig, f, crate::GateOp::Or);
-        for (target, feasible) in [
-            (Target::DisjointAtMost(0), true),
-            (Target::BalancedWindow(0), true),
-            (Target::Weighted { wd: 2, wb: 1, k: 0 }, true),
-        ] {
-            let model = export_qdimacs(&core, target, &ModelOptions::default());
+        let check = |core: &CoreFormula, target: Target, feasible: bool| {
+            let model = export_qdimacs(core, target, &ModelOptions::default());
             assert!(parse_qdimacs(&model.text).is_ok());
             let mut meter = crate::effort::EffortMeter::unlimited();
-            let (outcome, _) = solve_partition(&core, target, &ModelOptions::default(), &mut meter);
+            let (outcome, _) = solve_partition(core, target, &ModelOptions::default(), &mut meter);
             assert_eq!(
                 matches!(outcome, QbfModelOutcome::Partition(_)),
                 feasible,
                 "{target:?}"
             );
-        }
+        };
+        let (aig, f) = or_of_ands();
+        let core = CoreFormula::build(&aig, f, crate::GateOp::Or);
+        check(&core, Target::DisjointAtMost(0), true);
+        check(&core, Target::BalancedWindow(0), true);
+        check(&core, Target::Weighted { wd: 2, wb: 1, k: 0 }, true);
+        // A mux OR-decomposes only with its select shared, at weighted
+        // cost 2·1 + 1·0 = 2: infeasible at k = n − 2 = 1, feasible at
+        // the weighted `k_max` that `step --emit-qdimacs --weights` uses.
+        let mut aig = Aig::new();
+        let (s, a, b) = (aig.add_input("s"), aig.add_input("a"), aig.add_input("b"));
+        let f = aig.mux(s, a, b);
+        let core = CoreFormula::build(&aig, f, crate::GateOp::Or);
+        let k_max = Metric::Weighted { wd: 2, wb: 1 }.k_max(core.n);
+        check(
+            &core,
+            Target::Weighted {
+                wd: 2,
+                wb: 1,
+                k: core.n - 2,
+            },
+            false,
+        );
+        check(
+            &core,
+            Target::Weighted {
+                wd: 2,
+                wb: 1,
+                k: k_max,
+            },
+            true,
+        );
     }
 
     #[test]

@@ -223,7 +223,10 @@ impl<'a> SolveSession<'a> {
             }
             Model::QbfDisjoint => Metric::Disjointness,
             Model::QbfBalanced => Metric::Balancedness,
-            Model::QbfCombined => Metric::Combined,
+            Model::QbfCombined => match config.weights {
+                Some((wd, wb)) => Metric::Weighted { wd, wb },
+                None => Metric::Combined,
+            },
         };
         let bootstrap = match mg::decompose(oracle, candidates, meter) {
             // A truncated bootstrap is still a sound starting bound;
@@ -241,13 +244,7 @@ impl<'a> SolveSession<'a> {
                 return out;
             }
         };
-        let opts = ModelOptions {
-            symmetry_breaking: config.symmetry_breaking,
-            allow_both: config.allow_both,
-            per_call: config.budget.per_qbf_call,
-            restarts: config.sat_restarts,
-            preprocess: config.sat_preprocess,
-        };
+        let opts = ModelOptions::from(config);
         let ledger = config
             .clause_reuse
             .then(|| ProbeLedger::new(self.store, fingerprint, self.op, config));

@@ -397,6 +397,13 @@ pub struct DecompConfig {
     /// best choice per metric (MD→Bin→MI for disjointness, MI for
     /// balancedness and combined).
     pub strategy: Option<SearchStrategy>,
+    /// STEP-QDB's cost weights `(ϖD, ϖB)` of the paper's Definition 4:
+    /// with `Some((wd, wb))` the QDB search minimizes
+    /// `wd·|XC| + wb·(|XA| − |XB|)`
+    /// ([`Metric::Weighted`](crate::optimum::Metric::Weighted)); `None`
+    /// keeps the combined cost (8). Read by [`Model::QbfCombined`]
+    /// only; part of the result-cache key when set.
+    pub weights: Option<(u32, u32)>,
     /// Add the `|XA| ≥ |XB|` symmetry-breaking constraint (paper
     /// Section IV-A-2). Always implied by the balancedness window.
     pub symmetry_breaking: bool,
@@ -465,6 +472,7 @@ impl DecompConfig {
             model,
             budget: BudgetPolicy::default(),
             strategy: None,
+            weights: None,
             symmetry_breaking: true,
             allow_both: false,
             extract: true,

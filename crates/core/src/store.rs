@@ -157,9 +157,13 @@ impl ConfigKey {
             SearchStrategy::Binary => "bin",
             SearchStrategy::MdBinMi => "mdbinmi",
         };
+        // Only set weights are named, so unweighted keys keep their bytes.
+        let weights = config
+            .weights
+            .map_or(String::new(), |(wd, wb)| format!(";weights={wd},{wb}"));
         ConfigKey(Arc::from(format!(
             "{QBF_ENCODING};model={model};strategy={strategy};sb={};ab={};simf={};simr={};\
-             seed={};restarts={};prep={}",
+             seed={};restarts={};prep={}{weights}",
             u8::from(config.symmetry_breaking),
             u8::from(config.allow_both),
             u8::from(config.sim_filter),

@@ -1256,7 +1256,8 @@ mod props {
 
         /// Ground truth for every definitive verdict. On random
         /// functions of support 4..=6, whenever a QBF model (QD, QB,
-        /// QDB) or a weighted optimum search claims an optimum, its `k`
+        /// QDB, and QDB at weights (2,1) and (1,3)) or a weighted
+        /// optimum search from no bootstrap claims an optimum, its `k`
         /// equals the minimum over the brute-force 3ⁿ enumeration; every
         /// returned partition is valid (and extracts and verifies for
         /// the engine); every "not decomposable" has an empty ground set.
@@ -1268,6 +1269,9 @@ mod props {
         /// Every pass must return the reuse-off partition. The warm
         /// pass must replay every search from the bank, and the disk
         /// pass every search from disk, with zero CEGAR iterations.
+        /// Plain and weighted QDB solve the same cones in every pass,
+        /// so a result or search served across their namespaces would
+        /// fail the optimum check.
         #[test]
         fn engine_sound_and_complete(ops in arb_ops(), n in 4usize..=6) {
             use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1284,9 +1288,11 @@ mod props {
             let grounds: Vec<Vec<VarPartition>> =
                 GateOp::ALL.iter().map(|&op| bdd_all_partitions(&aig, f, op)).collect();
             let models = [
-                (Model::QbfDisjoint, Metric::Disjointness),
-                (Model::QbfBalanced, Metric::Balancedness),
-                (Model::QbfCombined, Metric::Combined),
+                (Model::QbfDisjoint, None, Metric::Disjointness),
+                (Model::QbfBalanced, None, Metric::Balancedness),
+                (Model::QbfCombined, None, Metric::Combined),
+                (Model::QbfCombined, Some((2, 1)), Metric::Weighted { wd: 2, wb: 1 }),
+                (Model::QbfCombined, Some((1, 3)), Metric::Weighted { wd: 1, wb: 3 }),
             ];
             let dir = std::env::temp_dir().join(format!(
                 "step-ground-truth-{}-{}",
@@ -1321,9 +1327,11 @@ mod props {
                 let mut run = 0;
                 for (&op, ground) in GateOp::ALL.iter().zip(&grounds) {
                     let optimum = |metric: Metric| ground.iter().map(|g| metric.k_of(g)).min();
-                    for (model, metric) in models {
+                    for (model, weights, metric) in models {
                         let mut config = DecompConfig::new(model);
+                        config.weights = weights;
                         config.clause_reuse = pass != "reuse off";
+                        let model = format!("{model} {weights:?}");
                         let mut engine = BiDecomposer::new(config);
                         match pass {
                             "reuse on" => engine.set_store(Arc::clone(&cold)),

@@ -5,7 +5,8 @@
 //! literals, VSIDS branching with phase saving, selectable restart
 //! policies ([`RestartPolicy`]: Luby, or Glucose-style LBD-EMA dynamic
 //! restarts with trail-size blocking), three-tier LBD-based
-//! learnt-clause database management ([`ClauseDbPolicy`]) and an
+//! learnt-clause database management (core clauses kept, the rest
+//! reduced on a linear schedule) and an
 //! optional bounded root-level preprocessing pass (subsumption,
 //! self-subsuming resolution, failed-literal probing) charged in
 //! conflict-equivalents ([`Solver::set_preprocess`]).
@@ -79,9 +80,7 @@ mod solver;
 pub mod proof;
 
 pub use proof::{ClauseId, Proof, ProofStep};
-pub use solver::{
-    ClauseDbPolicy, EffortStats, LearntExport, RestartPolicy, SolveResult, Solver, SolverStats,
-};
+pub use solver::{EffortStats, LearntExport, RestartPolicy, SolveResult, Solver, SolverStats};
 
 // Compile-time audit: solver instances are created and driven inside
 // worker threads of the parallel circuit driver (step-core), so they

@@ -85,7 +85,7 @@ impl std::ops::AddAssign for EffortStats {
 
 /// A portable snapshot of the clauses a solver considers permanently
 /// valuable: its *core-tier* learnt clauses (learn-time or refreshed
-/// LBD ≤ 2 — the tier [`ClauseDbPolicy::Tiered`] never deletes) plus
+/// LBD ≤ 2 — the tier that reduction never deletes) plus
 /// its hottest VSIDS variable activities, expressed over this solver's
 /// variable indices.
 ///
@@ -167,21 +167,6 @@ impl std::str::FromStr for RestartPolicy {
     }
 }
 
-/// Learnt-clause database reduction policy.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum ClauseDbPolicy {
-    /// Three-tier management: *core* clauses (LBD ≤ 2) are kept
-    /// forever, *tier-2* clauses (LBD ≤ 6) survive while recently used
-    /// and are demoted on inactivity, *local* clauses are aggressively
-    /// halved at every reduction. The default.
-    #[default]
-    Tiered,
-    /// The historical single-DB policy: sort everything by
-    /// `(LBD, activity)` and delete the worse half. Kept as an
-    /// ablation baseline for `benches/sat_kernels.rs`.
-    SortHalf,
-}
-
 // EMA restart tuning (Glucose-lineage constants). All thresholds are
 // conflict counts or pure ratios — nothing here consults a clock.
 /// Minimum conflicts between dynamic restarts.
@@ -195,16 +180,13 @@ const EMA_FAST_WINDOW: f64 = 32.0;
 /// Smoothing window of the slow LBD / trail averages.
 const EMA_SLOW_WINDOW: f64 = 4096.0;
 
-// Clause-DB reduction scheduling. The tiered policy reduces early and
-// often (Glucose lineage: core clauses are exempt, so frequent
-// reductions only shed the local tier); the sort-half baseline keeps
-// its historical lazy geometric schedule.
-/// First tiered reduction fires when the learnt DB reaches this size.
+// Clause-DB reduction scheduling: reduce early and often (Glucose
+// lineage: core clauses are exempt, so frequent reductions only shed
+// the local tier), on a linear schedule.
+/// First reduction fires when the learnt DB reaches this size.
 const TIERED_FIRST_REDUCE: f64 = 2000.0;
-/// Linear growth of the tiered reduction threshold.
+/// Linear growth of the reduction threshold.
 const TIERED_REDUCE_INC: f64 = 500.0;
-/// First sort-half reduction threshold (historical default).
-const SORT_HALF_FIRST_REDUCE: f64 = 8000.0;
 
 // Clause tiers.
 const TIER_CORE: u8 = 0;
@@ -278,7 +260,6 @@ pub struct Solver {
     deadline: Option<Instant>,
     proof: Option<Proof>,
     restart_policy: RestartPolicy,
-    db_policy: ClauseDbPolicy,
     preprocess: bool,
     /// Original (non-learnt) clauses allocated so far; the
     /// preprocessing pass reruns only when this has grown by ≥ 25%
@@ -346,7 +327,6 @@ impl Solver {
             deadline: None,
             proof: None,
             restart_policy: RestartPolicy::default(),
-            db_policy: ClauseDbPolicy::default(),
             preprocess: false,
             num_originals: 0,
             pp_seen_originals: 0,
@@ -374,19 +354,6 @@ impl Solver {
     /// The active restart policy.
     pub fn restart_policy(&self) -> RestartPolicy {
         self.restart_policy
-    }
-
-    /// Selects the learnt-clause database reduction policy (default
-    /// [`ClauseDbPolicy::Tiered`]) and resets the reduction schedule to
-    /// the policy's first threshold, so switching policies mid-life
-    /// restarts the schedule rather than inheriting the other policy's
-    /// grown one.
-    pub fn set_clause_db_policy(&mut self, policy: ClauseDbPolicy) {
-        self.db_policy = policy;
-        self.max_learnts = match policy {
-            ClauseDbPolicy::Tiered => TIERED_FIRST_REDUCE,
-            ClauseDbPolicy::SortHalf => SORT_HALF_FIRST_REDUCE,
-        };
     }
 
     /// Enables the bounded root-level preprocessing pass (subsumption,
@@ -1108,20 +1075,12 @@ impl Solver {
         self.value_lit(l0) == LBOOL_TRUE && self.reason(l0.var()) == r
     }
 
-    fn reduce_db(&mut self) {
-        match self.db_policy {
-            ClauseDbPolicy::Tiered => self.reduce_db_tiered(),
-            ClauseDbPolicy::SortHalf => self.reduce_db_sort_half(),
-        }
-        self.maybe_gc();
-    }
-
     /// Three-tier reduction: core clauses are untouchable, tier-2
     /// clauses lose one use credit (demoting to local once it runs
     /// out), and the worse half of the local tier is deleted, ordered
     /// by `(LBD, activity)` with the clause reference as a
     /// deterministic tie-break.
-    fn reduce_db_tiered(&mut self) {
+    fn reduce_db(&mut self) {
         self.learnt_refs.retain(|&r| !self.ca.is_deleted(r));
         let mut local: Vec<ClauseRef> = Vec::new();
         for &r in &self.learnt_refs {
@@ -1158,28 +1117,7 @@ impl Solver {
             }
         }
         self.learnt_refs.retain(|&r| !self.ca.is_deleted(r));
-    }
-
-    /// The historical sort-half reduction (ablation baseline).
-    fn reduce_db_sort_half(&mut self) {
-        self.learnt_refs.retain(|&r| !self.ca.is_deleted(r));
-        let mut refs = self.learnt_refs.clone();
-        refs.sort_by(|&a, &b| {
-            self.ca.lbd(a).cmp(&self.ca.lbd(b)).then(
-                self.ca
-                    .activity(b)
-                    .partial_cmp(&self.ca.activity(a))
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-        });
-        // Delete the worse half, keeping locked clauses and LBD <= 2.
-        let keep_from = refs.len() / 2;
-        for &r in &refs[keep_from..] {
-            if !self.locked(r) && self.ca.lbd(r) > 2 && self.ca.len(r) > 2 {
-                self.delete_clause(r);
-            }
-        }
-        self.learnt_refs.retain(|&r| !self.ca.is_deleted(r));
+        self.maybe_gc();
     }
 
     /// Compacts the arena once dead words exceed `1 / GC_DEAD_DIVISOR`
@@ -1358,10 +1296,7 @@ impl Solver {
                 }
                 if self.stats.learnts as f64 > self.max_learnts {
                     self.reduce_db();
-                    match self.db_policy {
-                        ClauseDbPolicy::Tiered => self.max_learnts += TIERED_REDUCE_INC,
-                        ClauseDbPolicy::SortHalf => self.max_learnts *= 1.3,
-                    }
+                    self.max_learnts += TIERED_REDUCE_INC;
                 }
             } else {
                 let restart_now = match self.restart_policy {

@@ -10,12 +10,12 @@
 //! thousands of random k-CNF instances spanning the under-constrained,
 //! phase-transition and over-constrained regimes, and the kernel must
 //! agree under *every* knob combination: `RestartPolicy::{Luby, Ema}`
-//! × preprocessing on/off × tiered/sort-half clause management. SAT
+//! × preprocessing on/off, over the tiered clause database. SAT
 //! models are checked against every clause, and UNSAT runs with proof
 //! logging must replay end-to-end.
 
 use step_cnf::{Lit, Var};
-use step_sat::{ClauseDbPolicy, RestartPolicy, SolveResult, Solver};
+use step_sat::{RestartPolicy, SolveResult, Solver};
 
 // ---------------------------------------------------------------------
 // The reference oracle: plain DPLL with unit propagation, first
@@ -135,11 +135,11 @@ fn random_kcnf(rng: &mut XorShift, nvars: usize, nclauses: usize, k: usize) -> V
 }
 
 /// Every knob combination the kernel must agree across.
-const CONFIGS: [(RestartPolicy, bool, ClauseDbPolicy); 4] = [
-    (RestartPolicy::Luby, false, ClauseDbPolicy::Tiered),
-    (RestartPolicy::Luby, true, ClauseDbPolicy::SortHalf),
-    (RestartPolicy::Ema, false, ClauseDbPolicy::SortHalf),
-    (RestartPolicy::Ema, true, ClauseDbPolicy::Tiered),
+const CONFIGS: [(RestartPolicy, bool); 4] = [
+    (RestartPolicy::Luby, false),
+    (RestartPolicy::Luby, true),
+    (RestartPolicy::Ema, false),
+    (RestartPolicy::Ema, true),
 ];
 
 fn kernel(
@@ -147,7 +147,6 @@ fn kernel(
     clauses: &[Vec<Lit>],
     restarts: RestartPolicy,
     preprocess: bool,
-    db: ClauseDbPolicy,
     proof: bool,
 ) -> (SolveResult, Solver) {
     let mut s = Solver::new();
@@ -156,7 +155,6 @@ fn kernel(
     }
     s.set_restart_policy(restarts);
     s.set_preprocess(preprocess);
-    s.set_clause_db_policy(db);
     s.ensure_vars(nvars);
     for c in clauses {
         s.add_clause(c.iter().copied());
@@ -169,8 +167,8 @@ fn kernel(
 /// validates the model clause by clause.
 fn check_instance(nvars: usize, clauses: &[Vec<Lit>], ctx: &str) {
     let want = oracle_sat(nvars, clauses);
-    for (restarts, preprocess, db) in CONFIGS {
-        let (got, s) = kernel(nvars, clauses, restarts, preprocess, db, false);
+    for (restarts, preprocess) in CONFIGS {
+        let (got, s) = kernel(nvars, clauses, restarts, preprocess, false);
         let verdict = match got {
             SolveResult::Sat => true,
             SolveResult::Unsat => false,
@@ -178,7 +176,7 @@ fn check_instance(nvars: usize, clauses: &[Vec<Lit>], ctx: &str) {
         };
         assert_eq!(
             verdict, want,
-            "{ctx}: kernel({restarts}, preprocess={preprocess}, {db:?}) disagrees with oracle"
+            "{ctx}: kernel({restarts}, preprocess={preprocess}) disagrees with oracle"
         );
         if got == SolveResult::Sat {
             for (i, c) in clauses.iter().enumerate() {
@@ -253,12 +251,12 @@ fn unsat_proofs_replay_under_all_heuristics() {
             continue;
         }
         unsat_seen += 1;
-        for (restarts, preprocess, db) in CONFIGS {
-            let (got, s) = kernel(nvars, &clauses, restarts, preprocess, db, true);
+        for (restarts, preprocess) in CONFIGS {
+            let (got, s) = kernel(nvars, &clauses, restarts, preprocess, true);
             assert_eq!(
                 got,
                 SolveResult::Unsat,
-                "case={case}: UNSAT must be stable under ({restarts}, {preprocess}, {db:?})"
+                "case={case}: UNSAT must be stable under ({restarts}, {preprocess})"
             );
             let proof = s.proof().expect("proof logging was enabled");
             assert!(
@@ -267,7 +265,7 @@ fn unsat_proofs_replay_under_all_heuristics() {
             );
             assert!(
                 proof.check(),
-                "case={case}: proof must replay under ({restarts}, {preprocess}, {db:?})"
+                "case={case}: proof must replay under ({restarts}, {preprocess})"
             );
         }
     }
@@ -301,7 +299,7 @@ fn preprocessing_never_drops_a_clause_the_proof_needs() {
     ];
     assert!(!oracle_sat(4, &clauses), "construction must be UNSAT");
     for restarts in [RestartPolicy::Luby, RestartPolicy::Ema] {
-        let (got, s) = kernel(4, &clauses, restarts, true, ClauseDbPolicy::Tiered, true);
+        let (got, s) = kernel(4, &clauses, restarts, true, true);
         assert_eq!(got, SolveResult::Unsat);
         let proof = s.proof().expect("proof logging was enabled");
         assert!(proof.empty_clause().is_some());
@@ -325,12 +323,11 @@ fn incremental_import_sequences_match_oracle() {
     let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
     for case in 0..100u64 {
         let nvars = 7 + (case as usize % 5);
-        let (restarts, preprocess, db) = CONFIGS[case as usize % CONFIGS.len()];
+        let (restarts, preprocess) = CONFIGS[case as usize % CONFIGS.len()];
         let mut s = Solver::new();
         s.enable_proof();
         s.set_restart_policy(restarts);
         s.set_preprocess(preprocess);
-        s.set_clause_db_policy(db);
         s.ensure_vars(nvars);
         let mut clauses: Vec<Vec<Lit>> = Vec::new();
         'rounds: for round in 0..6 {
@@ -345,14 +342,7 @@ fn incremental_import_sequences_match_oracle() {
                 // Donor over the identical clause set; its learnts are
                 // implied, so splicing them in must change nothing the
                 // oracle can observe.
-                let (_, donor) = kernel(
-                    nvars,
-                    &clauses,
-                    restarts,
-                    false,
-                    ClauseDbPolicy::Tiered,
-                    false,
-                );
+                let (_, donor) = kernel(nvars, &clauses, restarts, false, false);
                 let export = donor.export_learnts(64, 16);
                 s.import_learnts(&export);
                 assert!(

@@ -13,15 +13,15 @@
 //! a fixed set of cases: pigeonhole php7/php8, seeded random 3-SAT at
 //! clause/variable ratio 4.26 (SAT and UNSAT seeds), a CEGAR-shaped
 //! incremental sequence under assumptions with `import_learnts`, proof
-//! mode, and every `RestartPolicy` × `ClauseDbPolicy` × preprocessing
-//! combination.
+//! mode, and every `RestartPolicy` × preprocessing combination on the
+//! tiered clause database (the `Tiered` in those case names).
 //!
 //! A layout change must leave this table unchanged. An *intended*
 //! search change updates the table in the same change, with the reason
 //! recorded in `CHANGES.md`.
 
 use step_cnf::{Lit, Var};
-use step_sat::{ClauseDbPolicy, LearntExport, RestartPolicy, SolveResult, Solver};
+use step_sat::{LearntExport, RestartPolicy, SolveResult, Solver};
 
 struct XorShift(u64);
 
@@ -115,18 +115,12 @@ impl Fnv {
     }
 }
 
-fn configured(
-    restarts: RestartPolicy,
-    db: ClauseDbPolicy,
-    preprocess: bool,
-    proof: bool,
-) -> Solver {
+fn configured(restarts: RestartPolicy, preprocess: bool, proof: bool) -> Solver {
     let mut s = Solver::new();
     if proof {
         s.enable_proof();
     }
     s.set_restart_policy(restarts);
-    s.set_clause_db_policy(db);
     s.set_preprocess(preprocess);
     s
 }
@@ -179,10 +173,9 @@ fn one_shot(
     nvars: usize,
     clauses: &[Vec<Lit>],
     restarts: RestartPolicy,
-    db: ClauseDbPolicy,
     preprocess: bool,
 ) -> String {
-    let mut s = configured(restarts, db, preprocess, false);
+    let mut s = configured(restarts, preprocess, false);
     s.ensure_vars(nvars);
     for c in clauses {
         s.add_clause(c.iter().copied());
@@ -197,12 +190,7 @@ fn one_shot(
 /// Proof mode: the trajectory with minimization and level-0
 /// strengthening off, plus the proof's length; the proof must replay.
 fn with_proof(name: &str, nvars: usize, clauses: &[Vec<Lit>], preprocess: bool) -> String {
-    let mut s = configured(
-        RestartPolicy::Luby,
-        ClauseDbPolicy::Tiered,
-        preprocess,
-        true,
-    );
+    let mut s = configured(RestartPolicy::Luby, preprocess, true);
     s.ensure_vars(nvars);
     for c in clauses {
         s.add_clause(c.iter().copied());
@@ -226,7 +214,7 @@ fn with_proof(name: &str, nvars: usize, clauses: &[Vec<Lit>], preprocess: bool) 
 fn cegar_shaped(name: &str, seed: u64, restarts: RestartPolicy, preprocess: bool) -> String {
     const NVARS: usize = 250;
     let mut rng = XorShift(seed);
-    let mut s = configured(restarts, ClauseDbPolicy::Tiered, preprocess, false);
+    let mut s = configured(restarts, preprocess, false);
     s.ensure_vars(NVARS);
     let mut clauses: Vec<Vec<Lit>> = Vec::new();
     let mut h = Fnv::new();
@@ -244,7 +232,7 @@ fn cegar_shaped(name: &str, seed: u64, restarts: RestartPolicy, preprocess: bool
             clauses.push(c);
         }
         if round % 8 == 7 {
-            let mut donor = configured(restarts, ClauseDbPolicy::Tiered, false, false);
+            let mut donor = configured(restarts, false, false);
             donor.ensure_vars(NVARS);
             for c in &clauses {
                 donor.add_clause(c.iter().copied());
@@ -273,25 +261,17 @@ fn cegar_shaped(name: &str, seed: u64, restarts: RestartPolicy, preprocess: bool
 fn trajectory() -> Vec<String> {
     let mut out = Vec::new();
     let (luby, ema) = (RestartPolicy::Luby, RestartPolicy::Ema);
-    let (tiered, half) = (ClauseDbPolicy::Tiered, ClauseDbPolicy::SortHalf);
 
     let (nv7, php7) = pigeonhole(7);
     let (nv8, php8) = pigeonhole(8);
-    out.push(one_shot("php7", nv7, &php7, luby, tiered, false));
-    out.push(one_shot("php8", nv8, &php8, luby, tiered, false));
+    out.push(one_shot("php7", nv7, &php7, luby, false));
+    out.push(one_shot("php8", nv8, &php8, luby, false));
 
     // Seeds chosen so the instance is SAT resp. UNSAT.
     let sat = random_3sat(0x5EED_0001, 120);
     let unsat = random_3sat(0x5EED_0002, 120);
-    out.push(one_shot("r3sat-120-sat", 120, &sat, luby, tiered, false));
-    out.push(one_shot(
-        "r3sat-120-unsat",
-        120,
-        &unsat,
-        luby,
-        tiered,
-        false,
-    ));
+    out.push(one_shot("r3sat-120-sat", 120, &sat, luby, false));
+    out.push(one_shot("r3sat-120-unsat", 120, &unsat, luby, false));
 
     out.push(cegar_shaped("cegar-luby", 0xCE6A_0001, luby, false));
     out.push(cegar_shaped("cegar-ema-pp", 0xCE6A_0002, ema, true));
@@ -303,26 +283,16 @@ fn trajectory() -> Vec<String> {
     out.push(with_proof("proof-r3sat-60", 60, &small, true));
 
     for restarts in [luby, ema] {
-        for db in [tiered, half] {
-            for pp in [false, true] {
-                let tag = format!("{restarts}-{db:?}-pp{}", pp as u8);
-                out.push(one_shot(
-                    &format!("php7-{tag}"),
-                    nv7,
-                    &php7,
-                    restarts,
-                    db,
-                    pp,
-                ));
-                out.push(one_shot(
-                    &format!("r3sat-unsat-{tag}"),
-                    120,
-                    &unsat,
-                    restarts,
-                    db,
-                    pp,
-                ));
-            }
+        for pp in [false, true] {
+            let tag = format!("{restarts}-Tiered-pp{}", pp as u8);
+            out.push(one_shot(&format!("php7-{tag}"), nv7, &php7, restarts, pp));
+            out.push(one_shot(
+                &format!("r3sat-unsat-{tag}"),
+                120,
+                &unsat,
+                restarts,
+                pp,
+            ));
         }
     }
     out
@@ -342,18 +312,10 @@ php7-luby-Tiered-pp0 unsat conflicts=3163 decisions=3843 propagations=38677 rest
 r3sat-unsat-luby-Tiered-pp0 unsat conflicts=1034 decisions=1215 propagations=25728 restarts=6 learnts=1033 fp=38a53d02a1a3d2af
 php7-luby-Tiered-pp1 unsat conflicts=3181 decisions=3843 propagations=39181 restarts=14 learnts=2330 fp=f168d47cfc2faf0f
 r3sat-unsat-luby-Tiered-pp1 unsat conflicts=1289 decisions=1355 propagations=29291 restarts=6 learnts=1143 fp=68d5e199e32881d8
-php7-luby-SortHalf-pp0 unsat conflicts=3162 decisions=3860 propagations=38803 restarts=14 learnts=3161 fp=a4ef527e0a25b6f8
-r3sat-unsat-luby-SortHalf-pp0 unsat conflicts=1034 decisions=1215 propagations=25728 restarts=6 learnts=1033 fp=38a53d02a1a3d2af
-php7-luby-SortHalf-pp1 unsat conflicts=3180 decisions=3860 propagations=39307 restarts=14 learnts=3161 fp=a4ef527e0a25b6f8
-r3sat-unsat-luby-SortHalf-pp1 unsat conflicts=1289 decisions=1355 propagations=29291 restarts=6 learnts=1143 fp=68d5e199e32881d8
 php7-ema-Tiered-pp0 unsat conflicts=2937 decisions=3726 propagations=35120 restarts=22 learnts=2126 fp=d754e60a199fa3d1
 r3sat-unsat-ema-Tiered-pp0 unsat conflicts=1133 decisions=1315 propagations=29051 restarts=0 learnts=1132 fp=9e4f0ae39840608c
 php7-ema-Tiered-pp1 unsat conflicts=2955 decisions=3726 propagations=35624 restarts=22 learnts=2126 fp=d754e60a199fa3d1
 r3sat-unsat-ema-Tiered-pp1 unsat conflicts=1080 decisions=1095 propagations=25086 restarts=0 learnts=934 fp=44c54ebeae029d00
-php7-ema-SortHalf-pp0 unsat conflicts=3125 decisions=3934 propagations=37130 restarts=22 learnts=3124 fp=33736435fa19d506
-r3sat-unsat-ema-SortHalf-pp0 unsat conflicts=1133 decisions=1315 propagations=29051 restarts=0 learnts=1132 fp=9e4f0ae39840608c
-php7-ema-SortHalf-pp1 unsat conflicts=3143 decisions=3934 propagations=37634 restarts=22 learnts=3124 fp=33736435fa19d506
-r3sat-unsat-ema-SortHalf-pp1 unsat conflicts=1080 decisions=1095 propagations=25086 restarts=0 learnts=934 fp=44c54ebeae029d00
 ";
 
 #[test]

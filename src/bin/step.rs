@@ -10,7 +10,11 @@
 //! step synthesize <circuit> [options]
 //!   --model ljh|mg|qd|qb|qdb    engine (default qd)
 //!   --op or|and|xor             root operator (default or)
-//!   --weights <wd> <wb>         weighted cost target (implies QBF model)
+//!   --weights <wd> <wb>         STEP-QDB with the paper's Definition 4 cost
+//!                               wd·|XC| + wb·(|XA| − |XB|) (selects qdb; any
+//!                               other --model is a usage error). Budgets,
+//!                               --jobs, the store and verification apply as
+//!                               for every model
 //!   --output <index>            decompose a single PO
 //!   --jobs <n>                  worker threads for whole-circuit runs (default 1)
 //!   --progress                  stream one line per output to stderr as results
@@ -110,6 +114,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+use qbf_bidec::aig::Aig;
 use qbf_bidec::circuits::load_file;
 use qbf_bidec::serve::flag::{finish_store, parsed_or_exit, usage_error, Args, ReuseOpts};
 use qbf_bidec::serve::table;
@@ -118,8 +123,8 @@ use qbf_bidec::step::oracle::CoreFormula;
 use qbf_bidec::step::qbf_model::{ModelOptions, Target};
 use qbf_bidec::step::qdimacs_export::export_qdimacs;
 use qbf_bidec::step::{
-    BiDecomposer, Budget, BudgetPolicy, DecompConfig, DiskTier, EffortMeter, GateOp, Model,
-    OutputResult, RestartPolicy, StepService, TieredStore,
+    BiDecomposer, Budget, BudgetPolicy, DecompConfig, DiskTier, GateOp, Model, OutputResult,
+    RestartPolicy, StepService, TieredStore,
 };
 use qbf_bidec::synth::{SynthDriver, SynthOptions, SynthOutput};
 
@@ -180,10 +185,14 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
     // determinism promise holds.
     let mut qbf_budget_set = false;
     let mut circuit_budget_set = false;
+    let mut model_set = false;
     let mut args = Args::new(args);
     while let Some(arg) = args.next_arg() {
         match arg {
-            "--model" => cli.model = args.model()?,
+            "--model" => {
+                cli.model = args.model()?;
+                model_set = true;
+            }
             "--op" => cli.op = args.op()?,
             "--weights" => cli.weights = Some((args.parse()?, args.parse()?)),
             "--output" => cli.output = Some(args.parse()?),
@@ -216,6 +225,16 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
     }
     if cli.path.is_empty() {
         return Err("<circuit>: missing argument".to_owned());
+    }
+    // The weights are STEP-QDB's cost function (Definition 4).
+    if cli.weights.is_some() {
+        if model_set && cli.model != Model::QbfCombined {
+            return Err(format!(
+                "--weights: applies to --model qdb only, not --model {}",
+                cli.model.name()
+            ));
+        }
+        cli.model = Model::QbfCombined;
     }
     cli.budget
         .lift_unset_walls_for_pure_work(qbf_budget_set, circuit_budget_set);
@@ -292,6 +311,32 @@ fn cache_command(args: &[String]) -> ! {
             USAGE,
         ),
     }
+}
+
+/// Loads the circuit at `path`, converted to combinational, and prints
+/// its summary line. Exits 1 if it cannot be loaded or converted.
+fn load_circuit(path: &str) -> Aig {
+    fn fail(e: impl std::fmt::Display) -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    }
+    let circuit = load_file(Path::new(path)).unwrap_or_else(|e| fail(e));
+    let comb = if circuit.is_comb() {
+        circuit
+    } else {
+        eprintln!("note: sequential circuit, applying comb conversion");
+        circuit.comb().unwrap_or_else(|e| fail(e))
+    };
+    println!(
+        "{}",
+        table::circuit_line(
+            path,
+            comb.num_inputs() as u64,
+            comb.num_outputs() as u64,
+            comb.and_count() as u64
+        )
+    );
+    comb
 }
 
 /// The run's tiered store. The directory was vetted at parse time, so
@@ -469,34 +514,7 @@ fn synth_row(out: &SynthOutput, no_timing: bool) -> String {
 /// front-end over [`qbf_bidec::synth`]. Always exits.
 fn synthesize_command(args: &[String]) -> ! {
     let cli = parsed_or_exit(parse_synth_cli(args), SYNTH_USAGE);
-    let circuit = match load_file(Path::new(&cli.path)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let comb = if circuit.is_comb() {
-        circuit
-    } else {
-        eprintln!("note: sequential circuit, applying comb conversion");
-        match circuit.comb() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    println!(
-        "{}",
-        table::circuit_line(
-            &cli.path,
-            comb.num_inputs() as u64,
-            comb.num_outputs() as u64,
-            comb.and_count() as u64
-        )
-    );
+    let comb = load_circuit(&cli.path);
 
     let mut config = DecompConfig::new(cli.model);
     config.sat_restarts = cli.sat_restarts;
@@ -576,34 +594,7 @@ fn main() {
         _ => {}
     }
     let cli = parsed_or_exit(parse_cli(&raw), USAGE);
-    let circuit = match load_file(Path::new(&cli.path)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let comb = if circuit.is_comb() {
-        circuit
-    } else {
-        eprintln!("note: sequential circuit, applying comb conversion");
-        match circuit.comb() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    println!(
-        "{}",
-        table::circuit_line(
-            &cli.path,
-            comb.num_inputs() as u64,
-            comb.num_outputs() as u64,
-            comb.and_count() as u64
-        )
-    );
+    let comb = load_circuit(&cli.path);
 
     if cli.emit_qdimacs {
         let idx = cli.output.unwrap_or(0);
@@ -613,11 +604,12 @@ fn main() {
         };
         let cone = comb.cone(out.lit());
         let core = CoreFormula::build(&cone.aig, cone.root, cli.op);
+        // The loosest weighted bound: every non-trivial partition meets it.
         let target = match cli.weights {
             Some((wd, wb)) => Target::Weighted {
                 wd,
                 wb,
-                k: core.n.saturating_sub(2),
+                k: Metric::Weighted { wd, wb }.k_max(core.n),
             },
             None => Target::Any,
         };
@@ -626,15 +618,8 @@ fn main() {
         return;
     }
 
-    if let Some((wd, wb)) = cli.weights {
-        if cli.jobs > 1 {
-            eprintln!("note: the --weights path runs sequentially; --jobs has no effect");
-        }
-        run_weighted(&cli, &comb, wd, wb);
-        return;
-    }
-
     let mut config = DecompConfig::new(cli.model);
+    config.weights = cli.weights;
     config.budget = cli.budget;
     config.jobs = cli.jobs;
     config.sat_restarts = cli.sat_restarts;
@@ -731,68 +716,4 @@ fn main() {
     if !cli.no_timing {
         print!("{stats}");
     }
-}
-
-/// Weighted run: bootstrap with MG then search the weighted metric
-/// directly on each selected output.
-fn run_weighted(cli: &Cli, comb: &qbf_bidec::aig::Aig, wd: u32, wb: u32) {
-    use qbf_bidec::step::mg;
-    let indices: Vec<usize> = match cli.output {
-        Some(i) => vec![i],
-        None => (0..comb.num_outputs()).collect(),
-    };
-    println!("{}", table::header());
-    let mut decomposed = 0usize;
-    for idx in indices {
-        let Some(out) = comb.outputs().get(idx) else {
-            eprintln!("error: output {idx} out of range");
-            std::process::exit(1);
-        };
-        let cone = comb.cone(out.lit());
-        let core = CoreFormula::build(&cone.aig, cone.root, cli.op);
-        let mut oracle = qbf_bidec::step::oracle::PartitionOracle::with_options(
-            core.clone(),
-            cli.sat_restarts,
-            cli.sat_preprocess,
-        );
-        let start = std::time::Instant::now();
-        let mut meter = EffortMeter::unlimited();
-        let boot = match mg::decompose(&mut oracle, None, &mut meter) {
-            mg::MgOutcome::Partition(p) | mg::MgOutcome::TruncatedPartition(p) => Some(p),
-            _ => None,
-        };
-        let search = qbf_bidec::step::optimum::search(
-            &core,
-            Metric::Weighted { wd, wb },
-            boot.as_ref(),
-            qbf_bidec::step::SearchStrategy::MonotoneIncreasing,
-            &ModelOptions {
-                restarts: cli.sat_restarts,
-                preprocess: cli.sat_preprocess,
-                ..Default::default()
-            },
-            &mut meter,
-        );
-        match search.partition {
-            Some(p) => {
-                println!(
-                    "{}",
-                    table::partition_row(
-                        out.name(),
-                        cone.support_size() as u64,
-                        p.num_a() as u64,
-                        p.num_b() as u64,
-                        p.num_shared() as u64,
-                        p.disjointness(),
-                        p.balancedness(),
-                        search.proved_optimal,
-                        &cpu_cell(start.elapsed(), cli.no_timing)
-                    )
-                );
-                decomposed += 1;
-            }
-            None => println!("{:<16} not decomposable", out.name()),
-        }
-    }
-    println!("{}", table::footer(decomposed, &cli.model.to_string()));
 }

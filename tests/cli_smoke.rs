@@ -5,6 +5,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use qbf_bidec::aig::bench_io;
+use qbf_bidec::circuits::{registry_table1, Scale};
+
 fn step() -> Command {
     Command::new(env!("CARGO_BIN_EXE_step"))
 }
@@ -333,6 +336,45 @@ fn work_budget_runs_are_byte_identical_across_jobs() {
     assert_eq!(base, run_with(&["--jobs", "2"]), "jobs=2");
     assert_eq!(base, run_with(&["--jobs", "3"]), "jobs=3");
     assert_eq!(base, run_with(&["--jobs", "2", "--no-cache"]), "no-cache");
+}
+
+/// `--weights` runs STEP-QDB through the service like every other
+/// model: the work budget binds (a row times out), `--jobs` changes
+/// nothing, and the footer names the model that ran. An explicit other
+/// `--model` is a usage error.
+#[test]
+fn weighted_runs_obey_the_work_budget_and_jobs() {
+    let aig = registry_table1()[2].build(Scale::Default); // s38584.1
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_smoke_weights.bench");
+    std::fs::write(&path, bench_io::write(&aig)).expect("write bench file");
+    let run_with = |jobs: &str| -> String {
+        let out = run(step().arg(&path).args([
+            "--weights",
+            "2",
+            "1",
+            "--budget",
+            "work:10",
+            "--no-timing",
+            "--jobs",
+            jobs,
+        ]));
+        assert!(out.status.success(), "stderr: {:?}", out.stderr);
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let base = run_with("1");
+    assert!(base.contains(" timeout"), "the budget must bind: {base}");
+    assert!(base.contains("with STEP-QDB"), "footer: {base}");
+    assert_eq!(base, run_with("2"), "jobs=2");
+
+    let out = run(step()
+        .arg(&path)
+        .args(["--weights", "2", "1", "--model", "qd"]));
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.lines().any(|l| l.starts_with("--weights:")),
+        "one --weights: line: {err}"
+    );
 }
 
 /// A fresh, empty directory under the target tmp dir.
